@@ -24,6 +24,7 @@ from .kernels import (
 )
 from .levy import (
     JumpMeasureSpec,
+    NoiseBlock,
     NoiseRealization,
     TimeGrid,
     compensator_increment,
@@ -36,6 +37,7 @@ from .levy import (
 from .solver import (
     AveragedCoefficientSet,
     CoefficientSet,
+    CoupledBlock,
     CoupledPaths,
     GridPath,
     JumpMode,
@@ -68,6 +70,7 @@ __all__ = [
     "CoefficientSet",
     "ConfigError",
     "ConvergenceError",
+    "CoupledBlock",
     "CoupledPaths",
     "DivergenceError",
     "ErrorReport",
@@ -79,6 +82,7 @@ __all__ = [
     "JumpMeasureSpec",
     "JumpMode",
     "KernelWeights",
+    "NoiseBlock",
     "NoiseRealization",
     "PathBlowupError",
     "RunFailedError",

@@ -5,6 +5,9 @@ taken of the *time average* of the coefficient mismatch, not of its pointwise
 value.  The pointwise drift residual is also recorded so a report can show
 that it does not decay for oscillating coefficients even when the averaged
 form does.
+
+Coefficient sets follow the solver's batch contract, so every probe state x
+is handed to them as a batch of one, shape (1, dim).
 """
 
 from __future__ import annotations
@@ -115,6 +118,11 @@ def _total_drift_residual(coeffs, averaged, t1, x):
     return float(np.linalg.norm((avg_f - target).reshape(-1)))
 
 
+def _as_batches(states) -> list[np.ndarray]:
+    """Probe states as batches of one, shape (1, dim)."""
+    return [np.asarray(x, dtype=float).reshape(1, -1) for x in states]
+
+
 def _diffusion_square(diffusion, t, x, dim, brownian_dim):
     g = np.asarray(diffusion(t, x), dtype=float).reshape(dim, brownian_dim)
     return g @ g.T
@@ -173,14 +181,14 @@ def h3_residuals(
     """
     if not len(probe_states):
         raise ValueError("probe_states must be nonempty")
-    probes = [np.atleast_1d(np.asarray(x, dtype=float)) for x in probe_states]
+    probes = _as_batches(probe_states)
     t1_grid = [float(t) for t in t1_grid]
 
     alpha1, alpha2, alpha3, alpha1_pw = [], [], [], []
     for t1 in t1_grid:
         a1 = a2 = a3 = pw = 0.0
         for x in probes:
-            nx = float(np.linalg.norm(x))
+            nx = float(np.linalg.norm(x.ravel()))
             a1 = max(a1, _total_drift_residual(coeffs, averaged, t1, x) / (1.0 + nx))
             pointwise = np.linalg.norm(
                 np.asarray(coeffs.drift(t1, x), dtype=float).reshape(-1)
@@ -311,7 +319,7 @@ def probe_hypotheses(
     """
     if probe_states is None:
         probe_states = default_probe_states(coeffs.dim)
-    probes = [np.atleast_1d(np.asarray(x, dtype=float)) for x in probe_states]
+    probes = _as_batches(probe_states)
     if times is None:
         times = np.linspace(0.0, 10.0, 41)
     times = [float(t) for t in times]
@@ -377,7 +385,7 @@ def probe_hypotheses(
         lipschitz_estimate=c1,
         growth_estimate=c2,
         envelope=envelope,
-        probe_states=[list(map(float, x)) for x in probes],
+        probe_states=[x.ravel().tolist() for x in probes],
         times=times,
         spec_params=(
             {

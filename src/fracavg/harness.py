@@ -2,8 +2,9 @@
 
 A full experiment is a pure function of its ExperimentConfig (master seed
 included): per-path noise streams are derived from (master_seed, path_index),
-aggregation runs in path-index order, and report.json is written with sorted
-keys, so a rerun reproduces it byte for byte.
+paths are solved in blocks of BLOCK_SIZE consecutive indices whatever the
+number of workers, aggregation runs in path-index order, and report.json is
+written with sorted keys, so a rerun reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -21,13 +22,17 @@ from typing import Optional
 import numpy as np
 
 from .averaging import theorem_bound
-from .errors import ConfigError, PathBlowupError, RunFailedError
-from .levy import TimeGrid, sample_noise
-from .problems import FIG1_CASES, Problem, build_problem
-from .solver import solve_coupled
+from .errors import ConfigError, RunFailedError
+from .levy import NoiseBlock, TimeGrid, sample_noise
+from .problems import FIG1_CASES, build_problem
+from .solver import CoupledPaths, solve_coupled
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 FAILURE_BUDGET = 0.10
+# Paths per batched solve.  The memory sums of a block are one matrix product,
+# and BLAS may round a column differently for different block widths, so the
+# blocks must not depend on the number of workers.
+BLOCK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,10 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must lie in (0, 1]; got {self.epsilon}")
         if self.step <= 0.0 or self.horizon <= 0.0:
             raise ConfigError("step and horizon must be positive")
-        n = round(self.horizon / self.step)
-        if n < 1 or abs(n * self.step - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ConfigError(
-                f"step {self.step} does not divide horizon {self.horizon} within rounding"
-            )
+        try:
+            TimeGrid.from_horizon(self.horizon, self.step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1; got {self.workers}")
         if self.master_seed < 0:
@@ -166,32 +170,39 @@ class ErrorReport:
             fh.write("\n")
 
 
-def _solve_one(problem: Problem, grid: TimeGrid, cfg: ExperimentConfig, index: int):
-    noise = sample_noise(
-        problem.spec,
-        grid,
-        dim=problem.coeffs.brownian_dim,
-        seed=cfg.master_seed,
-        stream_key=(index,),
-        include_jumps=problem.needs_jump_events,
-    )
-    coupled = solve_coupled(
-        problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
-    )
+def _path_stats(coupled: CoupledPaths):
     sup_z_sq = float(np.max(np.sum(coupled.averaged.states**2, axis=1)))
     return coupled.sup_sq_error, coupled.sup_error, coupled.er, sup_z_sq
 
 
-def _run_chunk(cfg_dict: dict, indices: list[int]):
+def _run_blocks(cfg_dict: dict, blocks: list[list[int]]):
+    """Solve blocks of path indices; one (index, status, payload, saved path) per path."""
     cfg = ExperimentConfig.from_dict(cfg_dict)
     problem = build_problem(cfg)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     out = []
-    for index in indices:
-        try:
-            out.append((index, "ok", _solve_one(problem, grid, cfg, index)))
-        except PathBlowupError as exc:
-            out.append((index, "failed", (exc.step, exc.time, exc.system)))
+    for indices in blocks:
+        noise = NoiseBlock(tuple(
+            sample_noise(
+                problem.spec,
+                grid,
+                dim=problem.coeffs.brownian_dim,
+                seed=cfg.master_seed,
+                stream_key=(index,),
+                include_jumps=problem.needs_jump_events,
+            )
+            for index in indices
+        ))
+        solved = solve_coupled(
+            problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
+        )
+        for p, index in enumerate(indices):
+            failure = solved.failures[p]
+            if failure is not None:
+                out.append((index, "failed", (failure.step, failure.time, failure.system), None))
+                continue
+            coupled = solved.path(p)
+            out.append((index, "ok", _path_stats(coupled), coupled if index < cfg.save_paths else None))
     return out
 
 
@@ -243,24 +254,43 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
     )
 
 
-def _execute(cfg: ExperimentConfig) -> dict:
-    indices = list(range(cfg.n_paths))
-    results = {}
+def _execute(cfg: ExperimentConfig):
+    """Per-path results by index, and the first save_paths coupled paths that did not fail."""
+    blocks = [
+        list(range(first, min(first + BLOCK_SIZE, cfg.n_paths)))
+        for first in range(0, cfg.n_paths, BLOCK_SIZE)
+    ]
     if cfg.workers == 1:
-        for index, status, payload in _run_chunk(cfg.as_dict(), indices):
-            results[index] = (status, payload)
+        rows = _run_blocks(cfg.as_dict(), blocks)
     else:
-        chunk_count = min(len(indices), cfg.workers * 4)
-        chunks = [list(c) for c in np.array_split(indices, chunk_count) if len(c)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_run_chunk, cfg.as_dict(), chunk) for chunk in chunks]
-            for future in futures:
-                for index, status, payload in future.result():
-                    results[index] = (status, payload)
-    return results
+            futures = [pool.submit(_run_blocks, cfg.as_dict(), [block]) for block in blocks]
+            rows = [row for future in futures for row in future.result()]
+    results = {index: (status, payload) for index, status, payload, _ in rows}
+    saved = {index: coupled for index, _, _, coupled in rows if coupled is not None}
+    return results, saved
 
 
-def _write_outputs(cfg: ExperimentConfig, report: ErrorReport, out_dir, command: str, elapsed: float):
+def _ensemble(cfg: ExperimentConfig):
+    """One resolved ensemble: its report, failure details and saved paths."""
+    results, saved = _execute(cfg)
+    report = _aggregate(cfg, results)
+    failures = []
+    for index in report.failed_paths:
+        step, at, system = results[index][1]
+        failures.append({"path": index, "step": step, "time": at, "system": system})
+    return report, failures, saved
+
+
+def _write_outputs(
+    cfg: ExperimentConfig,
+    report: ErrorReport,
+    failures: list[dict],
+    saved: dict,
+    out_dir,
+    command: str,
+    elapsed: float,
+):
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
@@ -272,6 +302,7 @@ def _write_outputs(cfg: ExperimentConfig, report: ErrorReport, out_dir, command:
             "numpy": np.__version__,
         },
         "timing_seconds": elapsed,
+        "failures": failures,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -280,23 +311,8 @@ def _write_outputs(cfg: ExperimentConfig, report: ErrorReport, out_dir, command:
     if cfg.save_paths > 0:
         paths_dir = os.path.join(out_dir, "paths")
         os.makedirs(paths_dir, exist_ok=True)
-        problem = build_problem(cfg)
-        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-        for index in range(min(cfg.save_paths, cfg.n_paths)):
-            if index in report.failed_paths:
-                continue
-            noise = sample_noise(
-                problem.spec,
-                grid,
-                dim=problem.coeffs.brownian_dim,
-                seed=cfg.master_seed,
-                stream_key=(index,),
-                include_jumps=problem.needs_jump_events,
-            )
-            coupled = solve_coupled(
-                problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
-            )
-            coupled.to_csv(os.path.join(paths_dir, f"path_{index:06d}.csv"))
+        for index in sorted(saved):
+            saved[index].to_csv(os.path.join(paths_dir, f"path_{index:06d}.csv"))
 
 
 def _package_version() -> str:
@@ -309,14 +325,15 @@ def run_ensemble(config: ExperimentConfig, out_dir=None, command: str = "run_ens
     """Run the coupled solve over an ensemble of noise streams.
 
     Per-path failures (state blow-ups) are excluded and counted; more than
-    10% of them fails the run.  With ``out_dir`` set, writes manifest.json,
-    report.json, and the first ``save_paths`` coupled paths as CSV.
+    10% of them fails the run.  With ``out_dir`` set, writes manifest.json
+    (with the step, time and system of each failed path), report.json, and
+    the first ``save_paths`` coupled paths as CSV.
     """
     cfg = config.resolved()
     started = time.perf_counter()
-    report = _aggregate(cfg, _execute(cfg))
+    report, failures, saved = _ensemble(cfg)
     if out_dir is not None:
-        _write_outputs(cfg, report, out_dir, command, time.perf_counter() - started)
+        _write_outputs(cfg, report, failures, saved, out_dir, command, time.perf_counter() - started)
     return report
 
 
@@ -355,8 +372,10 @@ def convergence_study(
     grid, per-epsilon means and confidence half-widths, and the fitted
     log-log slope ride along.  The fit is refused (fitted_rate None with a
     reason) when every pair of per-epsilon confidence intervals overlaps or
-    any mean is exactly zero.
+    any mean is exactly zero.  The manifest times the whole study and lists
+    the failed paths of every ensemble, each with its epsilon.
     """
+    started = time.perf_counter()
     eps = sorted({float(e) for e in epsilons}, reverse=True)
     if len(eps) < 3:
         raise ConfigError(f"a study needs >= 3 distinct epsilon values; got {len(eps)}")
@@ -365,10 +384,8 @@ def convergence_study(
             f"epsilon grid must span >= 2 decades; got [{min(eps):g}, {max(eps):g}]"
         )
 
-    reports = {}
-    for e in eps:
-        cfg = dataclasses.replace(base_config, epsilon=e)
-        reports[e] = run_ensemble(cfg)
+    runs = {e: _ensemble(dataclasses.replace(base_config, epsilon=e).resolved()) for e in eps}
+    reports = {e: runs[e][0] for e in eps}
 
     means = [reports[e].mean_sup_sq for e in eps]
     cis = [reports[e].ci_half_width for e in eps]
@@ -386,8 +403,11 @@ def convergence_study(
     )
     if out_dir is not None:
         cfg = dataclasses.replace(base_config, epsilon=eps[-1]).resolved()
-        started = time.perf_counter()
-        _write_outputs(cfg, report, out_dir, "convergence_study", time.perf_counter() - started)
+        failures = [dict(failure, epsilon=e) for e in eps for failure in runs[e][1]]
+        saved = runs[eps[-1]][2]
+        _write_outputs(
+            cfg, report, failures, saved, out_dir, "convergence_study", time.perf_counter() - started
+        )
     return report
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -183,6 +183,48 @@ class NoiseRealization:
     def events(self):
         """Jump events as (time, mark) pairs in time order."""
         return list(zip(self.jump_times.tolist(), self.jump_marks.tolist()))
+
+
+@dataclass(frozen=True)
+class NoiseBlock:
+    """Noise realizations of P paths on one grid, stacked for a batched solve.
+
+    ``increments[:, p]`` are realization p's Brownian increments; jump events
+    stay with their realizations.  All realizations share the grid, the
+    Brownian dimension and the jump measure.
+    """
+
+    realizations: tuple[NoiseRealization, ...]
+    increments: np.ndarray = field(init=False, repr=False)  # (n_steps, P, dim)
+
+    def __post_init__(self):
+        if not self.realizations:
+            raise ValueError("a noise block needs at least one realization")
+        first = self.realizations[0]
+        for other in self.realizations[1:]:
+            if (other.grid, other.dim, other.spec) != (first.grid, first.dim, first.spec):
+                raise ValueError(
+                    "realizations of one block must share grid, dimension and jump measure"
+                )
+        increments = np.stack([r.increments for r in self.realizations], axis=1)
+        increments.setflags(write=False)
+        object.__setattr__(self, "increments", increments)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.realizations[0].grid
+
+    @property
+    def spec(self) -> JumpMeasureSpec | None:
+        return self.realizations[0].spec
+
+    @property
+    def dim(self) -> int:
+        return self.increments.shape[2]
+
+    @property
+    def size(self) -> int:
+        return len(self.realizations)
 
 
 def sample_noise(

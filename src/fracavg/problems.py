@@ -44,6 +44,11 @@ class Problem:
     folded_averaged: Optional[AveragedCoefficientSet] = None
 
 
+def _additive(value: float):
+    """Constant scalar diffusion in the batch contract: (P, 1) states -> (P, 1, 1)."""
+    return lambda x: np.full(np.shape(x) + (1,), value)
+
+
 def jump_drift_scale(gamma: float, alpha: float, cutoff: float) -> float:
     """Closed-form integral of x^4 against the jump measure on (0, cutoff)."""
     return gamma * cutoff ** (4.0 - alpha) / (4.0 - alpha)
@@ -69,24 +74,25 @@ def build_eq10(
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
     gamma1 = scale / math.sqrt(epsilon)
+    unit = _additive(1.0)
 
-    coeffs = CoefficientSet.scalar(
-        drift=lambda t, x: 2.0 * x * math.cos(t) ** 2,
-        diffusion=lambda t, x: 1.0,
-        jump=lambda t, x, z: 2.0 * z**4 * math.sin(t) ** 2 * x,
+    coeffs = CoefficientSet(
+        drift=lambda t, x: 2.0 * x * np.cos(t) ** 2,
+        diffusion=lambda t, x: unit(x),
+        jump=lambda t, x, z: 2.0 * z**4 * np.sin(t) ** 2 * x,
         jump_mode=JumpMode.NU_DRIFT,
-        jump_drift=lambda t, x: 2.0 * math.sin(t) ** 2 * x * scale,
+        jump_drift=lambda t, x: 2.0 * np.sin(t) ** 2 * x * scale,
     )
-    averaged = AveragedCoefficientSet.scalar(
-        drift=lambda x: x,
-        diffusion=lambda x: 1.0,
+    averaged = AveragedCoefficientSet(
+        drift=lambda x: 1.0 * x,
+        diffusion=unit,
         jump=lambda x, z: z**4 * x,
         jump_mode=JumpMode.NU_DRIFT,
         jump_drift=lambda x: scale * x,
     )
-    folded = AveragedCoefficientSet.scalar(
+    folded = AveragedCoefficientSet(
         drift=lambda x: (1.0 + gamma1) * x,
-        diffusion=lambda x: 1.0,
+        diffusion=unit,
     )
     return Problem(
         name="eq10",
@@ -113,8 +119,9 @@ def build_eq10(
 
 def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
     """Deterministic linear benchmark with the known Mittag-Leffler solution."""
-    coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-    averaged = AveragedCoefficientSet.scalar(drift=lambda x: x, diffusion=lambda x: 0.0)
+    zero = _additive(0.0)
+    coeffs = CoefficientSet(drift=lambda t, x: 1.0 * x, diffusion=lambda t, x: zero(x))
+    averaged = AveragedCoefficientSet(drift=lambda x: 1.0 * x, diffusion=zero)
     return Problem(
         name="mlbench",
         coeffs=coeffs,
@@ -203,17 +210,9 @@ def build_expr_problem(
         compile_expr(avg_jump_drift, ("x",)) if avg_jump_drift is not None else None
     )
 
-    coeffs = CoefficientSet.scalar(
-        drift=lambda t, x: f(t, x),
-        diffusion=lambda t, x: g(t, x),
-        jump=(lambda t, x, z: h(t, x, z)) if h is not None else None,
-        jump_mode=mode,
-    )
+    coeffs = CoefficientSet.scalar(drift=f, diffusion=g, jump=h, jump_mode=mode)
     averaged = AveragedCoefficientSet.scalar(
-        drift=lambda x: fbar(x),
-        diffusion=lambda x: gbar(x),
-        jump_mode=mode,
-        jump_drift=(lambda x: hbar_drift(x)) if hbar_drift is not None else None,
+        drift=fbar, diffusion=gbar, jump_mode=mode, jump_drift=hbar_drift
     )
     return Problem(
         name="expr",

@@ -6,13 +6,26 @@ The state at grid time t_n is the mild-solution sum
         + (sqrt(eps) / Gamma(beta)) * sum_{j<n} (t_n - t_j)^(beta-1) [G(t_j, X_j) dB_j + jump_j]
         + (sqrt(eps) / Gamma(beta)) * sum_{j<n} w_{n,j} * nu_drift_j        (deterministic jump mode)
 
-with w_{n,j} the exact kernel cell integrals.  Deterministic terms use exact
-product integration; stochastic increments use the kernel evaluated at the
-step's left endpoint, which stays finite for j < n and matches the left-limit
-state convention: every coefficient at step j sees X_j, never X_{j+1}.
+with w_{n,j} the exact kernel cell integrals (``kernels.build_kernel_weights``).
+Deterministic terms use exact product integration; stochastic increments use
+the kernel evaluated at the step's left endpoint, which stays finite for
+j < n and matches the left-limit state convention: every coefficient at step
+j sees X_j, never X_{j+1}.
 
-The full convolution is re-weighted at every step, so one path costs O(N^2);
-distinct paths are independent and safe to run concurrently.
+One time loop steps a whole block of P paths (a ``NoiseBlock``).  The state
+has shape (P, dim), and coefficients follow one broadcasting contract:
+``drift(t, X) -> (P, dim)``, ``diffusion(t, X) -> (P, dim, brownian_dim)``,
+``jump(t, X, z) -> (P, dim)`` and ``jump_drift(t, X) -> (P, dim)``, where
+the event times and marks handed to ``jump`` are scalars or (P,) arrays.  The
+averaged system's coefficients take the same arguments without t.  Each
+memory sum is one weights-by-history product over all paths, so a block
+costs O(N^2 * P) arithmetic but only O(N) Python steps.  A path whose state
+turns non-finite is masked (restarted from X_0 without memory, so it cannot
+disturb the others) and its first failure step is recorded.
+
+Floating-point sums in that product may round differently for different
+block widths, so the ensemble harness cuts paths into blocks of a fixed size
+that does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -21,13 +34,14 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from . import levy
 from .errors import PathBlowupError
-from .kernels import as_order, gamma_fn
-from .levy import NoiseRealization, nu_integral_vector
+from .kernels import as_order, build_kernel_weights, gamma_fn
+from .levy import NoiseBlock, NoiseRealization, nu_integral_vector
 
 EPSILON_MAX = 1.0
 
@@ -48,39 +62,55 @@ class JumpMode(str, enum.Enum):
     NU_DRIFT = "deterministic_nu_drift"
 
 
-def _wrap_scalar_pair(fn):
-    return lambda t, x: np.array([float(fn(t, float(x[0])))])
+class _RowLoop:
+    """Batch evaluator built from a float callable of a scalar state.
 
+    Arguments are the batch contract's: the (P, 1) state, and times or marks
+    as scalars or (P,) arrays.  The callable runs once per row on plain
+    floats.  An OverflowError in a row makes that row inf, which the solver
+    reports as a non-finite state at the same step.
+    """
 
-def _wrap_scalar_matrix(fn):
-    return lambda t, x: np.array([[float(fn(t, float(x[0])))]])
+    def __init__(self, fn, shape=(1,)):
+        self.fn = fn
+        self.shape = shape
 
-
-def _wrap_scalar_jump(fn):
-    return lambda t, x, z: np.array([float(fn(t, float(x[0]), z))])
+    def __call__(self, *args):
+        rows = np.broadcast_arrays(*(a[:, 0] if np.ndim(a) == 2 else a for a in args))
+        out = np.empty(rows[0].shape[0])
+        for p, values in enumerate(zip(*(r.tolist() for r in rows))):
+            try:
+                out[p] = self.fn(*values)
+            except OverflowError:
+                out[p] = math.inf
+        return out.reshape((-1,) + self.shape)
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """Evaluators (drift f, diffusion G, jump H) defining one problem instance.
 
-    drift(t, x) -> (dim,); diffusion(t, x) -> (dim, brownian_dim);
-    jump(t, x, mark) -> (dim,) or None when the problem has no jump part.
+    Batch contract, for states X of shape (P, dim): drift(t, X) -> (P, dim);
+    diffusion(t, X) -> (P, dim, brownian_dim); jump(t, X, mark) -> (P, dim),
+    or None when the problem has no jump part.  For jump events t and mark
+    are (P,) arrays, one entry per row of X.
 
     jump_drift, when provided, is the closed-form integral of H against the
-    jump measure as a function of (t, x): over (0, cutoff) in NU_DRIFT mode,
+    jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
     over [delta, cutoff) in COMPENSATED mode (where it serves as the
     compensator rate).  Without it the solver falls back to adaptive
-    quadrature at every step, which is correct but slow.
+    quadrature at every step for every path, which is correct but slow.
     """
 
-    drift: Callable[[float, np.ndarray], np.ndarray]
-    diffusion: Callable[[float, np.ndarray], np.ndarray]
-    jump: Optional[Callable[[float, np.ndarray, float], np.ndarray]] = None
+    drift: Callable[..., np.ndarray]
+    diffusion: Callable[..., np.ndarray]
+    jump: Optional[Callable[..., np.ndarray]] = None
     jump_mode: JumpMode = JumpMode.COMPENSATED
     dim: int = 1
     brownian_dim: int = 1
-    jump_drift: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    jump_drift: Optional[Callable[..., np.ndarray]] = None
+
+    time_dependent: ClassVar[bool] = True
 
     @classmethod
     def scalar(
@@ -90,65 +120,30 @@ class CoefficientSet:
         jump=None,
         jump_mode: JumpMode = JumpMode.COMPENSATED,
         jump_drift=None,
-    ) -> "CoefficientSet":
-        """Build a 1-dimensional set from plain float-valued callables."""
+    ):
+        """Build a 1-dimensional set from plain float-valued callables.
+
+        They take the same arguments as the batch contract, with the state a
+        float: (t, x) and (t, x, z), or (x) and (x, z) for averaged sets.
+        """
         return cls(
-            drift=_wrap_scalar_pair(drift),
-            diffusion=_wrap_scalar_matrix(diffusion),
-            jump=_wrap_scalar_jump(jump) if jump is not None else None,
+            drift=_RowLoop(drift),
+            diffusion=_RowLoop(diffusion, shape=(1, 1)),
+            jump=_RowLoop(jump) if jump is not None else None,
             jump_mode=jump_mode,
-            dim=1,
-            brownian_dim=1,
-            jump_drift=_wrap_scalar_pair(jump_drift) if jump_drift is not None else None,
+            jump_drift=_RowLoop(jump_drift) if jump_drift is not None else None,
         )
 
 
 @dataclass(frozen=True)
-class AveragedCoefficientSet:
+class AveragedCoefficientSet(CoefficientSet):
     """Time-independent coefficients of the averaged system.
 
-    Same contract as CoefficientSet with the time argument removed:
-    drift(x), diffusion(x), jump(x, mark), jump_drift(x).
+    Same fields and batch contract as CoefficientSet with the time argument
+    removed: drift(X), diffusion(X), jump(X, mark), jump_drift(X).
     """
 
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
-    jump: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    jump_mode: JumpMode = JumpMode.COMPENSATED
-    dim: int = 1
-    brownian_dim: int = 1
-    jump_drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @classmethod
-    def scalar(
-        cls,
-        drift,
-        diffusion,
-        jump=None,
-        jump_mode: JumpMode = JumpMode.COMPENSATED,
-        jump_drift=None,
-    ) -> "AveragedCoefficientSet":
-        return cls(
-            drift=lambda x: np.array([float(drift(float(x[0])))]),
-            diffusion=lambda x: np.array([[float(diffusion(float(x[0])))]]),
-            jump=(lambda x, z: np.array([float(jump(float(x[0]), z))])) if jump is not None else None,
-            jump_mode=jump_mode,
-            dim=1,
-            brownian_dim=1,
-            jump_drift=(lambda x: np.array([float(jump_drift(float(x[0])))])) if jump_drift is not None else None,
-        )
-
-    def lift(self) -> CoefficientSet:
-        """View as time-dependent coefficients that ignore their time argument."""
-        return CoefficientSet(
-            drift=lambda t, x: self.drift(x),
-            diffusion=lambda t, x: self.diffusion(x),
-            jump=(lambda t, x, z: self.jump(x, z)) if self.jump is not None else None,
-            jump_mode=self.jump_mode,
-            dim=self.dim,
-            brownian_dim=self.brownian_dim,
-            jump_drift=(lambda t, x: self.jump_drift(x)) if self.jump_drift is not None else None,
-        )
+    time_dependent: ClassVar[bool] = False
 
 
 def _fmt(value: float) -> str:
@@ -219,48 +214,102 @@ class CoupledPaths:
                 )
 
 
-def _bin_events(noise: NoiseRealization):
-    """Start/end indices of the (time-sorted) events covered by each grid step."""
+@dataclass(frozen=True)
+class CoupledBlock:
+    """Coupled solves of every path of a NoiseBlock.
+
+    ``failures[p]`` is None for a path that stayed finite, else the
+    PathBlowupError of the original system if it failed at all, else that of
+    the averaged system.
+    """
+
+    times: np.ndarray     # (n_steps + 1,)
+    original: np.ndarray  # (n_steps + 1, P, dim)
+    averaged: np.ndarray  # (n_steps + 1, P, dim)
+    failures: tuple[Optional[PathBlowupError], ...]
+    epsilon: float
+
+    def __post_init__(self):
+        for arr in (self.times, self.original, self.averaged):
+            arr.setflags(write=False)
+
+    def path(self, p: int) -> CoupledPaths:
+        """Path p as CoupledPaths; raises its PathBlowupError if it failed."""
+        if self.failures[p] is not None:
+            raise self.failures[p]
+        original = GridPath(times=self.times, states=self.original[:, p].copy(), epsilon=self.epsilon)
+        averaged = GridPath(times=self.times, states=self.averaged[:, p].copy(), epsilon=self.epsilon)
+        er = np.linalg.norm(original.states - averaged.states, axis=1)
+        return CoupledPaths(original=original, averaged=averaged, er=er)
+
+
+def _event_table(noise: NoiseBlock):
+    """Jump events of every path as (path, time, mark) arrays grouped by grid step.
+
+    Returns the arrays ordered by step, then path, then time, and the
+    start/end index of each step's events.
+    """
     n = noise.grid.n_steps
-    idx = np.minimum(
-        np.floor(noise.jump_times / noise.grid.step).astype(np.int64), n - 1
+    paths = np.concatenate(
+        [np.full(r.n_events, p, dtype=np.int64) for p, r in enumerate(noise.realizations)]
     )
-    steps = np.arange(n)
-    return np.searchsorted(idx, steps, side="left"), np.searchsorted(idx, steps, side="right")
+    times = np.concatenate([r.jump_times for r in noise.realizations])
+    marks = np.concatenate([r.jump_marks for r in noise.realizations])
+    steps = np.minimum(np.floor(times / noise.grid.step).astype(np.int64), n - 1)
+    order = np.lexsort((paths, steps))  # stable: time order survives within a path
+    steps = steps[order]
+    grid_steps = np.arange(n)
+    return (
+        paths[order],
+        times[order],
+        marks[order],
+        np.searchsorted(steps, grid_steps, side="left"),
+        np.searchsorted(steps, grid_steps, side="right"),
+    )
 
 
-def _solve_mild(
-    coeffs: CoefficientSet,
-    noise: NoiseRealization,
-    x0,
-    epsilon: float,
-    beta,
-    system: str = "",
-) -> GridPath:
+def _quadrature_rate(jump, targs, X, spec, use_delta: bool) -> np.ndarray:
+    """Integral of the jump coefficient against the measure, one path at a time."""
+    out = np.empty(X.shape)
+    for p in range(X.shape[0]):
+        if isinstance(jump, _RowLoop):
+            # integrate the float callable itself, so each quadrature node
+            # costs one call of it
+            fn, x = jump.fn, float(X[p, 0])
+            try:
+                out[p, 0] = levy.nu_integral(
+                    spec, lambda z: fn(*targs, x, z), use_delta=use_delta
+                )
+            except OverflowError:
+                out[p, 0] = math.inf
+        else:
+            row = X[p : p + 1]
+            out[p] = nu_integral_vector(
+                spec, lambda z: jump(*targs, row, z), dim=X.shape[1], use_delta=use_delta
+            )
+    return out
+
+
+def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
+    """States (n_steps + 1, P, dim) of one system for every path of the block.
+
+    Also returns each path's first grid step with a non-finite state, 0 for a
+    path that stayed finite.
+    """
     order = as_order(beta)
     b = order.beta
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= EPSILON_MAX:
         raise ValueError(f"epsilon must lie in [0, {EPSILON_MAX}]; got {epsilon!r}")
+    dim = coeffs.dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (coeffs.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({coeffs.dim},)")
+    if x0.shape != (dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({dim},)")
     if noise.dim != coeffs.brownian_dim:
         raise ValueError(
             f"noise carries {noise.dim} Brownian components, "
             f"coefficients expect {coeffs.brownian_dim}"
         )
-
-    grid = noise.grid
-    h = grid.step
-    n_steps = grid.n_steps
-    times = grid.times
-    gb = gamma_fn(b)
-    sq_eps = math.sqrt(epsilon)
-
-    lag = np.arange(1, n_steps + 1, dtype=float)
-    drift_w = (h**b / b) * (lag**b - (lag - 1.0) ** b)  # exact cell integral at lag k
-    stoch_w = (h * lag) ** (b - 1.0)                     # left-endpoint kernel at lag k
 
     has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
     mode = coeffs.jump_mode
@@ -272,70 +321,86 @@ def _solve_mild(
     if has_jump and mode == JumpMode.COMPENSATED and coeffs.jump is None:
         raise ValueError("compensated jump mode requires the jump coefficient itself")
 
-    starts = ends = None
-    if has_jump and mode == JumpMode.COMPENSATED and noise.n_events:
-        starts, ends = _bin_events(noise)
+    grid = noise.grid
+    h = grid.step
+    n_steps = grid.n_steps
+    times = grid.times
+    timed = coeffs.time_dependent
+    p_count = noise.size
+    shape = (p_count, dim)
+    c_drift = epsilon / gamma_fn(b)
+    c_stoch = math.sqrt(epsilon) / gamma_fn(b)
 
-    drift_vals = np.zeros((n_steps, coeffs.dim))
-    stoch_vals = np.zeros((n_steps, coeffs.dim))
-    nu_vals = np.zeros((n_steps, coeffs.dim)) if (has_jump and mode == JumpMode.NU_DRIFT) else None
+    # weights[n_steps - n:] weigh cells 0..n-1 as seen from t_n
+    drift_w = build_kernel_weights(order, h, n_steps).weights
+    stoch_w = (h * np.arange(n_steps, 0, -1, dtype=float)) ** (b - 1.0)  # left-endpoint kernel
 
-    states = np.empty((n_steps + 1, coeffs.dim))
+    events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
+    if events:
+        ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
+
+    drift_vals = np.zeros((n_steps,) + shape)
+    stoch_vals = np.zeros((n_steps,) + shape)
+    nu_vals = np.zeros((n_steps,) + shape) if (has_jump and mode == JumpMode.NU_DRIFT) else None
+    histories = [a for a in (drift_vals, stoch_vals, nu_vals) if a is not None]
+
+    states = np.empty((n_steps + 1,) + shape)
     states[0] = x0
-    for n in range(1, n_steps + 1):
-        j = n - 1
-        t_j = times[j]
-        x_j = states[j]
-        try:
-            drift_vals[j] = np.asarray(coeffs.drift(t_j, x_j), dtype=float).reshape(coeffs.dim)
-            g_mat = np.asarray(coeffs.diffusion(t_j, x_j), dtype=float).reshape(
-                coeffs.dim, coeffs.brownian_dim
+    failed = np.zeros(p_count, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            j = n - 1
+            targs = (times[j],) if timed else ()
+            x_j = states[j]
+            drift_vals[j] = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
+            g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
+                shape + (coeffs.brownian_dim,)
             )
-            stoch_vals[j] = g_mat @ noise.increments[j]
+            stoch_vals[j] = (g @ noise.increments[j][:, :, None])[:, :, 0]
 
             if has_jump:
+                if coeffs.jump_drift is not None:
+                    rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
+                else:
+                    rate = _quadrature_rate(
+                        coeffs.jump, targs, x_j, noise.spec, use_delta=mode == JumpMode.COMPENSATED
+                    )
                 if mode == JumpMode.NU_DRIFT:
-                    if coeffs.jump_drift is not None:
-                        rate = np.asarray(coeffs.jump_drift(t_j, x_j), dtype=float).reshape(coeffs.dim)
-                    else:
-                        rate = nu_integral_vector(
-                            noise.spec, lambda z: coeffs.jump(t_j, x_j, z),
-                            dim=coeffs.dim, use_delta=False,
-                        )
                     nu_vals[j] = rate
                 else:
-                    if coeffs.jump_drift is not None:
-                        rate = np.asarray(coeffs.jump_drift(t_j, x_j), dtype=float).reshape(coeffs.dim)
-                    else:
-                        rate = nu_integral_vector(
-                            noise.spec, lambda z: coeffs.jump(t_j, x_j, z),
-                            dim=coeffs.dim, use_delta=True,
-                        )
-                    raw = np.zeros(coeffs.dim)
-                    if starts is not None:
-                        for e in range(starts[j], ends[j]):
-                            raw += np.asarray(
-                                coeffs.jump(noise.jump_times[e], x_j, noise.jump_marks[e]),
-                                dtype=float,
-                            ).reshape(coeffs.dim)
+                    raw = np.zeros(shape)
+                    if events and starts[j] < ends[j]:
+                        sel = slice(starts[j], ends[j])
+                        ev_targs = (ev_time[sel],) if timed else ()
+                        hits = np.asarray(
+                            coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
+                        ).reshape(-1, dim)
+                        np.add.at(raw, ev_path[sel], hits)  # in event order, per path
                     stoch_vals[j] += raw - h * rate
-        except OverflowError:
-            # a coefficient exploded in plain-float arithmetic: same failure
-            # mode as a non-finite state, reported at the step that caused it
-            raise PathBlowupError(step=n, time=times[n], system=system) from None
 
-        x_n = (
-            x0
-            + (epsilon / gb) * (drift_w[:n][::-1] @ drift_vals[:n])
-            + (sq_eps / gb) * (stoch_w[:n][::-1] @ stoch_vals[:n])
-        )
-        if nu_vals is not None:
-            x_n = x_n + (sq_eps / gb) * (drift_w[:n][::-1] @ nu_vals[:n])
-        if not np.all(np.isfinite(x_n)):
-            raise PathBlowupError(step=n, time=times[n], system=system)
-        states[n] = x_n
+            x_n = (
+                x0
+                + c_drift * (drift_w[n_steps - n :] @ drift_vals[:n].reshape(n, -1)).reshape(shape)
+                + c_stoch * (stoch_w[n_steps - n :] @ stoch_vals[:n].reshape(n, -1)).reshape(shape)
+            )
+            if nu_vals is not None:
+                x_n = x_n + c_stoch * (drift_w[n_steps - n :] @ nu_vals[:n].reshape(n, -1)).reshape(shape)
+            bad = ~np.all(np.isfinite(x_n), axis=1)
+            if bad.any():
+                failed[bad & (failed == 0)] = n
+                x_n[bad] = x0
+                for history in histories:
+                    history[:n, bad] = 0.0
+            states[n] = x_n
+    return states, failed
 
-    return GridPath(times=times.copy(), states=states, epsilon=epsilon)
+
+def _solve_one(coeffs, noise, x0, epsilon, beta, system: str) -> GridPath:
+    states, failed = _solve_block(coeffs, NoiseBlock((noise,)), x0, epsilon, beta)
+    times = noise.grid.times
+    if failed[0]:
+        raise PathBlowupError(step=failed[0], time=times[failed[0]], system=system)
+    return GridPath(times=times, states=states[:, 0], epsilon=float(epsilon))
 
 
 def solve_original(
@@ -346,7 +411,7 @@ def solve_original(
     beta,
 ) -> GridPath:
     """Solve the time-dependent system on the noise realization's grid."""
-    return _solve_mild(coeffs, noise, x0, epsilon, beta, system="original")
+    return _solve_one(coeffs, noise, x0, epsilon, beta, system="original")
 
 
 def solve_averaged(
@@ -357,19 +422,36 @@ def solve_averaged(
     beta,
 ) -> GridPath:
     """Solve the averaged system on the *same* noise as the original one."""
-    return _solve_mild(coeffs.lift(), noise, x0, epsilon, beta, system="averaged")
+    return _solve_one(coeffs, noise, x0, epsilon, beta, system="averaged")
 
 
 def solve_coupled(
     coeffs: CoefficientSet,
     avg_coeffs: AveragedCoefficientSet,
-    noise: NoiseRealization,
+    noise,
     x0,
     epsilon: float,
     beta,
-) -> CoupledPaths:
-    """Solve both systems on shared noise and record their pointwise distance."""
-    original = _solve_mild(coeffs, noise, x0, epsilon, beta, system="original")
-    averaged = _solve_mild(avg_coeffs.lift(), noise, x0, epsilon, beta, system="averaged")
-    er = np.linalg.norm(original.states - averaged.states, axis=1)
-    return CoupledPaths(original=original, averaged=averaged, er=er)
+):
+    """Solve both systems on shared noise and record their pointwise distance.
+
+    With a NoiseRealization, returns its CoupledPaths and raises
+    PathBlowupError if either system fails.  With a NoiseBlock, returns a
+    CoupledBlock in which each failed path carries its error instead.
+    """
+    block = noise if isinstance(noise, NoiseBlock) else NoiseBlock((noise,))
+    original, failed_o = _solve_block(coeffs, block, x0, epsilon, beta)
+    averaged, failed_a = _solve_block(avg_coeffs, block, x0, epsilon, beta)
+    times = block.grid.times
+    failures = []
+    for fo, fa in zip(failed_o.tolist(), failed_a.tolist()):
+        step, system = (fo, "original") if fo else (fa, "averaged")
+        failures.append(PathBlowupError(step=step, time=times[step], system=system) if step else None)
+    solved = CoupledBlock(
+        times=times,
+        original=original,
+        averaged=averaged,
+        failures=tuple(failures),
+        epsilon=float(epsilon),
+    )
+    return solved if block is noise else solved.path(0)

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+from fracavg import harness
 from fracavg.errors import ConfigError, RunFailedError
 from fracavg.harness import (
+    BLOCK_SIZE,
     ExperimentConfig,
     convergence_study,
     fit_rate,
@@ -140,12 +143,29 @@ class TestRunEnsemble:
         assert serial.per_path_sup_sq == pooled.per_path_sup_sq
         assert serial.mean_sup_sq == pooled.mean_sup_sq
 
-    def test_partial_failures_excluded_and_counted(self):
-        report = run_ensemble(FRAGILE)
+    def test_worker_pool_matches_serial_across_blocks(self):
+        assert 150 > 2 * BLOCK_SIZE
+        serial = run_ensemble(dataclasses.replace(TINY, n_paths=150, workers=1))
+        pooled = run_ensemble(dataclasses.replace(TINY, n_paths=150, workers=2))
+        assert serial.per_path_sup_sq == pooled.per_path_sup_sq
+        assert serial.er_mean_curve == pooled.er_mean_curve
+
+    def test_partial_failures_excluded_and_counted(self, tmp_path):
+        report = run_ensemble(FRAGILE, out_dir=tmp_path)
         assert report.n_failures == 2
         assert report.failed_paths == [13, 20]
         assert len(report.per_path_sup_sq) == 28
         assert np.isfinite(report.mean_sup_sq)
+        failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
+        assert [f["path"] for f in failures] == [13, 20]
+        n_steps = round(FRAGILE.horizon / FRAGILE.step)
+        for f in failures:
+            assert set(f) == {"path", "step", "time", "system"}
+            assert 1 <= f["step"] <= n_steps
+            assert f["time"] == pytest.approx(f["step"] * FRAGILE.step, rel=1e-12)
+            # identical systems: the original fails first and is the one reported
+            assert f["system"] == "original"
+        assert "failures" not in json.loads((tmp_path / "report.json").read_text())
 
     def test_failure_budget_enforced(self):
         hopeless = dataclasses.replace(
@@ -222,6 +242,24 @@ class TestConvergenceStudy:
         assert len(report.mean_by_epsilon) == 3
         # common random numbers: headline fields come from the smallest epsilon
         assert report.epsilon == 1e-4
+
+    def test_manifest_times_the_whole_study(self, tmp_path, monkeypatch):
+        spent = []
+        ensemble = harness._ensemble
+
+        def timed(cfg):
+            started = time.perf_counter()
+            try:
+                return ensemble(cfg)
+            finally:
+                spent.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(harness, "_ensemble", timed)
+        convergence_study(dataclasses.replace(TINY, n_paths=6), [1e-2, 1e-3, 1e-4], out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(spent) == 3
+        assert manifest["timing_seconds"] >= sum(spent)
+        assert manifest["failures"] == []
 
     def test_reversal_invariance(self):
         forward = convergence_study(dataclasses.replace(TINY, n_paths=6), [1e-2, 1e-3, 1e-4])

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fracavg.errors import PathBlowupError
+from fracavg.harness import ExperimentConfig
 from fracavg.kernels import gamma_fn
-from fracavg.levy import JumpMeasureSpec, NoiseRealization, TimeGrid, sample_noise
+from fracavg.levy import JumpMeasureSpec, NoiseBlock, NoiseRealization, TimeGrid, sample_noise
+from fracavg.problems import build_problem
 from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
@@ -105,11 +108,11 @@ class TestStochasticSolves:
         seen = []
 
         def probing_drift(t, x):
-            seen.append((t, float(x[0])))
-            return np.array([0.3 * x[0]])
+            seen.append((t, float(x[0, 0])))
+            return 0.3 * x
 
         coeffs = CoefficientSet(
-            drift=probing_drift, diffusion=lambda t, x: np.array([[0.5]])
+            drift=probing_drift, diffusion=lambda t, x: np.full((len(x), 1, 1), 0.5)
         )
         grid = TimeGrid(step=0.1, n_steps=20)
         noise = sample_noise(None, grid, dim=1, seed=3)
@@ -275,14 +278,14 @@ class TestJumpModes:
         rate1 = spec.gamma * (spec.cutoff**0.5 - spec.delta**0.5) / 0.5
 
         def jump(t, x, z):
-            return np.array([z, 2.0 * z])
+            return np.stack([z, 2.0 * z], axis=-1)
 
         def jump_drift(t, x):
-            return np.array([rate1, 2.0 * rate1])
+            return np.tile([rate1, 2.0 * rate1], (len(x), 1))
 
         coeffs = CoefficientSet(
-            drift=lambda t, x: np.zeros(2),
-            diffusion=lambda t, x: np.zeros((2, 1)),
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 2, 1)),
             jump=jump,
             jump_mode=JumpMode.COMPENSATED,
             jump_drift=jump_drift,
@@ -378,10 +381,10 @@ class TestSerialization:
 class TestVectorStates:
     def test_two_dimensional_rotation_drift(self):
         def drift(t, x):
-            return np.array([-x[1], x[0]])
+            return np.stack([-x[:, 1], x[:, 0]], axis=-1)
 
         def diffusion(t, x):
-            return np.zeros((2, 1))
+            return np.zeros((len(x), 2, 1))
 
         coeffs = CoefficientSet(drift=drift, diffusion=diffusion, dim=2, brownian_dim=1)
         path = solve_original(coeffs, zero_noise(200, step=5e-3), x0=[1.0, 0.0], epsilon=1.0, beta=0.9)
@@ -393,3 +396,77 @@ class TestVectorStates:
         coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
         with pytest.raises(ValueError):
             solve_original(coeffs, zero_noise(3), x0=[1.0, 2.0], epsilon=1.0, beta=0.75)
+
+
+class TestBlocks:
+    """A block of paths solved in one time loop against the same paths one by one."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(case="a", horizon=10.0, step=1e-2),
+            ExperimentConfig(
+                problem="expr", case=None, jump_mode="compensated_prm",
+                jump_expr="z*x*sin(t)**2", gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75,
+                drift_expr="-x*(1+cos(t))", diffusion_expr="0.5",
+                avg_drift_expr="-x", avg_diffusion_expr="0.5", horizon=1.0, step=0.02,
+            ),
+        ],
+        ids=["eq10_a", "expr_compensated"],
+    )
+    def test_block_matches_single_solves(self, config):
+        cfg = config.resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        noises = [
+            sample_noise(problem.spec, grid, dim=1, seed=5, stream_key=(i,),
+                         include_jumps=problem.needs_jump_events)
+            for i in range(7)
+        ]
+        block = solve_coupled(
+            problem.coeffs, problem.averaged, NoiseBlock(tuple(noises)),
+            problem.x0, cfg.epsilon, problem.beta,
+        )
+        assert block.failures == (None,) * 7
+        for p, noise in enumerate(noises):
+            single = solve_coupled(
+                problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
+            )
+            np.testing.assert_allclose(block.original[:, p], single.original.states, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(block.averaged[:, p], single.averaged.states, rtol=1e-12, atol=0)
+
+    def test_block_rejects_mismatched_realizations(self):
+        with pytest.raises(ValueError):
+            NoiseBlock(())
+        with pytest.raises(ValueError):
+            NoiseBlock((zero_noise(5), zero_noise(6)))
+        with pytest.raises(ValueError):
+            NoiseBlock((zero_noise(5), zero_noise(5, dim=2)))
+
+    def test_blowup_in_one_column_leaves_the_others_unchanged(self):
+        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
+        averaged = AveragedCoefficientSet.scalar(drift=lambda x: -x**3, diffusion=lambda x: 1.0)
+        grid = TimeGrid(step=0.05, n_steps=40)
+        noises = [sample_noise(None, grid, dim=1, seed=2, stream_key=(i,)) for i in range(4)]
+        kick = noises[2].increments.copy()
+        kick[5, 0] = 1e200  # the drift overflows in plain floats one step later
+        bad = dataclasses.replace(noises[2], increments=kick)
+        kw = dict(x0=0.1, epsilon=0.5, beta=0.7)
+
+        clean = solve_coupled(coeffs, averaged, NoiseBlock(tuple(noises)), **kw)
+        hit = solve_coupled(coeffs, averaged, NoiseBlock((noises[0], noises[1], bad, noises[3])), **kw)
+
+        with pytest.raises(PathBlowupError) as alone:
+            solve_coupled(coeffs, averaged, bad, **kw)
+        failure = hit.failures[2]
+        assert (failure.step, failure.time, failure.system) == (
+            alone.value.step, alone.value.time, "original"
+        )
+        assert failure.step == 7
+        assert clean.failures == (None,) * 4
+        assert [f is None for f in hit.failures] == [True, True, False, True]
+        others = [0, 1, 3]
+        assert np.array_equal(hit.original[:, others], clean.original[:, others])
+        assert np.array_equal(hit.averaged[:, others], clean.averaged[:, others])
+        with pytest.raises(PathBlowupError):
+            hit.path(2)
