@@ -25,7 +25,7 @@ from .averaging import theorem_bound
 from .errors import ConfigError, RunFailedError
 from .levy import NoiseBlock, TimeGrid, sample_noise
 from .problems import FIG1_CASES, build_problem
-from .solver import CoupledPaths, solve_coupled
+from .solver import CoupledPaths, JumpMode, solve_coupled
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 FAILURE_BUDGET = 0.10
@@ -112,6 +112,17 @@ class ExperimentConfig:
             raise ConfigError(f"lam must lie in (0, 1); got {self.lam}")
         if self.big_l <= 0.0:
             raise ConfigError(f"big_l must be positive; got {self.big_l}")
+        if (
+            self.problem == "expr"
+            and self.jump_mode == JumpMode.COMPENSATED.value
+            and self.avg_jump_drift_expr is not None
+        ):
+            raise ConfigError(
+                "avg_jump_drift_expr cannot be used with jump_mode compensated_prm: "
+                "compensated mode needs the averaged jump coefficient itself, and an "
+                "expr problem can only state its integral against the measure "
+                "(use jump_mode deterministic_nu_drift, or drop avg_jump_drift_expr)"
+            )
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -176,11 +187,16 @@ def _path_stats(coupled: CoupledPaths):
 
 
 def _run_blocks(cfg_dict: dict, blocks: list[list[int]]):
-    """Solve blocks of path indices; one (index, status, payload, saved path) per path."""
+    """Solve blocks of path indices.
+
+    Returns one (index, status, payload, saved path) per path, and the number
+    of compensator rates that fell back to adaptive quadrature.
+    """
     cfg = ExperimentConfig.from_dict(cfg_dict)
     problem = build_problem(cfg)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     out = []
+    fallbacks = 0
     for indices in blocks:
         noise = NoiseBlock(tuple(
             sample_noise(
@@ -196,6 +212,7 @@ def _run_blocks(cfg_dict: dict, blocks: list[list[int]]):
         solved = solve_coupled(
             problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
         )
+        fallbacks += solved.quadrature_fallbacks
         for p, index in enumerate(indices):
             failure = solved.failures[p]
             if failure is not None:
@@ -203,7 +220,7 @@ def _run_blocks(cfg_dict: dict, blocks: list[list[int]]):
                 continue
             coupled = solved.path(p)
             out.append((index, "ok", _path_stats(coupled), coupled if index < cfg.save_paths else None))
-    return out
+    return out, fallbacks
 
 
 def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
@@ -255,42 +272,48 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
 
 
 def _execute(cfg: ExperimentConfig):
-    """Per-path results by index, and the first save_paths coupled paths that did not fail."""
+    """Per-path results by index, the first save_paths coupled paths that did
+    not fail, and the run's counts."""
     blocks = [
         list(range(first, min(first + BLOCK_SIZE, cfg.n_paths)))
         for first in range(0, cfg.n_paths, BLOCK_SIZE)
     ]
     if cfg.workers == 1:
-        rows = _run_blocks(cfg.as_dict(), blocks)
+        done = [_run_blocks(cfg.as_dict(), blocks)]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_run_blocks, cfg.as_dict(), [block]) for block in blocks]
-            rows = [row for future in futures for row in future.result()]
+            done = [future.result() for future in futures]
+    rows = [row for block_rows, _ in done for row in block_rows]
     results = {index: (status, payload) for index, status, payload, _ in rows}
     saved = {index: coupled for index, _, _, coupled in rows if coupled is not None}
-    return results, saved
+    counts = {"quadrature_fallbacks": sum(fallbacks for _, fallbacks in done)}
+    return results, saved, counts
 
 
 def _ensemble(cfg: ExperimentConfig):
-    """One resolved ensemble: its report, failure details and saved paths."""
-    results, saved = _execute(cfg)
-    report = _aggregate(cfg, results)
+    """One resolved ensemble: per-path results, failure details, saved paths and counts."""
+    results, saved, counts = _execute(cfg)
     failures = []
-    for index in report.failed_paths:
-        step, at, system = results[index][1]
-        failures.append({"path": index, "step": step, "time": at, "system": system})
-    return report, failures, saved
+    for index in sorted(results):
+        status, payload = results[index]
+        if status == "failed":
+            step, at, system = payload
+            failures.append({"path": index, "step": step, "time": at, "system": system})
+    return results, failures, saved, counts
 
 
 def _write_outputs(
     cfg: ExperimentConfig,
-    report: ErrorReport,
+    report: Optional[ErrorReport],
     failures: list[dict],
+    counts: dict,
     saved: dict,
     out_dir,
     command: str,
     elapsed: float,
 ):
+    """Write manifest.json, and report.json and the saved paths unless the run failed (report None)."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
@@ -303,10 +326,13 @@ def _write_outputs(
         },
         "timing_seconds": elapsed,
         "failures": failures,
+        "counts": counts,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if report is None:
+        return
     report.save(os.path.join(out_dir, "report.json"))
     if cfg.save_paths > 0:
         paths_dir = os.path.join(out_dir, "paths")
@@ -325,15 +351,22 @@ def run_ensemble(config: ExperimentConfig, out_dir=None, command: str = "run_ens
     """Run the coupled solve over an ensemble of noise streams.
 
     Per-path failures (state blow-ups) are excluded and counted; more than
-    10% of them fails the run.  With ``out_dir`` set, writes manifest.json
-    (with the step, time and system of each failed path), report.json, and
-    the first ``save_paths`` coupled paths as CSV.
+    10% of them fails the run with RunFailedError.  With ``out_dir`` set,
+    writes manifest.json (with the step, time and system of each failed path
+    and the run's counts), report.json, and the first ``save_paths`` coupled
+    paths as CSV; a failed run writes its manifest only.
     """
     cfg = config.resolved()
     started = time.perf_counter()
-    report, failures, saved = _ensemble(cfg)
+    results, failures, saved, counts = _ensemble(cfg)
+    try:
+        report = _aggregate(cfg, results)
+    except RunFailedError:
+        if out_dir is not None:
+            _write_outputs(cfg, None, failures, counts, {}, out_dir, command, time.perf_counter() - started)
+        raise
     if out_dir is not None:
-        _write_outputs(cfg, report, failures, saved, out_dir, command, time.perf_counter() - started)
+        _write_outputs(cfg, report, failures, counts, saved, out_dir, command, time.perf_counter() - started)
     return report
 
 
@@ -384,7 +417,11 @@ def convergence_study(
             f"epsilon grid must span >= 2 decades; got [{min(eps):g}, {max(eps):g}]"
         )
 
-    runs = {e: _ensemble(dataclasses.replace(base_config, epsilon=e).resolved()) for e in eps}
+    configs = {e: dataclasses.replace(base_config, epsilon=e).resolved() for e in eps}
+    runs = {}
+    for e in eps:
+        results, failures, saved, counts = _ensemble(configs[e])
+        runs[e] = (_aggregate(configs[e], results), failures, saved, counts)
     reports = {e: runs[e][0] for e in eps}
 
     means = [reports[e].mean_sup_sq for e in eps]
@@ -402,11 +439,11 @@ def convergence_study(
         ci_by_epsilon=cis,
     )
     if out_dir is not None:
-        cfg = dataclasses.replace(base_config, epsilon=eps[-1]).resolved()
         failures = [dict(failure, epsilon=e) for e in eps for failure in runs[e][1]]
-        saved = runs[eps[-1]][2]
+        counts = {key: sum(runs[e][3][key] for e in eps) for key in runs[eps[-1]][3]}
         _write_outputs(
-            cfg, report, failures, saved, out_dir, "convergence_study", time.perf_counter() - started
+            configs[eps[-1]], report, failures, counts, runs[eps[-1]][2], out_dir,
+            "convergence_study", time.perf_counter() - started,
         )
     return report
 

@@ -13,6 +13,7 @@ ensembles are order-independent and parallel-safe.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -274,6 +275,81 @@ def sample_noise(
     )
 
 
+def _delta_shell_edges(spec: JumpMeasureSpec) -> list[float]:
+    """Edges cutoff, cutoff/4, ... down to delta of the geometric shells of [delta, cutoff)."""
+    edges = [spec.cutoff]
+    while edges[-1] / _SHELL_RATIO > spec.delta:
+        edges.append(edges[-1] / _SHELL_RATIO)
+    edges.append(spec.delta)
+    return edges
+
+
+# Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK qk21): the Kronrod nodes
+# +-_GK21_NODES, with the 10-point Gauss nodes at the odd indices.
+_GK21_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_GK21_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208677499870, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GK10_GAUSS_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173952009447316,
+])
+
+
+@dataclass(frozen=True)
+class ShellTable:
+    """Fixed quadrature of integrand(x) nu(dx) over [delta, cutoff).
+
+    The geometric shells of ``nu_integral`` are split at their geometric
+    midpoints, and each half-shell carries the Gauss-Kronrod 10/21 rule with
+    the measure density folded into the weights.  ``weights @ values`` is the
+    21-point estimate of the integral and ``spread @ values`` its difference
+    from the nested 10-point Gauss estimate, for values of the integrand at
+    ``nodes``.
+    """
+
+    nodes: np.ndarray    # (K,)
+    weights: np.ndarray  # (K,)
+    spread: np.ndarray   # (K,)
+
+    def __post_init__(self):
+        for arr in (self.nodes, self.weights, self.spread):
+            arr.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=32)
+def shell_table(spec: JumpMeasureSpec) -> ShellTable:
+    """The ShellTable of a measure, built once per spec."""
+    unit = np.concatenate([-_GK21_NODES[:-1], _GK21_NODES[::-1]])
+    kronrod = np.concatenate([_GK21_KRONROD_WEIGHTS[:-1], _GK21_KRONROD_WEIGHTS[::-1]])
+    gauss = np.zeros(_GK21_NODES.size)
+    gauss[1::2] = _GK10_GAUSS_WEIGHTS
+    gauss = np.concatenate([gauss[:-1], gauss[::-1]])
+    shells = _delta_shell_edges(spec)
+    cuts = [x for hi, lo in zip(shells, shells[1:]) for x in (hi, math.sqrt(lo * hi))]
+    cuts = np.array(cuts + [spec.delta])
+    half = 0.5 * (cuts[:-1] - cuts[1:])[:, None]  # one row per half-shell
+    nodes = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * unit
+    density = half * spec.density(nodes)
+    weights = (kronrod * density).ravel()
+    return ShellTable(
+        nodes=nodes.ravel(), weights=weights, spread=weights - (gauss * density).ravel()
+    )
+
+
 def nu_integral(
     spec: JumpMeasureSpec,
     integrand,
@@ -288,21 +364,18 @@ def nu_integral(
     decay is geometric, and a failure to decay raises DivergenceError (the
     measure has infinite mass at 0, so the integrand must vanish there).
     """
-    lo = spec.delta if use_delta else 0.0
-
     def weighted(x):
         return integrand(x) * spec.gamma * x ** (-1.0 - spec.alpha)
 
+    if use_delta:
+        edges = _delta_shell_edges(spec)
+        return sum(
+            quad(weighted, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for hi, lo in zip(edges, edges[1:])
+        )
+
     hi = spec.cutoff
     total = 0.0
-    if lo > 0.0:
-        while hi / _SHELL_RATIO > lo:
-            next_hi = hi / _SHELL_RATIO
-            total += quad(weighted, next_hi, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-            hi = next_hi
-        total += quad(weighted, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-        return total
-
     prev_piece = None
     prev_extrapolated = None
     stall = 0

@@ -8,6 +8,7 @@ builders must depend only on picklable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -135,26 +136,32 @@ def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
 
 
 _EXPR_NAMES = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "tanh": math.tanh,
-    "abs": abs,
-    "min": min,
-    "max": max,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "tanh": np.tanh,
+    "abs": np.abs,
+    "min": lambda first, *rest: functools.reduce(np.minimum, rest, first),
+    "max": lambda first, *rest: functools.reduce(np.maximum, rest, first),
     "pi": math.pi,
     "e": math.e,
 }
 
 
-def compile_expr(source: str, args: tuple[str, ...]):
-    """Compile a scalar coefficient expression over the given argument names.
+def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1,)):
+    """Compile a scalar coefficient expression into a batch-contract evaluator.
 
     Only the listed arguments and a fixed set of math names are visible;
-    anything else is rejected up front with the offending name.
+    anything else is rejected up front with the offending name.  The
+    evaluator takes the arguments as the solver's batch contract hands them
+    over: a (P, 1) state, and times or marks as scalars or (P,) arrays.  It
+    evaluates the expression once on the whole batch with numpy and returns
+    shape (P,) + ``shape``.  An operation with no real value, such as the log
+    of a negative state, gives nan and an overflow gives inf, which the
+    solver records as a failure of that path.
     """
     try:
         code = compile(source, "<coefficient>", "eval")
@@ -167,11 +174,13 @@ def compile_expr(source: str, args: tuple[str, ...]):
                 f"coefficient expression {source!r} uses unknown name {name!r} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
+    scope = {"__builtins__": {}, **_EXPR_NAMES}
 
     def fn(*values):
-        scope = dict(_EXPR_NAMES)
-        scope.update(zip(args, values))
-        return float(eval(code, {"__builtins__": {}}, scope))
+        columns = [v[:, 0] if getattr(v, "ndim", 0) == 2 else v for v in values]
+        out = np.empty(np.broadcast(*columns).shape)
+        out[...] = eval(code, scope, dict(zip(args, columns)))
+        return out.reshape((-1,) + shape)
 
     return fn
 
@@ -202,16 +211,16 @@ def build_expr_problem(
         spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
 
     f = compile_expr(drift, ("t", "x"))
-    g = compile_expr(diffusion, ("t", "x"))
+    g = compile_expr(diffusion, ("t", "x"), shape=(1, 1))
     fbar = compile_expr(avg_drift, ("x",))
-    gbar = compile_expr(avg_diffusion, ("x",))
+    gbar = compile_expr(avg_diffusion, ("x",), shape=(1, 1))
     h = compile_expr(jump, ("t", "x", "z")) if jump is not None else None
     hbar_drift = (
         compile_expr(avg_jump_drift, ("x",)) if avg_jump_drift is not None else None
     )
 
-    coeffs = CoefficientSet.scalar(drift=f, diffusion=g, jump=h, jump_mode=mode)
-    averaged = AveragedCoefficientSet.scalar(
+    coeffs = CoefficientSet(drift=f, diffusion=g, jump=h, jump_mode=mode)
+    averaged = AveragedCoefficientSet(
         drift=fbar, diffusion=gbar, jump_mode=mode, jump_drift=hbar_drift
     )
     return Problem(

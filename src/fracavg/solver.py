@@ -44,6 +44,10 @@ from .kernels import as_order, build_kernel_weights, gamma_fn
 from .levy import NoiseBlock, NoiseRealization, nu_integral_vector
 
 EPSILON_MAX = 1.0
+# A compensator rate from the shell table is kept when its 21-point and
+# nested 10-point estimates agree to this relative difference; otherwise
+# that path's rate is integrated adaptively.
+TABLE_RTOL = 1e-10
 
 
 class JumpMode(str, enum.Enum):
@@ -98,8 +102,11 @@ class CoefficientSet:
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
     over [delta, cutoff) in COMPENSATED mode (where it serves as the
-    compensator rate).  Without it the solver falls back to adaptive
-    quadrature at every step for every path, which is correct but slow.
+    compensator rate).  Without it, COMPENSATED mode evaluates H once per
+    step at the nodes of the measure's fixed shell table for all paths
+    together (``levy.shell_table``), and only a path whose table estimate is
+    not settled is integrated adaptively; NU_DRIFT mode integrates every path
+    adaptively at every step, which is correct but slow.
     """
 
     drift: Callable[..., np.ndarray]
@@ -220,7 +227,9 @@ class CoupledBlock:
 
     ``failures[p]`` is None for a path that stayed finite, else the
     PathBlowupError of the original system if it failed at all, else that of
-    the averaged system.
+    the averaged system.  ``quadrature_fallbacks`` counts the compensator
+    rates, one per path and step, that the shell table could not settle and
+    adaptive quadrature computed instead.
     """
 
     times: np.ndarray     # (n_steps + 1,)
@@ -228,6 +237,7 @@ class CoupledBlock:
     averaged: np.ndarray  # (n_steps + 1, P, dim)
     failures: tuple[Optional[PathBlowupError], ...]
     epsilon: float
+    quadrature_fallbacks: int
 
     def __post_init__(self):
         for arr in (self.times, self.original, self.averaged):
@@ -268,33 +278,54 @@ def _event_table(noise: NoiseBlock):
     )
 
 
-def _quadrature_rate(jump, targs, X, spec, use_delta: bool) -> np.ndarray:
-    """Integral of the jump coefficient against the measure, one path at a time."""
-    out = np.empty(X.shape)
-    for p in range(X.shape[0]):
-        if isinstance(jump, _RowLoop):
-            # integrate the float callable itself, so each quadrature node
-            # costs one call of it
-            fn, x = jump.fn, float(X[p, 0])
-            try:
-                out[p, 0] = levy.nu_integral(
-                    spec, lambda z: fn(*targs, x, z), use_delta=use_delta
-                )
-            except OverflowError:
-                out[p, 0] = math.inf
-        else:
-            row = X[p : p + 1]
-            out[p] = nu_integral_vector(
-                spec, lambda z: jump(*targs, row, z), dim=X.shape[1], use_delta=use_delta
-            )
-    return out
+def _adaptive_rate(jump, targs, row, spec, use_delta: bool) -> np.ndarray:
+    """Integral of the jump coefficient of one (1, dim) state row, by adaptive quadrature."""
+    if isinstance(jump, _RowLoop):
+        # integrate the float callable itself, so each quadrature node
+        # costs one call of it
+        fn, x = jump.fn, float(row[0, 0])
+        try:
+            return np.array([levy.nu_integral(spec, lambda z: fn(*targs, x, z), use_delta=use_delta)])
+        except OverflowError:
+            return np.array([math.inf])
+    return nu_integral_vector(
+        spec, lambda z: jump(*targs, row, z), dim=row.shape[1], use_delta=use_delta
+    )
+
+
+def _quadrature_rate(jump, targs, X, spec, use_delta: bool):
+    """Integral of the jump coefficient against the measure for every row of X.
+
+    Over [delta, cutoff) all rows are evaluated at the nodes of the measure's
+    shell table in one call of ``jump``.  A row whose 21-point and nested
+    10-point estimates differ by more than TABLE_RTOL (relative) is integrated
+    again adaptively; a non-finite row stays non-finite.  The open range
+    (0, cutoff) is integrated adaptively row by row.  Returns the (P, dim)
+    rates and the number of rows integrated again.
+    """
+    p_count = X.shape[0]
+    if not use_delta:
+        rows = [_adaptive_rate(jump, targs, X[p : p + 1], spec, False) for p in range(p_count)]
+        return np.stack(rows), 0
+    table = levy.shell_table(spec)
+    k = table.nodes.size
+    values = np.asarray(
+        jump(*targs, np.repeat(X, k, axis=0), np.tile(table.nodes, p_count)), dtype=float
+    ).reshape(p_count, k, -1)
+    rate = table.weights @ values
+    spread = table.spread @ values
+    redo = np.flatnonzero(np.any(np.abs(spread) > TABLE_RTOL * np.abs(rate), axis=1))
+    for p in redo:
+        rate[p] = _adaptive_rate(jump, targs, X[p : p + 1], spec, True)
+    return rate, redo.size
 
 
 def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
     """States (n_steps + 1, P, dim) of one system for every path of the block.
 
     Also returns each path's first grid step with a non-finite state, 0 for a
-    path that stayed finite.
+    path that stayed finite, and the number of compensator rates that fell
+    back from the shell table to adaptive quadrature.
     """
     order = as_order(beta)
     b = order.beta
@@ -347,7 +378,8 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
     states = np.empty((n_steps + 1,) + shape)
     states[0] = x0
     failed = np.zeros(p_count, dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    fallbacks = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, n_steps + 1):
             j = n - 1
             targs = (times[j],) if timed else ()
@@ -362,9 +394,10 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
                 if coeffs.jump_drift is not None:
                     rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                 else:
-                    rate = _quadrature_rate(
+                    rate, redone = _quadrature_rate(
                         coeffs.jump, targs, x_j, noise.spec, use_delta=mode == JumpMode.COMPENSATED
                     )
+                    fallbacks += redone
                 if mode == JumpMode.NU_DRIFT:
                     nu_vals[j] = rate
                 else:
@@ -392,11 +425,11 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
                 for history in histories:
                     history[:n, bad] = 0.0
             states[n] = x_n
-    return states, failed
+    return states, failed, fallbacks
 
 
 def _solve_one(coeffs, noise, x0, epsilon, beta, system: str) -> GridPath:
-    states, failed = _solve_block(coeffs, NoiseBlock((noise,)), x0, epsilon, beta)
+    states, failed, _ = _solve_block(coeffs, NoiseBlock((noise,)), x0, epsilon, beta)
     times = noise.grid.times
     if failed[0]:
         raise PathBlowupError(step=failed[0], time=times[failed[0]], system=system)
@@ -440,8 +473,8 @@ def solve_coupled(
     CoupledBlock in which each failed path carries its error instead.
     """
     block = noise if isinstance(noise, NoiseBlock) else NoiseBlock((noise,))
-    original, failed_o = _solve_block(coeffs, block, x0, epsilon, beta)
-    averaged, failed_a = _solve_block(avg_coeffs, block, x0, epsilon, beta)
+    original, failed_o, fallbacks_o = _solve_block(coeffs, block, x0, epsilon, beta)
+    averaged, failed_a, fallbacks_a = _solve_block(avg_coeffs, block, x0, epsilon, beta)
     times = block.grid.times
     failures = []
     for fo, fa in zip(failed_o.tolist(), failed_a.tolist()):
@@ -453,5 +486,6 @@ def solve_coupled(
         averaged=averaged,
         failures=tuple(failures),
         epsilon=float(epsilon),
+        quadrature_fallbacks=fallbacks_o + fallbacks_a,
     )
     return solved if block is noise else solved.path(0)

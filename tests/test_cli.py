@@ -53,6 +53,36 @@ class TestSimulate:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_expr_domain_error_is_a_path_failure(self, tmp_path, capsys):
+        # log of a negative state has no real value: the path fails (exit 1),
+        # it is not a usage error (exit 2)
+        code = run_cli(
+            "simulate", "--problem", "expr", "--beta", "0.75", "--epsilon", "0.5",
+            "--x0", "-1", "--drift", "log(x)", "--diffusion", "0.1",
+            "--avg-drift", "log(x)", "--avg-diffusion", "0.1",
+            "--out", str(tmp_path), *FAST,
+        )
+        assert code == 1
+        assert "failed" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "simulate" / "manifest.json").read_text())
+        assert manifest["failures"] == [{"path": 0, "step": 1, "time": 0.01, "system": "original"}]
+        assert not (tmp_path / "simulate" / "report.json").exists()
+
+    def test_compensated_expr_rejects_averaged_jump_drift(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--problem", "expr", "--beta", "0.75", "--epsilon", "0.5",
+            "--x0", "1.0", "--drift", "0.1*x", "--diffusion", "0.1",
+            "--jump", "z*x", "--jump-mode", "compensated_prm",
+            "--gamma", "1.0", "--alpha", "0.5", "--cutoff", "0.5",
+            "--avg-drift", "0.1*x", "--avg-diffusion", "0.1", "--avg-jump-drift", "0.2*x",
+            "--out", str(tmp_path), *FAST,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "avg_jump_drift_expr cannot be used with jump_mode compensated_prm" in err
+        assert "needs the averaged jump coefficient itself" in err
+        assert not (tmp_path / "simulate").exists()
+
     def test_rerun_from_manifest_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -76,8 +106,8 @@ class TestSimulate:
         assert manifest["effective_config"]["drift_expr"] == "x*cos(t)**2"
 
     def test_expr_problem_with_compensated_jumps(self, tmp_path):
-        # no closed-form rate supplied: the solver falls back to adaptive
-        # quadrature against the measure at every step, with simulated events
+        # no closed-form rate supplied: the solver integrates the compensator
+        # with the measure's shell table at every step, with simulated events
         out = tmp_path / "expr_jump"
         code = run_cli(
             "simulate", "--problem", "expr", "--beta", "0.75", "--epsilon", "0.5",

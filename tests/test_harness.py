@@ -167,6 +167,21 @@ class TestRunEnsemble:
             assert f["system"] == "original"
         assert "failures" not in json.loads((tmp_path / "report.json").read_text())
 
+    @pytest.mark.parametrize("jump, fallbacks", [("z*x", 0), ("abs(z-0.1)*x", 4 * 10)])
+    def test_manifest_counts_quadrature_fallbacks(self, tmp_path, jump, fallbacks):
+        # smooth jump coefficients keep the shell-table rate; a kink inside a
+        # half-shell sends every path at every step back to adaptive quadrature
+        cfg = ExperimentConfig(
+            problem="expr", case=None, jump_mode="compensated_prm", jump_expr=jump,
+            gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75, x0=1.0, epsilon=0.5,
+            drift_expr="-x", diffusion_expr="0.1", avg_drift_expr="-x", avg_diffusion_expr="0.1",
+            horizon=0.2, step=0.02, n_paths=4, save_paths=0,
+        )
+        run_ensemble(cfg, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["counts"] == {"quadrature_fallbacks": fallbacks}
+        assert "counts" not in json.loads((tmp_path / "report.json").read_text())
+
     def test_failure_budget_enforced(self):
         hopeless = dataclasses.replace(
             FRAGILE,

@@ -17,6 +17,7 @@ from fracavg.levy import (
     nu_integral,
     sample_noise,
     save_noise,
+    shell_table,
 )
 
 SPEC = JumpMeasureSpec(gamma=3.0, alpha=0.3, cutoff=0.5, delta=0.01)
@@ -221,6 +222,60 @@ class TestNuIntegral:
         value = nu_integral(spec, lambda x: 3.0 * x**p, use_delta=False)
         closed = 3.0 * gamma * cutoff ** (p - alpha) / (p - alpha)
         assert value == pytest.approx(closed, rel=1e-8)
+
+
+class TestShellTable:
+    SPECS = [
+        SPEC,
+        JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5),
+        JumpMeasureSpec(gamma=0.5, alpha=1.7, cutoff=0.5, delta=1e-5),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["alpha0.3", "alpha0.8", "alpha1.7"])
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            lambda z: z**3 - 2.0 * z + 1.0,
+            lambda z: z**2.45,
+            lambda z: z * np.sin(30.0 * z),
+            np.exp,
+        ],
+        ids=["polynomial", "power_law", "oscillatory", "exponential"],
+    )
+    def test_matches_adaptive_quadrature(self, spec, integrand):
+        table = shell_table(spec)
+        values = integrand(table.nodes)
+        fine = table.weights @ values
+        adaptive = nu_integral(spec, lambda z: float(integrand(np.float64(z))), use_delta=True)
+        assert fine == pytest.approx(adaptive, rel=1e-10)
+        # the nested 10-point estimate agrees too, so the solver keeps the table value
+        assert abs(table.spread @ values) <= 1e-10 * abs(fine)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["alpha0.3", "alpha0.8", "alpha1.7"])
+    def test_both_rules_exact_for_polynomial_weighted_integrands(self, spec):
+        # z^(1 + alpha + d) cancels the density: the weighted integrand is the
+        # polynomial gamma z^d, which the 21-point rule integrates exactly up to
+        # d = 31 and the 10-point rule up to d = 19
+        table = shell_table(spec)
+        c, d0 = spec.cutoff, spec.delta
+        for d in range(20):
+            values = table.nodes ** (1.0 + spec.alpha + d)
+            exact = spec.gamma * (c ** (d + 1) - d0 ** (d + 1)) / (d + 1)
+            assert table.weights @ values == pytest.approx(exact, rel=1e-13)
+            assert (table.weights - table.spread) @ values == pytest.approx(exact, rel=1e-13)
+
+    def test_nodes_cover_the_simulation_range(self):
+        table = shell_table(SPEC)
+        assert np.all(table.nodes > SPEC.delta) and np.all(table.nodes < SPEC.cutoff)
+        assert shell_table(JumpMeasureSpec(gamma=3.0, alpha=0.3, cutoff=0.5, delta=0.01)) is table
+        with pytest.raises(ValueError):
+            table.weights[0] = 1.0
+
+    def test_kinked_integrand_is_flagged(self):
+        # |z - 0.1| has a kink inside a half-shell: the two estimates disagree
+        table = shell_table(SPEC)
+        values = np.abs(table.nodes - 0.1)
+        assert abs(table.spread @ values) > 1e-10 * abs(table.weights @ values)
 
 
 class TestCompensatorIncrement:

@@ -7,12 +7,20 @@ import pytest
 from fracavg.errors import PathBlowupError
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import gamma_fn
-from fracavg.levy import JumpMeasureSpec, NoiseBlock, NoiseRealization, TimeGrid, sample_noise
+from fracavg.levy import (
+    JumpMeasureSpec,
+    NoiseBlock,
+    NoiseRealization,
+    TimeGrid,
+    nu_integral,
+    sample_noise,
+)
 from fracavg.problems import build_problem
 from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
     JumpMode,
+    _quadrature_rate,
     solve_averaged,
     solve_coupled,
     solve_original,
@@ -299,6 +307,110 @@ class TestJumpModes:
         np.testing.assert_allclose(path.states[:, 1], 2.0 * path.states[:, 0], rtol=1e-12)
 
 
+def _column(z):
+    """Marks as a column: scalars and (P,) arrays become (1, 1) and (P, 1)."""
+    return np.asarray(z, dtype=float).reshape(-1, 1)
+
+
+class TestCompensatorTable:
+    """Compensator rates from the measure's shell table, without a closed form."""
+
+    SPEC = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+    # integral of z against the measure over [delta, cutoff)
+    Z_RATE = SPEC.gamma * (SPEC.cutoff**0.2 - SPEC.delta**0.2) / 0.2
+
+    @staticmethod
+    def kink_rate(spec, k=0.1):
+        """Closed-form integral of |z - k| against the measure over [delta, cutoff)."""
+        a, g = spec.alpha, spec.gamma
+        f1 = lambda z: z ** (1.0 - a) / (1.0 - a)  # antiderivative of z^-alpha
+        f0 = lambda z: -(z**-a) / a  # antiderivative of z^(-1-alpha)
+        below = k * (f0(k) - f0(spec.delta)) - (f1(k) - f1(spec.delta))
+        above = (f1(spec.cutoff) - f1(k)) - k * (f0(spec.cutoff) - f0(k))
+        return g * (below + above)
+
+    def _coupled(self, jump, jump_drift):
+        """Three paths of 50 steps, with the given compensator rate or none."""
+        coeffs = CoefficientSet(
+            drift=lambda t, x: -x,
+            diffusion=lambda t, x: np.full((len(x), 1, 1), 0.3),
+            jump=jump,
+            jump_mode=JumpMode.COMPENSATED,
+            jump_drift=jump_drift,
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: -x, diffusion=lambda x: np.full((len(x), 1, 1), 0.3)
+        )
+        grid = TimeGrid(step=0.02, n_steps=50)
+        noise = NoiseBlock(tuple(
+            sample_noise(self.SPEC, grid, dim=1, seed=4, stream_key=(i,)) for i in range(3)
+        ))
+        return solve_coupled(coeffs, averaged, noise, x0=1.0, epsilon=0.5, beta=0.75)
+
+    def test_smooth_jump_matches_closed_form_without_fallback(self):
+        table = self._coupled(lambda t, x, z: _column(z) * x * _column(np.cos(t)) ** 2, None)
+        closed = self._coupled(
+            lambda t, x, z: _column(z) * x * _column(np.cos(t)) ** 2,
+            lambda t, x: self.Z_RATE * x * np.cos(t) ** 2,
+        )
+        assert table.quadrature_fallbacks == 0
+        np.testing.assert_allclose(table.original, closed.original, rtol=1e-10, atol=0)
+
+    def test_kinked_jump_falls_back_and_matches_closed_form(self):
+        rate = self.kink_rate(self.SPEC)
+        assert rate == pytest.approx(
+            nu_integral(self.SPEC, lambda z: abs(z - 0.1), use_delta=True), rel=1e-10
+        )
+        jump = lambda t, x, z: np.abs(_column(z) - 0.1) * x
+        table = self._coupled(jump, None)
+        closed = self._coupled(jump, lambda t, x: rate * x)
+        assert table.quadrature_fallbacks == 50 * 3  # every step of every path
+        np.testing.assert_allclose(table.original, closed.original, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("form", ["batch", "scalar"])
+    def test_overflowing_rate_fails_at_the_closed_form_step(self, form):
+        # the compensator pushes x up until exp(1000 x) overflows
+        c = self.Z_RATE
+        if form == "batch":
+            def build(jump_drift):
+                return CoefficientSet(
+                    drift=lambda t, x: np.zeros_like(x),
+                    diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+                    jump=lambda t, x, z: -_column(z) * np.exp(1000.0 * x),
+                    jump_mode=JumpMode.COMPENSATED,
+                    jump_drift=jump_drift,
+                )
+            closed_form = lambda t, x: -c * np.exp(1000.0 * x)
+        else:
+            def build(jump_drift):
+                return CoefficientSet.scalar(
+                    drift=lambda t, x: 0.0,
+                    diffusion=lambda t, x: 0.0,
+                    jump=lambda t, x, z: -z * math.exp(1000.0 * x),
+                    jump_mode=JumpMode.COMPENSATED,
+                    jump_drift=jump_drift,
+                )
+            closed_form = lambda t, x: -c * math.exp(1000.0 * x)
+        noise = zero_noise(40, step=0.05, spec=self.SPEC)
+        kw = dict(x0=0.0, epsilon=1.0, beta=0.75)
+        with pytest.raises(PathBlowupError) as table:
+            solve_original(build(None), noise, **kw)
+        with pytest.raises(PathBlowupError) as closed:
+            solve_original(build(closed_form), noise, **kw)
+        assert 1 < table.value.step < 40
+        assert table.value.step == closed.value.step
+
+    def test_overflowing_row_stays_infinite(self):
+        jump = lambda t, x, z: -_column(z) * np.exp(1000.0 * x)
+        X = np.array([[0.0], [1.0], [0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate, redone = _quadrature_rate(jump, (0.0,), X, self.SPEC, use_delta=True)
+        assert redone == 0
+        assert rate[1, 0] == -math.inf
+        assert rate[0, 0] == pytest.approx(-self.Z_RATE, rel=1e-12)
+        assert rate[2, 0] == pytest.approx(-self.Z_RATE * math.exp(500.0), rel=1e-12)
+
+
 class TestCoupling:
     def test_frozen_coefficients_bitwise_identical(self):
         coeffs = CoefficientSet.scalar(
@@ -432,6 +544,27 @@ class TestBlocks:
             single = solve_coupled(
                 problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
             )
+            np.testing.assert_allclose(block.original[:, p], single.original.states, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(block.averaged[:, p], single.averaged.states, rtol=1e-12, atol=0)
+
+    def test_scalar_compensated_block_matches_single_solves(self):
+        # float callables reach the shell table through the row-loop adapter
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        coeffs = CoefficientSet.scalar(
+            drift=lambda t, x: -x * (1.0 + math.cos(t)),
+            diffusion=lambda t, x: 0.5,
+            jump=lambda t, x, z: z * x * math.sin(t) ** 2,
+            jump_mode=JumpMode.COMPENSATED,
+        )
+        averaged = AveragedCoefficientSet.scalar(drift=lambda x: -x, diffusion=lambda x: 0.5)
+        grid = TimeGrid(step=0.02, n_steps=50)
+        noises = [sample_noise(spec, grid, dim=1, seed=5, stream_key=(i,)) for i in range(7)]
+        kw = dict(x0=0.1, epsilon=1e-3, beta=0.75)
+        block = solve_coupled(coeffs, averaged, NoiseBlock(tuple(noises)), **kw)
+        assert block.failures == (None,) * 7
+        assert block.quadrature_fallbacks == 0
+        for p, noise in enumerate(noises):
+            single = solve_coupled(coeffs, averaged, noise, **kw)
             np.testing.assert_allclose(block.original[:, p], single.original.states, rtol=1e-12, atol=0)
             np.testing.assert_allclose(block.averaged[:, p], single.averaged.states, rtol=1e-12, atol=0)
 
