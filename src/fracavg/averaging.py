@@ -16,19 +16,27 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .kernels import as_order, gamma_fn, mittag_leffler_terms
+from .errors import ConvergenceError
+from .kernels import as_order, gamma_fn, log_mittag_leffler
 from .levy import JumpMeasureSpec, nu_integral, nu_integral_vector
 from .solver import AveragedCoefficientSet, CoefficientSet
 
 _CHUNK = 2.0 * math.pi  # oscillatory coefficients get one quadrature chunk per period
 
+# A bound is evaluated through its natural log, a float64 that fixes the bound
+# only to about |log| * 2^-53 relative.  Past this log that is coarser than
+# 1e-10, the accuracy the calculator is held to, and the bound is refused.
+_MAX_LOG_BOUND = 1e-10 / 2.0**-53
+
 
 def _chunked_integral(fn, horizon: float, tol: float) -> float:
     """Integral of a scalar callable over [0, horizon], split into short chunks."""
+    from scipy.integrate import quad  # loaded on first use, as in levy.nu_integral
+
     n_chunks = max(1, math.ceil(horizon / _CHUNK))
     edges = np.linspace(0.0, horizon, n_chunks + 1)
     total = 0.0
@@ -406,7 +414,11 @@ class BoundReport:
 
     The six K constants feed a Mittag-Leffler style series whose prefactor
     carries the residual envelopes; the reported bound at each epsilon is
-    the series value times epsilon^(1 - lambda).
+    the series value times epsilon^(1 - lambda).  ``log10_bounds`` holds the
+    decimal log of each bound (None where the bound is 0), and ``bounds`` is
+    None where the bound does not fit in a float64.  ``series_terms`` counts
+    the series terms summed per epsilon: 0 for a zero bound, 1 where the
+    large-argument asymptote of the series was used.
     """
 
     k11: float
@@ -420,7 +432,8 @@ class BoundReport:
     z_moment: float
     beta: float
     epsilons: list[float]
-    bounds: list[float]
+    bounds: list[Optional[float]]
+    log10_bounds: list[Optional[float]]
     series_terms: list[int]
     inputs: dict = field(default_factory=dict)
 
@@ -440,6 +453,7 @@ class BoundReport:
             "beta": self.beta,
             "epsilons": self.epsilons,
             "bounds": self.bounds,
+            "log10_bounds": self.log10_bounds,
             "series_terms": self.series_terms,
             "inputs": self.inputs,
         }
@@ -465,7 +479,10 @@ def theorem_bound(
     ``alpha_sups`` are the suprema of the three residual envelopes over the
     working horizon; ``z_moment`` estimates 1 + E sup |Z|^2 (>= 1).  The
     drift envelope enters squared, the other two linearly, matching the
-    constants of the underlying estimate exactly.
+    constants of the underlying estimate exactly.  The series is evaluated in
+    the log domain, so a bound beyond float64 still has its ``log10_bounds``
+    entry; ConvergenceError is raised only when even that log is too large to
+    fix the bound to 1e-10 relative.
     """
     order = as_order(beta)
     b = order.beta
@@ -493,6 +510,7 @@ def theorem_bound(
     k32 = 6.0 / ((2.0 * b - 1.0) * gb**2) * a3 * z_moment
 
     bounds = []
+    log10_bounds = []
     terms = []
     for eps in epsilons:
         prefactor = (
@@ -501,19 +519,30 @@ def theorem_bound(
         )
         if prefactor == 0.0:
             bounds.append(0.0)
+            log10_bounds.append(None)
             terms.append(0)
             continue
         base = (
             k11 * big_l ** (1.0 + b) * eps ** (2.0 - lam - b * lam)
             + (k21 + k31) * big_l**b * eps ** (1.0 - b * lam)
         ) * gb
-        series, n_terms = mittag_leffler_terms(b, base, tol=series_tol)
-        bounds.append(prefactor * series * eps ** (1.0 - lam))
+        log_series, n_terms = log_mittag_leffler(b, base, tol=series_tol)
+        log_bound = math.log(prefactor) + log_series + (1.0 - lam) * math.log(eps)
+        if abs(log_bound) > _MAX_LOG_BOUND:
+            raise ConvergenceError(
+                f"bound at epsilon={eps:g} is 10^{log_bound / math.log(10.0):.6g}, too large "
+                f"to evaluate to 1e-10 relative (Mittag-Leffler argument {base:g}, beta={b:g})"
+            )
+        try:
+            bounds.append(math.exp(log_bound))
+        except OverflowError:
+            bounds.append(None)
+        log10_bounds.append(log_bound / math.log(10.0))
         terms.append(n_terms)
 
     return BoundReport(
         k11=k11, k12=k12, k21=k21, k22=k22, k31=k31, k32=k32,
         lam=lam, big_l=big_l, z_moment=z_moment, beta=b,
-        epsilons=epsilons, bounds=bounds, series_terms=terms,
+        epsilons=epsilons, bounds=bounds, log10_bounds=log10_bounds, series_terms=terms,
         inputs={"c1": c1, "alpha_sups": [a1, a2, a3]},
     )

@@ -239,8 +239,11 @@ def cmd_bound(args) -> int:
         lam=args.lam if args.lam is not None else 0.5,
         big_l=args.big_l if args.big_l is not None else 1.0,
     )
-    for eps, value in zip(report.epsilons, report.bounds):
-        print(f"epsilon = {eps:g}: bound = {value:.10g}")
+    for eps, value, log10 in zip(report.epsilons, report.bounds, report.log10_bounds):
+        if value is None:
+            print(f"epsilon = {eps:g}: bound = 10^{log10:.10g} (beyond float64)")
+        else:
+            print(f"epsilon = {eps:g}: bound = {value:.10g}")
     out = _out_dir(args, "bound")
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "bound.json")

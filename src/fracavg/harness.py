@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,6 +148,9 @@ class ErrorReport:
     ``per_path_sup_sq`` holds sup_t |X - Z|^2 per path; the confidence half
     width is the normal 95% half width of the ensemble mean.  Study fields
     (fitted rate, per-epsilon summaries) stay None for single ensembles.
+    ``bound_value`` is the closeness bound when its inputs are given, None
+    where it does not fit in a float64; ``bound_log10`` then still holds its
+    decimal log.  report.json carries ``bound_log10`` only when it is set.
     """
 
     epsilon: float
@@ -165,6 +167,7 @@ class ErrorReport:
     er_mean_curve: list[float]
     z_moment_estimate: float
     bound_value: Optional[float] = None
+    bound_log10: Optional[float] = None
     fitted_rate: Optional[float] = None
     rate_stderr: Optional[float] = None
     degenerate_fit: Optional[str] = None
@@ -173,7 +176,10 @@ class ErrorReport:
     ci_by_epsilon: Optional[list[float]] = None
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        data = dataclasses.asdict(self)
+        if data["bound_log10"] is None:
+            del data["bound_log10"]
+        return data
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -241,9 +247,9 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
     ci = float(_Z95 * np.std(sup_sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     z_moment = 1.0 + float(np.mean(z_sup_sq))
 
-    bound_value = None
+    bound_value = bound_log10 = None
     if cfg.bound_c1 is not None and cfg.bound_alphas is not None:
-        bound_value = theorem_bound(
+        bound = theorem_bound(
             cfg.bound_c1,
             cfg.bound_alphas,
             z_moment,
@@ -251,7 +257,8 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
             epsilon=cfg.epsilon,
             lam=cfg.lam,
             big_l=cfg.big_l,
-        ).bounds[0]
+        )
+        bound_value, bound_log10 = bound.bounds[0], bound.log10_bounds[0]
 
     return ErrorReport(
         epsilon=cfg.epsilon,
@@ -268,6 +275,7 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
         er_mean_curve=[float(v) for v in curves.mean(axis=0)],
         z_moment_estimate=z_moment,
         bound_value=bound_value,
+        bound_log10=bound_log10,
     )
 
 
@@ -281,6 +289,8 @@ def _execute(cfg: ExperimentConfig):
     if cfg.workers == 1:
         done = [_run_blocks(cfg.as_dict(), blocks)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only multi-worker runs pay for it
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_run_blocks, cfg.as_dict(), [block]) for block in blocks]
             done = [future.result() for future in futures]

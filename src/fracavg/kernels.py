@@ -16,6 +16,11 @@ import numpy as np
 from .errors import ConvergenceError
 
 ML_MAX_TERMS = 10_000
+# log_mittag_leffler switches from the series to the large-z asymptote once
+# z^(1/beta) reaches this: the asymptote's remainder is then below
+# exp(-50) ~ 2e-22 relative, and for beta >= 1/2 the series needs at most
+# ~220 terms below it
+ML_ASYMPTOTE_W = 50.0
 
 
 @dataclass(frozen=True)
@@ -95,14 +100,7 @@ def mittag_leffler_terms(
     max_terms: int = ML_MAX_TERMS,
 ) -> tuple[float, int]:
     """Mittag-Leffler value plus the number of series terms consumed."""
-    beta = float(beta)
-    z = float(z)
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"mittag_leffler requires beta in (0, 1]; got {beta!r}")
-    if z < 0.0:
-        raise ValueError(f"mittag_leffler requires z >= 0; got {z!r}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive; got {tol!r}")
+    beta, z = _check_mittag_leffler_args(beta, z, tol)
     if z == 0.0:
         return 1.0, 1
 
@@ -125,6 +123,49 @@ def mittag_leffler_terms(
         f"Mittag-Leffler series did not reach tol={tol:g} within {max_terms} terms "
         f"(beta={beta:g}, z={z:g})"
     )
+
+
+def log_mittag_leffler(
+    beta: float,
+    z: float,
+    tol: float = 1e-12,
+    max_terms: int = ML_MAX_TERMS,
+) -> tuple[float, int]:
+    """Natural log of E_beta(z) plus the number of terms consumed.
+
+    For w = z^(1/beta) below ML_ASYMPTOTE_W this is the log of
+    ``mittag_leffler_terms``, whose value there is at most about
+    exp(ML_ASYMPTOTE_W)/beta and cannot overflow.  Beyond it the leading term
+    of the large-z expansion E_beta(z) = exp(w)/beta - sum_k z^-k/Gamma(1 - k
+    beta) is used, whose remainder is below exp(-w) relative; it counts as
+    one term.  Same arguments and errors as ``mittag_leffler``; the value
+    overflows (ConvergenceError) only where w itself exceeds float64.
+    """
+    beta, z = _check_mittag_leffler_args(beta, z, tol)
+    if z == 0.0:
+        return 0.0, 1
+    try:
+        w = z ** (1.0 / beta)
+    except OverflowError:
+        raise ConvergenceError(
+            f"log of the Mittag-Leffler function overflowed (beta={beta:g}, z={z:g})"
+        ) from None
+    if w >= ML_ASYMPTOTE_W:
+        return w - math.log(beta), 1
+    value, n_terms = mittag_leffler_terms(beta, z, tol, max_terms)
+    return math.log(value), n_terms
+
+
+def _check_mittag_leffler_args(beta, z, tol) -> tuple[float, float]:
+    beta = float(beta)
+    z = float(z)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"mittag_leffler requires beta in (0, 1]; got {beta!r}")
+    if z < 0.0:
+        raise ValueError(f"mittag_leffler requires z >= 0; got {z!r}")
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive; got {tol!r}")
+    return beta, z
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+# numpy loads numpy.random lazily: importing it here keeps that load out of
+# the first sample_noise call
+import numpy.random  # noqa: F401
 
 from .errors import ConvergenceError, DivergenceError
 
@@ -364,6 +366,8 @@ def nu_integral(
     decay is geometric, and a failure to decay raises DivergenceError (the
     measure has infinite mass at 0, so the integrand must vanish there).
     """
+    from scipy.integrate import quad  # scipy's import dominates start-up; load it only here
+
     def weighted(x):
         return integrand(x) * spec.gamma * x ** (-1.0 - spec.alpha)
 

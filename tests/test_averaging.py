@@ -18,6 +18,8 @@ from fracavg.levy import JumpMeasureSpec, nu_integral
 from fracavg.problems import build_eq10
 from fracavg.solver import AveragedCoefficientSet, CoefficientSet, JumpMode
 
+from test_kernels import mp_log_mittag_leffler
+
 # closed forms of the worked example; high-precision oracle values
 JC_CASE_A = 0.062389075000586974       # 3 * 0.5^3.7 / 3.7
 GAMMA1_CASE_A = 1.9729157811292571     # JC / sqrt(1e-3)
@@ -245,6 +247,7 @@ class TestTheoremBound:
     def test_zero_envelopes_zero_bound(self):
         report = theorem_bound(2.0, (0.0, 0.0, 0.0), 3.0, beta=0.8, epsilon=[1e-2, 1e-3, 1e-4])
         assert report.bounds == [0.0, 0.0, 0.0]
+        assert report.log10_bounds == [None, None, None]
         assert report.series_terms == [0, 0, 0]
 
     def test_fixed_tuple_matches_oracle(self):
@@ -280,6 +283,42 @@ class TestTheoremBound:
         assert high.bounds[0] > low.bounds[0]
         bigger_alpha = theorem_bound(1.0, (0.2, 0.1, 0.1), 1.5, beta=0.75, epsilon=1e-3)
         assert bigger_alpha.bounds[0] > low.bounds[0]
+
+    # frozen values of the direct float64 series evaluation, which overflowed
+    # beyond them; the log-domain evaluation must keep every one
+    @pytest.mark.parametrize("kwargs, frozen", [
+        (dict(c1=1.0, alpha_sups=(0.1, 0.1, 0.1), z_moment=2.0, beta=0.75),
+         [0.2019049217851681, 0.020883514430112028, 0.003310040176455298]),
+        (dict(c1=5.0, alpha_sups=(0.3, 0.2, 0.1), z_moment=1.5, beta=0.6, lam=0.3, big_l=2.0),
+         [113804271777.86441, 0.051159071818451744, 0.0014667022821389527]),
+        (dict(c1=10.0, alpha_sups=(0.1, 0.1, 0.1), z_moment=2.0, beta=0.9),
+         [4.240109882511809e+66, 365730308914807.75, 81.6263270047385]),
+        (dict(c1=12.0, alpha_sups=(0.2, 0.1, 0.3), z_moment=3.0, beta=0.75),
+         [3.2719908887200905e+157, 1.0841506011313706e+21, 20.71888521589287]),
+    ])
+    def test_log_domain_keeps_finite_bounds(self, kwargs, frozen):
+        report = theorem_bound(epsilon=[1e-2, 1e-3, 1e-4], **kwargs)
+        assert report.bounds == pytest.approx(frozen, rel=1e-12)
+        assert report.log10_bounds == pytest.approx([math.log10(v) for v in frozen], rel=1e-12)
+
+    def test_bound_beyond_float64_has_log10(self):
+        report = theorem_bound(50.0, (0.1, 0.1, 0.1), 2.0, beta=0.6, epsilon=[1e-2, 1e-3, 1e-4])
+        assert report.bounds[:2] == [None, None]
+        assert report.bounds[2] == pytest.approx(10.0 ** report.log10_bounds[2], rel=1e-12)
+        assert report.log10_bounds[0] > report.log10_bounds[1] > 308.0
+        # independent value of the epsilon = 1e-3 bound: the same constants,
+        # with log E_beta from mpmath
+        b, lam, eps = 0.6, 0.5, 1e-3
+        gb = math.gamma(b)
+        prefactor = (
+            report.k12 * eps ** (1.0 + lam - 2.0 * b * lam)
+            + (report.k22 + report.k32) * eps ** (2.0 * lam * (1.0 - b))
+        )
+        base = (report.k11 * eps ** (2.0 - lam - b * lam) + 2.0 * report.k21 * eps ** (1.0 - b * lam)) * gb
+        expected = (
+            math.log(prefactor) + mp_log_mittag_leffler(b, base) + (1.0 - lam) * math.log(eps)
+        ) / math.log(10.0)
+        assert report.log10_bounds[1] == pytest.approx(expected, rel=1e-13)
 
     def test_series_cap_raises_for_absurd_constants(self):
         with pytest.raises(ConvergenceError):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -237,6 +238,32 @@ class TestBound:
         assert code == 0
         data = json.loads((out / "bound" / "bound.json").read_text())
         assert data["bounds"][0] > data["bounds"][1] > data["bounds"][2]
+
+
+    def test_bound_beyond_float64_writes_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "bound"
+        code = run_cli(
+            "bound", "--c1", "50", "--alphas", "0.1,0.1,0.1", "--z-moment", "2",
+            "--beta", "0.6", "--out", str(out),
+        )
+        assert code == 0
+        assert "beyond float64" in capsys.readouterr().out
+
+        def reject(name):
+            raise AssertionError(f"bound.json holds {name}")
+
+        data = json.loads((out / "bound" / "bound.json").read_text(), parse_constant=reject)
+        assert data["bounds"][:2] == [None, None]
+        assert data["bounds"][2] > 0.0
+        assert all(math.isfinite(v) for v in data["log10_bounds"])
+
+    def test_bound_whose_log_overflows_exits_1(self, tmp_path, capsys):
+        code = run_cli(
+            "bound", "--c1", "1e100", "--alphas", "0.1,0.1,0.1", "--beta", "0.6",
+            "--out", str(tmp_path / "bound"),
+        )
+        assert code == 1
+        assert "overflowed" in capsys.readouterr().err
 
 
 class TestStudy:

@@ -220,6 +220,25 @@ class TestRunEnsemble:
         assert report.bound_value > 0.0
         assert report.z_moment_estimate >= 1.0
 
+    def test_bound_beyond_float64_keeps_its_log10(self, tmp_path):
+        cfg = dataclasses.replace(TINY, bound_c1=50.0, bound_alphas=(0.1, 0.1, 0.1))
+        report = run_ensemble(cfg, out_dir=tmp_path / "run")
+        assert report.bound_value is None
+        assert report.bound_log10 > 308.0
+
+        def reject(name):
+            raise AssertionError(f"report.json holds {name}")
+
+        data = json.loads((tmp_path / "run" / "report.json").read_text(), parse_constant=reject)
+        assert data["bound_value"] is None
+        assert data["bound_log10"] == report.bound_log10
+
+    def test_report_without_bound_has_no_log10_key(self, tmp_path):
+        run_ensemble(TINY, out_dir=tmp_path / "run")
+        data = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert data["bound_value"] is None
+        assert "bound_log10" not in data
+
 
 class TestFoldedAveragedForm:
     def test_drift_folded_form_reproduces_slot_form_dynamics(self):

@@ -1,0 +1,102 @@
+"""Start-up imports: scipy and the process pool load only where they are used.
+
+``import fracavg`` must not load scipy (most of the package's import time) or
+``concurrent.futures``, while ``numpy.random``, which numpy loads lazily, is
+loaded up front so that its load never lands inside a timed solve.  This
+interpreter imported scipy long ago (the levy tests use it as an oracle), so
+the checks run in a fresh one and report back as JSON.
+"""
+
+import dataclasses
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+from fracavg import averaging, levy
+from fracavg.harness import ExperimentConfig, run_ensemble
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+LAZY = ("scipy", "concurrent.futures")
+WATCHED = ("scipy", "numpy.random", "concurrent.futures")
+
+EQ10 = ExperimentConfig(case="a", n_paths=4, horizon=1.0, step=0.02, master_seed=7, save_paths=0)
+MLBENCH = ExperimentConfig(
+    problem="mlbench", case=None, beta=0.6, x0=1.0, epsilon=1.0,
+    horizon=1.0, step=0.01, n_paths=1, save_paths=0,
+)
+# smooth in z, so the shell table serves every step with 0 fallbacks
+EXPR_JUMP = ExperimentConfig(
+    problem="expr", case=None, jump_mode="compensated_prm", jump_expr="z*x",
+    gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75, x0=1.0, epsilon=0.5,
+    drift_expr="-x", diffusion_expr="0.1", avg_drift_expr="-x", avg_diffusion_expr="0.1",
+    horizon=0.2, step=0.02, n_paths=4, save_paths=0,
+)
+POOLED = dataclasses.replace(EQ10, n_paths=6, workers=2)
+
+SPEC = levy.JumpMeasureSpec(gamma=3.0, alpha=0.3, cutoff=0.5, delta=0.01)
+
+CHILD = r"""
+import json
+import math
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import fracavg
+import fracavg.cli
+from fracavg import averaging, levy
+from fracavg.harness import ExperimentConfig, run_ensemble
+
+watched = tuple(sys.argv[2].split(","))
+job = json.load(sys.stdin)
+
+
+def loaded():
+    return {name for name in sys.modules if name.startswith(watched)}
+
+
+out = {"file": fracavg.__file__, "after_import": sorted(loaded()), "runs": {}}
+for name, cfg in job["serial"].items():
+    before = loaded()
+    run_ensemble(ExperimentConfig.from_dict(cfg), out_dir=job["out"] + "/" + name)
+    with open(job["out"] + "/" + name + "/manifest.json") as fh:
+        counts = json.load(fh)["counts"]
+    out["runs"][name] = {"new": sorted(loaded() - before), "counts": counts}
+
+spec = levy.JumpMeasureSpec(**job["spec"])
+out["nu_open"] = levy.nu_integral(spec, lambda x: x, use_delta=False)
+out["time_average"] = averaging.time_average(lambda t, x: 2.0 * x * math.cos(t) ** 2, 0.5, 10.0)
+out["pooled"] = run_ensemble(ExperimentConfig.from_dict(job["pooled"])).per_path_sup_sq
+print(json.dumps(out))
+"""
+
+
+def test_fresh_interpreter_imports_scipy_and_the_pool_only_where_used(tmp_path):
+    job = {
+        "serial": {"eq10": EQ10.as_dict(), "mlbench": MLBENCH.as_dict(), "expr_jump": EXPR_JUMP.as_dict()},
+        "pooled": POOLED.as_dict(),
+        "spec": dataclasses.asdict(SPEC),
+        "out": str(tmp_path),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(SRC), ",".join(WATCHED)],
+        input=json.dumps(job), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert Path(child["file"]).resolve().is_relative_to(SRC)
+
+    after_import = child["after_import"]
+    assert not [name for name in after_import if name.startswith(LAZY)]
+    assert "numpy.random" in after_import
+
+    for name, run in child["runs"].items():
+        assert run["new"] == [], name
+    assert child["runs"]["expr_jump"]["counts"] == {"quadrature_fallbacks": 0}
+
+    # the lazily importing paths still work and agree with this interpreter
+    assert child["nu_open"] == levy.nu_integral(SPEC, lambda x: x, use_delta=False)
+    assert child["time_average"] == averaging.time_average(lambda t, x: 2.0 * x * math.cos(t) ** 2, 0.5, 10.0)
+    assert child["pooled"] == run_ensemble(dataclasses.replace(POOLED, workers=1)).per_path_sup_sq

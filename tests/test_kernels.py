@@ -11,6 +11,7 @@ from fracavg.kernels import (
     as_order,
     build_kernel_weights,
     gamma_fn,
+    log_mittag_leffler,
     mittag_leffler,
     mittag_leffler_terms,
 )
@@ -101,6 +102,67 @@ class TestMittagLeffler:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             mittag_leffler(0.75, 1.0, tol=0.0)
+
+
+def mp_log_mittag_leffler(beta: float, z: float) -> float:
+    """log E_beta(z) from mpmath at 30 digits, independent of fracavg.
+
+    At beta = 1/2 the closed form E(z) = exp(z^2) erfc(-z); otherwise the
+    series, summed until its terms fall exp(-80) below the largest one.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        b, z = mpmath.mpf(beta), mpmath.mpf(z)
+        if b == 0.5:
+            return float(z**2 + mpmath.log(mpmath.erfc(-z)))
+        log_z = mpmath.log(z)
+        logs = [mpmath.mpf(0)]
+        peak = logs[0]
+        while logs[-1] >= peak - 80:
+            k = len(logs)
+            logs.append(k * log_z - mpmath.loggamma(b * k + 1))
+            peak = max(peak, logs[-1])
+        return float(peak + mpmath.log(mpmath.fsum(mpmath.exp(v - peak) for v in logs)))
+
+
+class TestLogMittagLeffler:
+    # pairs on both sides of the switch to the asymptote at z^(1/beta) = 50,
+    # and far beyond float64 (E_beta overflows once z^(1/beta) passes ~710)
+    @pytest.mark.parametrize("beta, z", [
+        (0.6, 0.5), (0.6, 10.45), (0.6, 10.47), (0.6, 100.0), (0.6, 164.0),
+        (0.75, 18.78), (0.75, 18.82), (0.75, 300.0), (0.9, 1000.0),
+        (0.5, 7.06), (0.5, 7.08), (0.5, 1e3), (0.5, 1e4),
+    ])
+    def test_matches_mpmath(self, beta, z):
+        value, _ = log_mittag_leffler(beta, z, tol=1e-14)
+        assert value == pytest.approx(mp_log_mittag_leffler(beta, z), rel=1e-13)
+
+    @given(st.floats(min_value=0.55, max_value=1.0), st.floats(min_value=0.0, max_value=20.0))
+    @settings(max_examples=50)
+    def test_matches_direct_series(self, beta, z):
+        value, _ = log_mittag_leffler(beta, z, tol=1e-14)
+        direct = math.log(mittag_leffler(beta, z, tol=1e-14))
+        assert value == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+    def test_beta_one_beyond_the_switch_is_exact(self):
+        assert log_mittag_leffler(1.0, 300.0) == (300.0, 1)
+        assert log_mittag_leffler(0.75, 0.0) == (0.0, 1)
+
+    def test_term_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            log_mittag_leffler(0.6, 10.0, max_terms=5)
+
+    def test_log_overflow_raises(self):
+        # z^(1/beta) itself is beyond float64
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            log_mittag_leffler(0.6, 1e200)
+
+    @pytest.mark.parametrize("beta, z, tol", [(0.0, 1.0, 1e-12), (1.5, 1.0, 1e-12),
+                                              (0.75, -1.0, 1e-12), (0.75, 1.0, 0.0)])
+    def test_rejects_bad_arguments(self, beta, z, tol):
+        with pytest.raises(ValueError):
+            log_mittag_leffler(beta, z, tol=tol)
 
 
 class TestKernelWeights:
