@@ -482,7 +482,7 @@ def theorem_bound(
     constants of the underlying estimate exactly.  The series is evaluated in
     the log domain, so a bound beyond float64 still has its ``log10_bounds``
     entry; ConvergenceError is raised only when even that log is too large to
-    fix the bound to 1e-10 relative.
+    fix the bound to 1e-10 relative, or a constant overflows float64.
     """
     order = as_order(beta)
     b = order.beta
@@ -503,42 +503,48 @@ def theorem_bound(
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("every epsilon must be positive")
 
-    gb = gamma_fn(b)
-    k11 = k21 = k31 = 6.0 * c1**2 / gb**2
-    k12 = 12.0 / (b**2 * gb**2) * a1**2 * z_moment
-    k22 = 6.0 / ((2.0 * b - 1.0) * gb**2) * a2 * z_moment
-    k32 = 6.0 / ((2.0 * b - 1.0) * gb**2) * a3 * z_moment
+    try:
+        gb = gamma_fn(b)
+        k11 = k21 = k31 = 6.0 * c1**2 / gb**2
+        k12 = 12.0 / (b**2 * gb**2) * a1**2 * z_moment
+        k22 = 6.0 / ((2.0 * b - 1.0) * gb**2) * a2 * z_moment
+        k32 = 6.0 / ((2.0 * b - 1.0) * gb**2) * a3 * z_moment
 
-    bounds = []
-    log10_bounds = []
-    terms = []
-    for eps in epsilons:
-        prefactor = (
-            k12 * big_l ** (2.0 * b) * eps ** (1.0 + lam - 2.0 * b * lam)
-            + (k22 + k32) * big_l ** (2.0 * b - 1.0) * eps ** (2.0 * lam * (1.0 - b))
-        )
-        if prefactor == 0.0:
-            bounds.append(0.0)
-            log10_bounds.append(None)
-            terms.append(0)
-            continue
-        base = (
-            k11 * big_l ** (1.0 + b) * eps ** (2.0 - lam - b * lam)
-            + (k21 + k31) * big_l**b * eps ** (1.0 - b * lam)
-        ) * gb
-        log_series, n_terms = log_mittag_leffler(b, base, tol=series_tol)
-        log_bound = math.log(prefactor) + log_series + (1.0 - lam) * math.log(eps)
-        if abs(log_bound) > _MAX_LOG_BOUND:
-            raise ConvergenceError(
-                f"bound at epsilon={eps:g} is 10^{log_bound / math.log(10.0):.6g}, too large "
-                f"to evaluate to 1e-10 relative (Mittag-Leffler argument {base:g}, beta={b:g})"
+        bounds = []
+        log10_bounds = []
+        terms = []
+        for eps in epsilons:
+            prefactor = (
+                k12 * big_l ** (2.0 * b) * eps ** (1.0 + lam - 2.0 * b * lam)
+                + (k22 + k32) * big_l ** (2.0 * b - 1.0) * eps ** (2.0 * lam * (1.0 - b))
             )
-        try:
-            bounds.append(math.exp(log_bound))
-        except OverflowError:
-            bounds.append(None)
-        log10_bounds.append(log_bound / math.log(10.0))
-        terms.append(n_terms)
+            if prefactor == 0.0:
+                bounds.append(0.0)
+                log10_bounds.append(None)
+                terms.append(0)
+                continue
+            base = (
+                k11 * big_l ** (1.0 + b) * eps ** (2.0 - lam - b * lam)
+                + (k21 + k31) * big_l**b * eps ** (1.0 - b * lam)
+            ) * gb
+            log_series, n_terms = log_mittag_leffler(b, base, tol=series_tol)
+            log_bound = math.log(prefactor) + log_series + (1.0 - lam) * math.log(eps)
+            if abs(log_bound) > _MAX_LOG_BOUND:
+                raise ConvergenceError(
+                    f"bound at epsilon={eps:g} is 10^{log_bound / math.log(10.0):.6g}, too large "
+                    f"to evaluate to 1e-10 relative (Mittag-Leffler argument {base:g}, beta={b:g})"
+                )
+            try:
+                bounds.append(math.exp(log_bound))
+            except OverflowError:
+                bounds.append(None)
+            log10_bounds.append(log_bound / math.log(10.0))
+            terms.append(n_terms)
+    except OverflowError:
+        raise ConvergenceError(
+            f"the bound's constants overflow float64 (c1={c1:g}, alpha_sups=({a1:g}, {a2:g}, "
+            f"{a3:g}), z_moment={z_moment:g}, L={big_l:g}, beta={b:g})"
+        ) from None
 
     return BoundReport(
         k11=k11, k12=k12, k21=k21, k22=k22, k31=k31, k32=k32,

@@ -4,6 +4,10 @@ Exit codes are a stable contract for scripting: 0 success, 1 runtime
 failure (a solve or ensemble died), 2 usage or configuration error.  Every
 successful invocation writes a manifest echoing its effective config; a
 manifest can be fed back through --config to rerun the experiment.
+
+The run commands (simulate, average, study, fig1) name each experiment flag's
+destination after its ExperimentConfig field, and merge config file values,
+then explicit flags, then the command's forced values into one config.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def load_config_file(path: str) -> dict:
     if stripped.startswith("{"):
         data = json.loads(text)
         return data.get("effective_config", data)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    field_types = {f.name: str(f.type) for f in dataclasses.fields(ExperimentConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -63,9 +67,11 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in field_types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = _parse_scalar(value)
+        if out[key] is not None and "tuple" in field_types[key]:
+            out[key] = tuple(_float_list(value))  # a comma list: bound_alphas = 0.05,0.0,0.05
     return out
 
 
@@ -86,52 +92,35 @@ def _default_workers() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer; got {env!r}")
 
 
-def _config_from_args(args, **forced) -> ExperimentConfig:
-    """Merge defaults < config file < explicit flags into a validated config."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    flag_map = {
-        "problem": "problem",
-        "case": "case",
-        "beta": "beta",
-        "alpha": "alpha",
-        "gamma": "gamma",
-        "cutoff": "cutoff",
-        "delta": "delta",
-        "epsilon": "epsilon",
-        "x0": "x0",
-        "horizon": "horizon",
-        "step": "step",
-        "paths": "n_paths",
-        "seed": "master_seed",
-        "workers": "workers",
-        "save_paths": "save_paths",
-        "drift": "drift_expr",
-        "diffusion": "diffusion_expr",
-        "jump": "jump_expr",
-        "avg_drift": "avg_drift_expr",
-        "avg_diffusion": "avg_diffusion_expr",
-        "avg_jump_drift": "avg_jump_drift_expr",
-        "jump_mode": "jump_mode",
-        "lam": "lam",
-        "big_l": "big_l",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+def _given_values(args, **forced) -> dict:
+    """Config file values, then explicit flags, then forced values, as config fields.
+
+    On eq10 a given beta, alpha or gamma must equal the preset of the case in
+    effect; a manifest echo holds the preset values and passes.
+    """
+    values = load_config_file(args.config) if args.config else {}
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            values[key] = value
+            values[field.name] = value
     if "workers" not in values:
         values["workers"] = _default_workers()
     values.update(forced)
-    # a case named on the command line or in the file wins over stale
-    # beta/alpha/gamma copied from a manifest echo
-    if values.get("problem", "eq10") == "eq10" and values.get("case") is not None:
-        for key in ("beta", "alpha", "gamma"):
-            if getattr(args, "case", None) is not None:
-                values.pop(key, None)
-    cfg = ExperimentConfig.from_dict(values)
-    return cfg.resolved()
+    case = values.get("case", ExperimentConfig.case)
+    if values.get("problem", ExperimentConfig.problem) == "eq10" and case in FIG1_CASES:
+        for key, preset in zip(("beta", "alpha", "gamma"), FIG1_CASES[case]):
+            if key in values and values[key] != preset:
+                raise ConfigError(
+                    f"{key} = {values[key]!r} conflicts with case {case!r}, whose preset is "
+                    f"{key} = {preset!r}; set case = none in a config file to give beta, "
+                    "alpha and gamma directly"
+                )
+    return values
+
+
+def _config_from_args(args, **forced) -> ExperimentConfig:
+    """Merge defaults < config file < explicit flags < forced values into a validated config."""
+    return ExperimentConfig.from_dict(_given_values(args, **forced)).resolved()
 
 
 def _out_dir(args, command: str) -> str:
@@ -141,12 +130,14 @@ def _out_dir(args, command: str) -> str:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file or a manifest.json")
-    parser.add_argument("--seed", type=int, help="master seed for noise streams")
+    parser.add_argument(
+        "--seed", dest="master_seed", type=int, help="master seed for noise streams"
+    )
     parser.add_argument("--out", help=f"output directory root (default {DEFAULT_OUT})")
     parser.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
     parser.add_argument("--step", type=float, help="grid step")
     parser.add_argument("--horizon", type=float, help="time horizon")
-    parser.add_argument("--paths", type=int, help="ensemble size")
+    parser.add_argument("--paths", dest="n_paths", type=int, help="ensemble size")
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -159,13 +150,19 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, help="inner jump simulation cutoff")
     parser.add_argument("--epsilon", type=float, help="small parameter in (0, 1]")
     parser.add_argument("--x0", type=float, help="initial state")
-    parser.add_argument("--drift", help="scalar drift expression in t, x (expr problem)")
-    parser.add_argument("--diffusion", help="scalar diffusion expression in t, x")
-    parser.add_argument("--jump", help="scalar jump expression in t, x, z")
-    parser.add_argument("--avg-drift", dest="avg_drift", help="averaged drift expression in x")
-    parser.add_argument("--avg-diffusion", dest="avg_diffusion", help="averaged diffusion expression in x")
     parser.add_argument(
-        "--avg-jump-drift", dest="avg_jump_drift", help="averaged jump-drift expression in x"
+        "--drift", dest="drift_expr", help="scalar drift expression in t, x (expr problem)"
+    )
+    parser.add_argument(
+        "--diffusion", dest="diffusion_expr", help="scalar diffusion expression in t, x"
+    )
+    parser.add_argument("--jump", dest="jump_expr", help="scalar jump expression in t, x, z")
+    parser.add_argument("--avg-drift", dest="avg_drift_expr", help="averaged drift expression in x")
+    parser.add_argument(
+        "--avg-diffusion", dest="avg_diffusion_expr", help="averaged diffusion expression in x"
+    )
+    parser.add_argument(
+        "--avg-jump-drift", dest="avg_jump_drift_expr", help="averaged jump-drift expression in x"
     )
     parser.add_argument(
         "--jump-mode",
@@ -269,22 +266,10 @@ def cmd_study(args) -> int:
 
 def cmd_fig1(args) -> int:
     cases = sorted(FIG1_CASES) if args.case is None else [args.case]
-    overrides = {}
-    for key, attr in (
-        ("master_seed", "seed"),
-        ("step", "step"),
-        ("horizon", "horizon"),
-        ("n_paths", "paths"),
-        ("workers", "workers"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if "workers" not in overrides:
-        overrides["workers"] = _default_workers()
-    base = getattr(args, "out", None) or DEFAULT_OUT
+    given = {case: _given_values(args, problem="eq10", case=case) for case in cases}
+    base = args.out or DEFAULT_OUT
     for case in cases:
-        files = reproduce_fig1(case, os.path.join(base, f"fig1_{case}"), **overrides)
+        files = reproduce_fig1(case, os.path.join(base, f"fig1_{case}"), **given[case])
         print(f"case {case}: wrote {files['path_csv']} and {files['report']}")
     return 0
 

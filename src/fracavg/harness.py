@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .averaging import theorem_bound
-from .errors import ConfigError, RunFailedError
-from .levy import NoiseBlock, TimeGrid, sample_noise
+from .errors import ConfigError, FracavgError, RunFailedError
+from .levy import DEFAULT_DELTA_RATIO, NoiseBlock, TimeGrid, sample_noise
 from .problems import FIG1_CASES, build_problem
 from .solver import CoupledPaths, JumpMode, solve_coupled
 
@@ -38,9 +38,10 @@ BLOCK_SIZE = 64
 class ExperimentConfig:
     """Everything one experiment needs, in plain picklable values.
 
-    ``case`` selects a worked-example preset (overwriting beta/alpha/gamma);
-    set it to None to supply those directly.  Expression-problem fields stay
-    None for built-in problems.
+    On eq10, ``case`` selects a worked-example preset (overwriting
+    beta/alpha/gamma); set it to None to supply those directly.
+    Expression-problem fields stay None for built-in problems.  ``bound_c1``
+    and ``bound_alphas`` (a1, a2, a3) are given together, or not at all.
     """
 
     problem: str = "eq10"
@@ -86,7 +87,7 @@ class ExperimentConfig:
         if uses_measure and cfg.delta is None:
             # the inner cutoff is always explicit in persisted configs so a
             # study can refine it deliberately
-            cfg = dataclasses.replace(cfg, delta=cfg.cutoff * 1e-3)
+            cfg = dataclasses.replace(cfg, delta=cfg.cutoff * DEFAULT_DELTA_RATIO)
         cfg.validate()
         return cfg
 
@@ -122,6 +123,20 @@ class ExperimentConfig:
                 "expr problem can only state its integral against the measure "
                 "(use jump_mode deterministic_nu_drift, or drop avg_jump_drift_expr)"
             )
+        if (self.bound_c1 is None) != (self.bound_alphas is None):
+            raise ConfigError("bound_c1 and bound_alphas must be given together")
+        if self.bound_alphas is not None and not (
+            len(self.bound_alphas) == 3
+            and all(
+                isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0
+                for v in (self.bound_c1, *self.bound_alphas)
+            )
+        ):
+            raise ConfigError(
+                "bound_c1 and the three bound_alphas a1,a2,a3 must be finite nonnegative "
+                f"numbers; got bound_c1 = {self.bound_c1!r}, "
+                f"bound_alphas = {list(self.bound_alphas)!r}"
+            )
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -136,8 +151,11 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         values = dict(data)
-        if values.get("bound_alphas") is not None:
-            values["bound_alphas"] = tuple(values["bound_alphas"])
+        alphas = values.get("bound_alphas")
+        if isinstance(alphas, (list, tuple)):
+            values["bound_alphas"] = tuple(alphas)
+        elif alphas is not None:
+            values["bound_alphas"] = (alphas,)  # validate() asks for three
         return cls(**values)
 
 
@@ -364,14 +382,15 @@ def run_ensemble(config: ExperimentConfig, out_dir=None, command: str = "run_ens
     10% of them fails the run with RunFailedError.  With ``out_dir`` set,
     writes manifest.json (with the step, time and system of each failed path
     and the run's counts), report.json, and the first ``save_paths`` coupled
-    paths as CSV; a failed run writes its manifest only.
+    paths as CSV; a run that fails its budget or whose bound is refused
+    writes its manifest only.
     """
     cfg = config.resolved()
     started = time.perf_counter()
     results, failures, saved, counts = _ensemble(cfg)
     try:
         report = _aggregate(cfg, results)
-    except RunFailedError:
+    except FracavgError:
         if out_dir is not None:
             _write_outputs(cfg, None, failures, counts, {}, out_dir, command, time.perf_counter() - started)
         raise
@@ -458,25 +477,19 @@ def convergence_study(
     return report
 
 
-def reproduce_fig1(case: str, out_dir, **overrides) -> dict:
+def reproduce_fig1(case: str, out_dir, /, **values) -> dict:
     """Run one worked-example case end to end and persist plot-ready data.
 
-    Emits the standard output layout (manifest.json, report.json, and the
-    seeded path paths/path_000000.csv with columns t, X_1, Z_1, Er); returns
-    the file paths.
+    ``values`` are config fields; problem and case (even one in ``values``)
+    are forced, and at least one path is saved.  Emits the standard output
+    layout (manifest.json, report.json, and the seeded path
+    paths/path_000000.csv with columns t, X_1, Z_1, Er); returns the file
+    paths.
     """
-    if case not in FIG1_CASES:
-        raise ConfigError(f"unknown case {case!r}; choose from {sorted(FIG1_CASES)}")
-    defaults = dict(
-        problem="eq10",
-        case=case,
-        epsilon=1e-3,
-        cutoff=0.5,
-        x0=0.1,
-        save_paths=max(1, int(overrides.pop("save_paths", 1))),
+    save_paths = max(1, int(values.get("save_paths", 1)))
+    cfg = ExperimentConfig.from_dict(
+        {**values, "problem": "eq10", "case": case, "save_paths": save_paths}
     )
-    defaults.update(overrides)
-    cfg = ExperimentConfig(**defaults)
     run_ensemble(cfg, out_dir=out_dir, command=f"fig1:{case}")
     return {
         "manifest": os.path.join(out_dir, "manifest.json"),

@@ -1,4 +1,4 @@
-"""Built-in problem registry.
+"""Built-in problems: the eq10 worked example, mlbench and expression coefficients.
 
 A Problem bundles everything one experiment needs: original and averaged
 coefficient sets, the jump measure, the initial state, and the kernel order.
@@ -249,21 +249,8 @@ def build_expr_problem(
     )
 
 
-_BUILDERS = {}
-
-
-def register_problem(name: str, builder) -> None:
-    """Register a builder callable(config) -> Problem under a problem name.
-
-    Runtime registrations are visible to worker processes only under a fork
-    start method; registry problems used with worker pools should be
-    registered at import time.
-    """
-    _BUILDERS[name] = builder
-
-
 def build_problem(config) -> Problem:
-    """Resolve an ExperimentConfig into a Problem via the registry."""
+    """Resolve an ExperimentConfig into one of the built-in problems."""
     name = config.problem
     if name == "eq10":
         return build_eq10(
@@ -297,10 +284,4 @@ def build_problem(config) -> Problem:
             delta=config.delta,
             x0=config.x0,
         )
-    if name in _BUILDERS:
-        return _BUILDERS[name](config)
-    raise ConfigError(
-        f"unknown problem {name!r} (built in: eq10, mlbench, expr"
-        + (", " + ", ".join(sorted(_BUILDERS)) if _BUILDERS else "")
-        + ")"
-    )
+    raise ConfigError(f"unknown problem {name!r} (built in: eq10, mlbench, expr)")

@@ -329,6 +329,19 @@ class TestTheoremBound:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            dict(c1=1e200),  # c1**2 overflows
+            dict(alpha_sups=(1e200, 0.1, 0.1)),  # a1**2 overflows
+            dict(big_l=1e300),  # L**(2 beta) overflows
+        ],
+    )
+    def test_constants_overflowing_float64_raise_convergence_error(self, kwargs):
+        args = dict(c1=1.0, alpha_sups=(0.1, 0.1, 0.1), z_moment=2.0, beta=0.75, epsilon=1e-3)
+        with pytest.raises(ConvergenceError):
+            theorem_bound(**{**args, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
             dict(lam=0.0),
             dict(lam=1.0),
             dict(big_l=0.0),

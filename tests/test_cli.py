@@ -1,11 +1,15 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
+from fracavg import cli, harness
 from fracavg.cli import load_config_file, main
 from fracavg.errors import ConfigError
+from fracavg.harness import ExperimentConfig
 
 FAST = ["--horizon", "0.5", "--step", "0.01"]
 
@@ -82,6 +86,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "avg_jump_drift_expr cannot be used with jump_mode compensated_prm" in err
         assert "needs the averaged jump coefficient itself" in err
+        assert not (tmp_path / "simulate").exists()
+
+    def test_beta_flag_conflicting_with_case_preset_exits_2(self, tmp_path, capsys):
+        # the default eq10 case a fixes beta = 0.6 and alpha = 0.3; the flags
+        # must not be dropped silently
+        code = run_cli("simulate", "--beta", "0.7", "--alpha", "1.5", "--horizon", "1",
+                       "--step", "0.1", "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "beta = 0.7" in err and "beta = 0.6" in err and "case 'a'" in err
         assert not (tmp_path / "simulate").exists()
 
     def test_rerun_from_manifest_byte_identical(self, tmp_path):
@@ -181,6 +195,62 @@ class TestConfigFile:
         assert manifest["effective_config"]["alpha"] == 1.9
 
 
+    def test_config_file_conflicting_with_case_preset_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("case = d\ngamma = 0.6\nhorizon = 0.5\nstep = 0.01\n")
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "gamma = 0.6" in err and "gamma = 3.0" in err and "case 'd'" in err
+
+    def test_case_none_takes_beta_alpha_gamma_from_the_file(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("case = none\nbeta = 0.7\nalpha = 1.5\nhorizon = 0.5\nstep = 0.01\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 0
+        cfg = json.loads((out / "simulate" / "manifest.json").read_text())["effective_config"]
+        assert (cfg["case"], cfg["beta"], cfg["alpha"], cfg["gamma"]) == (None, 0.7, 1.5, 3.0)
+
+    def test_bound_alphas_comma_list(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("bound_c1 = 1.0\nbound_alphas = 0.05,0.0,0.05\n")
+        assert load_config_file(config) == {"bound_c1": 1.0, "bound_alphas": (0.05, 0.0, 0.05)}
+        config.write_text("bound_alphas = none\n")
+        assert load_config_file(config) == {"bound_alphas": None}
+
+    def test_bound_alphas_in_a_file_reach_the_report(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "bound_c1 = 1.0\nbound_alphas = 0.05,0.0,0.05\nhorizon = 0.5\nstep = 0.01\n"
+        )
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "simulate" / "report.json").read_text())
+        assert report["bound_value"] > 0.0
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("bound_c1 = 1.0\nbound_alphas = 0.05\n", "three bound_alphas"),
+            ("bound_c1 = 1.0\nbound_alphas = 0.05,0.0,inf\n", "three bound_alphas"),
+            ("bound_c1 = 1.0\nbound_alphas = 0.05,-0.1,0.05\n", "three bound_alphas"),
+            ("bound_c1 = 1.0\nbound_alphas = 0.05,x,0.05\n", "comma-separated list"),
+            ("bound_alphas = 0.05,0.0,0.05\n", "given together"),
+        ],
+    )
+    def test_bad_bound_inputs_exit_2_before_solving(self, tmp_path, capsys, lines, message):
+        config = tmp_path / "run.conf"
+        config.write_text(lines + "horizon = 0.5\nstep = 0.01\n")
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "simulate").exists()
+
+    def test_expression_with_a_comma_stays_a_string(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("problem = expr\ndrift_expr = max(x, 0)\njump_expr = min(z, x, 1)\n")
+        values = load_config_file(config)
+        assert values["drift_expr"] == "max(x, 0)"
+        assert values["jump_expr"] == "min(z, x, 1)"
+
+
 class TestAverage:
     def test_worked_example_prints_gamma1(self, tmp_path, capsys):
         out = tmp_path / "avg"
@@ -257,6 +327,14 @@ class TestBound:
         assert data["bounds"][2] > 0.0
         assert all(math.isfinite(v) for v in data["log10_bounds"])
 
+    def test_constants_overflowing_float64_exit_1(self, tmp_path, capsys):
+        # c1**2 alone exceeds float64: a typed refusal, not a traceback
+        code = run_cli("bound", "--c1", "1e200", "--alphas", "0.1,0.1,0.1",
+                       "--out", str(tmp_path / "bound"))
+        assert code == 1
+        assert "overflow float64" in capsys.readouterr().err
+        assert not (tmp_path / "bound").exists()
+
     def test_bound_whose_log_overflows_exits_1(self, tmp_path, capsys):
         code = run_cli(
             "bound", "--c1", "1e100", "--alphas", "0.1,0.1,0.1", "--beta", "0.6",
@@ -295,6 +373,68 @@ class TestFig1:
         manifest = json.loads((out / "fig1_c" / "manifest.json").read_text())
         assert manifest["effective_config"]["beta"] == 0.85
         assert manifest["effective_config"]["gamma"] == 0.6
+
+
+    def test_config_file_reaches_fig1(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("step = 0.1\n")
+        out = tmp_path / "f"
+        code = run_cli("fig1", "--case", "a", "--paths", "2", "--horizon", "1",
+                       "--config", str(config), "--out", str(out))
+        assert code == 0
+        manifest = json.loads((out / "fig1_a" / "manifest.json").read_text())
+        assert manifest["effective_config"]["step"] == 0.1
+
+
+# parser destinations of the run commands that are not ExperimentConfig fields
+NON_CONFIG_DESTS = {"help", "config", "out", "epsilons", "avg_horizon", "t1_grid", "probes"}
+# a value other than the field's default for every flag of a run command
+FLAG_VALUES = {
+    "problem": "mlbench", "case": "c", "beta": "0.7", "alpha": "1.5", "gamma": "2.5",
+    "cutoff": "0.25", "delta": "0.01", "epsilon": "0.5", "x0": "0.3", "horizon": "2.0",
+    "step": "0.05", "n_paths": "7", "master_seed": "9", "workers": "3",
+    "drift_expr": "0.5*x", "diffusion_expr": "0.2", "jump_expr": "z*x",
+    "avg_drift_expr": "0.5*x", "avg_diffusion_expr": "0.2", "avg_jump_drift_expr": "0.1*x",
+    "jump_mode": "compensated_prm",
+}
+REQUIRED_FLAGS = {"study": ["--epsilons", "1e-2,1e-3,1e-4"]}
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]
+
+
+class TestFlagsReachConfig:
+    """Every experiment flag of a run command lands in its config field; no solve runs."""
+
+    @pytest.mark.parametrize("command", ["simulate", "average", "study", "fig1"])
+    def test_every_flag_is_a_config_field(self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("FRACAVG_WORKERS", raising=False)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        actions = [a for a in _subparser(command)._actions if a.dest not in NON_CONFIG_DESTS]
+        assert {a.dest for a in actions} <= fields
+        defaults = ExperimentConfig()
+        for action in actions:
+            text = FLAG_VALUES[action.dest]
+            expected = action.type(text) if action.type else text
+            assert expected != getattr(defaults, action.dest)
+            argv = [command, *REQUIRED_FLAGS.get(command, []), action.option_strings[0], text]
+            if action.dest in ("beta", "alpha", "gamma"):
+                argv += ["--problem", "mlbench"]  # eq10 presets fix these three
+            for cfg in _configs(argv, tmp_path, monkeypatch):
+                assert getattr(cfg, action.dest) == expected, (command, action.dest)
+
+
+def _configs(argv, tmp_path, monkeypatch):
+    """The resolved configs a run command builds, without solving."""
+    if argv[0] != "fig1":
+        return [cli._config_from_args(cli.build_parser().parse_args(argv))]
+    seen = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda cfg, **kwargs: seen.append(cfg.resolved()))
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    return seen
 
 
 class TestWorkersEnv:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import time
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fracavg import harness
-from fracavg.errors import ConfigError, RunFailedError
+from fracavg.errors import ConfigError, ConvergenceError, RunFailedError
 from fracavg.harness import (
     BLOCK_SIZE,
     ExperimentConfig,
@@ -59,6 +60,14 @@ class TestConfig:
             dict(master_seed=-1),
             dict(lam=1.0),
             dict(big_l=0.0),
+            dict(bound_c1=1.0),
+            dict(bound_alphas=(0.1, 0.1, 0.1)),
+            dict(bound_c1=1.0, bound_alphas=(0.1, 0.1)),
+            dict(bound_c1=1.0, bound_alphas=(0.1, -0.1, 0.1)),
+            dict(bound_c1=1.0, bound_alphas=(0.1, math.nan, 0.1)),
+            dict(bound_c1=1.0, bound_alphas=(0.1, "0.1", 0.1)),
+            dict(bound_c1=math.inf, bound_alphas=(0.1, 0.1, 0.1)),
+            dict(bound_c1=-1.0, bound_alphas=(0.1, 0.1, 0.1)),
         ],
     )
     def test_validation(self, kwargs):
@@ -73,6 +82,10 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"problem": "eq10", "typo_key": 1})
+
+    def test_default_delta_follows_the_ratio_in_levy(self, monkeypatch):
+        monkeypatch.setattr(harness, "DEFAULT_DELTA_RATIO", 1e-2)
+        assert ExperimentConfig(cutoff=0.5).resolved().delta == 0.5 * 1e-2
 
 
 class TestProblemRegistry:
@@ -232,6 +245,17 @@ class TestRunEnsemble:
         data = json.loads((tmp_path / "run" / "report.json").read_text(), parse_constant=reject)
         assert data["bound_value"] is None
         assert data["bound_log10"] == report.bound_log10
+
+    def test_refused_bound_still_writes_the_manifest(self, tmp_path):
+        cfg = dataclasses.replace(
+            TINY, bound_c1=1e4, bound_alphas=(0.1, 0.1, 0.1), epsilon=0.9, lam=0.9, big_l=10.0
+        )
+        with pytest.raises(ConvergenceError):
+            run_ensemble(cfg, out_dir=tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["effective_config"]["bound_c1"] == 1e4
+        assert manifest["failures"] == []
+        assert not (tmp_path / "run" / "report.json").exists()
 
     def test_report_without_bound_has_no_log10_key(self, tmp_path):
         run_ensemble(TINY, out_dir=tmp_path / "run")
