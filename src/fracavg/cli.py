@@ -103,9 +103,9 @@ def _given_values(args, **forced) -> dict:
         value = getattr(args, field.name, None)
         if value is not None:
             values[field.name] = value
-    if "workers" not in values:
-        values["workers"] = _default_workers()
     values.update(forced)
+    if "workers" not in values:  # a command that forces workers never reads the variable
+        values["workers"] = _default_workers()
     case = values.get("case", ExperimentConfig.case)
     if values.get("problem", ExperimentConfig.problem) == "eq10" and case in FIG1_CASES:
         for key, preset in zip(("beta", "alpha", "gamma"), FIG1_CASES[case]):
@@ -227,14 +227,15 @@ def cmd_bound(args) -> int:
     if len(alphas) != 3:
         raise ConfigError(f"--alphas needs exactly three values; got {len(alphas)}")
     epsilons = _float_list(args.epsilons) if args.epsilons else [1e-2, 1e-3, 1e-4]
+    # theorem_bound's own defaults hold for a constant that is not given
+    given = {key: getattr(args, key) for key in ("lam", "big_l") if getattr(args, key) is not None}
     report = theorem_bound(
         c1=args.c1,
         alpha_sups=alphas,
         z_moment=args.z_moment,
-        beta=args.beta if args.beta is not None else 0.75,
+        beta=args.beta,
         epsilon=epsilons,
-        lam=args.lam if args.lam is not None else 0.5,
-        big_l=args.big_l if args.big_l is not None else 1.0,
+        **given,
     )
     for eps, value, log10 in zip(report.epsilons, report.bounds, report.log10_bounds):
         if value is None:
@@ -265,7 +266,11 @@ def cmd_study(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    cases = sorted(FIG1_CASES) if args.case is None else [args.case]
+    # --case, else the config file's case, selects one case; without either all four run
+    chosen = _given_values(args)
+    cases = [chosen["case"]] if "case" in chosen else sorted(FIG1_CASES)
+    if cases == [None]:
+        raise ConfigError("fig1 runs the worked-example presets; case = none selects none of them")
     given = {case: _given_values(args, problem="eq10", case=case) for case in cases}
     base = args.out or DEFAULT_OUT
     for case in cases:
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--alphas", required=True, help="three residual suprema a1,a2,a3")
     p_bound.add_argument("--z-moment", dest="z_moment", type=float, default=2.0,
                          help="estimate of 1 + E sup|Z|^2")
-    p_bound.add_argument("--beta", type=float, help="kernel order (default 0.75)")
+    p_bound.add_argument("--beta", type=float, default=0.75, help="kernel order (default %(default)s)")
     p_bound.add_argument("--epsilons", help="comma list of epsilon values")
     p_bound.add_argument("--lambda", dest="lam", type=float, help="exponent split in (0,1)")
     p_bound.add_argument("--L", dest="big_l", type=float, help="horizon scale constant")

@@ -194,7 +194,8 @@ class ErrorReport:
     ci_by_epsilon: Optional[list[float]] = None
 
     def to_json_dict(self) -> dict:
-        data = dataclasses.asdict(self)
+        # shallow: dataclasses.asdict would deep-copy every per-path list
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         if data["bound_log10"] is None:
             del data["bound_log10"]
         return data

@@ -20,8 +20,7 @@ from .kernels import FractionalOrder
 from .levy import JumpMeasureSpec
 from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode
 
-# Worked-example parameter presets (beta, alpha, gamma); the shared settings
-# are epsilon=0.001, cutoff=0.5, x0=0.1.
+# Worked-example parameter presets (beta, alpha, gamma).
 FIG1_CASES = {
     "a": (0.6, 0.3, 3.0),
     "b": (0.6, 1.1, 0.6),

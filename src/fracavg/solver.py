@@ -17,9 +17,12 @@ has shape (P, dim), and coefficients follow one broadcasting contract:
 ``drift(t, X) -> (P, dim)``, ``diffusion(t, X) -> (P, dim, brownian_dim)``,
 ``jump(t, X, z) -> (P, dim)`` and ``jump_drift(t, X) -> (P, dim)``, where
 the event times and marks handed to ``jump`` are scalars or (P,) arrays.  The
-averaged system's coefficients take the same arguments without t.  Each
-memory sum is one weights-by-history product over all paths, so a block
-costs O(N^2 * P) arithmetic but only O(N) Python steps.  A path whose state
+averaged system's coefficients take the same arguments without t.  The
+three memory sums share one history array (the scaled terms of each step in
+a drift-kernel and a left-end-kernel slot), so each step makes one
+weights-by-history product over all paths: a block costs O(N^2 * P)
+arithmetic but only O(N) Python steps.  Scaling the terms before summing
+keeps states within 1e-12 * (1 + |X|) of three separate sums.  A path whose state
 turns non-finite is masked (restarted from X_0 without memory, so it cannot
 disturb the others) and its first failure step is recorded.
 
@@ -30,7 +33,6 @@ that does not depend on the number of workers.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -153,8 +155,18 @@ class AveragedCoefficientSet(CoefficientSet):
     time_dependent: ClassVar[bool] = False
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# Rows per array-to-float-list conversion of a CSV file; rows are then written
+# one by one, so no string longer than a row is built.
+CSV_CHUNK_ROWS = 256
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write the columns as rows of float reprs, byte for byte as ``csv.writer`` would."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            rows = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in columns]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -175,11 +187,7 @@ class GridPath:
 
     def to_csv(self, path) -> None:
         """Write columns t, X_1..X_dim."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"X_{i + 1}" for i in range(self.dim)])
-            for t, row in zip(self.times, self.states):
-                writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
+        _write_csv(path, ["t"] + [f"X_{i + 1}" for i in range(self.dim)], (self.times, self.states))
 
 
 @dataclass(frozen=True)
@@ -205,20 +213,9 @@ class CoupledPaths:
     def to_csv(self, path) -> None:
         """Write columns t, X_1.., Z_1.., Er."""
         dim = self.original.dim
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"]
-                + [f"X_{i + 1}" for i in range(dim)]
-                + [f"Z_{i + 1}" for i in range(dim)]
-                + ["Er"]
-            )
-            for t, x, z, e in zip(
-                self.original.times, self.original.states, self.averaged.states, self.er
-            ):
-                writer.writerow(
-                    [_fmt(t)] + [_fmt(v) for v in x] + [_fmt(v) for v in z] + [_fmt(e)]
-                )
+        header = ["t", *(f"{v}_{i + 1}" for v in "XZ" for i in range(dim)), "Er"]
+        columns = (self.original.times, self.original.states, self.averaged.states, self.er)
+        _write_csv(path, header, columns)
 
 
 @dataclass(frozen=True)
@@ -362,21 +359,27 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
     c_drift = epsilon / gamma_fn(b)
     c_stoch = math.sqrt(epsilon) / gamma_fn(b)
 
-    # weights[n_steps - n:] weigh cells 0..n-1 as seen from t_n
-    drift_w = build_kernel_weights(order, h, n_steps).weights
-    stoch_w = (h * np.arange(n_steps, 0, -1, dtype=float)) ** (b - 1.0)  # left-endpoint kernel
+    # slot 0 of lag j holds c_drift * f (+ c_stoch * rate), slot 1 c_stoch times
+    # the noise terms; weights[2 * (n_steps - n):] weigh lags 0..n-1 from t_n
+    weights = np.empty(2 * n_steps)
+    weights[0::2] = build_kernel_weights(order, h, n_steps).weights
+    stoch_w = weights[1::2]  # left-endpoint kernel, built in place to keep peak memory down
+    np.power(np.multiply(h, np.arange(n_steps, 0, -1, dtype=float), out=stoch_w), b - 1.0, out=stoch_w)
+    history = np.zeros((n_steps, 2, p_count * dim))
+    history_rows = history.reshape(2 * n_steps, -1)
+    by_path = history.reshape(n_steps, 2, p_count, dim)
+    scale = np.array([c_drift, c_stoch])[:, None, None]
+    increments = noise.increments[:, :, :, None]
+    nu_drift = has_jump and mode == JumpMode.NU_DRIFT
 
     events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
     if events:
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
 
-    drift_vals = np.zeros((n_steps,) + shape)
-    stoch_vals = np.zeros((n_steps,) + shape)
-    nu_vals = np.zeros((n_steps,) + shape) if (has_jump and mode == JumpMode.NU_DRIFT) else None
-    histories = [a for a in (drift_vals, stoch_vals, nu_vals) if a is not None]
-
     states = np.empty((n_steps + 1,) + shape)
     states[0] = x0
+    state_rows = states.reshape(n_steps + 1, -1)
+    x0_row = np.tile(x0, p_count)
     failed = np.zeros(p_count, dtype=np.int64)
     fallbacks = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -384,23 +387,22 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
             j = n - 1
             targs = (times[j],) if timed else ()
             x_j = states[j]
-            drift_vals[j] = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
+            slots = by_path[j]
+            slots[0] = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
             g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
                 shape + (coeffs.brownian_dim,)
             )
-            stoch_vals[j] = (g @ noise.increments[j][:, :, None])[:, :, 0]
+            slots[1] = (g @ increments[j])[:, :, 0]
 
             if has_jump:
                 if coeffs.jump_drift is not None:
                     rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                 else:
                     rate, redone = _quadrature_rate(
-                        coeffs.jump, targs, x_j, noise.spec, use_delta=mode == JumpMode.COMPENSATED
+                        coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
                     )
                     fallbacks += redone
-                if mode == JumpMode.NU_DRIFT:
-                    nu_vals[j] = rate
-                else:
+                if not nu_drift:
                     raw = np.zeros(shape)
                     if events and starts[j] < ends[j]:
                         sel = slice(starts[j], ends[j])
@@ -409,22 +411,19 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
                             coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
                         ).reshape(-1, dim)
                         np.add.at(raw, ev_path[sel], hits)  # in event order, per path
-                    stoch_vals[j] += raw - h * rate
+                    slots[1] += raw - h * rate
+            slots *= scale
+            if nu_drift:
+                slots[0] += c_stoch * rate
 
-            x_n = (
-                x0
-                + c_drift * (drift_w[n_steps - n :] @ drift_vals[:n].reshape(n, -1)).reshape(shape)
-                + c_stoch * (stoch_w[n_steps - n :] @ stoch_vals[:n].reshape(n, -1)).reshape(shape)
-            )
-            if nu_vals is not None:
-                x_n = x_n + c_stoch * (drift_w[n_steps - n :] @ nu_vals[:n].reshape(n, -1)).reshape(shape)
-            bad = ~np.all(np.isfinite(x_n), axis=1)
-            if bad.any():
+            x_n = state_rows[n]
+            np.matmul(weights[2 * (n_steps - n) :], history_rows[: 2 * n], out=x_n)
+            x_n += x0_row
+            if not math.isfinite(x_n @ x_n):  # a finite sum of squares proves every state finite
+                bad = ~np.isfinite(states[n]).all(axis=1)
                 failed[bad & (failed == 0)] = n
-                x_n[bad] = x0
-                for history in histories:
-                    history[:n, bad] = 0.0
-            states[n] = x_n
+                states[n][bad] = x0
+                by_path[:n, :, bad] = 0.0
     return states, failed, fallbacks
 
 

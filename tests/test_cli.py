@@ -7,6 +7,7 @@ import os
 import pytest
 
 from fracavg import cli, harness
+from fracavg.averaging import theorem_bound
 from fracavg.cli import load_config_file, main
 from fracavg.errors import ConfigError
 from fracavg.harness import ExperimentConfig
@@ -296,6 +297,13 @@ class TestBound:
         data = json.loads((out / "bound" / "bound.json").read_text())
         assert data["bounds"] == [0.0, 0.0, 0.0]
 
+    def test_unset_constants_take_the_defaults_of_theorem_bound(self, tmp_path, capsys):
+        out = tmp_path / "bound"
+        assert run_cli("bound", "--c1", "50", "--alphas", "0.1,0.1,0.1", "--out", str(out)) == 0
+        data = json.loads((out / "bound" / "bound.json").read_text())
+        expected = theorem_bound(50.0, (0.1, 0.1, 0.1), 2.0, beta=0.75, epsilon=[1e-2, 1e-3, 1e-4])
+        assert data["bounds"] == expected.bounds
+
     def test_wrong_alpha_count(self, capsys):
         assert run_cli("bound", "--c1", "1.0", "--alphas", "0.1,0.2") == 2
 
@@ -385,6 +393,26 @@ class TestFig1:
         manifest = json.loads((out / "fig1_a" / "manifest.json").read_text())
         assert manifest["effective_config"]["step"] == 0.1
 
+    def test_config_file_case_selects_that_case(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("case = b\nstep = 0.1\n")
+        out = tmp_path / "f"
+        code = run_cli("fig1", "--paths", "2", "--horizon", "1", "--config", str(config),
+                       "--out", str(out))
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fig1_b"]
+        manifest = json.loads((out / "fig1_b" / "manifest.json").read_text())
+        assert manifest["effective_config"]["case"] == "b"
+        assert manifest["effective_config"]["alpha"] == 1.1
+
+    def test_config_file_case_none_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("case = none\n")
+        out = tmp_path / "f"
+        assert run_cli("fig1", "--paths", "2", "--config", str(config), "--out", str(out)) == 2
+        assert "case = none" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # parser destinations of the run commands that are not ExperimentConfig fields
 NON_CONFIG_DESTS = {"help", "config", "out", "epsilons", "avg_horizon", "t1_grid", "probes"}
@@ -445,6 +473,13 @@ class TestWorkersEnv:
         manifest = json.loads((out / "simulate" / "manifest.json").read_text())
         # simulate is single-path and forces one worker, but the env default
         # must parse cleanly; study-style commands pick it up from the config
+        assert manifest["effective_config"]["workers"] == 1
+
+    def test_simulate_does_not_read_the_env_var(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FRACAVG_WORKERS", "x")  # simulate forces one worker
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--horizon", "1", "--step", "0.1", "--out", str(out)) == 0
+        manifest = json.loads((out / "simulate" / "manifest.json").read_text())
         assert manifest["effective_config"]["workers"] == 1
 
     def test_env_var_flows_into_study_config(self, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,15 @@ class TestRunEnsemble:
         header = (out / "paths" / "path_000000.csv").read_text().splitlines()[0]
         assert header == "t,X_1,Z_1,Er"
 
+    def test_report_json_is_the_shallow_field_dict(self, tmp_path):
+        report = run_ensemble(TINY, out_dir=tmp_path)
+        data = report.to_json_dict()
+        assert data["er_mean_curve"] is report.er_mean_curve  # not a deep copy
+        deep = dataclasses.asdict(report)
+        del deep["bound_log10"]
+        expected = json.dumps(deep, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "report.json").read_text() == expected
+
     def test_ci_shrinks_like_inverse_sqrt_paths(self):
         base = dataclasses.replace(TINY, horizon=2.0)
         small = run_ensemble(dataclasses.replace(base, n_paths=100))
@@ -389,18 +399,18 @@ class TestReproduceFig1:
         assert os.path.exists(files["path_csv"])
         assert os.path.exists(files["manifest"])
         assert os.path.exists(files["report"])
-        lines = open(files["path_csv"]).read().splitlines()
+        lines = Path(files["path_csv"]).read_text().splitlines()
         assert lines[0] == "t,X_1,Z_1,Er"
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[-1]) == 0.0  # identical initial conditions
-        report = json.loads(open(files["report"]).read())
+        report = json.loads(Path(files["report"]).read_text())
         assert report["epsilon"] == 1e-3
 
     def test_case_d_manifest_echo(self, tmp_path):
         out = tmp_path / "fig1_d"
         files = reproduce_fig1("d", out, n_paths=1, horizon=0.5, step=0.01)
-        manifest = json.loads(open(files["manifest"]).read())
+        manifest = json.loads(Path(files["manifest"]).read_text())
         cfg = manifest["effective_config"]
         assert cfg["beta"] == 0.85
         assert cfg["alpha"] == 1.9
