@@ -104,7 +104,9 @@ def _given_values(args, **forced) -> dict:
         if value is not None:
             values[field.name] = value
     values.update(forced)
-    if "workers" not in values:  # a command that forces workers never reads the variable
+    # the variable is a default of the commands that run a pool; simulate forces
+    # one worker and average runs no ensemble, so neither reads it
+    if "workers" not in values and args.command in ("study", "fig1"):
         values["workers"] = _default_workers()
     case = values.get("case", ExperimentConfig.case)
     if values.get("problem", ExperimentConfig.problem) == "eq10" and case in FIG1_CASES:

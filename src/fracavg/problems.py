@@ -45,8 +45,20 @@ class Problem:
 
 
 def _additive(value: float):
-    """Constant scalar diffusion in the batch contract: (P, 1) states -> (P, 1, 1)."""
-    return lambda x: np.full(np.shape(x) + (1,), value)
+    """Constant scalar diffusion in the batch contract: (P, 1) states -> (P, 1, 1).
+
+    Returns one read-only array per state shape, built on first use.
+    """
+    arrays = {}
+
+    def diffusion(x):
+        out = arrays.get(x.shape)
+        if out is None:
+            out = arrays[x.shape] = np.full(x.shape + (1,), value)
+            out.setflags(write=False)
+        return out
+
+    return diffusion
 
 
 def jump_drift_scale(gamma: float, alpha: float, cutoff: float) -> float:

@@ -17,18 +17,30 @@ has shape (P, dim), and coefficients follow one broadcasting contract:
 ``drift(t, X) -> (P, dim)``, ``diffusion(t, X) -> (P, dim, brownian_dim)``,
 ``jump(t, X, z) -> (P, dim)`` and ``jump_drift(t, X) -> (P, dim)``, where
 the event times and marks handed to ``jump`` are scalars or (P,) arrays.  The
-averaged system's coefficients take the same arguments without t.  The
-three memory sums share one history array (the scaled terms of each step in
-a drift-kernel and a left-end-kernel slot), so each step makes one
-weights-by-history product over all paths: a block costs O(N^2 * P)
-arithmetic but only O(N) Python steps.  Scaling the terms before summing
-keeps states within 1e-12 * (1 + |X|) of three separate sums.  A path whose state
-turns non-finite is masked (restarted from X_0 without memory, so it cannot
-disturb the others) and its first failure step is recorded.
+averaged system's coefficients take the same arguments without t.
 
-Floating-point sums in that product may round differently for different
-block widths, so the ensemble harness cuts paths into blocks of a fixed size
-that does not depend on the number of workers.
+The three memory sums share one history array (the scaled terms of each
+step in a drift-kernel and a left-end-kernel slot), and every weight depends
+on the lag n - j only.  The sum over that history is blocked (Hairer, Lubich
+& Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Near field: step n sums
+the rows of its own BASE-step block, j >= n - n % BASE, as one
+weights-by-history product.  Far field: when n completes a block, the rows
+[n - s, n), s = n & -n, are convolved with the lag weights by FFT, in tiles
+of at most TILE rows, and added to the states of steps [n, n + s), which
+start at X_0.  A block of P paths costs O(N * BASE * P) for the near field
+plus O(N log^2 N * P) for the far field (a square wider than TILE costs
+(s / TILE)^2 tile convolutions), in O(N) Python steps; for N < BASE it is
+the direct sum.  Only the order of summation changes: states stay within
+1e-12 * (1 + |X|) of one product over the whole history per step, and
+scaling the terms before summing keeps that tolerance against three
+separate sums.  A path whose state turns non-finite is masked (restarted
+from X_0 without memory: its history is zeroed and the far-field sums
+already added to its later states are reset to X_0, so it cannot disturb
+the others) and its first failure step is recorded.
+
+Floating-point sums may round differently for different block widths, so
+the ensemble harness cuts paths into blocks of a fixed size that does not
+depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -46,6 +58,12 @@ from .kernels import as_order, build_kernel_weights, gamma_fn
 from .levy import NoiseBlock, NoiseRealization, nu_integral_vector
 
 EPSILON_MAX = 1.0
+# Near-field block and far-field tile of the history sum (see above).  A
+# transform takes FFT_CELLS // rows columns, at least two, which bounds its
+# temporaries.
+BASE = 64
+TILE = 1024
+FFT_CELLS = 2048
 # A compensator rate from the shell table is kept when its 21-point and
 # nested 10-point estimates agree to this relative difference; otherwise
 # that path's rate is integrated adaptively.
@@ -317,6 +335,43 @@ def _quadrature_rate(jump, targs, X, spec, use_delta: bool):
     return rate, redo.size
 
 
+def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dict) -> None:
+    """Add the memory sums over history rows [m - size, m) to state rows [m, m + size).
+
+    The square is cut into tiles of at most TILE rows, and each pair of a
+    source tile and a target tile is one FFT convolution of length 2 * tile.
+    ``kernels`` caches, per tile size, the transform of lags 0 .. 2 * tile - 1,
+    the segment of every tile pair on the diagonal.
+    """
+    n_steps = history.shape[0]
+    end = min(m + size, n_steps + 1)
+    tile = min(size, TILE)
+    width = FFT_CELLS // tile
+    lag_rows = weights.reshape(n_steps, 2)  # row i holds lag n_steps - i of both slots
+    for s0 in range(m - size, m, tile):
+        sources = history[s0 : s0 + tile]
+        for t0 in range(m, end, tile):
+            t1 = min(t0 + tile, end)
+            offset = t0 - s0 - tile  # the pair reaches lags offset + 1 .. offset + 2 * tile - 1
+            kernel = kernels.get(tile) if offset == 0 else None
+            if kernel is None:
+                segment = np.zeros((2, 2 * tile))  # lag 0 and lags past n_steps weigh nothing
+                lo, hi = max(offset, 1), min(offset + 2 * tile, n_steps + 1)
+                segment[:, lo - offset : hi - offset] = lag_rows[n_steps + 1 - hi : n_steps + 1 - lo][::-1].T
+                kernel = np.fft.rfft(segment)[:, None, :]
+                if offset == 0:
+                    kernels[tile] = kernel
+            for c0 in range(0, history.shape[2], width):
+                cols = slice(c0, c0 + width)
+                # (slot, column, row) with rows contiguous: faster transforms
+                lanes = np.ascontiguousarray(sources[:, :, cols].transpose(1, 2, 0))
+                spectra = np.fft.rfft(lanes, n=2 * tile)
+                spectra *= kernel
+                spectra[0] += spectra[1]
+                sums = np.fft.irfft(spectra[0], n=2 * tile)
+                state_rows[t0:t1, cols] += sums[:, tile : tile + t1 - t0].T
+
+
 def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
     """States (n_steps + 1, P, dim) of one system for every path of the block.
 
@@ -377,9 +432,9 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
 
     states = np.empty((n_steps + 1,) + shape)
-    states[0] = x0
+    states[:] = x0  # the far field adds into rows ahead of the current step
     state_rows = states.reshape(n_steps + 1, -1)
-    x0_row = np.tile(x0, p_count)
+    kernels = {}
     failed = np.zeros(p_count, dtype=np.int64)
     fallbacks = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -416,13 +471,15 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
             if nu_drift:
                 slots[0] += c_stoch * rate
 
+            near = n - n % BASE
+            if near == n:
+                _add_far_field(state_rows, history, weights, n, n & -n, kernels)
             x_n = state_rows[n]
-            np.matmul(weights[2 * (n_steps - n) :], history_rows[: 2 * n], out=x_n)
-            x_n += x0_row
+            x_n += weights[2 * (n_steps - n + near) :] @ history_rows[2 * near : 2 * n]
             if not math.isfinite(x_n @ x_n):  # a finite sum of squares proves every state finite
                 bad = ~np.isfinite(states[n]).all(axis=1)
                 failed[bad & (failed == 0)] = n
-                states[n][bad] = x0
+                states[n:, bad] = x0  # drops the far-field sums already added ahead
                 by_path[:n, :, bad] = 0.0
     return states, failed, fallbacks
 

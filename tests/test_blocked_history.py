@@ -1,0 +1,204 @@
+"""The blocked history sum of the solver (direct near field, FFT far field)
+against one weights-by-history product over the whole history per step."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from fracavg import solver
+from fracavg.harness import ExperimentConfig
+from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
+from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise
+from fracavg.problems import build_problem
+from fracavg.solver import (
+    CoefficientSet,
+    JumpMode,
+    _event_table,
+    _quadrature_rate,
+    _solve_block,
+)
+
+
+def direct_solve_block(coeffs, noise, x0, epsilon, beta):
+    """The solver's step with the whole history in one product per step,
+    ``weights[2(N - n):] @ history[:2n]``: the reference for the blocked sum."""
+    b = as_order(beta).beta
+    dim = coeffs.dim
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
+    mode = coeffs.jump_mode
+    grid = noise.grid
+    h, n_steps, times = grid.step, grid.n_steps, grid.times
+    timed = coeffs.time_dependent
+    p_count = noise.size
+    shape = (p_count, dim)
+    c_drift = epsilon / gamma_fn(b)
+    c_stoch = math.sqrt(epsilon) / gamma_fn(b)
+
+    weights = np.empty(2 * n_steps)
+    weights[0::2] = build_kernel_weights(as_order(beta), h, n_steps).weights
+    weights[1::2] = (h * np.arange(n_steps, 0, -1, dtype=float)) ** (b - 1.0)
+    history = np.zeros((n_steps, 2, p_count * dim))
+    history_rows = history.reshape(2 * n_steps, -1)
+    by_path = history.reshape(n_steps, 2, p_count, dim)
+    scale = np.array([c_drift, c_stoch])[:, None, None]
+    increments = noise.increments[:, :, :, None]
+    nu_drift = has_jump and mode == JumpMode.NU_DRIFT
+
+    events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
+    if events:
+        ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
+
+    states = np.empty((n_steps + 1,) + shape)
+    states[0] = x0
+    state_rows = states.reshape(n_steps + 1, -1)
+    x0_row = np.tile(x0, p_count)
+    failed = np.zeros(p_count, dtype=np.int64)
+    fallbacks = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(1, n_steps + 1):
+            j = n - 1
+            targs = (times[j],) if timed else ()
+            x_j = states[j]
+            slots = by_path[j]
+            slots[0] = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
+            g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
+                shape + (coeffs.brownian_dim,)
+            )
+            slots[1] = (g @ increments[j])[:, :, 0]
+            if has_jump:
+                if coeffs.jump_drift is not None:
+                    rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
+                else:
+                    rate, redone = _quadrature_rate(
+                        coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
+                    )
+                    fallbacks += redone
+                if not nu_drift:
+                    raw = np.zeros(shape)
+                    if events and starts[j] < ends[j]:
+                        sel = slice(starts[j], ends[j])
+                        ev_targs = (ev_time[sel],) if timed else ()
+                        hits = np.asarray(
+                            coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
+                        ).reshape(-1, dim)
+                        np.add.at(raw, ev_path[sel], hits)
+                    slots[1] += raw - h * rate
+            slots *= scale
+            if nu_drift:
+                slots[0] += c_stoch * rate
+            x_n = state_rows[n]
+            np.matmul(weights[2 * (n_steps - n) :], history_rows[: 2 * n], out=x_n)
+            x_n += x0_row
+            bad = ~np.isfinite(states[n]).all(axis=1)
+            if bad.any():
+                failed[bad & (failed == 0)] = n
+                states[n][bad] = x0
+                by_path[:n, :, bad] = 0.0
+    return states, failed, fallbacks
+
+
+def assert_matches_direct(coeffs, noise, x0, epsilon, beta):
+    states, failed, fallbacks = _solve_block(coeffs, noise, x0, epsilon, beta)
+    ref_states, ref_failed, ref_fallbacks = direct_solve_block(coeffs, noise, x0, epsilon, beta)
+    np.testing.assert_array_equal(failed, ref_failed)
+    assert fallbacks == ref_fallbacks
+    assert states.shape == ref_states.shape
+    assert np.all(np.isfinite(ref_states))
+    assert np.all(np.abs(states - ref_states) <= 1e-12 * (1.0 + np.abs(ref_states)))
+    return failed
+
+
+def noise_block(spec, grid, paths, dim=1, seed=5, include_jumps=True):
+    return NoiseBlock(tuple(
+        sample_noise(spec, grid, dim=dim, seed=seed, stream_key=(i,), include_jumps=include_jumps)
+        for i in range(paths)
+    ))
+
+
+# a mean-reverting scalar system with state-dependent noise and a time-dependent drift
+OU = CoefficientSet(
+    drift=lambda t, x: -x * (1.0 + np.cos(t)),
+    diffusion=lambda t, x: (0.5 + 0.1 * np.sin(x))[:, :, None],
+)
+
+
+class TestBlockedHistory:
+    """States within 1e-12 * (1 + |X|) of the direct sum, failures and fallback
+    counts equal."""
+
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 1000, 2049, 5000])
+    def test_step_counts(self, n_steps):
+        # the base block, the tile cap (1024 rows) and partial last tiles are all crossed
+        grid = TimeGrid(step=2e-3, n_steps=n_steps)
+        assert_matches_direct(OU, noise_block(None, grid, 3), np.array([0.7]), 0.5, 0.6)
+
+    @pytest.mark.parametrize("paths", [1, 64])
+    def test_block_widths(self, paths):
+        # 64 paths take several transforms of FFT_CELLS // tile columns each
+        grid = TimeGrid(step=1e-2, n_steps=1100)
+        assert_matches_direct(OU, noise_block(None, grid, paths), np.array([0.3]), 0.1, 0.75)
+
+    def test_two_dimensional_system(self):
+        rotation = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x @ rotation.T,
+            diffusion=lambda t, x: 0.2 * np.eye(2) + 0.1 * x[:, :, None] * np.cos(t),
+            dim=2,
+            brownian_dim=2,
+        )
+        grid = TimeGrid(step=1e-2, n_steps=1300)
+        assert_matches_direct(coeffs, noise_block(None, grid, 3, dim=2), np.array([0.5, -0.2]), 0.2, 0.8)
+
+    @pytest.mark.parametrize(
+        "config, paths",
+        [
+            (ExperimentConfig(problem="mlbench", beta=0.6, x0=1.0, epsilon=1.0, horizon=10.0,
+                              step=5e-3), 2),
+            *((ExperimentConfig(case=case, horizon=10.0, step=1e-2), 5) for case in "abcd"),
+            (ExperimentConfig(
+                problem="expr", case=None, jump_mode="compensated_prm",
+                jump_expr="z*x*sin(t)**2", gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75,
+                drift_expr="-x*(1+cos(t))", diffusion_expr="0.5",
+                avg_drift_expr="-x", avg_diffusion_expr="0.5", horizon=3.0, step=0.01,
+            ), 3),
+        ],
+        ids=["mlbench", "eq10_a", "eq10_b", "eq10_c", "eq10_d", "expr_compensated"],
+    )
+    def test_problem(self, config, paths):
+        cfg = config.resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        noise = noise_block(problem.spec, grid, paths, include_jumps=problem.needs_jump_events)
+        if problem.needs_jump_events:
+            assert any(r.n_events for r in noise.realizations)
+        for coeffs in (problem.coeffs, problem.averaged):
+            failed = assert_matches_direct(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
+            assert not failed.any()
+
+    def test_nu_drift_through_quadrature(self):
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: -x,
+            diffusion=lambda t, x: np.full(x.shape + (1,), 0.3),
+            jump=lambda t, x, z: z**2 * x * np.sin(t) ** 2,
+            jump_mode=JumpMode.NU_DRIFT,
+        )
+        grid = TimeGrid(step=0.05, n_steps=130)
+        noise = noise_block(spec, grid, 2, seed=3, include_jumps=False)
+        assert_matches_direct(coeffs, noise, np.array([0.4]), 0.3, 0.7)
+
+    @pytest.mark.parametrize(
+        "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["square_boundary", "mid_block"]
+    )
+    def test_one_path_blows_up(self, fail_step):
+        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
+        grid = TimeGrid(step=0.02, n_steps=700)
+        noises = list(noise_block(None, grid, 4, seed=2).realizations)
+        kick = noises[2].increments.copy()
+        kick[fail_step - 2, 0] = 1e200  # the drift overflows in plain floats one step later
+        noises[2] = dataclasses.replace(noises[2], increments=kick)
+        failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
+        assert failed.tolist() == [0, 0, fail_step, 0]

@@ -482,6 +482,14 @@ class TestWorkersEnv:
         manifest = json.loads((out / "simulate" / "manifest.json").read_text())
         assert manifest["effective_config"]["workers"] == 1
 
+    def test_average_does_not_read_the_env_var(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FRACAVG_WORKERS", "x")  # average runs no ensemble
+        out = tmp_path / "runs"
+        assert run_cli("average", "--horizon", "1", "--step", "0.1", "--out", str(out)) == 0
+        assert (out / "average" / "hypothesis.json").is_file()
+        argv = ["average", "--workers", "3"]
+        assert cli._config_from_args(cli.build_parser().parse_args(argv)).workers == 3
+
     def test_env_var_flows_into_study_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FRACAVG_WORKERS", "2")
         out = tmp_path / "study"

@@ -1,5 +1,5 @@
-"""The one-product history sum of the solver against three separate memory sums,
-and the chunked CSV writer against ``csv.writer``."""
+"""The solver's one history array (one weighted sum per step) against three
+separate memory sums, and the chunked CSV writer against ``csv.writer``."""
 
 import csv
 import dataclasses

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracavg.problems import _EXPR_NAMES, compile_expr
+from fracavg.harness import ExperimentConfig
+from fracavg.levy import NoiseBlock, TimeGrid, sample_noise
+from fracavg.problems import _EXPR_NAMES, _additive, build_problem, compile_expr
+from fracavg.solver import solve_coupled
 
 # Plain-float semantics of every expression name: the reference that the
 # numpy evaluation is checked against.
@@ -78,3 +81,36 @@ def test_domain_error_gives_nan():
         out = fn(np.array([[-1.0], [math.e]]))
     assert math.isnan(out[0, 0])
     assert out[1, 0] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("paths", [1, 2, 64])
+def test_constant_diffusion_is_one_read_only_array_per_shape(paths):
+    diffusion = _additive(0.5)
+    states = np.zeros((paths, 1))
+    out = diffusion(states)
+    assert out.shape == (paths, 1, 1) and np.all(out == 0.5)
+    assert not out.flags.writeable
+    assert diffusion(np.ones((paths, 1))) is out
+    with pytest.raises(ValueError):
+        out[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("problem", ["eq10", "mlbench"])
+@pytest.mark.parametrize("paths", [1, 2, 64])
+def test_solver_leaves_the_constant_diffusion_unchanged(problem, paths):
+    cfg = ExperimentConfig(problem=problem, horizon=0.7, step=0.01).resolved()
+    built = build_problem(cfg)
+    grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+    noise = NoiseBlock(tuple(
+        sample_noise(built.spec, grid, dim=1, seed=3, stream_key=(i,), include_jumps=False)
+        for i in range(paths)
+    ))
+    value = 1.0 if problem == "eq10" else 0.0
+    states = np.zeros((paths, 1))
+    before = built.averaged.diffusion(states)
+    solved = solve_coupled(built.coeffs, built.averaged, noise, built.x0, cfg.epsilon, built.beta)
+    assert not any(solved.failures)
+    after = built.averaged.diffusion(states)
+    assert after is before and not after.flags.writeable
+    assert after.shape == (paths, 1, 1) and np.all(after == value)
+    assert built.coeffs.diffusion(0.3, states).shape == (paths, 1, 1)
