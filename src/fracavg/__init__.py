@@ -27,12 +27,9 @@ from .levy import (
     NoiseBlock,
     NoiseRealization,
     TimeGrid,
-    compensator_increment,
-    load_noise,
     noise_stream,
     nu_integral,
     sample_noise,
-    save_noise,
 )
 from .solver import (
     AveragedCoefficientSet,
@@ -90,11 +87,9 @@ __all__ = [
     "as_order",
     "averaged_jump_drift",
     "build_kernel_weights",
-    "compensator_increment",
     "convergence_study",
     "gamma_fn",
     "h3_residuals",
-    "load_noise",
     "mittag_leffler",
     "noise_stream",
     "nu_integral",
@@ -102,7 +97,6 @@ __all__ = [
     "reproduce_fig1",
     "run_ensemble",
     "sample_noise",
-    "save_noise",
     "solve_averaged",
     "solve_coupled",
     "solve_original",

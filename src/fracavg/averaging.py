@@ -33,6 +33,13 @@ _CHUNK = 2.0 * math.pi  # oscillatory coefficients get one quadrature chunk per 
 _MAX_LOG_BOUND = 1e-10 / 2.0**-53
 
 
+def write_json(data: dict, path) -> None:
+    """Write one JSON output file: indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _chunked_integral(fn, horizon: float, tol: float) -> float:
     """Integral of a scalar callable over [0, horizon], split into short chunks."""
     from scipy.integrate import quad  # loaded on first use, as in levy.nu_integral
@@ -304,9 +311,7 @@ class HypothesisReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 def probe_hypotheses(
@@ -459,9 +464,7 @@ class BoundReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 def theorem_bound(

@@ -10,7 +10,6 @@ written with sorted keys, so a rerun reproduces it byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import platform
@@ -20,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .averaging import theorem_bound
+from .averaging import theorem_bound, write_json
 from .errors import ConfigError, FracavgError, RunFailedError
 from .levy import DEFAULT_DELTA_RATIO, NoiseBlock, TimeGrid, sample_noise
 from .problems import FIG1_CASES, build_problem
@@ -201,9 +200,7 @@ class ErrorReport:
         return data
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 def _path_stats(coupled: CoupledPaths):
@@ -298,9 +295,9 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
     )
 
 
-def _execute(cfg: ExperimentConfig):
-    """Per-path results by index, the first save_paths coupled paths that did
-    not fail, and the run's counts."""
+def _ensemble(cfg: ExperimentConfig):
+    """One resolved ensemble: per-path results by index, failure details, the
+    first save_paths coupled paths that did not fail, and the run's counts."""
     blocks = [
         list(range(first, min(first + BLOCK_SIZE, cfg.n_paths)))
         for first in range(0, cfg.n_paths, BLOCK_SIZE)
@@ -313,22 +310,15 @@ def _execute(cfg: ExperimentConfig):
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_run_blocks, cfg.as_dict(), [block]) for block in blocks]
             done = [future.result() for future in futures]
-    rows = [row for block_rows, _ in done for row in block_rows]
+    rows = [row for block_rows, _ in done for row in block_rows]  # in path-index order
     results = {index: (status, payload) for index, status, payload, _ in rows}
-    saved = {index: coupled for index, _, _, coupled in rows if coupled is not None}
-    counts = {"quadrature_fallbacks": sum(fallbacks for _, fallbacks in done)}
-    return results, saved, counts
-
-
-def _ensemble(cfg: ExperimentConfig):
-    """One resolved ensemble: per-path results, failure details, saved paths and counts."""
-    results, saved, counts = _execute(cfg)
     failures = []
-    for index in sorted(results):
-        status, payload = results[index]
+    for index, status, payload, _ in rows:
         if status == "failed":
             step, at, system = payload
             failures.append({"path": index, "step": step, "time": at, "system": system})
+    saved = {index: coupled for index, _, _, coupled in rows if coupled is not None}
+    counts = {"quadrature_fallbacks": sum(fallbacks for _, fallbacks in done)}
     return results, failures, saved, counts
 
 
@@ -357,9 +347,7 @@ def _write_outputs(
         "failures": failures,
         "counts": counts,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, os.path.join(out_dir, "manifest.json"))
     if report is None:
         return
     report.save(os.path.join(out_dir, "report.json"))

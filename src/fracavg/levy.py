@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # numpy loads numpy.random lazily: importing it here keeps that load out of
@@ -26,9 +25,6 @@ import numpy.random  # noqa: F401
 from .errors import ConvergenceError, DivergenceError
 
 DEFAULT_DELTA_RATIO = 1e-3  # delta = cutoff * ratio when not given explicitly
-
-_SIDECAR_MAGIC = b"FAVN"
-_SIDECAR_VERSION = 1
 
 _SHELL_RATIO = 4.0
 _MAX_SHELLS = 300
@@ -183,18 +179,15 @@ class NoiseRealization:
     def n_events(self) -> int:
         return self.jump_times.shape[0]
 
-    def events(self):
-        """Jump events as (time, mark) pairs in time order."""
-        return list(zip(self.jump_times.tolist(), self.jump_marks.tolist()))
-
 
 @dataclass(frozen=True)
 class NoiseBlock:
     """Noise realizations of P paths on one grid, stacked for a batched solve.
 
-    ``increments[:, p]`` are realization p's Brownian increments; jump events
-    stay with their realizations.  All realizations share the grid, the
-    Brownian dimension and the jump measure.
+    ``increments[:, p]`` are realization p's Brownian increments, and the
+    block's realizations hold them as views of that array, so the block keeps
+    one copy; jump events stay with their realizations.  All realizations
+    share the grid, the Brownian dimension and the jump measure.
     """
 
     realizations: tuple[NoiseRealization, ...]
@@ -212,6 +205,9 @@ class NoiseBlock:
         increments = np.stack([r.increments for r in self.realizations], axis=1)
         increments.setflags(write=False)
         object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "realizations", tuple(
+            replace(r, increments=increments[:, p]) for p, r in enumerate(self.realizations)
+        ))
 
     @property
     def grid(self) -> TimeGrid:
@@ -440,90 +436,3 @@ def nu_integral_vector(
         )
     return out
 
-
-def compensator_increment(
-    spec: JumpMeasureSpec,
-    h_fn,
-    t: float,
-    state: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Deterministic compensation for one step of the compensated jump integral.
-
-    Returns ``dt * integral_[delta, cutoff) h_fn(t, state, x) nu(dx)``, the
-    quantity subtracted from the raw jump sum to center it.  Linear in dt.
-    """
-    dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive; got {dt!r}")
-    state = np.asarray(state, dtype=float)
-    probe = np.asarray(h_fn(t, state, spec.cutoff * 0.5), dtype=float).reshape(-1)
-    value = nu_integral_vector(
-        spec, lambda x: h_fn(t, state, x), dim=probe.shape[0], use_delta=True
-    )
-    return dt * value
-
-
-def save_noise(noise: NoiseRealization, path) -> None:
-    """Write a realization to a binary sidecar file for exact replay.
-
-    Layout (little-endian): magic ``FAVN``, version u32, has_spec u8,
-    master_seed u64, key length u32 + key entries u64, grid step f64,
-    n_steps u64, dim u64, spec floats (gamma, alpha, cutoff, delta) f64x4,
-    event count u64; then the increments (n_steps*dim f64, row-major), the
-    jump times, and the jump marks.
-    """
-    has_spec = noise.spec is not None
-    spec_vals = (
-        (noise.spec.gamma, noise.spec.alpha, noise.spec.cutoff, noise.spec.delta)
-        if has_spec
-        else (0.0, 0.0, 0.0, 0.0)
-    )
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBQ", _SIDECAR_MAGIC, _SIDECAR_VERSION, int(has_spec), noise.master_seed))
-        fh.write(struct.pack("<I", len(noise.stream_key)))
-        for k in noise.stream_key:
-            fh.write(struct.pack("<Q", k))
-        fh.write(struct.pack("<dQQ", noise.grid.step, noise.grid.n_steps, noise.dim))
-        fh.write(struct.pack("<4d", *spec_vals))
-        fh.write(struct.pack("<Q", noise.n_events))
-        fh.write(np.ascontiguousarray(noise.increments, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(noise.jump_times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(noise.jump_marks, dtype="<f8").tobytes())
-
-
-def load_noise(path) -> NoiseRealization:
-    """Read a realization written by save_noise."""
-
-    def take(fh, count: int) -> bytes:
-        data = fh.read(count)
-        if len(data) != count:
-            raise ValueError(f"{path}: truncated noise sidecar file")
-        return data
-
-    with open(path, "rb") as fh:
-        magic, version, has_spec, master_seed = struct.unpack("<4sIBQ", take(fh, 17))
-        if magic != _SIDECAR_MAGIC:
-            raise ValueError(f"{path}: not a noise sidecar file (bad magic {magic!r})")
-        if version != _SIDECAR_VERSION:
-            raise ValueError(f"{path}: unsupported sidecar version {version}")
-        (key_len,) = struct.unpack("<I", take(fh, 4))
-        key = tuple(struct.unpack("<Q", take(fh, 8))[0] for _ in range(key_len))
-        step, n_steps, dim = struct.unpack("<dQQ", take(fh, 24))
-        spec_vals = struct.unpack("<4d", take(fh, 32))
-        (n_events,) = struct.unpack("<Q", take(fh, 8))
-        increments = np.frombuffer(take(fh, 8 * n_steps * dim), dtype="<f8").reshape(
-            n_steps, dim
-        ).copy()
-        times = np.frombuffer(take(fh, 8 * n_events), dtype="<f8").copy()
-        marks = np.frombuffer(take(fh, 8 * n_events), dtype="<f8").copy()
-    spec = JumpMeasureSpec(*spec_vals) if has_spec else None
-    return NoiseRealization(
-        grid=TimeGrid(step=step, n_steps=n_steps),
-        increments=increments,
-        jump_times=times,
-        jump_marks=marks,
-        spec=spec,
-        master_seed=master_seed,
-        stream_key=key,
-    )

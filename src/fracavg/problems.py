@@ -44,21 +44,27 @@ class Problem:
     folded_averaged: Optional[AveragedCoefficientSet] = None
 
 
-def _additive(value: float):
-    """Constant scalar diffusion in the batch contract: (P, 1) states -> (P, 1, 1).
+def _additive(value: float, shape: tuple[int, ...] = (1, 1)):
+    """Constant coefficient in the batch contract: (P,) + ``shape``, whatever the arguments.
 
-    Returns one read-only array per state shape, built on first use.
+    The batch size P is the longest length of an array argument (the (P, 1)
+    state, or (P,) times or marks), and 1 when all arguments are scalars.
+    Returns one read-only array per batch size, built on first use.
     """
     arrays = {}
 
-    def diffusion(x):
-        out = arrays.get(x.shape)
+    def constant(*values):
+        size = 1
+        for v in values:
+            if getattr(v, "ndim", 0) and len(v) > size:
+                size = len(v)
+        out = arrays.get(size)
         if out is None:
-            out = arrays[x.shape] = np.full(x.shape + (1,), value)
+            out = arrays[size] = np.full((size,) + shape, value)
             out.setflags(write=False)
         return out
 
-    return diffusion
+    return constant
 
 
 def jump_drift_scale(gamma: float, alpha: float, cutoff: float) -> float:
@@ -90,7 +96,7 @@ def build_eq10(
 
     coeffs = CoefficientSet(
         drift=lambda t, x: 2.0 * x * np.cos(t) ** 2,
-        diffusion=lambda t, x: unit(x),
+        diffusion=unit,
         jump=lambda t, x, z: 2.0 * z**4 * np.sin(t) ** 2 * x,
         jump_mode=JumpMode.NU_DRIFT,
         jump_drift=lambda t, x: 2.0 * np.sin(t) ** 2 * x * scale,
@@ -132,7 +138,7 @@ def build_eq10(
 def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
     """Deterministic linear benchmark with the known Mittag-Leffler solution."""
     zero = _additive(0.0)
-    coeffs = CoefficientSet(drift=lambda t, x: 1.0 * x, diffusion=lambda t, x: zero(x))
+    coeffs = CoefficientSet(drift=lambda t, x: 1.0 * x, diffusion=zero)
     averaged = AveragedCoefficientSet(drift=lambda x: 1.0 * x, diffusion=zero)
     return Problem(
         name="mlbench",
@@ -173,6 +179,13 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     shape (P,) + ``shape``.  An operation with no real value, such as the log
     of a negative state, gives nan and an overflow gives inf, which the
     solver records as a failure of that path.
+
+    The expression is evaluated once here, with every argument one.  A part
+    of it built from literals alone runs as Python arithmetic, so one that
+    cannot be evaluated to a real number, such as ``1/0``, ``10.0**400`` or
+    ``(-8)**(1/3)``, is a ConfigError naming the expression.  An expression
+    that names none of its arguments is a constant: its evaluator returns one
+    read-only array per batch size.
     """
     try:
         code = compile(source, "<coefficient>", "eval")
@@ -188,11 +201,24 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     scope = {"__builtins__": {}, **_EXPR_NAMES}
 
     def fn(*values):
-        columns = [v[:, 0] if getattr(v, "ndim", 0) == 2 else v for v in values]
+        # a Python float becomes a float64, whose arithmetic overflows to inf instead of raising
+        columns = [
+            (v[:, 0] if v.ndim == 2 else v) if isinstance(v, np.ndarray) else np.float64(v)
+            for v in values
+        ]
         out = np.empty(np.broadcast(*columns).shape)
         out[...] = eval(code, scope, dict(zip(args, columns)))
         return out.reshape((-1,) + shape)
 
+    probe = np.empty(1)
+    try:
+        with np.errstate(all="ignore"):
+            value = eval(code, scope, dict.fromkeys(args, np.ones(1)))
+            np.copyto(probe, value, casting="same_kind")  # a complex value is refused
+    except Exception as exc:  # any error of the expression itself is a config error
+        raise ConfigError(f"coefficient expression {source!r} cannot be evaluated: {exc}") from None
+    if set(args).isdisjoint(code.co_names):
+        return _additive(probe[0], shape)
     return fn
 
 

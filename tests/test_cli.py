@@ -74,6 +74,17 @@ class TestSimulate:
         assert manifest["failures"] == [{"path": 0, "step": 1, "time": 0.01, "system": "original"}]
         assert not (tmp_path / "simulate" / "report.json").exists()
 
+    def test_expression_that_cannot_be_evaluated_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--problem", "expr", "--drift", "1/0", "--diffusion", "1",
+            "--avg-drift", "x", "--avg-diffusion", "1", "--horizon", "1", "--step", "0.1",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'1/0'" in err
+        assert not (tmp_path / "simulate").exists()
+
     def test_compensated_expr_rejects_averaged_jump_drift(self, tmp_path, capsys):
         code = run_cli(
             "simulate", "--problem", "expr", "--beta", "0.75", "--epsilon", "0.5",
@@ -276,6 +287,21 @@ class TestAverage:
         report = json.loads((out / "average" / "hypothesis.json").read_text())
         assert max(report["envelope"]["alpha1"]) == 0.0
         assert report["envelope"]["decay_flags"]["alpha1"] == "all_zero"
+
+    def test_time_power_overflows_to_inf(self, tmp_path, capsys):
+        # quad hands t over as a Python float; t**200 must overflow to inf,
+        # not raise OverflowError
+        out = tmp_path / "avg"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli(
+                "average", "--problem", "expr", "--drift", "x*t**200", "--diffusion", "1",
+                "--avg-drift", "x", "--avg-diffusion", "1", "--horizon", "1", "--step", "0.1",
+                "--out", str(out),
+            )
+        assert code == 0
+        assert "time-averaged drift at x0=0.1: inf" in capsys.readouterr().out
+        report = json.loads((out / "average" / "hypothesis.json").read_text())
+        assert report["envelope"]["alpha1"] == [math.inf] * 3
 
     def test_single_horizon_insufficient_data(self, tmp_path, capsys):
         out = tmp_path / "avg"

@@ -9,14 +9,13 @@ from scipy.integrate import quad
 from fracavg.errors import DivergenceError
 from fracavg.levy import (
     JumpMeasureSpec,
+    NoiseBlock,
     NoiseRealization,
     TimeGrid,
-    compensator_increment,
-    load_noise,
     noise_stream,
     nu_integral,
+    nu_integral_vector,
     sample_noise,
-    save_noise,
     shell_table,
 )
 
@@ -279,34 +278,23 @@ class TestShellTable:
 
 
 class TestCompensatorIncrement:
+    # the compensator of a step of length dt is dt times the integral of the
+    # jump coefficient against the measure over [delta, cutoff)
     def test_zero_function(self):
-        out = compensator_increment(SPEC, lambda t, x, z: np.zeros(2), 0.0, np.zeros(2), 0.1)
+        out = nu_integral_vector(SPEC, lambda z: np.zeros(2), dim=2)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_small_delta_limit_matches_full_integral(self):
         spec = JumpMeasureSpec(gamma=3.0, alpha=0.3, cutoff=0.5, delta=0.5e-6)
-        out = compensator_increment(
-            spec, lambda t, x, z: np.array([2.0 * z**4]), 0.0, np.array([1.0]), 1.0
-        )
-        assert out[0] == pytest.approx(0.12477815000117395, rel=1e-9)
-
-    def test_linear_in_dt(self):
-        h_fn = lambda t, x, z: np.array([z**2])
-        one = compensator_increment(SPEC, h_fn, 0.0, np.array([0.0]), 0.25)
-        two = compensator_increment(SPEC, h_fn, 0.0, np.array([0.0]), 0.5)
-        assert two[0] == pytest.approx(2.0 * one[0], rel=1e-12)
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            compensator_increment(SPEC, lambda t, x, z: np.array([0.0]), 0.0, np.array([0.0]), 0.0)
+        out = nu_integral(spec, lambda z: 2.0 * z**4, use_delta=True)
+        assert out == pytest.approx(0.12477815000117395, rel=1e-9)
 
     def test_compensated_sum_centers(self):
         # ensemble mean of (raw jump sum - compensator) for a bounded
         # state-free integrand is zero within four standard errors
         spec = JumpMeasureSpec(gamma=2.0, alpha=0.8, cutoff=0.5, delta=0.02)
         grid = TimeGrid(step=0.5, n_steps=2)
-        h_fn = lambda t, x, z: np.array([z**2])
-        comp = compensator_increment(spec, h_fn, 0.0, np.array([0.0]), grid.horizon)[0]
+        comp = nu_integral(spec, lambda z: z**2) * grid.horizon
         n_rep = 4000
         values = np.empty(n_rep)
         for i in range(n_rep):
@@ -314,47 +302,6 @@ class TestCompensatorIncrement:
             values[i] = float(np.sum(noise.jump_marks**2)) - comp
         se = values.std(ddof=1) / math.sqrt(n_rep)
         assert abs(values.mean()) < 4.0 * se
-
-
-class TestSidecar:
-    def test_round_trip_bit_identical(self, tmp_path):
-        grid = TimeGrid(step=0.02, n_steps=250)
-        noise = sample_noise(SPEC, grid, dim=3, seed=2024, stream_key=(7,))
-        target = tmp_path / "noise.bin"
-        save_noise(noise, target)
-        loaded = load_noise(target)
-        assert loaded.master_seed == noise.master_seed
-        assert loaded.stream_key == noise.stream_key
-        assert loaded.grid == noise.grid
-        assert loaded.spec == noise.spec
-        assert np.array_equal(loaded.increments, noise.increments)
-        assert np.array_equal(loaded.jump_times, noise.jump_times)
-        assert np.array_equal(loaded.jump_marks, noise.jump_marks)
-
-    def test_round_trip_without_spec(self, tmp_path):
-        grid = TimeGrid(step=0.1, n_steps=5)
-        noise = sample_noise(None, grid, dim=1, seed=1)
-        target = tmp_path / "noise.bin"
-        save_noise(noise, target)
-        loaded = load_noise(target)
-        assert loaded.spec is None
-        assert np.array_equal(loaded.increments, noise.increments)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        target = tmp_path / "junk.bin"
-        target.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_noise(target)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        grid = TimeGrid(step=0.1, n_steps=20)
-        noise = sample_noise(SPEC, grid, dim=1, seed=6)
-        target = tmp_path / "noise.bin"
-        save_noise(noise, target)
-        clipped = tmp_path / "clipped.bin"
-        clipped.write_bytes(target.read_bytes()[:-16])
-        with pytest.raises(ValueError, match="truncated"):
-            load_noise(clipped)
 
 
 class TestRealizationInvariants:
@@ -376,12 +323,14 @@ class TestRealizationInvariants:
                 master_seed=0,
             )
 
-    def test_events_pairs(self):
+    def test_block_holds_its_brownian_noise_once(self):
         grid = TimeGrid(step=0.1, n_steps=40)
-        noise = sample_noise(SPEC, grid, dim=1, seed=21)
-        events = noise.events()
-        assert len(events) == noise.n_events
-        if events:
-            t0, m0 = events[0]
-            assert t0 == noise.jump_times[0]
-            assert m0 == noise.jump_marks[0]
+        noises = [sample_noise(SPEC, grid, dim=2, seed=21, stream_key=(i,)) for i in range(3)]
+        block = NoiseBlock(tuple(noises))
+        for p, (r, original) in enumerate(zip(block.realizations, noises)):
+            assert np.shares_memory(block.increments, r.increments)
+            assert np.array_equal(r.increments, original.increments)
+            assert np.array_equal(block.increments[:, p], original.increments)
+            assert r.jump_times is original.jump_times and r.stream_key == original.stream_key
+            with pytest.raises(ValueError):
+                r.increments[0, 0] = 0.0

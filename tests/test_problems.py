@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracavg.errors import ConfigError
 from fracavg.harness import ExperimentConfig
 from fracavg.levy import NoiseBlock, TimeGrid, sample_noise
 from fracavg.problems import _EXPR_NAMES, _additive, build_problem, compile_expr
@@ -83,29 +85,44 @@ def test_domain_error_gives_nan():
     assert out[1, 0] == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("source", ["1/0", "10.0**400", "(-8)**(1/3)"])
+def test_literal_arithmetic_that_cannot_be_evaluated_is_a_config_error(source):
+    # parts built from literals alone run as Python arithmetic, which raises
+    with pytest.raises(ConfigError, match=re.escape(repr(f"x + {source}"))):
+        compile_expr(f"x + {source}", ("t", "x"))
+
+
 @pytest.mark.parametrize("paths", [1, 2, 64])
 def test_constant_diffusion_is_one_read_only_array_per_shape(paths):
-    diffusion = _additive(0.5)
-    states = np.zeros((paths, 1))
-    out = diffusion(states)
-    assert out.shape == (paths, 1, 1) and np.all(out == 0.5)
-    assert not out.flags.writeable
-    assert diffusion(np.ones((paths, 1))) is out
-    with pytest.raises(ValueError):
-        out[0, 0, 0] = 1.0
+    expr = compile_expr("0.5", ("t", "x"), shape=(1, 1))
+    for diffusion in (_additive(0.5), lambda x: expr(0.3, x)):
+        states = np.zeros((paths, 1))
+        out = diffusion(states)
+        assert out.shape == (paths, 1, 1) and np.all(out == 0.5)
+        assert not out.flags.writeable
+        assert diffusion(np.ones((paths, 1))) is out
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("problem", ["eq10", "mlbench"])
+EXPR_CONSTANT = {
+    "problem": "expr", "drift_expr": "-x", "diffusion_expr": "0.5",
+    "avg_drift_expr": "-x", "avg_diffusion_expr": "0.5",
+}
+
+
+@pytest.mark.parametrize("problem", ["eq10", "mlbench", "expr"])
 @pytest.mark.parametrize("paths", [1, 2, 64])
 def test_solver_leaves_the_constant_diffusion_unchanged(problem, paths):
-    cfg = ExperimentConfig(problem=problem, horizon=0.7, step=0.01).resolved()
+    fields = EXPR_CONSTANT if problem == "expr" else {"problem": problem}
+    cfg = ExperimentConfig(**fields, horizon=0.7, step=0.01).resolved()
     built = build_problem(cfg)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     noise = NoiseBlock(tuple(
         sample_noise(built.spec, grid, dim=1, seed=3, stream_key=(i,), include_jumps=False)
         for i in range(paths)
     ))
-    value = 1.0 if problem == "eq10" else 0.0
+    value = {"eq10": 1.0, "mlbench": 0.0, "expr": 0.5}[problem]
     states = np.zeros((paths, 1))
     before = built.averaged.diffusion(states)
     solved = solve_coupled(built.coeffs, built.averaged, noise, built.x0, cfg.epsilon, built.beta)
