@@ -7,7 +7,9 @@ manifest can be fed back through --config to rerun the experiment.
 
 The run commands (simulate, average, study, fig1) name each experiment flag's
 destination after its ExperimentConfig field, and merge config file values,
-then explicit flags, then the command's forced values into one config.
+then explicit flags, then the command's forced values into one config.  An
+explicit flag that a forced value would replace, such as ``simulate --paths
+2``, is a configuration error.
 """
 
 from __future__ import annotations
@@ -92,17 +94,32 @@ def _default_workers() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer; got {env!r}")
 
 
+def _flag(command: str, dest: str) -> str:
+    """The option string of a command's flag with this argparse destination."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.option_strings[0] for a in commands.choices[command]._actions if a.dest == dest)
+
+
 def _given_values(args, **forced) -> dict:
     """Config file values, then explicit flags, then forced values, as config fields.
 
-    On eq10 a given beta, alpha or gamma must equal the preset of the case in
-    effect; a manifest echo holds the preset values and passes.
+    An explicit flag whose value a forced value would replace is a
+    ConfigError naming the flag; config file values are replaced silently,
+    so a manifest of any run command replays under another.  On eq10 a given
+    beta, alpha or gamma must equal the preset of the case in effect; a
+    manifest echo holds the preset values and passes.
     """
     values = load_config_file(args.config) if args.config else {}
     for field in dataclasses.fields(ExperimentConfig):
         value = getattr(args, field.name, None)
-        if value is not None:
-            values[field.name] = value
+        if value is None:
+            continue
+        if field.name in forced and value != forced[field.name]:
+            raise ConfigError(
+                f"{args.command} runs with {field.name} = {forced[field.name]!r}, so "
+                f"{_flag(args.command, field.name)} {value!r} cannot apply"
+            )
+        values[field.name] = value
     values.update(forced)
     # the variable is a default of the commands that run a pool; simulate forces
     # one worker and average runs no ensemble, so neither reads it

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .kernels import FractionalOrder
 from .levy import JumpMeasureSpec
-from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode
+from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode, _Constant
 
 # Worked-example parameter presets (beta, alpha, gamma).
 FIG1_CASES = {
@@ -44,27 +45,8 @@ class Problem:
     folded_averaged: Optional[AveragedCoefficientSet] = None
 
 
-def _additive(value: float, shape: tuple[int, ...] = (1, 1)):
-    """Constant coefficient in the batch contract: (P,) + ``shape``, whatever the arguments.
-
-    The batch size P is the longest length of an array argument (the (P, 1)
-    state, or (P,) times or marks), and 1 when all arguments are scalars.
-    Returns one read-only array per batch size, built on first use.
-    """
-    arrays = {}
-
-    def constant(*values):
-        size = 1
-        for v in values:
-            if getattr(v, "ndim", 0) and len(v) > size:
-                size = len(v)
-        out = arrays.get(size)
-        if out is None:
-            out = arrays[size] = np.full((size,) + shape, value)
-            out.setflags(write=False)
-        return out
-
-    return constant
+# constant coefficients: as a diffusion, additive noise that the solver fills once per solve
+_additive = _Constant
 
 
 def jump_drift_scale(gamma: float, alpha: float, cutoff: float) -> float:
@@ -168,15 +150,26 @@ _EXPR_NAMES = {
 }
 
 
+def _names(code) -> list[str]:
+    """Global and attribute names looked up by a code object and every code
+    object nested in it (lambda, generator and comprehension bodies)."""
+    names = list(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names += _names(const)
+    return names
+
+
 def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1,)):
     """Compile a scalar coefficient expression into a batch-contract evaluator.
 
     Only the listed arguments and a fixed set of math names are visible;
-    anything else is rejected up front with the offending name.  The
-    evaluator takes the arguments as the solver's batch contract hands them
-    over: a (P, 1) state, and times or marks as scalars or (P,) arrays.  It
-    evaluates the expression once on the whole batch with numpy and returns
-    shape (P,) + ``shape``.  An operation with no real value, such as the log
+    anything else is rejected up front with the offending name, also inside
+    a lambda, generator or comprehension body.  The evaluator takes the
+    arguments as the solver's batch contract hands them over: a (P, 1)
+    state, and times or marks as scalars or (P,) arrays.  It evaluates the
+    expression once on the whole batch with numpy and returns shape
+    (P,) + ``shape``.  An operation with no real value, such as the log
     of a negative state, gives nan and an overflow gives inf, which the
     solver records as a failure of that path.
 
@@ -192,7 +185,8 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     except SyntaxError as exc:
         raise ConfigError(f"bad coefficient expression {source!r}: {exc.msg}") from None
     allowed = set(_EXPR_NAMES) | set(args)
-    for name in code.co_names:
+    names = _names(code)
+    for name in names:
         if name not in allowed:
             raise ConfigError(
                 f"coefficient expression {source!r} uses unknown name {name!r} "
@@ -217,7 +211,7 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
             np.copyto(probe, value, casting="same_kind")  # a complex value is refused
     except Exception as exc:  # any error of the expression itself is a config error
         raise ConfigError(f"coefficient expression {source!r} cannot be evaluated: {exc}") from None
-    if set(args).isdisjoint(code.co_names):
+    if set(args).isdisjoint(names):
         return _additive(probe[0], shape)
     return fn
 

@@ -21,22 +21,30 @@ averaged system's coefficients take the same arguments without t.
 
 The three memory sums share one history array (the scaled terms of each
 step in a drift-kernel and a left-end-kernel slot), and every weight depends
-on the lag n - j only.  The sum over that history is blocked (Hairer, Lubich
-& Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Near field: step n sums
-the rows of its own BASE-step block, j >= n - n % BASE, as one
-weights-by-history product.  Far field: when n completes a block, the rows
-[n - s, n), s = n & -n, are convolved with the lag weights by FFT, in tiles
-of at most TILE rows, and added to the states of steps [n, n + s), which
-start at X_0.  A block of P paths costs O(N * BASE * P) for the near field
-plus O(N log^2 N * P) for the far field (a square wider than TILE costs
-(s / TILE)^2 tile convolutions), in O(N) Python steps; for N < BASE it is
-the direct sum.  Only the order of summation changes: states stay within
-1e-12 * (1 + |X|) of one product over the whole history per step, and
-scaling the terms before summing keeps that tolerance against three
-separate sums.  A path whose state turns non-finite is masked (restarted
-from X_0 without memory: its history is zeroed and the far-field sums
-already added to its later states are reset to X_0, so it cannot disturb
-the others) and its first failure step is recorded.
+on the lag n - j only.  Each step writes its terms already scaled: f, then
+times eps / Gamma(beta); G dB (plus the compensated jump terms), then times
+sqrt(eps) / Gamma(beta).  For a constant diffusion (``_Constant``, additive
+noise) G dB does not depend on the state, so it is filled into the left-end
+slot of every step before the time loop, a bounded chunk of steps at a time,
+and the diffusion is never called.
+
+The sum over that history is blocked (Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6, 1985).  Near field: step n sums the rows of its own
+BASE-step block, j >= n - n % BASE, as one weights-by-history product.  Far
+field: when n completes a block, the rows [n - s, n), s = n & -n, are
+convolved with the lag weights by FFT, in tiles of at most TILE rows, and
+added to the states of steps [n, n + s), which start at X_0.  A block of P
+paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
+the far field (a square wider than TILE costs (s / TILE)^2 tile
+convolutions), in O(N) Python steps; for N < BASE it is the direct sum.
+Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
+of one product over the whole history per step, and scaling the terms
+before summing keeps that tolerance against three separate sums.  A path
+whose state turns non-finite is masked (restarted from X_0 without memory:
+its history up to that step is zeroed, the noise terms filled for later
+steps stay, and the far-field sums already added to its later states are
+reset to X_0, so it cannot disturb the others) and its first failure step
+is recorded.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -64,6 +72,9 @@ EPSILON_MAX = 1.0
 BASE = 64
 TILE = 1024
 FFT_CELLS = 2048
+# Steps per pass when the noise terms of a constant diffusion are filled
+# before the time loop; bounds the temporaries of that fill.
+NOISE_CHUNK = 256
 # A compensator rate from the shell table is kept when its 21-point and
 # nested 10-point estimates agree to this relative difference; otherwise
 # that path's rate is integrated adaptively.
@@ -110,6 +121,33 @@ class _RowLoop:
         return out.reshape((-1,) + self.shape)
 
 
+class _Constant:
+    """Coefficient of one value whatever its arguments, in the batch contract.
+
+    Returns (P,) + ``shape`` filled with ``value``, where the batch size P is
+    the longest length of an array argument (the (P, 1) state, or (P,) times
+    or marks), and 1 when all arguments are scalars.  Each batch size gets one
+    read-only array, built on first use.  A diffusion of this type is additive
+    noise: the solver fills the noise terms of every step before its time loop.
+    """
+
+    def __init__(self, value, shape=(1, 1)):
+        self.value = value
+        self.shape = shape
+        self._arrays = {}
+
+    def __call__(self, *values):
+        size = 1
+        for v in values:
+            if getattr(v, "ndim", 0) and len(v) > size:
+                size = len(v)
+        out = self._arrays.get(size)
+        if out is None:
+            out = self._arrays[size] = np.full((size,) + self.shape, self.value)
+            out.setflags(write=False)
+        return out
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Evaluators (drift f, diffusion G, jump H) defining one problem instance.
@@ -118,6 +156,12 @@ class CoefficientSet:
     diffusion(t, X) -> (P, dim, brownian_dim); jump(t, X, mark) -> (P, dim),
     or None when the problem has no jump part.  For jump events t and mark
     are (P,) arrays, one entry per row of X.
+
+    A diffusion is constant when it is a ``_Constant`` (``problems._additive``
+    builds one; eq10, mlbench and an ``expr`` diffusion that names none of its
+    arguments use it).  The solver then computes G dB for every step before
+    its time loop and never calls the diffusion.  Any other callable is
+    called at every step, even if it returns the same value each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -335,6 +379,19 @@ def _quadrature_rate(jump, targs, X, spec, use_delta: bool):
     return rate, redo.size
 
 
+def _fill_noise(slot, diffusion: _Constant, increments, scale: float) -> None:
+    """Write (G dB_j) * scale into slot[j] for every step j, NOISE_CHUNK steps at a time.
+
+    ``slot`` is (n_steps, P, dim), ``increments`` (n_steps, P, brownian_dim),
+    and G the constant diffusion's (dim, brownian_dim) matrix.
+    """
+    g_t = np.full(diffusion.shape, diffusion.value, dtype=float).reshape(slot.shape[2], -1).T
+    for s0 in range(0, slot.shape[0], NOISE_CHUNK):
+        part = slot[s0 : s0 + NOISE_CHUNK]
+        np.matmul(increments[s0 : s0 + NOISE_CHUNK], g_t, out=part)
+        part *= scale
+
+
 def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dict) -> None:
     """Add the memory sums over history rows [m - size, m) to state rows [m, m + size).
 
@@ -423,11 +480,17 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
     history = np.zeros((n_steps, 2, p_count * dim))
     history_rows = history.reshape(2 * n_steps, -1)
     by_path = history.reshape(n_steps, 2, p_count, dim)
-    scale = np.array([c_drift, c_stoch])[:, None, None]
-    increments = noise.increments[:, :, :, None]
     nu_drift = has_jump and mode == JumpMode.NU_DRIFT
+    compensated = has_jump and not nu_drift
+    # compensated jump terms join G dB in slot 1 before the two are scaled together
+    noise_scale = 1.0 if compensated else c_stoch
+    constant_g = isinstance(coeffs.diffusion, _Constant)
+    if constant_g:
+        _fill_noise(by_path[:, 1], coeffs.diffusion, noise.increments, noise_scale)
+    else:
+        increments = noise.increments[:, :, :, None]
 
-    events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
+    events = compensated and any(r.n_events for r in noise.realizations)
     if events:
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
 
@@ -443,11 +506,13 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
             targs = (times[j],) if timed else ()
             x_j = states[j]
             slots = by_path[j]
-            slots[0] = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
-            g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
-                shape + (coeffs.brownian_dim,)
-            )
-            slots[1] = (g @ increments[j])[:, :, 0]
+            f = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
+            np.multiply(f, c_drift, out=slots[0])
+            if not constant_g:
+                g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
+                    shape + (coeffs.brownian_dim,)
+                )
+                np.multiply((g @ increments[j])[:, :, 0], noise_scale, out=slots[1])
 
             if has_jump:
                 if coeffs.jump_drift is not None:
@@ -457,7 +522,9 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
                         coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
                     )
                     fallbacks += redone
-                if not nu_drift:
+                if nu_drift:
+                    slots[0] += c_stoch * rate
+                else:
                     raw = np.zeros(shape)
                     if events and starts[j] < ends[j]:
                         sel = slice(starts[j], ends[j])
@@ -467,9 +534,7 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
                         ).reshape(-1, dim)
                         np.add.at(raw, ev_path[sel], hits)  # in event order, per path
                     slots[1] += raw - h * rate
-            slots *= scale
-            if nu_drift:
-                slots[0] += c_stoch * rate
+                    slots[1] *= c_stoch
 
             near = n - n % BASE
             if near == n:

@@ -11,10 +11,11 @@ from fracavg import solver
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
 from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise
-from fracavg.problems import build_problem
+from fracavg.problems import _additive, build_problem
 from fracavg.solver import (
     CoefficientSet,
     JumpMode,
+    _Constant,
     _event_table,
     _quadrature_rate,
     _solve_block,
@@ -125,6 +126,20 @@ OU = CoefficientSet(
 )
 
 
+# built-in problems (each has a constant diffusion) and their block sizes
+PROBLEMS = [
+    (ExperimentConfig(problem="mlbench", beta=0.6, x0=1.0, epsilon=1.0, horizon=10.0, step=5e-3), 2),
+    *((ExperimentConfig(case=case, horizon=10.0, step=1e-2), 5) for case in "abcd"),
+    (ExperimentConfig(
+        problem="expr", case=None, jump_mode="compensated_prm",
+        jump_expr="z*x*sin(t)**2", gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75,
+        drift_expr="-x*(1+cos(t))", diffusion_expr="0.5",
+        avg_drift_expr="-x", avg_diffusion_expr="0.5", horizon=3.0, step=0.01,
+    ), 3),
+]
+PROBLEM_IDS = ["mlbench", "eq10_a", "eq10_b", "eq10_c", "eq10_d", "expr_compensated"]
+
+
 class TestBlockedHistory:
     """States within 1e-12 * (1 + |X|) of the direct sum, failures and fallback
     counts equal."""
@@ -152,21 +167,7 @@ class TestBlockedHistory:
         grid = TimeGrid(step=1e-2, n_steps=1300)
         assert_matches_direct(coeffs, noise_block(None, grid, 3, dim=2), np.array([0.5, -0.2]), 0.2, 0.8)
 
-    @pytest.mark.parametrize(
-        "config, paths",
-        [
-            (ExperimentConfig(problem="mlbench", beta=0.6, x0=1.0, epsilon=1.0, horizon=10.0,
-                              step=5e-3), 2),
-            *((ExperimentConfig(case=case, horizon=10.0, step=1e-2), 5) for case in "abcd"),
-            (ExperimentConfig(
-                problem="expr", case=None, jump_mode="compensated_prm",
-                jump_expr="z*x*sin(t)**2", gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75,
-                drift_expr="-x*(1+cos(t))", diffusion_expr="0.5",
-                avg_drift_expr="-x", avg_diffusion_expr="0.5", horizon=3.0, step=0.01,
-            ), 3),
-        ],
-        ids=["mlbench", "eq10_a", "eq10_b", "eq10_c", "eq10_d", "expr_compensated"],
-    )
+    @pytest.mark.parametrize("config, paths", PROBLEMS, ids=PROBLEM_IDS)
     def test_problem(self, config, paths):
         cfg = config.resolved()
         problem = build_problem(cfg)
@@ -177,6 +178,22 @@ class TestBlockedHistory:
         for coeffs in (problem.coeffs, problem.averaged):
             failed = assert_matches_direct(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
             assert not failed.any()
+
+    @pytest.mark.parametrize("config, paths", PROBLEMS, ids=PROBLEM_IDS)
+    def test_constant_diffusion_matches_a_plain_callable(self, config, paths):
+        # noise terms filled before the time loop against the per-step product
+        cfg = config.resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        noise = noise_block(problem.spec, grid, paths, include_jumps=problem.needs_jump_events)
+        for coeffs in (problem.coeffs, problem.averaged):
+            assert isinstance(coeffs.diffusion, _Constant)
+            plain = dataclasses.replace(coeffs, diffusion=lambda *a, g=coeffs.diffusion: g(*a))
+            states, failed, _ = _solve_block(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
+            ref, ref_failed, _ = _solve_block(plain, noise, problem.x0, cfg.epsilon, problem.beta)
+            assert not failed.any() and not ref_failed.any()
+            assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+            np.testing.assert_array_equal(states, ref)  # same products in the same order
 
     def test_nu_drift_through_quadrature(self):
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
@@ -194,11 +211,14 @@ class TestBlockedHistory:
         "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["square_boundary", "mid_block"]
     )
     def test_one_path_blows_up(self, fail_step):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
+        scalar = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
         grid = TimeGrid(step=0.02, n_steps=700)
         noises = list(noise_block(None, grid, 4, seed=2).realizations)
         kick = noises[2].increments.copy()
         kick[fail_step - 2, 0] = 1e200  # the drift overflows in plain floats one step later
         noises[2] = dataclasses.replace(noises[2], increments=kick)
-        failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
-        assert failed.tolist() == [0, 0, fail_step, 0]
+        # the same unit diffusion as a constant, whose noise terms are filled
+        # before the time loop: the restarted path keeps its later noise
+        for coeffs in (scalar, dataclasses.replace(scalar, diffusion=_additive(1.0))):
+            failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
+            assert failed.tolist() == [0, 0, fail_step, 0]

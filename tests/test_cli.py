@@ -85,6 +85,20 @@ class TestSimulate:
         assert err.startswith("config error: ") and "'1/0'" in err
         assert not (tmp_path / "simulate").exists()
 
+    def test_flag_that_simulate_overrides_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        for flag, value in (("--paths", "2"), ("--workers", "3")):
+            assert run_cli("simulate", flag, value, "--out", str(out), *FAST) == 2
+            assert f"{flag} {value}" in capsys.readouterr().err
+        assert not out.exists()  # refused before any solve
+        # values from a config file are replaced silently: a fig1-style file still runs
+        config = tmp_path / "ensemble.cfg"
+        config.write_text("n_paths = 200\nworkers = 2\n")
+        assert run_cli("simulate", "--config", str(config), "--out", str(out), *FAST) == 0
+        manifest = json.loads((out / "simulate" / "manifest.json").read_text())
+        assert manifest["effective_config"]["n_paths"] == 1
+        assert manifest["effective_config"]["workers"] == 1
+
     def test_compensated_expr_rejects_averaged_jump_drift(self, tmp_path, capsys):
         code = run_cli(
             "simulate", "--problem", "expr", "--beta", "0.75", "--epsilon", "0.5",

@@ -92,6 +92,19 @@ def test_literal_arithmetic_that_cannot_be_evaluated_is_a_config_error(source):
         compile_expr(f"x + {source}", ("t", "x"))
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(lambda: ().__class__.__name__.__len__())()",
+        "max(*(c.__class__.__name__.__len__() for c in (x, x)))",
+    ],
+    ids=["lambda", "generator"],
+)
+def test_names_in_nested_bodies_are_checked(source):
+    with pytest.raises(ConfigError, match="unknown name '__class__'"):
+        compile_expr(source, ("t", "x"))
+
+
 @pytest.mark.parametrize("paths", [1, 2, 64])
 def test_constant_diffusion_is_one_read_only_array_per_shape(paths):
     expr = compile_expr("0.5", ("t", "x"), shape=(1, 1))
