@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -154,16 +154,6 @@ class ResidualEnvelope:
     alpha1_pointwise: list[float]
     decay_flags: dict[str, str]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t1_grid": self.t1_grid,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "alpha1_pointwise": self.alpha1_pointwise,
-            "decay_flags": self.decay_flags,
-        }
-
 
 def _decay_flag(values: list[float]) -> str:
     if len(values) < 2:
@@ -300,18 +290,8 @@ class HypothesisReport:
     times: list[float]
     spec_params: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "growth_estimate": self.growth_estimate,
-            "envelope": self.envelope.to_json_dict(),
-            "probe_states": self.probe_states,
-            "times": self.times,
-            "spec_params": self.spec_params,
-        }
-
     def save(self, path) -> None:
-        write_json(self.to_json_dict(), path)
+        write_json(asdict(self), path)
 
 
 def probe_hypotheses(

@@ -4,7 +4,9 @@ A full experiment is a pure function of its ExperimentConfig (master seed
 included): per-path noise streams are derived from (master_seed, path_index),
 paths are solved in blocks of BLOCK_SIZE consecutive indices whatever the
 number of workers, aggregation runs in path-index order, and report.json is
-written with sorted keys, so a rerun reproduces it byte for byte.
+written with sorted keys, so a rerun reproduces it byte for byte.  The
+statistics are read off each solved block into one Ensemble record; only the
+paths with index < save_paths that did not fail become CoupledPaths.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .averaging import theorem_bound, write_json
 from .errors import ConfigError, FracavgError, RunFailedError
 from .levy import DEFAULT_DELTA_RATIO, NoiseBlock, TimeGrid, sample_noise
 from .problems import FIG1_CASES, build_problem
-from .solver import CoupledPaths, JumpMode, solve_coupled
+from .solver import JumpMode, solve_coupled
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 FAILURE_BUDGET = 0.10
@@ -203,22 +205,60 @@ class ErrorReport:
         write_json(self.to_json_dict(), path)
 
 
-def _path_stats(coupled: CoupledPaths):
-    sup_z_sq = float(np.max(np.sum(coupled.averaged.states**2, axis=1)))
-    return coupled.sup_sq_error, coupled.sup_error, coupled.er, sup_z_sq
+@dataclass
+class Ensemble:
+    """One ensemble's solves, reduced to what its report and output files need.
 
-
-def _run_blocks(cfg_dict: dict, blocks: list[list[int]]):
-    """Solve blocks of path indices.
-
-    Returns one (index, status, payload, saved path) per path, and the number
-    of compensator rates that fell back to adaptive quadrature.
+    ``failures`` holds the manifest entry (path, step, time, system) of each
+    failed path.  ``sup_er`` (sup |X - Z|), ``sup_z_sq`` (sup |Z|^2) and
+    ``curves`` (|X - Z| on the grid, views into their blocks' curves) belong
+    to the paths that did not fail, all in path-index order.  ``saved`` maps
+    the index of each path below ``save_paths`` that did not fail to its
+    CoupledPaths; no other path is copied out of its block.
     """
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+
+    failures: list[dict]
+    sup_er: list[float]
+    sup_z_sq: list[float]
+    curves: list[np.ndarray]
+    saved: dict
+    quadrature_fallbacks: int
+
+    @classmethod
+    def of_block(cls, solved, indices: list[int], save_paths: int) -> "Ensemble":
+        """The statistics of one solved CoupledBlock whose paths have these indices."""
+        ok = [p for p, failure in enumerate(solved.failures) if failure is None]
+        return cls(
+            failures=[
+                {"path": indices[p], "step": f.step, "time": f.time, "system": f.system}
+                for p, f in enumerate(solved.failures) if f is not None
+            ],
+            sup_er=solved.er.max(axis=0)[ok].tolist(),
+            # path by path: squaring the whole block at once would raise the run's peak memory
+            sup_z_sq=[float(np.max(np.sum(solved.averaged[:, p] ** 2, axis=1))) for p in ok],
+            curves=[solved.er[:, p] for p in ok],
+            saved={indices[p]: solved.path(p) for p in ok if indices[p] < save_paths},
+            quadrature_fallbacks=solved.quadrature_fallbacks,
+        )
+
+    @classmethod
+    def joined(cls, parts: list["Ensemble"]) -> "Ensemble":
+        """The ensembles of consecutive blocks, in block order, as one."""
+        return cls(
+            failures=[failure for part in parts for failure in part.failures],
+            sup_er=[v for part in parts for v in part.sup_er],
+            sup_z_sq=[v for part in parts for v in part.sup_z_sq],
+            curves=[curve for part in parts for curve in part.curves],
+            saved={index: path for part in parts for index, path in part.saved.items()},
+            quadrature_fallbacks=sum(part.quadrature_fallbacks for part in parts),
+        )
+
+
+def _run_blocks(cfg: ExperimentConfig, blocks: list[list[int]]) -> list[Ensemble]:
+    """Solve blocks of path indices; returns one Ensemble per block."""
     problem = build_problem(cfg)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    out = []
-    fallbacks = 0
+    parts = []
     for indices in blocks:
         noise = NoiseBlock(tuple(
             sample_noise(
@@ -234,34 +274,24 @@ def _run_blocks(cfg_dict: dict, blocks: list[list[int]]):
         solved = solve_coupled(
             problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
         )
-        fallbacks += solved.quadrature_fallbacks
-        for p, index in enumerate(indices):
-            failure = solved.failures[p]
-            if failure is not None:
-                out.append((index, "failed", (failure.step, failure.time, failure.system), None))
-                continue
-            coupled = solved.path(p)
-            out.append((index, "ok", _path_stats(coupled), coupled if index < cfg.save_paths else None))
-    return out, fallbacks
+        parts.append(Ensemble.of_block(solved, indices, cfg.save_paths))
+    return parts
 
 
-def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
-    failed = sorted(i for i, (status, _) in results.items() if status == "failed")
+def _aggregate(cfg: ExperimentConfig, ensemble: Ensemble) -> ErrorReport:
+    failed = [failure["path"] for failure in ensemble.failures]
     if len(failed) > FAILURE_BUDGET * cfg.n_paths:
         raise RunFailedError(
             f"{len(failed)} of {cfg.n_paths} paths failed "
             f"(budget {FAILURE_BUDGET:.0%}); first failures: {failed[:5]}"
         )
-    ok_indices = sorted(i for i, (status, _) in results.items() if status == "ok")
-    sup_sq = [results[i][1][0] for i in ok_indices]
-    sup_er = [results[i][1][1] for i in ok_indices]
-    curves = np.stack([results[i][1][2] for i in ok_indices])
-    z_sup_sq = [results[i][1][3] for i in ok_indices]
+    # float pow, as in CoupledPaths.sup_sq_error: an array square may round differently
+    sup_sq = [v**2 for v in ensemble.sup_er]
 
     n = len(sup_sq)
     mean_sq = float(np.mean(sup_sq))
     ci = float(_Z95 * np.std(sup_sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    z_moment = 1.0 + float(np.mean(z_sup_sq))
+    z_moment = 1.0 + float(np.mean(ensemble.sup_z_sq))
 
     bound_value = bound_log10 = None
     if cfg.bound_c1 is not None and cfg.bound_alphas is not None:
@@ -283,51 +313,38 @@ def _aggregate(cfg: ExperimentConfig, results: dict) -> ErrorReport:
         n_paths=cfg.n_paths,
         n_failures=len(failed),
         failed_paths=failed,
-        per_path_sup_sq=[float(v) for v in sup_sq],
+        per_path_sup_sq=sup_sq,
         mean_sup_sq=mean_sq,
         ci_half_width=ci,
-        per_path_sup_er=[float(v) for v in sup_er],
-        mean_sup_er=float(np.mean(sup_er)),
-        er_mean_curve=[float(v) for v in curves.mean(axis=0)],
+        per_path_sup_er=ensemble.sup_er,
+        mean_sup_er=float(np.mean(ensemble.sup_er)),
+        # contiguous rows, one per path: the mean sums them in path order
+        er_mean_curve=np.stack(ensemble.curves).mean(axis=0).tolist(),
         z_moment_estimate=z_moment,
         bound_value=bound_value,
         bound_log10=bound_log10,
     )
 
 
-def _ensemble(cfg: ExperimentConfig):
-    """One resolved ensemble: per-path results by index, failure details, the
-    first save_paths coupled paths that did not fail, and the run's counts."""
+def _ensemble(cfg: ExperimentConfig) -> Ensemble:
+    """Solve one resolved ensemble, block by block, on ``cfg.workers`` processes."""
     blocks = [
         list(range(first, min(first + BLOCK_SIZE, cfg.n_paths)))
         for first in range(0, cfg.n_paths, BLOCK_SIZE)
     ]
     if cfg.workers == 1:
-        done = [_run_blocks(cfg.as_dict(), blocks)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only multi-worker runs pay for it
+        return Ensemble.joined(_run_blocks(cfg, blocks))
+    from concurrent.futures import ProcessPoolExecutor  # only multi-worker runs pay for it
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_run_blocks, cfg.as_dict(), [block]) for block in blocks]
-            done = [future.result() for future in futures]
-    rows = [row for block_rows, _ in done for row in block_rows]  # in path-index order
-    results = {index: (status, payload) for index, status, payload, _ in rows}
-    failures = []
-    for index, status, payload, _ in rows:
-        if status == "failed":
-            step, at, system = payload
-            failures.append({"path": index, "step": step, "time": at, "system": system})
-    saved = {index: coupled for index, _, _, coupled in rows if coupled is not None}
-    counts = {"quadrature_fallbacks": sum(fallbacks for _, fallbacks in done)}
-    return results, failures, saved, counts
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [pool.submit(_run_blocks, cfg, [block]) for block in blocks]
+        return Ensemble.joined([part for future in futures for part in future.result()])
 
 
 def _write_outputs(
     cfg: ExperimentConfig,
     report: Optional[ErrorReport],
-    failures: list[dict],
-    counts: dict,
-    saved: dict,
+    ensemble: Ensemble,
     out_dir,
     command: str,
     elapsed: float,
@@ -344,8 +361,8 @@ def _write_outputs(
             "numpy": np.__version__,
         },
         "timing_seconds": elapsed,
-        "failures": failures,
-        "counts": counts,
+        "failures": ensemble.failures,
+        "counts": {"quadrature_fallbacks": ensemble.quadrature_fallbacks},
     }
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     if report is None:
@@ -354,8 +371,8 @@ def _write_outputs(
     if cfg.save_paths > 0:
         paths_dir = os.path.join(out_dir, "paths")
         os.makedirs(paths_dir, exist_ok=True)
-        for index in sorted(saved):
-            saved[index].to_csv(os.path.join(paths_dir, f"path_{index:06d}.csv"))
+        for index in sorted(ensemble.saved):
+            ensemble.saved[index].to_csv(os.path.join(paths_dir, f"path_{index:06d}.csv"))
 
 
 def _package_version() -> str:
@@ -370,21 +387,21 @@ def run_ensemble(config: ExperimentConfig, out_dir=None, command: str = "run_ens
     Per-path failures (state blow-ups) are excluded and counted; more than
     10% of them fails the run with RunFailedError.  With ``out_dir`` set,
     writes manifest.json (with the step, time and system of each failed path
-    and the run's counts), report.json, and the first ``save_paths`` coupled
-    paths as CSV; a run that fails its budget or whose bound is refused
-    writes its manifest only.
+    and the run's counts), report.json, and each path with index below
+    ``save_paths`` that did not fail as CSV; a run that fails its budget or
+    whose bound is refused writes its manifest only.
     """
     cfg = config.resolved()
     started = time.perf_counter()
-    results, failures, saved, counts = _ensemble(cfg)
+    ensemble = _ensemble(cfg)
     try:
-        report = _aggregate(cfg, results)
+        report = _aggregate(cfg, ensemble)
     except FracavgError:
         if out_dir is not None:
-            _write_outputs(cfg, None, failures, counts, {}, out_dir, command, time.perf_counter() - started)
+            _write_outputs(cfg, None, ensemble, out_dir, command, time.perf_counter() - started)
         raise
     if out_dir is not None:
-        _write_outputs(cfg, report, failures, counts, saved, out_dir, command, time.perf_counter() - started)
+        _write_outputs(cfg, report, ensemble, out_dir, command, time.perf_counter() - started)
     return report
 
 
@@ -436,11 +453,10 @@ def convergence_study(
         )
 
     configs = {e: dataclasses.replace(base_config, epsilon=e).resolved() for e in eps}
-    runs = {}
+    ensembles, reports = {}, {}
     for e in eps:
-        results, failures, saved, counts = _ensemble(configs[e])
-        runs[e] = (_aggregate(configs[e], results), failures, saved, counts)
-    reports = {e: runs[e][0] for e in eps}
+        ensembles[e] = _ensemble(configs[e])
+        reports[e] = _aggregate(configs[e], ensembles[e])
 
     means = [reports[e].mean_sup_sq for e in eps]
     cis = [reports[e].ci_half_width for e in eps]
@@ -457,12 +473,13 @@ def convergence_study(
         ci_by_epsilon=cis,
     )
     if out_dir is not None:
-        failures = [dict(failure, epsilon=e) for e in eps for failure in runs[e][1]]
-        counts = {key: sum(runs[e][3][key] for e in eps) for key in runs[eps[-1]][3]}
-        _write_outputs(
-            configs[eps[-1]], report, failures, counts, runs[eps[-1]][2], out_dir,
-            "convergence_study", time.perf_counter() - started,
+        study = dataclasses.replace(
+            ensembles[eps[-1]],
+            failures=[dict(failure, epsilon=e) for e in eps for failure in ensembles[e].failures],
+            quadrature_fallbacks=sum(ensembles[e].quadrature_fallbacks for e in eps),
         )
+        elapsed = time.perf_counter() - started
+        _write_outputs(configs[eps[-1]], report, study, out_dir, "convergence_study", elapsed)
     return report
 
 

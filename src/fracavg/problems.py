@@ -38,15 +38,15 @@ class Problem:
     spec: Optional[JumpMeasureSpec]
     x0: np.ndarray
     beta: FractionalOrder
-    needs_jump_events: bool
     params: dict
     # drift-folded averaged form (jump drift absorbed into the drift slot);
     # dynamics-equivalent to ``averaged``, kept for cross-checks
     folded_averaged: Optional[AveragedCoefficientSet] = None
 
-
-# constant coefficients: as a diffusion, additive noise that the solver fills once per solve
-_additive = _Constant
+    @property
+    def needs_jump_events(self) -> bool:
+        """Whether the noise must sample jump events: only compensated jumps use them."""
+        return self.coeffs.jump is not None and self.coeffs.jump_mode == JumpMode.COMPENSATED
 
 
 def jump_drift_scale(gamma: float, alpha: float, cutoff: float) -> float:
@@ -74,7 +74,7 @@ def build_eq10(
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
     gamma1 = scale / math.sqrt(epsilon)
-    unit = _additive(1.0)
+    unit = _Constant(1.0)
 
     coeffs = CoefficientSet(
         drift=lambda t, x: 2.0 * x * np.cos(t) ** 2,
@@ -102,7 +102,6 @@ def build_eq10(
         spec=spec,
         x0=np.array([x0]),
         beta=FractionalOrder(beta),
-        needs_jump_events=False,  # the jump slot is a deterministic drift here
         params={
             "beta": beta,
             "alpha": alpha,
@@ -119,7 +118,7 @@ def build_eq10(
 
 def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
     """Deterministic linear benchmark with the known Mittag-Leffler solution."""
-    zero = _additive(0.0)
+    zero = _Constant(0.0)
     coeffs = CoefficientSet(drift=lambda t, x: 1.0 * x, diffusion=zero)
     averaged = AveragedCoefficientSet(drift=lambda x: 1.0 * x, diffusion=zero)
     return Problem(
@@ -129,7 +128,6 @@ def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
         spec=None,
         x0=np.array([x0]),
         beta=FractionalOrder(beta),
-        needs_jump_events=False,
         params={"beta": beta, "x0": x0},
     )
 
@@ -212,7 +210,7 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     except Exception as exc:  # any error of the expression itself is a config error
         raise ConfigError(f"coefficient expression {source!r} cannot be evaluated: {exc}") from None
     if set(args).isdisjoint(names):
-        return _additive(probe[0], shape)
+        return _Constant(probe[0], shape)
     return fn
 
 
@@ -261,7 +259,6 @@ def build_expr_problem(
         spec=spec,
         x0=np.array([x0]),
         beta=FractionalOrder(beta),
-        needs_jump_events=(h is not None and mode == JumpMode.COMPENSATED),
         params={
             "beta": beta,
             "drift": drift,

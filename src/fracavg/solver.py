@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -72,9 +72,9 @@ EPSILON_MAX = 1.0
 BASE = 64
 TILE = 1024
 FFT_CELLS = 2048
-# Steps per pass when the noise terms of a constant diffusion are filled
-# before the time loop; bounds the temporaries of that fill.
-NOISE_CHUNK = 256
+# Grid steps per pass over all steps outside the time loop (the noise terms of
+# a constant diffusion, the distance curve); bounds the temporaries.
+STEP_CHUNK = 256
 # A compensator rate from the shell table is kept when its 21-point and
 # nested 10-point estimates agree to this relative difference; otherwise
 # that path's rate is integrated adaptively.
@@ -157,11 +157,10 @@ class CoefficientSet:
     or None when the problem has no jump part.  For jump events t and mark
     are (P,) arrays, one entry per row of X.
 
-    A diffusion is constant when it is a ``_Constant`` (``problems._additive``
-    builds one; eq10, mlbench and an ``expr`` diffusion that names none of its
-    arguments use it).  The solver then computes G dB for every step before
-    its time loop and never calls the diffusion.  Any other callable is
-    called at every step, even if it returns the same value each time.
+    A ``_Constant`` diffusion (eq10, mlbench, an ``expr`` diffusion naming
+    none of its arguments) is additive noise: the solver computes G dB for
+    every step before its time loop and never calls it.  Any other callable
+    is called at every step, even if it returns the same value each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -288,7 +287,8 @@ class CoupledBlock:
     PathBlowupError of the original system if it failed at all, else that of
     the averaged system.  ``quadrature_fallbacks`` counts the compensator
     rates, one per path and step, that the shell table could not settle and
-    adaptive quadrature computed instead.
+    adaptive quadrature computed instead.  ``er`` is the distance curve
+    |X_n - Z_n| of every path, computed once; column p is ``path(p).er``.
     """
 
     times: np.ndarray     # (n_steps + 1,)
@@ -297,9 +297,15 @@ class CoupledBlock:
     failures: tuple[Optional[PathBlowupError], ...]
     epsilon: float
     quadrature_fallbacks: int
+    er: np.ndarray = field(init=False)  # (n_steps + 1, P)
 
     def __post_init__(self):
-        for arr in (self.times, self.original, self.averaged):
+        er = np.empty(self.original.shape[:2])
+        for s0 in range(0, len(er), STEP_CHUNK):
+            rows = slice(s0, s0 + STEP_CHUNK)
+            er[rows] = np.linalg.norm(self.original[rows] - self.averaged[rows], axis=2)
+        object.__setattr__(self, "er", er)
+        for arr in (self.times, self.original, self.averaged, self.er):
             arr.setflags(write=False)
 
     def path(self, p: int) -> CoupledPaths:
@@ -308,8 +314,7 @@ class CoupledBlock:
             raise self.failures[p]
         original = GridPath(times=self.times, states=self.original[:, p].copy(), epsilon=self.epsilon)
         averaged = GridPath(times=self.times, states=self.averaged[:, p].copy(), epsilon=self.epsilon)
-        er = np.linalg.norm(original.states - averaged.states, axis=1)
-        return CoupledPaths(original=original, averaged=averaged, er=er)
+        return CoupledPaths(original=original, averaged=averaged, er=self.er[:, p].copy())
 
 
 def _event_table(noise: NoiseBlock):
@@ -380,15 +385,15 @@ def _quadrature_rate(jump, targs, X, spec, use_delta: bool):
 
 
 def _fill_noise(slot, diffusion: _Constant, increments, scale: float) -> None:
-    """Write (G dB_j) * scale into slot[j] for every step j, NOISE_CHUNK steps at a time.
+    """Write (G dB_j) * scale into slot[j] for every step j, STEP_CHUNK steps at a time.
 
     ``slot`` is (n_steps, P, dim), ``increments`` (n_steps, P, brownian_dim),
     and G the constant diffusion's (dim, brownian_dim) matrix.
     """
     g_t = np.full(diffusion.shape, diffusion.value, dtype=float).reshape(slot.shape[2], -1).T
-    for s0 in range(0, slot.shape[0], NOISE_CHUNK):
-        part = slot[s0 : s0 + NOISE_CHUNK]
-        np.matmul(increments[s0 : s0 + NOISE_CHUNK], g_t, out=part)
+    for s0 in range(0, slot.shape[0], STEP_CHUNK):
+        part = slot[s0 : s0 + STEP_CHUNK]
+        np.matmul(increments[s0 : s0 + STEP_CHUNK], g_t, out=part)
         part *= scale
 
 

@@ -11,7 +11,7 @@ from fracavg import solver
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
 from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise
-from fracavg.problems import _additive, build_problem
+from fracavg.problems import build_problem
 from fracavg.solver import (
     CoefficientSet,
     JumpMode,
@@ -219,6 +219,6 @@ class TestBlockedHistory:
         noises[2] = dataclasses.replace(noises[2], increments=kick)
         # the same unit diffusion as a constant, whose noise terms are filled
         # before the time loop: the restarted path keeps its later noise
-        for coeffs in (scalar, dataclasses.replace(scalar, diffusion=_additive(1.0))):
+        for coeffs in (scalar, dataclasses.replace(scalar, diffusion=_Constant(1.0))):
             failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
             assert failed.tolist() == [0, 0, fail_step, 0]

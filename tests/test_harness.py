@@ -18,7 +18,9 @@ from fracavg.harness import (
     reproduce_fig1,
     run_ensemble,
 )
+from fracavg.levy import NoiseBlock, TimeGrid, sample_noise
 from fracavg.problems import FIG1_CASES, build_eq10, build_problem
+from fracavg.solver import solve_coupled
 
 TINY = ExperimentConfig(case="a", n_paths=4, horizon=1.0, step=0.02, master_seed=7, save_paths=0)
 
@@ -37,6 +39,16 @@ FRAGILE = ExperimentConfig(
     diffusion_expr="1.0",
     avg_drift_expr="30*x**5",
     avg_diffusion_expr="1.0",
+)
+
+# compensated jumps without a closed-form rate: the shell table settles a
+# smooth jump coefficient; a kink inside a half-shell, such as abs(z-0.1)*x,
+# sends every path at every step back to adaptive quadrature
+COMPENSATED = ExperimentConfig(
+    problem="expr", case=None, jump_mode="compensated_prm", jump_expr="z*x",
+    gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75, x0=1.0, epsilon=0.5,
+    drift_expr="-x", diffusion_expr="0.1", avg_drift_expr="-x", avg_diffusion_expr="0.1",
+    horizon=0.2, step=0.02, n_paths=4, save_paths=0,
 )
 
 
@@ -183,18 +195,48 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("jump, fallbacks", [("z*x", 0), ("abs(z-0.1)*x", 4 * 10)])
     def test_manifest_counts_quadrature_fallbacks(self, tmp_path, jump, fallbacks):
-        # smooth jump coefficients keep the shell-table rate; a kink inside a
-        # half-shell sends every path at every step back to adaptive quadrature
-        cfg = ExperimentConfig(
-            problem="expr", case=None, jump_mode="compensated_prm", jump_expr=jump,
-            gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75, x0=1.0, epsilon=0.5,
-            drift_expr="-x", diffusion_expr="0.1", avg_drift_expr="-x", avg_diffusion_expr="0.1",
-            horizon=0.2, step=0.02, n_paths=4, save_paths=0,
-        )
-        run_ensemble(cfg, out_dir=tmp_path)
+        run_ensemble(dataclasses.replace(COMPENSATED, jump_expr=jump), out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["counts"] == {"quadrature_fallbacks": fallbacks}
         assert "counts" not in json.loads((tmp_path / "report.json").read_text())
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [FRAGILE, dataclasses.replace(TINY, n_paths=150, epsilon=0.5, master_seed=13)],
+        ids=["failures", "three_blocks"],
+    )
+    def test_statistics_match_the_paths_of_each_block(self, cfg):
+        # the report reads its statistics off each solved block at once;
+        # read them again path by path through CoupledBlock.path.  At
+        # epsilon = 0.5 the curves use all their bits, so the mean curve
+        # depends on the order of summation; with glibc's pow, one of seed
+        # 13's sup |X - Z| squares differently as float ** 2 and np.square
+        report = run_ensemble(cfg)
+        cfg = cfg.resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        paths = []
+        for first in range(0, cfg.n_paths, BLOCK_SIZE):
+            indices = range(first, min(first + BLOCK_SIZE, cfg.n_paths))
+            noise = NoiseBlock(tuple(
+                sample_noise(problem.spec, grid, dim=1, seed=cfg.master_seed, stream_key=(i,),
+                             include_jumps=problem.needs_jump_events)
+                for i in indices
+            ))
+            solved = solve_coupled(
+                problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
+            )
+            for p, failure in enumerate(solved.failures):
+                if failure is None:
+                    paths.append(solved.path(p))
+                    assert np.array_equal(solved.er[:, p], paths[-1].er)
+        assert len(paths) == cfg.n_paths - report.n_failures
+        assert report.failed_paths == ([13, 20] if cfg.problem == "expr" else [])
+        assert report.per_path_sup_sq == [c.sup_sq_error for c in paths]
+        assert report.per_path_sup_er == [c.sup_error for c in paths]
+        assert report.er_mean_curve == np.stack([c.er for c in paths]).mean(axis=0).tolist()
+        z_sup_sq = [np.max(np.sum(c.averaged.states**2, axis=1)) for c in paths]
+        assert report.z_moment_estimate == 1.0 + float(np.mean(z_sup_sq))
 
     def test_failure_budget_enforced(self):
         hopeless = dataclasses.replace(
@@ -328,6 +370,12 @@ class TestConvergenceStudy:
         assert len(spent) == 3
         assert manifest["timing_seconds"] >= sum(spent)
         assert manifest["failures"] == []
+
+    def test_manifest_sums_quadrature_fallbacks_over_the_study(self, tmp_path):
+        kinked = dataclasses.replace(COMPENSATED, jump_expr="abs(z-0.1)*x")
+        convergence_study(kinked, [0.5, 0.05, 0.005], out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["counts"] == {"quadrature_fallbacks": 3 * 4 * 10}
 
     def test_reversal_invariance(self):
         forward = convergence_study(dataclasses.replace(TINY, n_paths=6), [1e-2, 1e-3, 1e-4])

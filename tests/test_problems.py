@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from fracavg.errors import ConfigError
 from fracavg.harness import ExperimentConfig
 from fracavg.levy import NoiseBlock, TimeGrid, sample_noise
-from fracavg.problems import _EXPR_NAMES, _additive, build_problem, compile_expr
-from fracavg.solver import solve_coupled
+from fracavg.problems import _EXPR_NAMES, build_problem, compile_expr
+from fracavg.solver import _Constant, solve_coupled
 
 # Plain-float semantics of every expression name: the reference that the
 # numpy evaluation is checked against.
@@ -108,7 +108,7 @@ def test_names_in_nested_bodies_are_checked(source):
 @pytest.mark.parametrize("paths", [1, 2, 64])
 def test_constant_diffusion_is_one_read_only_array_per_shape(paths):
     expr = compile_expr("0.5", ("t", "x"), shape=(1, 1))
-    for diffusion in (_additive(0.5), lambda x: expr(0.3, x)):
+    for diffusion in (_Constant(0.5), lambda x: expr(0.3, x)):
         states = np.zeros((paths, 1))
         out = diffusion(states)
         assert out.shape == (paths, 1, 1) and np.all(out == 0.5)

@@ -15,11 +15,12 @@ from fracavg.levy import (
     nu_integral,
     sample_noise,
 )
-from fracavg.problems import _additive, build_problem
+from fracavg.problems import build_problem
 from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
     JumpMode,
+    _Constant,
     _quadrature_rate,
     solve_averaged,
     solve_coupled,
@@ -442,8 +443,8 @@ class TestCoupling:
     @pytest.mark.parametrize("paths", [1, 2, 64])
     def test_identical_coefficients_with_a_constant_diffusion_zero_error(self, paths):
         # criterion 5 with the noise terms filled before the time loop
-        coeffs = CoefficientSet(drift=lambda t, x: np.sin(x) + 0.2 * x, diffusion=_additive(0.4))
-        averaged = AveragedCoefficientSet(drift=lambda x: np.sin(x) + 0.2 * x, diffusion=_additive(0.4))
+        coeffs = CoefficientSet(drift=lambda t, x: np.sin(x) + 0.2 * x, diffusion=_Constant(0.4))
+        averaged = AveragedCoefficientSet(drift=lambda x: np.sin(x) + 0.2 * x, diffusion=_Constant(0.4))
         grid = TimeGrid(step=0.02, n_steps=700)
         noise = NoiseBlock(tuple(sample_noise(None, grid, dim=1, seed=8, stream_key=(i,)) for i in range(paths)))
         solved = solve_coupled(coeffs, averaged, noise, x0=0.3, epsilon=0.8, beta=0.7)
