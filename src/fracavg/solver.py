@@ -12,8 +12,10 @@ the kernel evaluated at the step's left endpoint, which stays finite for
 j < n and matches the left-limit state convention: every coefficient at step
 j sees X_j, never X_{j+1}.
 
-One time loop steps a whole block of P paths (a ``NoiseBlock``).  The state
-has shape (P, dim), and coefficients follow one broadcasting contract:
+One time loop steps a whole block of P paths (a ``NoiseBlock``) of one or
+more systems: the coupled solve steps the original and the averaged system
+together on their shared noise.  Each system's state has shape (P, dim), and
+coefficients follow one broadcasting contract:
 ``drift(t, X) -> (P, dim)``, ``diffusion(t, X) -> (P, dim, brownian_dim)``,
 ``jump(t, X, z) -> (P, dim)`` and ``jump_drift(t, X) -> (P, dim)``, where
 the event times and marks handed to ``jump`` are scalars or (P,) arrays.  The
@@ -37,6 +39,7 @@ added to the states of steps [n, n + s), which start at X_0.  A block of P
 paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
 the far field (a square wider than TILE costs (s / TILE)^2 tile
 convolutions), in O(N) Python steps; for N < BASE it is the direct sum.
+
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
 of one product over the whole history per step, and scaling the terms
 before summing keeps that tolerance against three separate sums.  A path
@@ -44,7 +47,18 @@ whose state turns non-finite is masked (restarted from X_0 without memory:
 its history up to that step is zeroed, the noise terms filled for later
 steps stay, and the far-field sums already added to its later states are
 reset to X_0, so it cannot disturb the others) and its first failure step
-is recorded.
+is recorded, per system.
+
+Systems stepped together share the weights, the event table, the far-field
+kernels, one near-field product and one finiteness test per step.  The
+history is laid out system outermost, (systems, N, 2, P * dim), and the
+states (N + 1, systems, P, dim): the near field is then a stack of
+per-system products, each of the shape a solve of that system alone makes,
+and no far-field transform mixes the columns of two systems.  So each
+system's states are bitwise those of its solo solve, and two systems with
+equal coefficients stay exactly equal (acceptance criterion 5).  Putting
+both systems' columns into one 2-D product would break that: BLAS may
+round a column differently by its position in the matrix.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -400,18 +414,20 @@ def _fill_noise(slot, diffusion: _Constant, increments, scale: float) -> None:
 def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dict) -> None:
     """Add the memory sums over history rows [m - size, m) to state rows [m, m + size).
 
-    The square is cut into tiles of at most TILE rows, and each pair of a
-    source tile and a target tile is one FFT convolution of length 2 * tile.
-    ``kernels`` caches, per tile size, the transform of lags 0 .. 2 * tile - 1,
-    the segment of every tile pair on the diagonal.
+    ``history`` is (systems, n_steps, 2, columns) and ``state_rows``
+    (n_steps + 1, systems, columns).  The square is cut into tiles of at most
+    TILE rows, and each pair of a source tile and a target tile is one FFT
+    convolution of length 2 * tile per group of columns; a group never spans
+    two systems.  ``kernels`` caches, per tile size, the transform of lags
+    0 .. 2 * tile - 1, the segment of every tile pair on the diagonal.
     """
-    n_steps = history.shape[0]
+    n_steps = history.shape[1]
     end = min(m + size, n_steps + 1)
     tile = min(size, TILE)
     width = FFT_CELLS // tile
     lag_rows = weights.reshape(n_steps, 2)  # row i holds lag n_steps - i of both slots
     for s0 in range(m - size, m, tile):
-        sources = history[s0 : s0 + tile]
+        sources = history[:, s0 : s0 + tile]
         for t0 in range(m, end, tile):
             t1 = min(t0 + tile, end)
             offset = t0 - s0 - tile  # the pair reaches lags offset + 1 .. offset + 2 * tile - 1
@@ -423,54 +439,63 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
                 kernel = np.fft.rfft(segment)[:, None, :]
                 if offset == 0:
                     kernels[tile] = kernel
-            for c0 in range(0, history.shape[2], width):
-                cols = slice(c0, c0 + width)
-                # (slot, column, row) with rows contiguous: faster transforms
-                lanes = np.ascontiguousarray(sources[:, :, cols].transpose(1, 2, 0))
-                spectra = np.fft.rfft(lanes, n=2 * tile)
-                spectra *= kernel
-                spectra[0] += spectra[1]
-                sums = np.fft.irfft(spectra[0], n=2 * tile)
-                state_rows[t0:t1, cols] += sums[:, tile : tile + t1 - t0].T
+            for system, rows in enumerate(sources):
+                for c0 in range(0, history.shape[3], width):
+                    cols = slice(c0, c0 + width)
+                    # (slot, column, row) with rows contiguous: faster transforms
+                    lanes = np.ascontiguousarray(rows[:, :, cols].transpose(1, 2, 0))
+                    spectra = np.fft.rfft(lanes, n=2 * tile)
+                    spectra *= kernel
+                    spectra[0] += spectra[1]
+                    sums = np.fft.irfft(spectra[0], n=2 * tile)
+                    state_rows[t0:t1, system, cols] += sums[:, tile : tile + t1 - t0].T
 
 
-def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
-    """States (n_steps + 1, P, dim) of one system for every path of the block.
+def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
+    """States (n_steps + 1, S, P, dim) of S systems for every path of the block.
 
-    Also returns each path's first grid step with a non-finite state, 0 for a
-    path that stayed finite, and the number of compensator rates that fell
-    back from the shell table to adaptive quadrature.
+    ``systems`` is a tuple of S coefficient sets, stepped together on the
+    block's shared noise.  Also returns each (system, path)'s first grid step
+    with a non-finite state, an (S, P) array with 0 where the path stayed
+    finite, and per system the number of compensator rates that fell back
+    from the shell table to adaptive quadrature.
+
+    The systems share the grid, the weights, the event table and the far-field
+    kernels; each step makes one near-field product and one finiteness test
+    for all of them.  The history is (S, n_steps, 2, P * dim), system
+    outermost, so the near field is a stack of S products of the shape a solo
+    solve makes, and every far-field transform reads columns of one system:
+    each system's sums are those of a solve of that system alone, bit for bit.
     """
     order = as_order(beta)
     b = order.beta
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= EPSILON_MAX:
         raise ValueError(f"epsilon must lie in [0, {EPSILON_MAX}]; got {epsilon!r}")
-    dim = coeffs.dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({dim},)")
-    if noise.dim != coeffs.brownian_dim:
-        raise ValueError(
-            f"noise carries {noise.dim} Brownian components, "
-            f"coefficients expect {coeffs.brownian_dim}"
-        )
-
-    has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
-    mode = coeffs.jump_mode
-    if has_jump and coeffs.jump_drift is None and noise.spec is None:
-        raise ValueError(
-            "jump coefficient given without a jump measure: the noise carries "
-            "no JumpMeasureSpec and no closed-form jump_drift was provided"
-        )
-    if has_jump and mode == JumpMode.COMPENSATED and coeffs.jump is None:
-        raise ValueError("compensated jump mode requires the jump coefficient itself")
+    for coeffs in systems:
+        if x0.shape != (coeffs.dim,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({coeffs.dim},)")
+        if noise.dim != coeffs.brownian_dim:
+            raise ValueError(
+                f"noise carries {noise.dim} Brownian components, "
+                f"coefficients expect {coeffs.brownian_dim}"
+            )
+        has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
+        if has_jump and coeffs.jump_drift is None and noise.spec is None:
+            raise ValueError(
+                "jump coefficient given without a jump measure: the noise carries "
+                "no JumpMeasureSpec and no closed-form jump_drift was provided"
+            )
+        if has_jump and coeffs.jump_mode == JumpMode.COMPENSATED and coeffs.jump is None:
+            raise ValueError("compensated jump mode requires the jump coefficient itself")
 
     grid = noise.grid
     h = grid.step
     n_steps = grid.n_steps
     times = grid.times
-    timed = coeffs.time_dependent
+    dim = x0.shape[0]
+    s_count = len(systems)
     p_count = noise.size
     shape = (p_count, dim)
     c_drift = epsilon / gamma_fn(b)
@@ -482,84 +507,95 @@ def _solve_block(coeffs, noise: NoiseBlock, x0, epsilon: float, beta):
     weights[0::2] = build_kernel_weights(order, h, n_steps).weights
     stoch_w = weights[1::2]  # left-endpoint kernel, built in place to keep peak memory down
     np.power(np.multiply(h, np.arange(n_steps, 0, -1, dtype=float), out=stoch_w), b - 1.0, out=stoch_w)
-    history = np.zeros((n_steps, 2, p_count * dim))
-    history_rows = history.reshape(2 * n_steps, -1)
-    by_path = history.reshape(n_steps, 2, p_count, dim)
-    nu_drift = has_jump and mode == JumpMode.NU_DRIFT
-    compensated = has_jump and not nu_drift
-    # compensated jump terms join G dB in slot 1 before the two are scaled together
-    noise_scale = 1.0 if compensated else c_stoch
-    constant_g = isinstance(coeffs.diffusion, _Constant)
-    if constant_g:
-        _fill_noise(by_path[:, 1], coeffs.diffusion, noise.increments, noise_scale)
-    else:
-        increments = noise.increments[:, :, :, None]
+    history = np.zeros((s_count, n_steps, 2, p_count * dim))
+    history_rows = history.reshape(s_count, 2 * n_steps, -1)
+    by_path = history.reshape(s_count, n_steps, 2, p_count, dim)
+    states = np.empty((n_steps + 1, s_count) + shape)
+    states[:] = x0  # the far field adds into rows ahead of the current step
+    state_rows = states.reshape(n_steps + 1, s_count, -1)
+    state_flat = states.reshape(n_steps + 1, -1)
+    increments = noise.increments[:, :, :, None]
 
-    events = compensated and any(r.n_events for r in noise.realizations)
+    plans = []
+    any_compensated = False
+    for s, coeffs in enumerate(systems):
+        has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
+        nu_drift = has_jump and coeffs.jump_mode == JumpMode.NU_DRIFT
+        compensated = has_jump and not nu_drift
+        any_compensated |= compensated
+        # compensated jump terms join G dB in slot 1 before the two are scaled together
+        noise_scale = 1.0 if compensated else c_stoch
+        constant_g = isinstance(coeffs.diffusion, _Constant)
+        if constant_g:
+            _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, noise_scale)
+        plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, noise_scale, constant_g))
+
+    events = any_compensated and any(r.n_events for r in noise.realizations)
     if events:
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
 
-    states = np.empty((n_steps + 1,) + shape)
-    states[:] = x0  # the far field adds into rows ahead of the current step
-    state_rows = states.reshape(n_steps + 1, -1)
     kernels = {}
-    failed = np.zeros(p_count, dtype=np.int64)
-    fallbacks = 0
+    failed = np.zeros((s_count, p_count), dtype=np.int64)
+    fallbacks = [0] * s_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, n_steps + 1):
             j = n - 1
-            targs = (times[j],) if timed else ()
-            x_j = states[j]
-            slots = by_path[j]
-            f = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
-            np.multiply(f, c_drift, out=slots[0])
-            if not constant_g:
-                g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
-                    shape + (coeffs.brownian_dim,)
-                )
-                np.multiply((g @ increments[j])[:, :, 0], noise_scale, out=slots[1])
-
-            if has_jump:
-                if coeffs.jump_drift is not None:
-                    rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
-                else:
-                    rate, redone = _quadrature_rate(
-                        coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
+            for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, noise_scale, constant_g in plans:
+                targs = (times[j],) if coeffs.time_dependent else ()
+                x_j = sys_states[j]
+                slots = sys_slots[j]
+                f = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
+                np.multiply(f, c_drift, out=slots[0])
+                if not constant_g:
+                    g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
+                        shape + (coeffs.brownian_dim,)
                     )
-                    fallbacks += redone
-                if nu_drift:
-                    slots[0] += c_stoch * rate
-                else:
-                    raw = np.zeros(shape)
-                    if events and starts[j] < ends[j]:
-                        sel = slice(starts[j], ends[j])
-                        ev_targs = (ev_time[sel],) if timed else ()
-                        hits = np.asarray(
-                            coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
-                        ).reshape(-1, dim)
-                        np.add.at(raw, ev_path[sel], hits)  # in event order, per path
-                    slots[1] += raw - h * rate
-                    slots[1] *= c_stoch
+                    np.multiply((g @ increments[j])[:, :, 0], noise_scale, out=slots[1])
+
+                if has_jump:
+                    if coeffs.jump_drift is not None:
+                        rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
+                    else:
+                        rate, redone = _quadrature_rate(
+                            coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
+                        )
+                        fallbacks[s] += redone
+                    if nu_drift:
+                        slots[0] += c_stoch * rate
+                    else:
+                        raw = np.zeros(shape)
+                        if events and starts[j] < ends[j]:
+                            sel = slice(starts[j], ends[j])
+                            ev_targs = (ev_time[sel],) if coeffs.time_dependent else ()
+                            hits = np.asarray(
+                                coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
+                            ).reshape(-1, dim)
+                            np.add.at(raw, ev_path[sel], hits)  # in event order, per path
+                        slots[1] += raw - h * rate
+                        slots[1] *= c_stoch
 
             near = n - n % BASE
             if near == n:
                 _add_far_field(state_rows, history, weights, n, n & -n, kernels)
-            x_n = state_rows[n]
-            x_n += weights[2 * (n_steps - n + near) :] @ history_rows[2 * near : 2 * n]
+            rows = state_rows[n]
+            rows += weights[2 * (n_steps - n + near) :] @ history_rows[:, 2 * near : 2 * n]
+            x_n = state_flat[n]
             if not math.isfinite(x_n @ x_n):  # a finite sum of squares proves every state finite
-                bad = ~np.isfinite(states[n]).all(axis=1)
-                failed[bad & (failed == 0)] = n
-                states[n:, bad] = x0  # drops the far-field sums already added ahead
-                by_path[:n, :, bad] = 0.0
+                for s in range(s_count):
+                    bad = ~np.isfinite(states[n, s]).all(axis=1)
+                    failed[s, bad & (failed[s] == 0)] = n
+                    states[n:, s, bad] = x0  # drops the far-field sums already added ahead
+                    by_path[s, :n, :, bad] = 0.0
     return states, failed, fallbacks
 
 
 def _solve_one(coeffs, noise, x0, epsilon, beta, system: str) -> GridPath:
-    states, failed, _ = _solve_block(coeffs, NoiseBlock((noise,)), x0, epsilon, beta)
+    states, failed, _ = _solve_block((coeffs,), NoiseBlock((noise,)), x0, epsilon, beta)
     times = noise.grid.times
-    if failed[0]:
-        raise PathBlowupError(step=failed[0], time=times[failed[0]], system=system)
-    return GridPath(times=times, states=states[:, 0], epsilon=float(epsilon))
+    step = failed[0, 0]
+    if step:
+        raise PathBlowupError(step=step, time=times[step], system=system)
+    return GridPath(times=times, states=states[:, 0, 0], epsilon=float(epsilon))
 
 
 def solve_original(
@@ -599,19 +635,18 @@ def solve_coupled(
     CoupledBlock in which each failed path carries its error instead.
     """
     block = noise if isinstance(noise, NoiseBlock) else NoiseBlock((noise,))
-    original, failed_o, fallbacks_o = _solve_block(coeffs, block, x0, epsilon, beta)
-    averaged, failed_a, fallbacks_a = _solve_block(avg_coeffs, block, x0, epsilon, beta)
+    states, failed, fallbacks = _solve_block((coeffs, avg_coeffs), block, x0, epsilon, beta)
     times = block.grid.times
     failures = []
-    for fo, fa in zip(failed_o.tolist(), failed_a.tolist()):
+    for fo, fa in zip(*failed.tolist()):
         step, system = (fo, "original") if fo else (fa, "averaged")
         failures.append(PathBlowupError(step=step, time=times[step], system=system) if step else None)
     solved = CoupledBlock(
         times=times,
-        original=original,
-        averaged=averaged,
+        original=states[:, 0],
+        averaged=states[:, 1],
         failures=tuple(failures),
         epsilon=float(epsilon),
-        quadrature_fallbacks=fallbacks_o + fallbacks_a,
+        quadrature_fallbacks=sum(fallbacks),
     )
     return solved if block is noise else solved.path(0)

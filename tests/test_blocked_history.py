@@ -102,7 +102,8 @@ def direct_solve_block(coeffs, noise, x0, epsilon, beta):
 
 
 def assert_matches_direct(coeffs, noise, x0, epsilon, beta):
-    states, failed, fallbacks = _solve_block(coeffs, noise, x0, epsilon, beta)
+    states, failed, fallbacks = _solve_block((coeffs,), noise, x0, epsilon, beta)
+    states, failed, fallbacks = states[:, 0], failed[0], fallbacks[0]
     ref_states, ref_failed, ref_fallbacks = direct_solve_block(coeffs, noise, x0, epsilon, beta)
     np.testing.assert_array_equal(failed, ref_failed)
     assert fallbacks == ref_fallbacks
@@ -189,8 +190,8 @@ class TestBlockedHistory:
         for coeffs in (problem.coeffs, problem.averaged):
             assert isinstance(coeffs.diffusion, _Constant)
             plain = dataclasses.replace(coeffs, diffusion=lambda *a, g=coeffs.diffusion: g(*a))
-            states, failed, _ = _solve_block(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
-            ref, ref_failed, _ = _solve_block(plain, noise, problem.x0, cfg.epsilon, problem.beta)
+            states, failed, _ = _solve_block((coeffs,), noise, problem.x0, cfg.epsilon, problem.beta)
+            ref, ref_failed, _ = _solve_block((plain,), noise, problem.x0, cfg.epsilon, problem.beta)
             assert not failed.any() and not ref_failed.any()
             assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
             np.testing.assert_array_equal(states, ref)  # same products in the same order

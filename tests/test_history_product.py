@@ -104,7 +104,8 @@ def three_product_solve_block(coeffs, noise, x0, epsilon, beta):
 
 
 def assert_matches_reference(coeffs, noise, x0, epsilon, beta):
-    states, failed, fallbacks = _solve_block(coeffs, noise, x0, epsilon, beta)
+    states, failed, fallbacks = _solve_block((coeffs,), noise, x0, epsilon, beta)
+    states, failed, fallbacks = states[:, 0], failed[0], fallbacks[0]
     ref_states, ref_failed, ref_fallbacks = three_product_solve_block(coeffs, noise, x0, epsilon, beta)
     np.testing.assert_array_equal(failed, ref_failed)
     assert fallbacks == ref_fallbacks

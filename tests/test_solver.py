@@ -22,6 +22,7 @@ from fracavg.solver import (
     JumpMode,
     _Constant,
     _quadrature_rate,
+    _solve_block,
     solve_averaged,
     solve_coupled,
     solve_original,
@@ -615,3 +616,105 @@ class TestBlocks:
         assert np.array_equal(hit.averaged[:, others], clean.averaged[:, others])
         with pytest.raises(PathBlowupError):
             hit.path(2)
+
+
+LOCKSTEP_PROBLEMS = [
+    ExperimentConfig(
+        problem="mlbench", case=None, beta=0.6, x0=1.0, epsilon=1.0, horizon=1.0, step=2e-3
+    ),
+    ExperimentConfig(case="a", horizon=3.0, step=1e-2),
+    ExperimentConfig(
+        problem="expr", case=None, jump_mode="compensated_prm",
+        jump_expr="z*x*sin(t)**2", gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75,
+        drift_expr="-x*(1+cos(t))", diffusion_expr="0.5",
+        avg_drift_expr="-x", avg_diffusion_expr="0.5", horizon=3.0, step=1e-2,
+    ),
+    ExperimentConfig(
+        problem="expr", case=None, jump_mode="compensated_prm",
+        jump_expr="z*x*sin(t)**2", gamma=1.0, alpha=0.8, cutoff=0.5, beta=0.75,
+        drift_expr="-x*(1+cos(t))", diffusion_expr="0.5*x",
+        avg_drift_expr="-x", avg_diffusion_expr="0.5*x", horizon=3.0, step=1e-2,
+    ),
+]
+LOCKSTEP_IDS = ["mlbench", "eq10_a", "expr_compensated", "expr_multiplicative"]
+
+
+class TestLockstep:
+    """Both systems stepped in one time loop against each system solved alone."""
+
+    @staticmethod
+    def _block(problem, grid, paths):
+        return NoiseBlock(tuple(
+            sample_noise(problem.spec, grid, dim=1, seed=5, stream_key=(i,),
+                         include_jumps=problem.needs_jump_events)
+            for i in range(paths)
+        ))
+
+    @staticmethod
+    def _assert_solo_equal(coeffs, averaged, noise, kw):
+        coupled = solve_coupled(coeffs, averaged, noise, **kw)
+        pairs = ((coeffs, coupled.original, solve_original), (averaged, coupled.averaged, solve_averaged))
+        for system, states, solve in pairs:
+            alone, failed, _ = _solve_block((system,), noise, kw["x0"], kw["epsilon"], kw["beta"])
+            assert np.array_equal(states, alone[:, 0])
+            if noise.size == 1 and not failed.any():
+                assert np.array_equal(states[:, 0], solve(system, noise.realizations[0], **kw).states)
+        return coupled
+
+    @pytest.mark.parametrize("paths", [1, 3, 64])
+    @pytest.mark.parametrize("config", LOCKSTEP_PROBLEMS, ids=LOCKSTEP_IDS)
+    def test_each_system_equals_its_solo_solve(self, config, paths):
+        cfg = config.resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        noise = self._block(problem, grid, paths)
+        if problem.needs_jump_events:
+            assert any(r.n_events for r in noise.realizations)
+        kw = dict(x0=problem.x0, epsilon=cfg.epsilon, beta=problem.beta)
+        coupled = self._assert_solo_equal(problem.coeffs, problem.averaged, noise, kw)
+        assert coupled.failures == (None,) * paths
+
+    @pytest.mark.parametrize("paths", [1, 3, 64])
+    def test_a_blow_up_in_one_system_leaves_the_other_as_solved_alone(self, paths):
+        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
+        averaged = AveragedCoefficientSet.scalar(drift=lambda x: -x, diffusion=lambda x: 1.0)
+        grid = TimeGrid(step=0.02, n_steps=300)
+        noises = [sample_noise(None, grid, dim=1, seed=2, stream_key=(i,)) for i in range(paths)]
+        kick = noises[-1].increments.copy()
+        kick[140, 0] = 1e120  # the cubic drift overflows in plain floats one step later
+        noises[-1] = dataclasses.replace(noises[-1], increments=kick)
+        kw = dict(x0=0.1, epsilon=0.5, beta=0.7)
+        if paths == 1:
+            with pytest.raises(PathBlowupError) as alone:
+                solve_original(coeffs, noises[0], **kw)
+            assert alone.value.step == 142
+        coupled = self._assert_solo_equal(coeffs, averaged, NoiseBlock(tuple(noises)), kw)
+        failure = coupled.failures[-1]
+        assert (failure.step, failure.system) == (142, "original")
+        assert coupled.failures[:-1] == (None,) * (paths - 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("paths", [1, 2, 3, 5, 7, 33, 64])
+    def test_identical_coefficients_zero_error(self, paths, dim):
+        # criterion 5: equal systems on shared noise stay exactly equal, whatever the block width
+        coupling = np.eye(dim) + 0.1
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.sin(3 * x) - 0.3 * x @ coupling,
+            diffusion=lambda t, x: 0.5 + 0.1 * np.cos(x)[:, :, None] * coupling,
+            dim=dim,
+            brownian_dim=dim,
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.sin(3 * x) - 0.3 * x @ coupling,
+            diffusion=lambda x: 0.5 + 0.1 * np.cos(x)[:, :, None] * coupling,
+            dim=dim,
+            brownian_dim=dim,
+        )
+        grid = TimeGrid(step=0.02, n_steps=300)
+        noise = NoiseBlock(tuple(
+            sample_noise(None, grid, dim=dim, seed=8, stream_key=(i,)) for i in range(paths)
+        ))
+        solved = solve_coupled(coeffs, averaged, noise, x0=np.linspace(0.1, 0.3, dim), epsilon=0.8, beta=0.7)
+        assert solved.failures == (None,) * paths
+        assert np.all(solved.er == 0.0)
+        assert solved.er.max() ** 2 == 0.0
