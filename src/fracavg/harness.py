@@ -285,8 +285,7 @@ def _aggregate(cfg: ExperimentConfig, ensemble: Ensemble) -> ErrorReport:
             f"{len(failed)} of {cfg.n_paths} paths failed "
             f"(budget {FAILURE_BUDGET:.0%}); first failures: {failed[:5]}"
         )
-    # float pow, as in CoupledPaths.sup_sq_error: an array square may round differently
-    sup_sq = [v**2 for v in ensemble.sup_er]
+    sup_sq = [v * v for v in ensemble.sup_er]
 
     n = len(sup_sq)
     mean_sq = float(np.mean(sup_sq))

@@ -279,7 +279,8 @@ class CoupledPaths:
     @property
     def sup_sq_error(self) -> float:
         """max_n |X_n - Z_n|^2 over the grid."""
-        return float(self.er.max() ** 2)
+        sup = self.er.max()
+        return float(sup * sup)
 
     @property
     def sup_error(self) -> float:

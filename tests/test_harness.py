@@ -238,6 +238,18 @@ class TestRunEnsemble:
         z_sup_sq = [np.max(np.sum(c.averaged.states**2, axis=1)) for c in paths]
         assert report.z_moment_estimate == 1.0 + float(np.mean(z_sup_sq))
 
+    def test_sup_square_is_the_correctly_rounded_product(self):
+        # glibc 2.36's pow rounds this square one ulp above x * x
+        sup = 0.42672114373024106
+        ensemble = harness.Ensemble(
+            failures=[], sup_er=[sup, 0.5], sup_z_sq=[1.0, 1.0],
+            curves=[np.array([0.0, sup]), np.array([0.0, 0.5])], saved={}, quadrature_fallbacks=0,
+        )
+        report = harness._aggregate(dataclasses.replace(TINY, n_paths=2).resolved(), ensemble)
+        assert report.per_path_sup_sq == [0.18209093450644503, 0.25]
+        assert report.per_path_sup_sq[0] == float(np.square(sup))
+        assert report.mean_sup_sq == float(np.mean([sup * sup, 0.25]))
+
     def test_failure_budget_enforced(self):
         hopeless = dataclasses.replace(
             FRAGILE,

@@ -19,6 +19,8 @@ from fracavg.problems import build_problem
 from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
+    CoupledPaths,
+    GridPath,
     JumpMode,
     _Constant,
     _quadrature_rate,
@@ -473,6 +475,13 @@ class TestCoupling:
         np.testing.assert_allclose(res.er, np.abs(res.original.states[:, 0]))
         assert res.sup_sq_error == pytest.approx(res.er.max() ** 2)
         assert res.er[0] == 0.0
+
+    def test_sup_square_is_the_correctly_rounded_product(self):
+        # glibc 2.36's pow rounds this square one ulp above x * x
+        sup = 0.42672114373024106
+        grid = GridPath(times=np.array([0.0, 0.1]), states=np.zeros((2, 1)), epsilon=0.1)
+        res = CoupledPaths(original=grid, averaged=grid, er=np.array([0.0, sup]))
+        assert res.sup_sq_error == 0.18209093450644503 == float(np.square(sup))
 
 
 class TestSerialization:
