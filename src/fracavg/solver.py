@@ -34,11 +34,10 @@ The sum over that history is blocked (Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985).  Near field: step n sums the rows of its own
 BASE-step block, j >= n - n % BASE, as one weights-by-history product.  Far
 field: when n completes a block, the rows [n - s, n), s = n & -n, are
-convolved with the lag weights by FFT, in tiles of at most TILE rows, and
+convolved with the lag weights by one FFT of length 2s per square and
 added to the states of steps [n, n + s), which start at X_0.  A block of P
 paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
-the far field (a square wider than TILE costs (s / TILE)^2 tile
-convolutions), in O(N) Python steps; for N < BASE it is the direct sum.
+the far field, in O(N) Python steps; for N < BASE it is the direct sum.
 
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
 of one product over the whole history per step, and scaling the terms
@@ -80,11 +79,9 @@ from .kernels import as_order, build_kernel_weights, gamma_fn
 from .levy import NoiseBlock, NoiseRealization, nu_integral_vector
 
 EPSILON_MAX = 1.0
-# Near-field block and far-field tile of the history sum (see above).  A
-# transform takes FFT_CELLS // rows columns, at least two, which bounds its
-# temporaries.
+# Near-field block of the history sum (see above).  A far-field transform
+# takes FFT_CELLS // rows columns, at least one, which bounds its temporaries.
 BASE = 64
-TILE = 1024
 FFT_CELLS = 2048
 # Grid steps per pass over all steps outside the time loop (the noise terms of
 # a constant diffusion, the distance curve); bounds the temporaries.
@@ -318,7 +315,9 @@ class CoupledBlock:
         er = np.empty(self.original.shape[:2])
         for s0 in range(0, len(er), STEP_CHUNK):
             rows = slice(s0, s0 + STEP_CHUNK)
-            er[rows] = np.linalg.norm(self.original[rows] - self.averaged[rows], axis=2)
+            gap = np.abs(self.original[rows] - self.averaged[rows])
+            # no component is squared unscaled: a finite gap above ~1.3e154 stays finite
+            er[rows] = gap[:, :, 0] if gap.shape[2] == 1 else np.hypot.reduce(gap, axis=2)
         object.__setattr__(self, "er", er)
         for arr in (self.times, self.original, self.averaged, self.er):
             arr.setflags(write=False)
@@ -416,40 +415,37 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
     """Add the memory sums over history rows [m - size, m) to state rows [m, m + size).
 
     ``history`` is (systems, n_steps, 2, columns) and ``state_rows``
-    (n_steps + 1, systems, columns).  The square is cut into tiles of at most
-    TILE rows, and each pair of a source tile and a target tile is one FFT
-    convolution of length 2 * tile per group of columns; a group never spans
-    two systems.  ``kernels`` caches, per tile size, the transform of lags
-    0 .. 2 * tile - 1, the segment of every tile pair on the diagonal.
+    (n_steps + 1, systems, columns).  The square is one FFT convolution of
+    length 2 * size per group of at most FFT_CELLS // size columns; a group
+    never spans two systems.  Target n and source j meet at lag n - j in
+    1 .. 2 * size - 1 whatever m is, so ``kernels`` caches one transform of
+    lags 0 .. 2 * size - 1 per square size, until the last square of that
+    size (squares of one size start 2 * size rows apart).  The last square's
+    targets are clipped at n_steps, not its transform length.
     """
     n_steps = history.shape[1]
     end = min(m + size, n_steps + 1)
-    tile = min(size, TILE)
-    width = FFT_CELLS // tile
-    lag_rows = weights.reshape(n_steps, 2)  # row i holds lag n_steps - i of both slots
-    for s0 in range(m - size, m, tile):
-        sources = history[:, s0 : s0 + tile]
-        for t0 in range(m, end, tile):
-            t1 = min(t0 + tile, end)
-            offset = t0 - s0 - tile  # the pair reaches lags offset + 1 .. offset + 2 * tile - 1
-            kernel = kernels.get(tile) if offset == 0 else None
-            if kernel is None:
-                segment = np.zeros((2, 2 * tile))  # lag 0 and lags past n_steps weigh nothing
-                lo, hi = max(offset, 1), min(offset + 2 * tile, n_steps + 1)
-                segment[:, lo - offset : hi - offset] = lag_rows[n_steps + 1 - hi : n_steps + 1 - lo][::-1].T
-                kernel = np.fft.rfft(segment)[:, None, :]
-                if offset == 0:
-                    kernels[tile] = kernel
-            for system, rows in enumerate(sources):
-                for c0 in range(0, history.shape[3], width):
-                    cols = slice(c0, c0 + width)
-                    # (slot, column, row) with rows contiguous: faster transforms
-                    lanes = np.ascontiguousarray(rows[:, :, cols].transpose(1, 2, 0))
-                    spectra = np.fft.rfft(lanes, n=2 * tile)
-                    spectra *= kernel
-                    spectra[0] += spectra[1]
-                    sums = np.fft.irfft(spectra[0], n=2 * tile)
-                    state_rows[t0:t1, system, cols] += sums[:, tile : tile + t1 - t0].T
+    kernel = kernels.get(size)
+    if kernel is None:
+        segment = np.zeros((2, 2 * size))  # lag 0 and lags past n_steps weigh nothing
+        hi = min(2 * size, n_steps + 1)
+        # row i of the weights holds lag n_steps - i of both slots
+        segment[:, 1:hi] = weights.reshape(n_steps, 2)[n_steps + 1 - hi :][::-1].T
+        kernel = kernels[size] = np.fft.rfft(segment)[:, None, :]
+        del segment  # not held through the transforms: lowers the peak memory
+    width = max(1, FFT_CELLS // size)
+    for system, rows in enumerate(history[:, m - size : m]):
+        for c0 in range(0, history.shape[3], width):
+            cols = slice(c0, c0 + width)
+            # (slot, column, row) with rows contiguous: faster transforms
+            lanes = np.ascontiguousarray(rows[:, :, cols].transpose(1, 2, 0))
+            spectra = np.fft.rfft(lanes, n=2 * size)
+            spectra *= kernel
+            spectra[0] += spectra[1]
+            sums = np.fft.irfft(spectra[0], n=2 * size)
+            state_rows[m:end, system, cols] += sums[:, size : size + end - m].T
+    if m + 2 * size > n_steps:  # no later square of this size: free its kernel
+        del kernels[size]
 
 
 def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):

@@ -145,16 +145,20 @@ class TestBlockedHistory:
     """States within 1e-12 * (1 + |X|) of the direct sum, failures and fallback
     counts equal."""
 
-    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 1000, 2049, 5000])
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 1000, 2049, 5000, 16400])
     def test_step_counts(self, n_steps):
-        # the base block, the tile cap (1024 rows) and partial last tiles are all crossed
+        # the base block is crossed, whole squares reach 8192 rows, and a last
+        # square is clipped to its first targets (17 of 16384 at N = 16400)
         grid = TimeGrid(step=2e-3, n_steps=n_steps)
         assert_matches_direct(OU, noise_block(None, grid, 3), np.array([0.7]), 0.5, 0.6)
 
-    @pytest.mark.parametrize("paths", [1, 64])
-    def test_block_widths(self, paths):
-        # 64 paths take several transforms of FFT_CELLS // tile columns each
-        grid = TimeGrid(step=1e-2, n_steps=1100)
+    @pytest.mark.parametrize(
+        "paths, n_steps", [(1, 1100), (64, 1100), (64, 4100)], ids=["1", "64", "64-4100"]
+    )
+    def test_block_widths(self, paths, n_steps):
+        # 64 paths take several transforms of FFT_CELLS // s columns each; the
+        # squares of 2048 and 4096 rows at N = 4100 transform one column at a time
+        grid = TimeGrid(step=1e-2, n_steps=n_steps)
         assert_matches_direct(OU, noise_block(None, grid, paths), np.array([0.3]), 0.1, 0.75)
 
     def test_two_dimensional_system(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,31 @@ class TestCoupling:
         np.testing.assert_allclose(res.er, np.abs(res.original.states[:, 0]))
         assert res.sup_sq_error == pytest.approx(res.er.max() ** 2)
         assert res.er[0] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_er_of_a_gap_whose_square_overflows(self, dim):
+        # |X - Z| ~ 6.5e199 is finite though its square is not
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.full(x.shape, 1e200),
+            diffusion=lambda t, x: np.zeros(x.shape + (dim,)),
+            dim=dim,
+            brownian_dim=dim,
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.zeros(x.shape),
+            diffusion=lambda x: np.zeros(x.shape + (dim,)),
+            dim=dim,
+            brownian_dim=dim,
+        )
+        noise = zero_noise(5, step=0.1, dim=dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_coupled(coeffs, averaged, noise, x0=np.zeros(dim), epsilon=1.0, beta=0.75)
+        # X(t) = 1e200 * t^beta / Gamma(beta + 1) in each component, Z = 0
+        exact = math.sqrt(dim) * 1e200 * 0.5**0.75 / gamma_fn(1.75)
+        assert np.all(np.isfinite(res.er))
+        assert res.er[-1] == pytest.approx(exact, rel=1e-12)
+        assert res.sup_error == res.er[-1]
 
     def test_sup_square_is_the_correctly_rounded_product(self):
         # glibc 2.36's pow rounds this square one ulp above x * x
