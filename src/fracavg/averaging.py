@@ -471,18 +471,25 @@ def theorem_bound(
     b = order.beta
     c1 = float(c1)
     a1, a2, a3 = (float(a) for a in alpha_sups)
+    z_moment = float(z_moment)
+    lam = float(lam)
+    big_l = float(big_l)
+    epsilons = [float(e) for e in (np.atleast_1d(epsilon).tolist())]
+    # nan passes every comparison below, and inf makes the bound nan or inf
+    for name, values in (
+        ("c1", [c1]), ("alpha_sups", [a1, a2, a3]), ("z_moment", [z_moment]),
+        ("lambda", [lam]), ("L", [big_l]), ("epsilon", epsilons),
+    ):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} must be finite; got {', '.join(map(repr, values))}")
     if min(a1, a2, a3) < 0.0 or c1 < 0.0:
         raise ValueError("constants and residual suprema must be nonnegative")
-    z_moment = float(z_moment)
     if z_moment < 1.0:
         raise ValueError(f"z_moment estimates 1 + E sup|Z|^2 and must be >= 1; got {z_moment!r}")
-    lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1); got {lam!r}")
-    big_l = float(big_l)
     if big_l <= 0.0:
         raise ValueError(f"L must be positive; got {big_l!r}")
-    epsilons = [float(e) for e in (np.atleast_1d(epsilon).tolist())]
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("every epsilon must be positive")
 

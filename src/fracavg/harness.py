@@ -294,6 +294,11 @@ def _aggregate(cfg: ExperimentConfig, ensemble: Ensemble) -> ErrorReport:
 
     bound_value = bound_log10 = None
     if cfg.bound_c1 is not None and cfg.bound_alphas is not None:
+        if not math.isfinite(z_moment):
+            raise RunFailedError(
+                f"the bound needs a finite z-moment, but 1 + mean sup|Z|^2 is {z_moment!r}: "
+                f"an averaged path that did not fail passed ~1e154"
+            )
         bound = theorem_bound(
             cfg.bound_c1,
             cfg.bound_alphas,

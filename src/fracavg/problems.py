@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .kernels import FractionalOrder
 from .levy import JumpMeasureSpec
-from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode, _Constant
+from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode, _Batched, _Constant
 
 # Worked-example parameter presets (beta, alpha, gamma).
 FIG1_CASES = {
@@ -163,13 +163,14 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
 
     Only the listed arguments and a fixed set of math names are visible;
     anything else is rejected up front with the offending name, also inside
-    a lambda, generator or comprehension body.  The evaluator takes the
-    arguments as the solver's batch contract hands them over: a (P, 1)
-    state, and times or marks as scalars or (P,) arrays.  It evaluates the
-    expression once on the whole batch with numpy and returns shape
-    (P,) + ``shape``.  An operation with no real value, such as the log
-    of a negative state, gives nan and an overflow gives inf, which the
-    solver records as a failure of that path.
+    a lambda, generator or comprehension body.  The checked source is then
+    compiled once into a function of the arguments, ``lambda t, x: (source)``
+    with the same names visible, and the evaluator (``_Batched``) calls that
+    function: once on the whole batch as the solver's batch contract hands it
+    over, a (P, 1) state and times or marks as scalars or (P,) arrays,
+    returning shape (P,) + ``shape``.  An operation with no real value, such
+    as the log of a negative state, gives nan and an overflow gives inf,
+    which the solver records as a failure of that path.
 
     The expression is evaluated once here, with every argument one.  A part
     of it built from literals alone runs as Python arithmetic, so one that
@@ -190,28 +191,21 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
                 f"coefficient expression {source!r} uses unknown name {name!r} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
-    scope = {"__builtins__": {}, **_EXPR_NAMES}
-
-    def fn(*values):
-        # a Python float becomes a float64, whose arithmetic overflows to inf instead of raising
-        columns = [
-            (v[:, 0] if v.ndim == 2 else v) if isinstance(v, np.ndarray) else np.float64(v)
-            for v in values
-        ]
-        out = np.empty(np.broadcast(*columns).shape)
-        out[...] = eval(code, scope, dict(zip(args, columns)))
-        return out.reshape((-1,) + shape)
+    # the source parsed alone as one expression, so inside the parentheses it
+    # is that expression; the line breaks end a trailing comment
+    wrapper = f"lambda {', '.join(args)}: (\n{source}\n)"
+    body = eval(compile(wrapper, "<coefficient>", "eval"), {"__builtins__": {}, **_EXPR_NAMES})
 
     probe = np.empty(1)
     try:
         with np.errstate(all="ignore"):
-            value = eval(code, scope, dict.fromkeys(args, np.ones(1)))
+            value = body(*[np.ones(1)] * len(args))
             np.copyto(probe, value, casting="same_kind")  # a complex value is refused
     except Exception as exc:  # any error of the expression itself is a config error
         raise ConfigError(f"coefficient expression {source!r} cannot be evaluated: {exc}") from None
     if set(args).isdisjoint(names):
         return _Constant(probe[0], shape)
-    return fn
+    return _Batched(body, shape)
 
 
 def build_expr_problem(

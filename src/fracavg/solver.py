@@ -132,6 +132,31 @@ class _RowLoop:
         return out.reshape((-1,) + self.shape)
 
 
+class _Batched:
+    """Batch evaluator built from a numpy function of whole columns.
+
+    ``fn`` (a compiled ``expr``) takes the arguments as columns: the state's
+    (P,) column, and times or marks as float64 scalars or (P,) arrays.  It
+    runs once per batch, and its result is broadcast to (P,) + ``shape``.
+    Called on float64 scalars it gives one float64, which is how adaptive
+    quadrature integrates it.
+    """
+
+    def __init__(self, fn, shape=(1,)):
+        self.fn = fn
+        self.shape = shape
+
+    def __call__(self, *values):
+        # a Python float becomes a float64, whose arithmetic overflows to inf instead of raising
+        columns = [
+            (v[:, 0] if v.ndim == 2 else v) if isinstance(v, np.ndarray) else np.float64(v)
+            for v in values
+        ]
+        out = np.empty(np.broadcast(*columns).shape)
+        out[...] = self.fn(*columns)
+        return out.reshape((-1,) + self.shape)
+
+
 class _Constant:
     """Coefficient of one value whatever its arguments, in the batch contract.
 
@@ -178,9 +203,12 @@ class CoefficientSet:
     over [delta, cutoff) in COMPENSATED mode (where it serves as the
     compensator rate).  Without it, COMPENSATED mode evaluates H once per
     step at the nodes of the measure's fixed shell table for all paths
-    together (``levy.shell_table``), and only a path whose table estimate is
+    together (``levy.shell_table``; the table and its nodes tiled over the
+    paths are built once per solve), and only a path whose table estimate is
     not settled is integrated adaptively; NU_DRIFT mode integrates every path
-    adaptively at every step, which is correct but slow.
+    adaptively at every step, which is correct but slow.  A float callable
+    (``scalar``) or a compiled ``expr`` is integrated on scalars there, one
+    call of it per quadrature node.
     """
 
     drift: Callable[..., np.ndarray]
@@ -335,7 +363,8 @@ def _event_table(noise: NoiseBlock):
     """Jump events of every path as (path, time, mark) arrays grouped by grid step.
 
     Returns the arrays ordered by step, then path, then time, and the
-    start/end index of each step's events.
+    start/end index of each step's events as lists of Python ints, which
+    the time loop indexes and compares faster than array entries.
     """
     n = noise.grid.n_steps
     paths = np.concatenate(
@@ -351,19 +380,22 @@ def _event_table(noise: NoiseBlock):
         paths[order],
         times[order],
         marks[order],
-        np.searchsorted(steps, grid_steps, side="left"),
-        np.searchsorted(steps, grid_steps, side="right"),
+        np.searchsorted(steps, grid_steps, side="left").tolist(),
+        np.searchsorted(steps, grid_steps, side="right").tolist(),
     )
 
 
 def _adaptive_rate(jump, targs, row, spec, use_delta: bool) -> np.ndarray:
     """Integral of the jump coefficient of one (1, dim) state row, by adaptive quadrature."""
-    if isinstance(jump, _RowLoop):
-        # integrate the float callable itself, so each quadrature node
-        # costs one call of it
-        fn, x = jump.fn, float(row[0, 0])
+    if isinstance(jump, (_RowLoop, _Batched)):
+        # integrate the scalar function itself, so each quadrature node costs
+        # one call of it: on floats for a float callable, on float64 scalars
+        # (which overflow to inf as arrays do) for a compiled expression
+        fn = jump.fn
+        cast = float if isinstance(jump, _RowLoop) else np.float64
+        x = cast(row[0, 0])
         try:
-            return np.array([levy.nu_integral(spec, lambda z: fn(*targs, x, z), use_delta=use_delta)])
+            return np.array([levy.nu_integral(spec, lambda z: fn(*targs, x, cast(z)), use_delta=use_delta)])
         except OverflowError:
             return np.array([math.inf])
     return nu_integral_vector(
@@ -371,28 +403,42 @@ def _adaptive_rate(jump, targs, row, spec, use_delta: bool) -> np.ndarray:
     )
 
 
-def _quadrature_rate(jump, targs, X, spec, use_delta: bool):
+def _shell_inputs(spec, p_count: int):
+    """The measure's shell table and its nodes tiled once per row of a P-row state.
+
+    Built once per solve, and only when a compensated jump has no closed-form
+    rate; ``_quadrature_rate`` takes the pair as ``shells``.
+    """
+    table = levy.shell_table(spec)
+    return table, np.tile(table.nodes, p_count)
+
+
+def _quadrature_rate(jump, targs, X, spec, shells):
     """Integral of the jump coefficient against the measure for every row of X.
 
-    Over [delta, cutoff) all rows are evaluated at the nodes of the measure's
-    shell table in one call of ``jump``.  A row whose 21-point and nested
-    10-point estimates differ by more than TABLE_RTOL (relative) is integrated
-    again adaptively; a non-finite row stays non-finite.  The open range
-    (0, cutoff) is integrated adaptively row by row.  Returns the (P, dim)
-    rates and the number of rows integrated again.
+    ``shells`` is the (table, tiled nodes) pair of ``_shell_inputs``, built
+    once per solve, for the range [delta, cutoff), or None for the open range
+    (0, cutoff).  Over [delta, cutoff) all rows are evaluated at the table's
+    nodes in one call of ``jump``.  A row whose 21-point and nested 10-point
+    estimates differ by more than TABLE_RTOL (relative) is integrated again
+    adaptively; a non-finite row stays non-finite.  The open range is
+    integrated adaptively row by row.  Returns the (P, dim) rates and the
+    number of rows integrated again.
     """
     p_count = X.shape[0]
-    if not use_delta:
+    if shells is None:
         rows = [_adaptive_rate(jump, targs, X[p : p + 1], spec, False) for p in range(p_count)]
         return np.stack(rows), 0
-    table = levy.shell_table(spec)
+    table, nodes = shells
     k = table.nodes.size
-    values = np.asarray(
-        jump(*targs, np.repeat(X, k, axis=0), np.tile(table.nodes, p_count)), dtype=float
-    ).reshape(p_count, k, -1)
+    values = np.asarray(jump(*targs, np.repeat(X, k, axis=0), nodes), dtype=float)
+    values = values.reshape(p_count, k, -1)
     rate = table.weights @ values
     spread = table.spread @ values
-    redo = np.flatnonzero(np.any(np.abs(spread) > TABLE_RTOL * np.abs(rate), axis=1))
+    unsettled = np.abs(spread) > TABLE_RTOL * np.abs(rate)
+    if not unsettled.any():
+        return rate, 0
+    redo = np.flatnonzero(unsettled.any(axis=1))
     for p in redo:
         rate[p] = _adaptive_rate(jump, targs, X[p : p + 1], spec, True)
     return rate, redo.size
@@ -514,12 +560,13 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     increments = noise.increments[:, :, :, None]
 
     plans = []
-    any_compensated = False
+    any_compensated = table_rates = False
     for s, coeffs in enumerate(systems):
         has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
         nu_drift = has_jump and coeffs.jump_mode == JumpMode.NU_DRIFT
         compensated = has_jump and not nu_drift
         any_compensated |= compensated
+        table_rates |= compensated and coeffs.jump_drift is None
         # compensated jump terms join G dB in slot 1 before the two are scaled together
         noise_scale = 1.0 if compensated else c_stoch
         constant_g = isinstance(coeffs.diffusion, _Constant)
@@ -530,6 +577,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     events = any_compensated and any(r.n_events for r in noise.realizations)
     if events:
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
+    shells = _shell_inputs(noise.spec, p_count) if table_rates else None
 
     kernels = {}
     failed = np.zeros((s_count, p_count), dtype=np.int64)
@@ -554,7 +602,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                         rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                     else:
                         rate, redone = _quadrature_rate(
-                            coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
+                            coeffs.jump, targs, x_j, noise.spec, None if nu_drift else shells
                         )
                         fallbacks[s] += redone
                     if nu_drift:

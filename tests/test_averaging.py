@@ -358,6 +358,27 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             theorem_bound(**base)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(c1=math.nan), "c1"),
+            (dict(c1=math.inf), "c1"),
+            (dict(alpha_sups=(0.1, math.nan, 0.1)), "alpha_sups"),
+            (dict(alpha_sups=(math.inf, 0.0, 0.0)), "alpha_sups"),
+            (dict(z_moment=math.inf), "z_moment"),
+            (dict(z_moment=math.nan), "z_moment"),
+            (dict(lam=math.nan), "lambda"),
+            (dict(big_l=math.inf), "L"),
+            (dict(epsilon=[1e-3, math.nan]), "epsilon"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(next(iter(v.values()))),
+    )
+    def test_non_finite_inputs_are_refused_by_name(self, kwargs, name):
+        # nan passes every sign and range check, and inf gives a nan or inf bound
+        base = dict(c1=1.0, alpha_sups=(0.1, 0.1, 0.1), z_moment=2.0, beta=0.75, epsilon=1e-3)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            theorem_bound(**{**base, **kwargs})
+
     def test_json_round_trip(self, tmp_path):
         report = theorem_bound(1.0, (0.1, 0.1, 0.1), 2.0, beta=0.75, epsilon=[1e-2, 1e-4])
         target = tmp_path / "bound.json"

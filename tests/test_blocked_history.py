@@ -18,6 +18,7 @@ from fracavg.solver import (
     _Constant,
     _event_table,
     _quadrature_rate,
+    _shell_inputs,
     _solve_block,
 )
 
@@ -74,7 +75,8 @@ def direct_solve_block(coeffs, noise, x0, epsilon, beta):
                     rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                 else:
                     rate, redone = _quadrature_rate(
-                        coeffs.jump, targs, x_j, noise.spec, use_delta=not nu_drift
+                        coeffs.jump, targs, x_j, noise.spec,
+                        None if nu_drift else _shell_inputs(noise.spec, p_count),
                     )
                     fallbacks += redone
                 if not nu_drift:

@@ -344,6 +344,19 @@ class TestBound:
         expected = theorem_bound(50.0, (0.1, 0.1, 0.1), 2.0, beta=0.75, epsilon=[1e-2, 1e-3, 1e-4])
         assert data["bounds"] == expected.bounds
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--z-moment", "inf", "z_moment"), ("--z-moment", "nan", "z_moment"),
+         ("--c1", "nan", "c1"), ("--alphas", "0,nan,0", "alpha_sups")],
+    )
+    def test_non_finite_input_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value, name):
+        args = {"--c1": "50", "--alphas": "0,0,0", flag: value}
+        out = tmp_path / "bound"
+        assert run_cli("bound", *(a for kv in args.items() for a in kv), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid value: {name} must be finite")
+        assert not (out / "bound" / "bound.json").exists()
+
     def test_wrong_alpha_count(self, capsys):
         assert run_cli("bound", "--c1", "1.0", "--alphas", "0.1,0.2") == 2
 

@@ -321,6 +321,22 @@ class TestRunEnsemble:
         assert manifest["failures"] == []
         assert not (tmp_path / "run" / "report.json").exists()
 
+    def test_bound_on_an_overflowing_z_moment_is_a_run_failure(self, tmp_path):
+        # at seed 18 no path fails, but an averaged state passes ~1e154, so
+        # sup |Z|^2 overflows and the z-moment is inf
+        cfg = dataclasses.replace(FRAGILE, master_seed=18)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = run_ensemble(cfg)
+        assert report.n_failures == 0 and math.isinf(report.z_moment_estimate)
+        cfg = dataclasses.replace(cfg, bound_c1=1.0, bound_alphas=(0.1, 0.1, 0.1))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(RunFailedError, match="finite z-moment"):
+                run_ensemble(cfg, out_dir=tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        assert manifest["effective_config"]["master_seed"] == 18
+        assert not (tmp_path / "run" / "report.json").exists()
+
     def test_report_without_bound_has_no_log10_key(self, tmp_path):
         run_ensemble(TINY, out_dir=tmp_path / "run")
         data = json.loads((tmp_path / "run" / "report.json").read_text())

@@ -20,6 +20,7 @@ from fracavg.solver import (
     JumpMode,
     _event_table,
     _quadrature_rate,
+    _shell_inputs,
     _solve_block,
 )
 
@@ -71,7 +72,8 @@ def three_product_solve_block(coeffs, noise, x0, epsilon, beta):
                     rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                 else:
                     rate, redone = _quadrature_rate(
-                        coeffs.jump, targs, x_j, noise.spec, use_delta=mode == JumpMode.COMPENSATED
+                        coeffs.jump, targs, x_j, noise.spec,
+                        _shell_inputs(noise.spec, p_count) if mode == JumpMode.COMPENSATED else None,
                     )
                     fallbacks += redone
                 if mode == JumpMode.NU_DRIFT:

@@ -67,6 +67,48 @@ def test_numpy_expressions_match_float_semantics(name, data):
     assert abs(got[0, 0] - want) <= 1e-15 * abs(want)
 
 
+def eval_reference(source, args, values, shape=(1,)):
+    """The evaluator as an ``eval`` of the source on every call, with the
+    arguments as its locals."""
+    columns = [v[:, 0] if v.ndim == 2 else v for v in values]
+    out = np.empty(np.broadcast(*columns).shape)
+    out[...] = eval(
+        compile(source, "<coefficient>", "eval"),
+        {"__builtins__": {}, **_EXPR_NAMES},
+        dict(zip(args, columns)),
+    )
+    return out.reshape((-1,) + shape)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_body_matches_eval_bit_for_bit(name, data):
+    source, bound = CASES[name]
+    finite = st.floats(min_value=-bound, max_value=bound, allow_nan=False)
+    values = [np.array(data.draw(st.lists(finite, min_size=3, max_size=3), label=arg)) for arg in "abc"]
+    values[0] = values[0][:, None]  # the state as a (P, 1) column
+    fn = compile_expr(source, ("a", "b", "c"))
+    got = fn(*values)
+    assert got.tobytes() == eval_reference(source, ("a", "b", "c"), values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [("x * 2  # doubled", 6.0), ("(x +\n 1)", 4.0), ("x # ) + (1", 3.0)],
+    ids=["comment", "line_break", "comment_with_parenthesis"],
+)
+def test_comments_and_line_breaks_still_compile(source, value):
+    fn = compile_expr(source, ("t", "x"))
+    assert fn(0.0, np.array([[3.0]]))[0, 0] == value
+
+
+@pytest.mark.parametrize("source", ["x), (__import__", "x), (1", "x) + (x", "x)\n#"])
+def test_breaking_out_of_the_wrapper_is_a_config_error(source):
+    with pytest.raises(ConfigError, match="bad coefficient expression"):
+        compile_expr(source, ("t", "x"))
+
+
 def test_batch_contract_shapes():
     drift = compile_expr("x * cos(t)", ("t", "x"))
     diffusion = compile_expr("0.5", ("t", "x"), shape=(1, 1))

@@ -16,15 +16,19 @@ from fracavg.levy import (
     nu_integral,
     sample_noise,
 )
-from fracavg.problems import build_problem
+from fracavg import levy
+from fracavg.problems import build_problem, compile_expr
 from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
     CoupledPaths,
     GridPath,
     JumpMode,
+    TABLE_RTOL,
     _Constant,
+    _adaptive_rate,
     _quadrature_rate,
+    _shell_inputs,
     _solve_block,
     solve_averaged,
     solve_coupled,
@@ -409,11 +413,92 @@ class TestCompensatorTable:
         jump = lambda t, x, z: -_column(z) * np.exp(1000.0 * x)
         X = np.array([[0.0], [1.0], [0.5]])
         with np.errstate(over="ignore", invalid="ignore"):
-            rate, redone = _quadrature_rate(jump, (0.0,), X, self.SPEC, use_delta=True)
+            rate, redone = _quadrature_rate(jump, (0.0,), X, self.SPEC, _shell_inputs(self.SPEC, 3))
         assert redone == 0
         assert rate[1, 0] == -math.inf
         assert rate[0, 0] == pytest.approx(-self.Z_RATE, rel=1e-12)
         assert rate[2, 0] == pytest.approx(-self.Z_RATE * math.exp(500.0), rel=1e-12)
+
+    @staticmethod
+    def per_call_rate(jump, targs, X, spec):
+        """The compensator rate with the shell table looked up and its nodes
+        tiled on every call, as each step did before they were built once per
+        solve."""
+        table = levy.shell_table(spec)
+        p_count, k = X.shape[0], table.nodes.size
+        values = np.asarray(
+            jump(*targs, np.repeat(X, k, axis=0), np.tile(table.nodes, p_count)), dtype=float
+        ).reshape(p_count, k, -1)
+        rate = table.weights @ values
+        spread = table.spread @ values
+        redo = np.flatnonzero(np.any(np.abs(spread) > TABLE_RTOL * np.abs(rate), axis=1))
+        for p in redo:
+            rate[p] = _adaptive_rate(jump, targs, X[p : p + 1], spec, True)
+        return rate, redo.size
+
+    @pytest.mark.parametrize("paths", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "source, fallback",
+        [("z*x*sin(t)**2", False), ("abs(z-0.1)*x", True), ("-z*exp(1000*x)", False)],
+        ids=["smooth", "kinked", "overflow"],
+    )
+    def test_per_solve_inputs_match_a_per_call_table(self, paths, source, fallback):
+        jump = compile_expr(source, ("t", "x", "z"))
+        shells = _shell_inputs(self.SPEC, paths)
+        rng = np.random.default_rng(paths)
+        for t in (0.3, 1.7):  # the same inputs serve every step
+            X = rng.uniform(-0.5, 0.5, (paths, 1))  # no subnormal exp(1000 x)
+            X[-1] = 1.0  # exp(1000) overflows: that row's rate is -inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, redone = _quadrature_rate(jump, (t,), X, self.SPEC, shells)
+                want, want_redone = self.per_call_rate(jump, (t,), X, self.SPEC)
+            assert np.array_equal(got, want)
+            assert redone == want_redone == (paths if fallback else 0)
+        if source.startswith("-z"):
+            assert got[-1, 0] == -math.inf
+        assert np.array_equal(shells[1], np.tile(levy.shell_table(self.SPEC).nodes, paths))
+
+    @pytest.mark.parametrize(
+        "problem, tables",
+        [("eq10", 0), ("expr_compensated", 1), ("expr_closed_form", 0)],
+    )
+    def test_shell_table_is_looked_up_once_per_solve(self, monkeypatch, problem, tables):
+        # eq10 has a measure but closed-form jump drifts, so it needs no table
+        spec = self.SPEC
+        if problem == "eq10":
+            coeffs, averaged = (lambda p: (p.coeffs, p.averaged))(build_problem(
+                ExperimentConfig(problem="eq10", case="a", epsilon=1e-3).resolved()
+            ))
+        else:
+            jump = compile_expr("z*x*sin(t)**2", ("t", "x", "z"))
+            closed = (lambda t, x: self.Z_RATE * x * np.sin(t) ** 2) if problem == "expr_closed_form" else None
+            coeffs = CoefficientSet(
+                drift=lambda t, x: -x, diffusion=_Constant(0.3), jump=jump,
+                jump_mode=JumpMode.COMPENSATED, jump_drift=closed,
+            )
+            averaged = AveragedCoefficientSet(drift=lambda x: -x, diffusion=_Constant(0.3))
+        calls = []
+        lookup = levy.shell_table
+        monkeypatch.setattr(levy, "shell_table", lambda s: calls.append(s) or lookup(s))
+        grid = TimeGrid(step=0.02, n_steps=50)
+        noise = NoiseBlock(tuple(
+            sample_noise(spec, grid, dim=1, seed=4, stream_key=(i,)) for i in range(3)
+        ))
+        solve_coupled(coeffs, averaged, noise, x0=1.0, epsilon=0.5, beta=0.75)
+        assert len(calls) == tables
+
+    def test_nu_drift_expression_is_integrated_on_float64_scalars(self):
+        # integral of z^2 against the measure over (0, cutoff), in closed form
+        spec = self.SPEC
+        z2 = spec.gamma * spec.cutoff ** (2.0 - spec.alpha) / (2.0 - spec.alpha)
+        jump = compile_expr("z**2*x*sin(t)**2", ("t", "x", "z"))
+        body, args = jump.fn, []
+        jump.fn = lambda *values: args.append(values) or body(*values)
+        t = np.float64(0.4)
+        rate = _adaptive_rate(jump, (t,), np.array([[0.7]]), spec, False)
+        assert args and all(type(v) is np.float64 for values in args for v in values)
+        assert rate.shape == (1,)
+        assert rate[0] == pytest.approx(z2 * 0.7 * math.sin(0.4) ** 2, rel=1e-10)
 
 
 class TestCoupling:
