@@ -34,10 +34,14 @@ _MAX_LOG_BOUND = 1e-10 / 2.0**-53
 
 
 def write_json(data: dict, path) -> None:
-    """Write one JSON output file: indented, keys sorted, newline-terminated."""
+    """Write one JSON output file: indented, keys sorted, newline-terminated.
+
+    The text is built first and written in one call (``json.dump`` would
+    make one write per token).
+    """
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _chunked_integral(fn, horizon: float, tol: float) -> float:

@@ -49,15 +49,17 @@ reset to X_0, so it cannot disturb the others) and its first failure step
 is recorded, per system.
 
 Systems stepped together share the weights, the event table, the far-field
-kernels, one near-field product and one finiteness test per step.  The
-history is laid out system outermost, (systems, N, 2, P * dim), and the
-states (N + 1, systems, P, dim): the near field is then a stack of
-per-system products, each of the shape a solve of that system alone makes,
-and no far-field transform mixes the columns of two systems.  So each
-system's states are bitwise those of its solo solve, and two systems with
-equal coefficients stay exactly equal (acceptance criterion 5).  Putting
-both systems' columns into one 2-D product would break that: BLAS may
-round a column differently by its position in the matrix.
+kernels and transforms, one near-field product and one finiteness test per
+step.  The history is laid out system outermost, (systems, N, 2, P * dim),
+and the states (N + 1, systems, P, dim): the near field is then a stack of
+per-system products, each of the shape a solve of that system alone makes.
+A far-field transform may take the columns of several systems, but each
+column is a lane of its own: numpy's FFT transforms every lane separately,
+and the kernel product and the sum of the two slots are elementwise.  So
+each system's states are bitwise those of its solo solve, and two systems
+with equal coefficients stay exactly equal (acceptance criterion 5).
+Putting both systems' columns into one 2-D near-field product would break
+that: BLAS may round a column differently by its position in the matrix.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -79,8 +81,10 @@ from .kernels import as_order, build_kernel_weights, gamma_fn
 from .levy import NoiseBlock, NoiseRealization, nu_integral_vector
 
 EPSILON_MAX = 1.0
-# Near-field block of the history sum (see above).  A far-field transform
-# takes FFT_CELLS // rows columns, at least one, which bounds its temporaries.
+# Near-field block of the history sum (see above).  A far-field transform of
+# a square of s rows takes at most FFT_CELLS // s columns (whole systems when
+# one system's columns fit, else columns of one system), at least one: this
+# bounds its temporaries.
 BASE = 64
 FFT_CELLS = 2048
 # Grid steps per pass over all steps outside the time loop (the noise terms of
@@ -106,6 +110,18 @@ class JumpMode(str, enum.Enum):
 
     COMPENSATED = "compensated_prm"
     NU_DRIFT = "deterministic_nu_drift"
+
+
+# the dtype of float64 results, compared by identity: cheaper than ==, and a
+# float64 dtype that is not this object only takes the converting path
+_F64 = np.dtype(np.float64)
+
+
+def _as_float(value, shape):
+    """A coefficient result as a float64 array of ``shape``: itself when it is one."""
+    if type(value) is not np.ndarray or value.dtype is not _F64:
+        value = np.asarray(value, dtype=float)
+    return value if value.shape == shape else value.reshape(shape)
 
 
 class _RowLoop:
@@ -138,8 +154,12 @@ class _Batched:
     ``fn`` (a compiled ``expr``) takes the arguments as columns: the state's
     (P,) column, and times or marks as float64 scalars or (P,) arrays.  It
     runs once per batch, and its result is broadcast to (P,) + ``shape``.
-    Called on float64 scalars it gives one float64, which is how adaptive
-    quadrature integrates it.
+    A result that is already a new float64 column of the arguments' length
+    (the usual one) is only reshaped; any other, such as a scalar, a boolean
+    column or an argument returned as it is, is copied into a new float64
+    array, so the result never shares memory with an argument.  Called on
+    float64 scalars it gives one float64, which is how adaptive quadrature
+    integrates it.
     """
 
     def __init__(self, fn, shape=(1,)):
@@ -152,9 +172,16 @@ class _Batched:
             (v[:, 0] if v.ndim == 2 else v) if isinstance(v, np.ndarray) else np.float64(v)
             for v in values
         ]
-        out = np.empty(np.broadcast(*columns).shape)
-        out[...] = self.fn(*columns)
-        return out.reshape((-1,) + self.shape)
+        out = self.fn(*columns)
+        if type(out) is np.ndarray and out.base is None and out.dtype is _F64 and out.ndim == 1:
+            for c in columns:
+                if c is out or c.ndim and c.shape != out.shape:
+                    break
+            else:  # owns its memory and has the arguments' broadcast shape
+                return out.reshape((-1,) + self.shape)
+        full = np.empty(np.broadcast(*columns).shape)
+        full[...] = out
+        return full.reshape((-1,) + self.shape)
 
 
 class _Constant:
@@ -431,8 +458,7 @@ def _quadrature_rate(jump, targs, X, spec, shells):
         return np.stack(rows), 0
     table, nodes = shells
     k = table.nodes.size
-    values = np.asarray(jump(*targs, np.repeat(X, k, axis=0), nodes), dtype=float)
-    values = values.reshape(p_count, k, -1)
+    values = _as_float(jump(*targs, np.repeat(X, k, axis=0), nodes), (p_count, k, -1))
     rate = table.weights @ values
     spread = table.spread @ values
     unsettled = np.abs(spread) > TABLE_RTOL * np.abs(rate)
@@ -462,8 +488,11 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
 
     ``history`` is (systems, n_steps, 2, columns) and ``state_rows``
     (n_steps + 1, systems, columns).  The square is one FFT convolution of
-    length 2 * size per group of at most FFT_CELLS // size columns; a group
-    never spans two systems.  Target n and source j meet at lag n - j in
+    length 2 * size per group of at most FFT_CELLS // size columns: as many
+    whole systems as fit, or, when one system's columns do not fit, part of
+    one system's columns.  Each column is one lane of the transform, so its
+    sums do not depend on the group it is in.  Only the group is copied,
+    never the whole square.  Target n and source j meet at lag n - j in
     1 .. 2 * size - 1 whatever m is, so ``kernels`` caches one transform of
     lags 0 .. 2 * size - 1 per square size, until the last square of that
     size (squares of one size start 2 * size rows apart).  The last square's
@@ -477,19 +506,23 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
         hi = min(2 * size, n_steps + 1)
         # row i of the weights holds lag n_steps - i of both slots
         segment[:, 1:hi] = weights.reshape(n_steps, 2)[n_steps + 1 - hi :][::-1].T
-        kernel = kernels[size] = np.fft.rfft(segment)[:, None, :]
+        kernel = kernels[size] = np.fft.rfft(segment)[:, None, None, :]
         del segment  # not held through the transforms: lowers the peak memory
     width = max(1, FFT_CELLS // size)
-    for system, rows in enumerate(history[:, m - size : m]):
-        for c0 in range(0, history.shape[3], width):
-            cols = slice(c0, c0 + width)
-            # (slot, column, row) with rows contiguous: faster transforms
-            lanes = np.ascontiguousarray(rows[:, :, cols].transpose(1, 2, 0))
+    s_count, columns = history.shape[0], history.shape[3]
+    per = max(1, width // columns)  # whole systems per transform, or one system in parts
+    for s0 in range(0, s_count, per):
+        for c0 in range(0, columns, width):
+            systems, cols = slice(s0, s0 + per), slice(c0, c0 + width)
+            # (slot, system, column, row) with rows contiguous: faster transforms
+            rows = history[systems, m - size : m, :, cols]
+            lanes = np.ascontiguousarray(rows.transpose(2, 0, 3, 1))
             spectra = np.fft.rfft(lanes, n=2 * size)
             spectra *= kernel
             spectra[0] += spectra[1]
             sums = np.fft.irfft(spectra[0], n=2 * size)
-            state_rows[m:end, system, cols] += sums[:, size : size + end - m].T
+            targets = state_rows[m:end, systems, cols]
+            targets += sums[:, :, size : size + end - m].transpose(2, 0, 1)
     if m + 2 * size > n_steps:  # no later square of this size: free its kernel
         del kernels[size]
 
@@ -504,11 +537,15 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     from the shell table to adaptive quadrature.
 
     The systems share the grid, the weights, the event table and the far-field
-    kernels; each step makes one near-field product and one finiteness test
-    for all of them.  The history is (S, n_steps, 2, P * dim), system
-    outermost, so the near field is a stack of S products of the shape a solo
-    solve makes, and every far-field transform reads columns of one system:
-    each system's sums are those of a solve of that system alone, bit for bit.
+    kernels and transforms; each step makes one near-field product and one
+    finiteness test for all of them.  The history is (S, n_steps, 2, P * dim),
+    system outermost, so the near field is a stack of S products of the shape
+    a solo solve makes, and each column is a far-field lane of its own: each
+    system's sums are those of a solve of that system alone, bit for bit.
+
+    A drift, diffusion or ``jump_drift`` result that is a float64 array of the
+    target shape is used as it is; any other is converted and reshaped
+    (``_as_float``).
     """
     order = as_order(beta)
     b = order.beta
@@ -541,6 +578,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     s_count = len(systems)
     p_count = noise.size
     shape = (p_count, dim)
+    g_shape = shape + (noise.dim,)
     c_drift = epsilon / gamma_fn(b)
     c_stoch = math.sqrt(epsilon) / gamma_fn(b)
 
@@ -589,17 +627,14 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                 targs = (times[j],) if coeffs.time_dependent else ()
                 x_j = sys_states[j]
                 slots = sys_slots[j]
-                f = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
-                np.multiply(f, c_drift, out=slots[0])
+                np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
                 if not constant_g:
-                    g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
-                        shape + (coeffs.brownian_dim,)
-                    )
+                    g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)
                     np.multiply((g @ increments[j])[:, :, 0], noise_scale, out=slots[1])
 
                 if has_jump:
                     if coeffs.jump_drift is not None:
-                        rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
+                        rate = _as_float(coeffs.jump_drift(*targs, x_j), shape)
                     else:
                         rate, redone = _quadrature_rate(
                             coeffs.jump, targs, x_j, noise.spec, None if nu_drift else shells
@@ -625,7 +660,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
             rows = state_rows[n]
             rows += weights[2 * (n_steps - n + near) :] @ history_rows[:, 2 * near : 2 * n]
             x_n = state_flat[n]
-            if not math.isfinite(x_n @ x_n):  # a finite sum of squares proves every state finite
+            if not math.isfinite(x_n.dot(x_n)):  # a finite sum of squares proves every state finite
                 for s in range(s_count):
                     bad = ~np.isfinite(states[n, s]).all(axis=1)
                     failed[s, bad & (failed[s] == 0)] = n

@@ -119,6 +119,31 @@ def test_batch_contract_shapes():
     assert np.all(diffusion(0.0, states) == 0.5)
 
 
+@pytest.mark.parametrize("source", ["x", "z", "min(x)", "x[:]"])
+def test_batched_result_can_be_written_without_changing_the_arguments(source):
+    fn = compile_expr(source, ("t", "x", "z"))
+    states = np.array([[1.0], [2.0], [3.0]])
+    marks = np.array([4.0, 5.0, 6.0])  # owns its memory, like the tiled table nodes
+    out = fn(0.0, states, marks)
+    expected = states if source != "z" else marks[:, None]
+    assert out.shape == (3, 1) and out.dtype == np.float64
+    assert np.array_equal(out, expected)
+    out[:] = -1.0
+    assert np.array_equal(states, [[1.0], [2.0], [3.0]])
+    assert np.array_equal(marks, [4.0, 5.0, 6.0])
+
+
+def test_batched_results_are_float64_columns_of_the_batch():
+    states = np.array([[0.5], [1.5], [2.5]])
+    t = 0.3
+    out = compile_expr("sin(t)", ("t", "x"))(t, states)  # a scalar result is broadcast
+    assert out.shape == (3, 1) and np.all(out == math.sin(t))
+    out = compile_expr("x > 1", ("t", "x"))(t, states)
+    assert out.dtype == np.float64 and out.tolist() == [[0.0], [1.0], [1.0]]
+    out = compile_expr("0.5*x", ("t", "x"), shape=(1, 1))(t, states)
+    assert out.shape == (3, 1, 1) and np.array_equal(out[:, :, 0], 0.5 * states)
+
+
 def test_domain_error_gives_nan():
     fn = compile_expr("log(x)", ("x",))
     with np.errstate(invalid="ignore"):

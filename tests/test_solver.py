@@ -501,6 +501,54 @@ class TestCompensatorTable:
         assert rate[0] == pytest.approx(z2 * 0.7 * math.sin(0.4) ** 2, rel=1e-10)
 
 
+class TestCoefficientResults:
+    """Which drift, jump_drift and diffusion results a solve accepts, for P = 3 and dim 1.
+
+    An accepted result gives the states of the float64 array of the target
+    shape, (3, 1), or (3, 1, 1) for the diffusion, bit for bit.
+    """
+
+    VALUES = (1, -2, 3)
+    ACCEPTED = {
+        "flat": lambda v: np.array(v, dtype=float),
+        "nested_list": lambda v: [[x] for x in v],
+        "int_column": lambda v: np.array(v).reshape(3, 1),
+        "column_of_1x1": lambda v: np.array(v, dtype=float).reshape(3, 1, 1),
+    }
+    REJECTED = {
+        "one_entry": lambda v: np.array([1.0]),
+        "python_float": lambda v: 1.0,
+    }
+
+    @staticmethod
+    def _solve(role, result):
+        fields = dict(drift=lambda t, x: -x, diffusion=_Constant(0.5))
+        if role == "jump_drift":
+            fields.update(jump_drift=lambda t, x: result, jump_mode=JumpMode.NU_DRIFT)
+        else:
+            fields[role] = lambda t, x: result
+        grid = TimeGrid(step=0.05, n_steps=20)
+        noise = NoiseBlock(tuple(
+            sample_noise(None, grid, dim=1, seed=4, stream_key=(i,)) for i in range(3)
+        ))
+        states, failed, _ = _solve_block((CoefficientSet(**fields),), noise, 0.2, 0.5, 0.7)
+        assert not failed.any()
+        return states
+
+    @pytest.mark.parametrize("form", sorted(ACCEPTED))
+    @pytest.mark.parametrize("role", ["drift", "jump_drift", "diffusion"])
+    def test_accepted_results_solve_as_the_float64_array(self, role, form):
+        target = (3, 1, 1) if role == "diffusion" else (3, 1)
+        reference = self._solve(role, np.array(self.VALUES, dtype=float).reshape(target))
+        assert np.array_equal(self._solve(role, self.ACCEPTED[form](self.VALUES)), reference)
+
+    @pytest.mark.parametrize("form", sorted(REJECTED))
+    @pytest.mark.parametrize("role", ["drift", "jump_drift", "diffusion"])
+    def test_results_of_another_size_are_refused(self, role, form):
+        with pytest.raises(ValueError):
+            self._solve(role, self.REJECTED[form](self.VALUES))
+
+
 class TestCoupling:
     def test_frozen_coefficients_bitwise_identical(self):
         coeffs = CoefficientSet.scalar(
