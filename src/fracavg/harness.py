@@ -25,7 +25,7 @@ from .averaging import theorem_bound, write_json
 from .errors import ConfigError, FracavgError, RunFailedError
 from .levy import DEFAULT_DELTA_RATIO, NoiseBlock, TimeGrid, sample_noise
 from .problems import FIG1_CASES, build_problem
-from .solver import JumpMode, solve_coupled
+from .solver import JumpMode, norms, solve_coupled
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 FAILURE_BUDGET = 0.10
@@ -234,8 +234,9 @@ class Ensemble:
                 for p, f in enumerate(solved.failures) if f is not None
             ],
             sup_er=solved.er.max(axis=0)[ok].tolist(),
-            # path by path: squaring the whole block at once would raise the run's peak memory
-            sup_z_sq=[float(np.max(np.sum(solved.averaged[:, p] ** 2, axis=1))) for p in ok],
+            # path by path, which keeps the run's peak memory down; sup |Z| is
+            # squared as a Python float, which overflows to inf without a warning
+            sup_z_sq=[v * v for v in (float(norms(solved.averaged[:, p]).max()) for p in ok)],
             curves=[solved.er[:, p] for p in ok],
             saved={indices[p]: solved.path(p) for p in ok if indices[p] < save_paths},
             quadrature_fallbacks=solved.quadrature_fallbacks,

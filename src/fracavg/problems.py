@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .kernels import FractionalOrder
 from .levy import JumpMeasureSpec
-from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode, _Batched, _Constant
+from .solver import AveragedCoefficientSet, CoefficientSet, JumpMode, _Batched, _Constant, _Linear
 
 # Worked-example parameter presets (beta, alpha, gamma).
 FIG1_CASES = {
@@ -69,7 +69,10 @@ def build_eq10(
     deterministic jump drift integrating 2 z^4 sin^2(t) x against the
     power-law measure.  Averaged system (slot form): drift x, unit diffusion,
     jump-drift scale * x.  The drift-folded form (1 + gamma1) x with
-    gamma1 = scale / sqrt(epsilon) is attached for cross-checks.
+    gamma1 = scale / sqrt(epsilon) is attached for cross-checks.  The unit
+    diffusion is a ``_Constant`` (its noise terms are filled before the time
+    loop) and every drift and jump drift a ``_Linear`` (one multiply per step
+    for both); the jump coefficients stay callables for the hypothesis probes.
     """
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
@@ -77,23 +80,20 @@ def build_eq10(
     unit = _Constant(1.0)
 
     coeffs = CoefficientSet(
-        drift=lambda t, x: 2.0 * x * np.cos(t) ** 2,
+        drift=_Linear(lambda t: 2.0 * math.cos(t) ** 2),
         diffusion=unit,
         jump=lambda t, x, z: 2.0 * z**4 * np.sin(t) ** 2 * x,
         jump_mode=JumpMode.NU_DRIFT,
-        jump_drift=lambda t, x: 2.0 * np.sin(t) ** 2 * x * scale,
+        jump_drift=_Linear(lambda t: 2.0 * math.sin(t) ** 2 * scale),
     )
     averaged = AveragedCoefficientSet(
-        drift=lambda x: 1.0 * x,
+        drift=_Linear(1.0),
         diffusion=unit,
         jump=lambda x, z: z**4 * x,
         jump_mode=JumpMode.NU_DRIFT,
-        jump_drift=lambda x: scale * x,
+        jump_drift=_Linear(scale),
     )
-    folded = AveragedCoefficientSet(
-        drift=lambda x: (1.0 + gamma1) * x,
-        diffusion=unit,
-    )
+    folded = AveragedCoefficientSet(drift=_Linear(1.0 + gamma1), diffusion=unit)
     return Problem(
         name="eq10",
         coeffs=coeffs,
@@ -117,10 +117,13 @@ def build_eq10(
 
 
 def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
-    """Deterministic linear benchmark with the known Mittag-Leffler solution."""
+    """Deterministic linear benchmark with the known Mittag-Leffler solution.
+
+    Drift x as a ``_Linear`` (one multiply per step), zero ``_Constant`` diffusion.
+    """
     zero = _Constant(0.0)
-    coeffs = CoefficientSet(drift=lambda t, x: 1.0 * x, diffusion=zero)
-    averaged = AveragedCoefficientSet(drift=lambda x: 1.0 * x, diffusion=zero)
+    coeffs = CoefficientSet(drift=_Linear(1.0), diffusion=zero)
+    averaged = AveragedCoefficientSet(drift=_Linear(1.0), diffusion=zero)
     return Problem(
         name="mlbench",
         coeffs=coeffs,

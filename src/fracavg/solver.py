@@ -28,7 +28,10 @@ times eps / Gamma(beta); G dB (plus the compensated jump terms), then times
 sqrt(eps) / Gamma(beta).  For a constant diffusion (``_Constant``, additive
 noise) G dB does not depend on the state, so it is filled into the left-end
 slot of every step before the time loop, a bounded chunk of steps at a time,
-and the diffusion is never called.
+and the diffusion is never called.  For a state-linear drift (``_Linear``,
+factor(t) X) slot 0 is one multiply per step, X times c_drift factor(t), plus
+c_stoch times the factor of a NU_DRIFT ``_Linear`` jump_drift, which is then
+never called.  Every other coefficient is called at every step.
 
 The sum over that history is blocked (Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985).  Near field: step n sums the rows of its own
@@ -211,6 +214,22 @@ class _Constant:
         return out
 
 
+class _Linear:
+    """State-linear coefficient factor(t) X in the batch contract, of X's shape.
+
+    ``factor`` is a float, or for a time-dependent set a float function of a
+    scalar time (so a drift or ``jump_drift``: ``jump`` gets arrays of event
+    times); ``at`` is it as a function of the time arguments.  As a drift it
+    is one multiply per solver step (see the module docstring).
+    """
+
+    def __init__(self, factor):
+        self.at = factor if callable(factor) else lambda *t: factor
+
+    def __call__(self, *args):
+        return np.multiply(self.at(*args[:-1]), args[-1])
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Evaluators (drift f, diffusion G, jump H) defining one problem instance.
@@ -222,7 +241,9 @@ class CoefficientSet:
 
     A ``_Constant`` diffusion (eq10, mlbench, an ``expr`` diffusion naming
     none of its arguments) is additive noise: the solver computes G dB for
-    every step before its time loop and never calls it.  Any other callable
+    every step before its time loop and never calls it.  A ``_Linear`` drift
+    factor(t) X (eq10, mlbench) is one multiply per step, and a NU_DRIFT
+    ``_Linear`` jump_drift beside it joins that multiply.  Any other callable
     is called at every step, even if it returns the same value each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
@@ -346,6 +367,13 @@ class CoupledPaths:
         _write_csv(path, header, columns)
 
 
+def norms(states):
+    """Euclidean norms over the last axis, abs(x) bit for bit for dim = 1; no
+    component is squared unscaled, so a finite norm above ~1.3e154 stays finite."""
+    size = np.abs(states)
+    return size[..., 0] if size.shape[-1] == 1 else np.hypot.reduce(size, axis=-1)
+
+
 @dataclass(frozen=True)
 class CoupledBlock:
     """Coupled solves of every path of a NoiseBlock.
@@ -370,9 +398,7 @@ class CoupledBlock:
         er = np.empty(self.original.shape[:2])
         for s0 in range(0, len(er), STEP_CHUNK):
             rows = slice(s0, s0 + STEP_CHUNK)
-            gap = np.abs(self.original[rows] - self.averaged[rows])
-            # no component is squared unscaled: a finite gap above ~1.3e154 stays finite
-            er[rows] = gap[:, :, 0] if gap.shape[2] == 1 else np.hypot.reduce(gap, axis=2)
+            er[rows] = norms(self.original[rows] - self.averaged[rows])
         object.__setattr__(self, "er", er)
         for arr in (self.times, self.original, self.averaged, self.er):
             arr.setflags(write=False)
@@ -610,7 +636,15 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         constant_g = isinstance(coeffs.diffusion, _Constant)
         if constant_g:
             _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, noise_scale)
-        plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, noise_scale, constant_g))
+        slot0 = None  # for a _Linear drift: slot 0 is X times slot0(*targs)
+        if isinstance(coeffs.drift, _Linear):
+            a = coeffs.drift.at
+            if nu_drift and isinstance(coeffs.jump_drift, _Linear):
+                has_jump = False  # the jump drift is folded into slot 0
+                slot0 = lambda *t, a=a, b=coeffs.jump_drift.at: c_drift * a(*t) + c_stoch * b(*t)
+            else:
+                slot0 = lambda *t, a=a: c_drift * a(*t)
+        plans.append((s, coeffs, states[:, s], by_path[s], slot0, has_jump, nu_drift, noise_scale, constant_g))
 
     events = any_compensated and any(r.n_events for r in noise.realizations)
     if events:
@@ -623,11 +657,14 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, n_steps + 1):
             j = n - 1
-            for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, noise_scale, constant_g in plans:
+            for s, coeffs, sys_states, sys_slots, slot0, has_jump, nu_drift, noise_scale, constant_g in plans:
                 targs = (times[j],) if coeffs.time_dependent else ()
                 x_j = sys_states[j]
                 slots = sys_slots[j]
-                np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
+                if slot0 is None:
+                    np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
+                else:
+                    np.multiply(x_j, slot0(*targs), out=slots[0])
                 if not constant_g:
                     g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)
                     np.multiply((g @ increments[j])[:, :, 0], noise_scale, out=slots[1])

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from fracavg import solver
+from fracavg.averaging import time_average
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
 from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise
-from fracavg.problems import build_problem
+from fracavg.problems import build_problem, compile_expr
 from fracavg.solver import (
     CoefficientSet,
     JumpMode,
     _Constant,
+    _Linear,
     _event_table,
     _quadrature_rate,
     _shell_inputs,
@@ -229,3 +231,114 @@ class TestBlockedHistory:
         for coeffs in (scalar, dataclasses.replace(scalar, diffusion=_Constant(1.0))):
             failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
             assert failed.tolist() == [0, 0, fail_step, 0]
+
+
+def plain(coefficient):
+    """The same coefficient as a plain callable, which the solver calls every step."""
+    return lambda *args: coefficient(*args)
+
+
+class TestLinearDrift:
+    """A ``_Linear`` drift (and a folded NU_DRIFT ``_Linear`` jump drift) is one
+    multiply per step; states stay within 1e-12 * (1 + |X|) of the same
+    coefficients called every step, with equal failure steps."""
+
+    @staticmethod
+    def assert_matches_plain(coeffs, noise, x0, epsilon, beta):
+        fields = {"drift": plain(coeffs.drift)}
+        if isinstance(coeffs.jump_drift, _Linear):
+            fields["jump_drift"] = plain(coeffs.jump_drift)
+        states, failed, _ = _solve_block((coeffs,), noise, x0, epsilon, beta)
+        ref, ref_failed, _ = _solve_block(
+            (dataclasses.replace(coeffs, **fields),), noise, x0, epsilon, beta
+        )
+        np.testing.assert_array_equal(failed, ref_failed)
+        assert np.all(np.isfinite(ref))
+        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("config", [c for c, _ in PROBLEMS[:5]], ids=PROBLEM_IDS[:5])
+    def test_builtin_problems_match_plain_callables(self, config):
+        cfg = config.resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        noise = noise_block(problem.spec, grid, 5, include_jumps=problem.needs_jump_events)
+        systems = [problem.coeffs, problem.averaged]
+        if problem.folded_averaged is not None:
+            systems.append(problem.folded_averaged)
+        for coeffs in systems:
+            assert isinstance(coeffs.drift, _Linear)
+            self.assert_matches_plain(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
+
+    @pytest.mark.parametrize("jump", ["state_diffusion", "compensated_expr", "nu_drift_callable"])
+    def test_other_parts_still_run_every_step(self, jump):
+        # only slot 0 of the drift changes: a state-dependent diffusion, the
+        # compensated jump terms and a jump drift that is not linear are
+        # evaluated at every step as before
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        fields = dict(drift=_Linear(lambda t: -(1.0 + math.cos(t))), diffusion=_Constant(0.5))
+        if jump == "state_diffusion":
+            fields["diffusion"] = OU.diffusion
+        elif jump == "compensated_expr":
+            fields.update(jump=compile_expr("z*x*sin(t)**2", ("t", "x", "z")))
+        else:
+            fields.update(
+                jump=lambda t, x, z: z**2 * x, jump_mode=JumpMode.NU_DRIFT,
+                jump_drift=lambda t, x: 0.3 * np.sin(x) * math.cos(t),
+            )
+        coeffs = CoefficientSet(**fields)
+        grid = TimeGrid(step=0.01, n_steps=300)
+        noise = noise_block(spec, grid, 3, include_jumps=coeffs.jump_mode == JumpMode.COMPENSATED)
+        if jump == "compensated_expr":
+            assert any(r.n_events for r in noise.realizations)
+        self.assert_matches_plain(coeffs, noise, np.array([0.4]), 0.3, 0.7)
+        assert_matches_direct(coeffs, noise, np.array([0.4]), 0.3, 0.7)
+
+    def test_a_failure_step_is_the_plain_one(self):
+        coeffs = CoefficientSet(drift=_Linear(lambda t: 1.0), diffusion=_Constant(1.0))
+        grid = TimeGrid(step=0.02, n_steps=300)
+        noises = list(noise_block(None, grid, 3, seed=2).realizations)
+        kick = noises[1].increments.copy()
+        kick[100, 0] = 1e308  # the state after it overflows
+        noises[1] = dataclasses.replace(noises[1], increments=kick)
+        noise = NoiseBlock(tuple(noises))
+        states, failed, _ = _solve_block((coeffs,), noise, np.array([0.1]), 1.0, 0.7)
+        ref, ref_failed, _ = _solve_block(
+            (dataclasses.replace(coeffs, drift=plain(coeffs.drift)),), noise, np.array([0.1]), 1.0, 0.7
+        )
+        assert failed.tolist() == ref_failed.tolist() == [[0, 101, 0]]
+        np.testing.assert_array_equal(states, ref)  # x * (c_drift * 1.0) is (1.0 * x) * c_drift
+
+    def test_equal_linear_systems_give_exactly_zero(self):
+        # acceptance criterion 5: the time-dependent set with constant-valued
+        # factors and the averaged set with the same constants
+        grid = TimeGrid(step=0.01, n_steps=700)
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        original = CoefficientSet(
+            drift=_Linear(lambda t: 1.3), diffusion=_Constant(1.0),
+            jump=lambda t, x, z: z**4 * x, jump_mode=JumpMode.NU_DRIFT,
+            jump_drift=_Linear(lambda t: 0.4),
+        )
+        averaged = solver.AveragedCoefficientSet(
+            drift=_Linear(1.3), diffusion=_Constant(1.0),
+            jump=lambda x, z: z**4 * x, jump_mode=JumpMode.NU_DRIFT, jump_drift=_Linear(0.4),
+        )
+        noise = noise_block(spec, grid, 5, include_jumps=False)
+        solved = solver.solve_coupled(original, averaged, noise, np.array([0.1]), 0.05, 0.6)
+        assert all(f is None for f in solved.failures)
+        assert np.all(solved.er == 0.0)
+
+    def test_called_directly_keeps_the_batch_contract(self):
+        rng = np.random.default_rng(1)
+        batch = rng.normal(size=(5, 2))
+        timed = _Linear(lambda t: 2.0 * math.cos(t) ** 2)
+        out = timed(0.3, batch)
+        assert out.shape == (5, 2) and out.dtype == np.float64 and out is not batch
+        np.testing.assert_array_equal(out, 2.0 * batch * math.cos(0.3) ** 2)
+        assert _Linear(1.5)(batch).tolist() == (1.5 * batch).tolist()
+        one = np.array([[0.1]])
+        assert timed(np.float64(0.3), one).shape == (1, 1)
+        # as `fracavg average` averages eq10's drift at x0 = 0.1: 2 cos^2 averages to 1
+        problem = build_problem(ExperimentConfig(case="a").resolved())
+        drift_avg = time_average(problem.coeffs.drift, problem.x0[None], 100.0 * math.pi)
+        assert drift_avg.shape == (1, 1)
+        assert abs(drift_avg[0, 0] - 0.1) <= 1e-12

@@ -3,12 +3,13 @@ import json
 import math
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracavg import harness
+from fracavg import harness, solver
 from fracavg.errors import ConfigError, ConvergenceError, RunFailedError
 from fracavg.harness import (
     BLOCK_SIZE,
@@ -238,6 +239,30 @@ class TestRunEnsemble:
         z_sup_sq = [np.max(np.sum(c.averaged.states**2, axis=1)) for c in paths]
         assert report.z_moment_estimate == 1.0 + float(np.mean(z_sup_sq))
 
+    def test_sup_z_sq_is_the_square_of_the_largest_norm(self):
+        # one and two components: sup |Z| is reduced as the distance curve
+        # is, then squared, so a state whose square overflows reads inf
+        # without a warning, and for dim = 1 it is max(Z**2) bit for bit
+        rng = np.random.default_rng(3)
+        times = np.linspace(0.0, 1.0, 6)
+        for dim in (1, 2):
+            averaged = rng.normal(size=(6, 3, dim))
+            averaged[4, 1] = 1e200
+            averaged[2, 2] = [3e153, 4e153][:dim]
+            solved = solver.CoupledBlock(
+                times=times, original=averaged.copy(), averaged=averaged,
+                failures=(None,) * 3, epsilon=0.5, quadrature_fallbacks=0,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ensemble = harness.Ensemble.of_block(solved, [0, 1, 2], save_paths=0)
+            largest = np.linalg.norm(averaged[:, 0], axis=1).max()
+            assert ensemble.sup_z_sq[0] == pytest.approx(largest**2, rel=1e-15)
+            assert ensemble.sup_z_sq[1] == math.inf
+            assert ensemble.sup_z_sq[2] == pytest.approx((5e153 if dim == 2 else 3e153) ** 2, rel=1e-15)
+            if dim == 1:
+                assert ensemble.sup_z_sq[0] == float(np.max(averaged[:, 0] ** 2))
+
     def test_sup_square_is_the_correctly_rounded_product(self):
         # glibc 2.36's pow rounds this square one ulp above x * x
         sup = 0.42672114373024106
@@ -324,12 +349,13 @@ class TestRunEnsemble:
     def test_bound_on_an_overflowing_z_moment_is_a_run_failure(self, tmp_path):
         # at seed 18 no path fails, but an averaged state passes ~1e154, so
         # sup |Z|^2 overflows and the z-moment is inf
+        # (sup |Z|)^2 overflows as a Python float, and without a numpy warning
         cfg = dataclasses.replace(FRAGILE, master_seed=18)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = run_ensemble(cfg)
-        assert report.n_failures == 0 and math.isinf(report.z_moment_estimate)
-        cfg = dataclasses.replace(cfg, bound_c1=1.0, bound_alphas=(0.1, 0.1, 0.1))
-        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert report.n_failures == 0 and math.isinf(report.z_moment_estimate)
+            cfg = dataclasses.replace(cfg, bound_c1=1.0, bound_alphas=(0.1, 0.1, 0.1))
             with pytest.raises(RunFailedError, match="finite z-moment"):
                 run_ensemble(cfg, out_dir=tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
