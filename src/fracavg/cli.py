@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     cfg = _config_from_args(args, n_paths=1, save_paths=1, workers=1)
     out = _out_dir(args, "simulate")
     report = run_ensemble(cfg, out_dir=out, command="simulate")
-    print(f"simulated 1 coupled path: sup Er = {math.sqrt(report.mean_sup_sq):.6g}")
+    print(f"simulated 1 coupled path: sup Er = {report.mean_sup_er:.6g}")
     print(f"wrote {out}/manifest.json, report.json, paths/path_000000.csv")
     return 0
 

@@ -22,9 +22,14 @@ import numpy as np
 # the first sample_noise call
 import numpy.random  # noqa: F401
 
-from .errors import ConvergenceError, DivergenceError
+from .errors import ConfigError, ConvergenceError, DivergenceError
 
 DEFAULT_DELTA_RATIO = 1e-3  # delta = cutoff * ratio when not given explicitly
+# Expected jump events per path above which ``sample_noise`` refuses to sample.
+# An event takes 16 B (its time and mark) in the noise, and up to 64 B more
+# while the solver sorts a block's events by step (``solver._event_table``):
+# at this cap a block of 64 paths peaks near 1 GB of event data.
+MAX_EVENTS_PER_PATH = 200_000
 
 _SHELL_RATIO = 4.0
 _MAX_SHELLS = 300
@@ -242,19 +247,28 @@ def sample_noise(
     inverse CDF (no rejection step).  Brownian and jump draws come from
     separate sub-streams, so ``include_jumps=False`` (useful when the jump
     part of a problem is a deterministic drift) leaves the Brownian part
-    unchanged.
+    unchanged.  A measure whose expected count exceeds MAX_EVENTS_PER_PATH is
+    a ConfigError, raised before anything is drawn.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1; got {dim!r}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer; got {seed!r}")
+    jumps = include_jumps and spec is not None
+    if jumps:
+        mean_count = spec.simulated_intensity * grid.horizon
+        if not mean_count <= MAX_EVENTS_PER_PATH:
+            raise ConfigError(
+                f"the jump measure expects {mean_count:.3g} events per path over the horizon "
+                f"{grid.horizon:g}, above the limit of {MAX_EVENTS_PER_PATH}: raise delta "
+                f"(now {spec.delta:g}) or shorten the horizon"
+            )
     key = tuple(int(k) for k in stream_key)
     brownian_rng = noise_stream(seed, *key, 0)
     increments = brownian_rng.normal(0.0, math.sqrt(grid.step), size=(grid.n_steps, dim))
 
-    if include_jumps and spec is not None:
+    if jumps:
         jump_rng = noise_stream(seed, *key, 1)
-        mean_count = spec.simulated_intensity * grid.horizon
         count = int(jump_rng.poisson(mean_count))
         times = np.sort(jump_rng.uniform(0.0, grid.horizon, size=count))
         marks = spec.sample_marks(jump_rng.random(size=count))

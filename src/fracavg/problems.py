@@ -71,8 +71,9 @@ def build_eq10(
     jump-drift scale * x.  The drift-folded form (1 + gamma1) x with
     gamma1 = scale / sqrt(epsilon) is attached for cross-checks.  The unit
     diffusion is a ``_Constant`` (its noise terms are filled before the time
-    loop) and every drift and jump drift a ``_Linear`` (one multiply per step
-    for both); the jump coefficients stay callables for the hypothesis probes.
+    loop) and every drift and jump drift a ``_Linear``, so both systems are
+    affine and the solver solves a near-field block of steps at once; the
+    jump coefficients stay callables for the hypothesis probes.
     """
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
@@ -119,7 +120,8 @@ def build_eq10(
 def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
     """Deterministic linear benchmark with the known Mittag-Leffler solution.
 
-    Drift x as a ``_Linear`` (one multiply per step), zero ``_Constant`` diffusion.
+    Drift x as a ``_Linear`` and a zero ``_Constant`` diffusion: an affine
+    system, solved a near-field block of steps at a time.
     """
     zero = _Constant(0.0)
     coeffs = CoefficientSet(drift=_Linear(1.0), diffusion=zero)

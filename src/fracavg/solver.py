@@ -29,7 +29,7 @@ sqrt(eps) / Gamma(beta).  For a constant diffusion (``_Constant``, additive
 noise) G dB does not depend on the state, so it is filled into the left-end
 slot of every step before the time loop, a bounded chunk of steps at a time,
 and the diffusion is never called.  For a state-linear drift (``_Linear``,
-factor(t) X) slot 0 is one multiply per step, X times c_drift factor(t), plus
+factor(t) X) slot 0 is X times one factor f(t): c_drift factor(t), plus
 c_stoch times the factor of a NU_DRIFT ``_Linear`` jump_drift, which is then
 never called.  Every other coefficient is called at every step.
 
@@ -42,9 +42,21 @@ added to the states of steps [n, n + s), which start at X_0.  A block of P
 paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
 the far field, in O(N) Python steps; for N < BASE it is the direct sum.
 
+When every system is affine (a ``_Linear`` drift, its NU_DRIFT ``_Linear``
+jump drift folded in, a ``_Constant`` diffusion and no other jump part),
+the states of a near-field block [n0, n0 + BASE) are one unit lower
+triangular linear system: (I - W diag(f)) X = R + V eta, where W and V hold
+the block's lag weights of the two slots, f the factors, R the X_0 plus
+far-field sums and eta the filled noise terms.  Each block is then one
+``np.linalg.solve`` stacked over the systems, not BASE Python steps.  A
+block whose solve raises LinAlgError or is not all finite is stepped
+instead, from the same far-field sums, so failures and masking are those of
+the step loop.
+
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
-of one product over the whole history per step, and scaling the terms
-before summing keeps that tolerance against three separate sums.  A path
+of one product over the whole history per step, whether a block is stepped
+or solved, and scaling the terms before summing keeps that tolerance
+against three separate sums.  A path
 whose state turns non-finite is masked (restarted from X_0 without memory:
 its history up to that step is zeroed, the noise terms filled for later
 steps stay, and the far-field sums already added to its later states are
@@ -53,9 +65,10 @@ is recorded, per system.
 
 Systems stepped together share the weights, the event table, the far-field
 kernels and transforms, one near-field product and one finiteness test per
-step.  The history is laid out system outermost, (systems, N, 2, P * dim),
-and the states (N + 1, systems, P, dim): the near field is then a stack of
-per-system products, each of the shape a solve of that system alone makes.
+step (or one stacked block solve).  The history is laid out system
+outermost, (systems, N, 2, P * dim), and the states (N + 1, systems, P,
+dim): the near field is then a stack of per-system products or solves, each
+of the shape a solve of that system alone makes.
 A far-field transform may take the columns of several systems, but each
 column is a lane of its own: numpy's FFT transforms every lane separately,
 and the kernel product and the sum of the two slots are elementwise.  So
@@ -63,6 +76,9 @@ each system's states are bitwise those of its solo solve, and two systems
 with equal coefficients stay exactly equal (acceptance criterion 5).
 Putting both systems' columns into one 2-D near-field product would break
 that: BLAS may round a column differently by its position in the matrix.
+One exception: an affine block in which only another system fails is
+stepped for every system, so there a system that stays finite is within
+1e-12 * (1 + |X|) of its solo solve, not bitwise.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -219,12 +235,15 @@ class _Linear:
 
     ``factor`` is a float, or for a time-dependent set a float function of a
     scalar time (so a drift or ``jump_drift``: ``jump`` gets arrays of event
-    times); ``at`` is it as a function of the time arguments.  As a drift it
-    is one multiply per solver step (see the module docstring).
+    times); ``at`` is it as a function of the time arguments, and ``timed``
+    whether it is a function.  As a drift it makes slot 0 X times a factor,
+    and with a ``_Constant`` diffusion the solver solves a whole near-field
+    block at once (see the module docstring).
     """
 
     def __init__(self, factor):
-        self.at = factor if callable(factor) else lambda *t: factor
+        self.timed = callable(factor)
+        self.at = factor if self.timed else lambda *t: factor
 
     def __call__(self, *args):
         return np.multiply(self.at(*args[:-1]), args[-1])
@@ -242,9 +261,11 @@ class CoefficientSet:
     A ``_Constant`` diffusion (eq10, mlbench, an ``expr`` diffusion naming
     none of its arguments) is additive noise: the solver computes G dB for
     every step before its time loop and never calls it.  A ``_Linear`` drift
-    factor(t) X (eq10, mlbench) is one multiply per step, and a NU_DRIFT
-    ``_Linear`` jump_drift beside it joins that multiply.  Any other callable
-    is called at every step, even if it returns the same value each time.
+    factor(t) X (eq10, mlbench) makes slot 0 X times a factor, and a NU_DRIFT
+    ``_Linear`` jump_drift beside it joins that factor.  A set with both and
+    no other jump part is affine: the solver solves each near-field block of
+    it at once.  Any other callable is called at every step, even if it
+    returns the same value each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -553,6 +574,40 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
         del kernels[size]
 
 
+def _solve_affine_block(factors, times, n0: int, stop: int, state_rows, history, lags) -> bool:
+    """Solve the states [n0, stop) of one near-field block of affine systems at once.
+
+    ``factors`` holds each system's (slot0, timed) pair: slot 0 of row j is
+    f_j X_j with f_j = slot0(t_j), or slot0() once per block when not
+    ``timed`` (a time-independent set, or constant factors).  Slot 1 holds
+    the noise terms eta filled before the time loop.  So the block's states
+    X solve (I - W diag(f)) X = R + V eta, one solve stacked over the
+    systems, where R is the rows' X_0 plus far-field sums and ``lags`` is
+    (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
+    left-end kernels, and the identity.  Writes the states and slot 0 and
+    returns True; returns False and writes nothing when the solve raises
+    LinAlgError or a state or slot-0 term is not finite.
+    """
+    m = stop - n0
+    r = min(m, history.shape[1] - n0)  # history rows of the block: state n_steps has none
+    f = np.zeros((len(factors), m))
+    block_times = times[n0 : n0 + r].tolist()
+    for s, (slot0, timed) in enumerate(factors):
+        f[s, :r] = [slot0(t) for t in block_times] if timed else slot0()
+    w, v, identity = lags
+    rhs = state_rows[n0:stop].transpose(1, 0, 2) + v[:m, :r] @ history[:, n0 : n0 + r, 1]
+    try:
+        x = np.linalg.solve(identity[:m, :m] - w[:m, :m] * f[:, None, :], rhs)
+    except np.linalg.LinAlgError:
+        return False
+    rows = f[:, :r, None] * x[:, :r]
+    if not math.isfinite(x.sum() + rows.sum()):  # also when a finite sum overflows: then the steps decide
+        return False
+    state_rows[n0:stop] = x.transpose(1, 0, 2)
+    history[:, n0 : n0 + r, 0] = rows
+    return True
+
+
 def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     """States (n_steps + 1, S, P, dim) of S systems for every path of the block.
 
@@ -564,10 +619,17 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
 
     The systems share the grid, the weights, the event table and the far-field
     kernels and transforms; each step makes one near-field product and one
-    finiteness test for all of them.  The history is (S, n_steps, 2, P * dim),
-    system outermost, so the near field is a stack of S products of the shape
-    a solo solve makes, and each column is a far-field lane of its own: each
-    system's sums are those of a solve of that system alone, bit for bit.
+    finiteness test for all of them, and each affine block one solve.  The
+    history is (S, n_steps, 2, P * dim), system outermost, so the near field
+    is a stack of S products (or solves) of the shape a solo solve makes,
+    and each column is a far-field lane of its own: each system's sums are
+    those of a solve of that system alone, bit for bit.
+
+    The time loop runs a near-field block at a time: the far-field square
+    ending at the block's first step, then the block.  When every system is
+    affine the block is one stacked solve (``_solve_affine_block``);
+    otherwise, or when that solve fails, it is stepped: state n, its
+    finiteness test, then history row n.
 
     A drift, diffusion or ``jump_drift`` result that is a float64 array of the
     target shape is used as it is; any other is converted and reshaped
@@ -624,7 +686,9 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     increments = noise.increments[:, :, :, None]
 
     plans = []
+    factors = []  # (slot0, whether it depends on t) of each _Linear drift
     any_compensated = table_rates = False
+    affine = True  # so far, every system has a _Linear drift, a _Constant diffusion and no other part
     for s, coeffs in enumerate(systems):
         has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
         nu_drift = has_jump and coeffs.jump_mode == JumpMode.NU_DRIFT
@@ -639,70 +703,85 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         slot0 = None  # for a _Linear drift: slot 0 is X times slot0(*targs)
         if isinstance(coeffs.drift, _Linear):
             a = coeffs.drift.at
+            timed = coeffs.drift.timed
             if nu_drift and isinstance(coeffs.jump_drift, _Linear):
                 has_jump = False  # the jump drift is folded into slot 0
                 slot0 = lambda *t, a=a, b=coeffs.jump_drift.at: c_drift * a(*t) + c_stoch * b(*t)
+                timed |= coeffs.jump_drift.timed
             else:
                 slot0 = lambda *t, a=a: c_drift * a(*t)
+            factors.append((slot0, coeffs.time_dependent and timed))
+        affine &= slot0 is not None and constant_g and not has_jump
         plans.append((s, coeffs, states[:, s], by_path[s], slot0, has_jump, nu_drift, noise_scale, constant_g))
 
     events = any_compensated and any(r.n_events for r in noise.realizations)
     if events:
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
     shells = _shell_inputs(noise.spec, p_count) if table_rates else None
+    if affine:  # W and V of one near-field block: lag i - l of each slot at (i, l)
+        size = min(BASE, n_steps + 1)
+        lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
+        lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
+        lag = np.arange(size)
+        lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
 
     kernels = {}
     failed = np.zeros((s_count, p_count), dtype=np.int64)
     fallbacks = [0] * s_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(1, n_steps + 1):
-            j = n - 1
-            for s, coeffs, sys_states, sys_slots, slot0, has_jump, nu_drift, noise_scale, constant_g in plans:
-                targs = (times[j],) if coeffs.time_dependent else ()
-                x_j = sys_states[j]
-                slots = sys_slots[j]
-                if slot0 is None:
-                    np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
-                else:
-                    np.multiply(x_j, slot0(*targs), out=slots[0])
-                if not constant_g:
-                    g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)
-                    np.multiply((g @ increments[j])[:, :, 0], noise_scale, out=slots[1])
-
-                if has_jump:
-                    if coeffs.jump_drift is not None:
-                        rate = _as_float(coeffs.jump_drift(*targs, x_j), shape)
+        for n0 in range(0, n_steps + 1, BASE):
+            if n0:
+                _add_far_field(state_rows, history, weights, n0, n0 & -n0, kernels)
+            stop = min(n0 + BASE, n_steps + 1)
+            if affine and _solve_affine_block(factors, times, n0, stop, state_rows, history, lags):
+                continue
+            # step by step: state n, its finiteness, then history row n
+            for n in range(n0, stop):
+                if n > n0:
+                    rows = state_rows[n]
+                    rows += weights[2 * (n_steps - n + n0) :] @ history_rows[:, 2 * n0 : 2 * n]
+                x_n = state_flat[n]
+                if n and not math.isfinite(x_n.dot(x_n)):  # a finite sum of squares proves every state finite
+                    for s in range(s_count):
+                        bad = ~np.isfinite(states[n, s]).all(axis=1)
+                        failed[s, bad & (failed[s] == 0)] = n
+                        states[n:, s, bad] = x0  # drops the far-field sums already added ahead
+                        by_path[s, :n, :, bad] = 0.0
+                if n == n_steps:
+                    break
+                for s, coeffs, sys_states, sys_slots, slot0, has_jump, nu_drift, noise_scale, constant_g in plans:
+                    targs = (times[n],) if coeffs.time_dependent else ()
+                    x_j = sys_states[n]
+                    slots = sys_slots[n]
+                    if slot0 is None:
+                        np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
                     else:
-                        rate, redone = _quadrature_rate(
-                            coeffs.jump, targs, x_j, noise.spec, None if nu_drift else shells
-                        )
-                        fallbacks[s] += redone
-                    if nu_drift:
-                        slots[0] += c_stoch * rate
-                    else:
-                        raw = np.zeros(shape)
-                        if events and starts[j] < ends[j]:
-                            sel = slice(starts[j], ends[j])
-                            ev_targs = (ev_time[sel],) if coeffs.time_dependent else ()
-                            hits = np.asarray(
-                                coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
-                            ).reshape(-1, dim)
-                            np.add.at(raw, ev_path[sel], hits)  # in event order, per path
-                        slots[1] += raw - h * rate
-                        slots[1] *= c_stoch
+                        np.multiply(x_j, slot0(*targs), out=slots[0])
+                    if not constant_g:
+                        g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)
+                        np.multiply((g @ increments[n])[:, :, 0], noise_scale, out=slots[1])
 
-            near = n - n % BASE
-            if near == n:
-                _add_far_field(state_rows, history, weights, n, n & -n, kernels)
-            rows = state_rows[n]
-            rows += weights[2 * (n_steps - n + near) :] @ history_rows[:, 2 * near : 2 * n]
-            x_n = state_flat[n]
-            if not math.isfinite(x_n.dot(x_n)):  # a finite sum of squares proves every state finite
-                for s in range(s_count):
-                    bad = ~np.isfinite(states[n, s]).all(axis=1)
-                    failed[s, bad & (failed[s] == 0)] = n
-                    states[n:, s, bad] = x0  # drops the far-field sums already added ahead
-                    by_path[s, :n, :, bad] = 0.0
+                    if has_jump:
+                        if coeffs.jump_drift is not None:
+                            rate = _as_float(coeffs.jump_drift(*targs, x_j), shape)
+                        else:
+                            rate, redone = _quadrature_rate(
+                                coeffs.jump, targs, x_j, noise.spec, None if nu_drift else shells
+                            )
+                            fallbacks[s] += redone
+                        if nu_drift:
+                            slots[0] += c_stoch * rate
+                        else:
+                            raw = np.zeros(shape)
+                            if events and starts[n] < ends[n]:
+                                sel = slice(starts[n], ends[n])
+                                ev_targs = (ev_time[sel],) if coeffs.time_dependent else ()
+                                hits = np.asarray(
+                                    coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
+                                ).reshape(-1, dim)
+                                np.add.at(raw, ev_path[sel], hits)  # in event order, per path
+                            slots[1] += raw - h * rate
+                            slots[1] *= c_stoch
     return states, failed, fallbacks
 
 

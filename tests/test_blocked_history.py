@@ -124,6 +124,11 @@ def noise_block(spec, grid, paths, dim=1, seed=5, include_jumps=True):
     ))
 
 
+def plain(coefficient):
+    """The same coefficient as a plain callable, which the solver calls every step."""
+    return lambda *args: coefficient(*args)
+
+
 # a mean-reverting scalar system with state-dependent noise and a time-dependent drift
 OU = CoefficientSet(
     drift=lambda t, x: -x * (1.0 + np.cos(t)),
@@ -190,19 +195,22 @@ class TestBlockedHistory:
 
     @pytest.mark.parametrize("config, paths", PROBLEMS, ids=PROBLEM_IDS)
     def test_constant_diffusion_matches_a_plain_callable(self, config, paths):
-        # noise terms filled before the time loop against the per-step product
+        # noise terms filled before the time loop against the per-step product;
+        # a plain drift keeps both in the step loop, where the two are bitwise equal
         cfg = config.resolved()
         problem = build_problem(cfg)
         grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
         noise = noise_block(problem.spec, grid, paths, include_jumps=problem.needs_jump_events)
         for coeffs in (problem.coeffs, problem.averaged):
             assert isinstance(coeffs.diffusion, _Constant)
-            plain = dataclasses.replace(coeffs, diffusion=lambda *a, g=coeffs.diffusion: g(*a))
+            stepped = dataclasses.replace(coeffs, drift=plain(coeffs.drift))
+            ref_coeffs = dataclasses.replace(stepped, diffusion=plain(coeffs.diffusion))
             states, failed, _ = _solve_block((coeffs,), noise, problem.x0, cfg.epsilon, problem.beta)
-            ref, ref_failed, _ = _solve_block((plain,), noise, problem.x0, cfg.epsilon, problem.beta)
-            assert not failed.any() and not ref_failed.any()
+            filled, filled_failed, _ = _solve_block((stepped,), noise, problem.x0, cfg.epsilon, problem.beta)
+            ref, ref_failed, _ = _solve_block((ref_coeffs,), noise, problem.x0, cfg.epsilon, problem.beta)
+            assert not failed.any() and not filled_failed.any() and not ref_failed.any()
             assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
-            np.testing.assert_array_equal(states, ref)  # same products in the same order
+            np.testing.assert_array_equal(filled, ref)  # same products in the same order
 
     def test_nu_drift_through_quadrature(self):
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
@@ -233,15 +241,11 @@ class TestBlockedHistory:
             assert failed.tolist() == [0, 0, fail_step, 0]
 
 
-def plain(coefficient):
-    """The same coefficient as a plain callable, which the solver calls every step."""
-    return lambda *args: coefficient(*args)
-
-
 class TestLinearDrift:
-    """A ``_Linear`` drift (and a folded NU_DRIFT ``_Linear`` jump drift) is one
-    multiply per step; states stay within 1e-12 * (1 + |X|) of the same
-    coefficients called every step, with equal failure steps."""
+    """A ``_Linear`` drift (and a folded NU_DRIFT ``_Linear`` jump drift) makes
+    slot 0 X times one factor, stepped or solved a block at a time; states
+    stay within 1e-12 * (1 + |X|) of the same coefficients called every
+    step, with equal failure steps."""
 
     @staticmethod
     def assert_matches_plain(coeffs, noise, x0, epsilon, beta):
@@ -306,7 +310,7 @@ class TestLinearDrift:
             (dataclasses.replace(coeffs, drift=plain(coeffs.drift)),), noise, np.array([0.1]), 1.0, 0.7
         )
         assert failed.tolist() == ref_failed.tolist() == [[0, 101, 0]]
-        np.testing.assert_array_equal(states, ref)  # x * (c_drift * 1.0) is (1.0 * x) * c_drift
+        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_equal_linear_systems_give_exactly_zero(self):
         # acceptance criterion 5: the time-dependent set with constant-valued
@@ -342,3 +346,159 @@ class TestLinearDrift:
         drift_avg = time_average(problem.coeffs.drift, problem.x0[None], 100.0 * math.pi)
         assert drift_avg.shape == (1, 1)
         assert abs(drift_avg[0, 0] - 0.1) <= 1e-12
+
+
+@pytest.fixture
+def block_solves(monkeypatch):
+    """Outcomes of the solver's affine block solves, in call order."""
+    outcomes = []
+    solve = solver._solve_affine_block
+
+    def spy(*args):
+        outcomes.append(solve(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(solver, "_solve_affine_block", spy)
+    return outcomes
+
+
+# eq10's original form: a time-dependent _Linear drift, a folded NU_DRIFT
+# _Linear jump drift and a unit additive noise
+AFFINE = CoefficientSet(
+    drift=_Linear(lambda t: 2.0 * math.cos(t) ** 2),
+    diffusion=_Constant(1.0),
+    jump=lambda t, x, z: z**4 * x,
+    jump_mode=JumpMode.NU_DRIFT,
+    jump_drift=_Linear(lambda t: 0.4 * math.sin(t) ** 2),
+)
+
+
+def kicked(noise, path, step, size=1e308):
+    """The block with one Brownian increment of a path set to ``size``."""
+    noises = list(noise.realizations)
+    kick = noises[path].increments.copy()
+    kick[step, 0] = size
+    noises[path] = dataclasses.replace(noises[path], increments=kick)
+    return NoiseBlock(tuple(noises))
+
+
+class TestAffineBlock:
+    """Affine systems solve one near-field block per call: states within
+    1e-12 * (1 + |X|) of the direct sum; a block that fails is stepped, so
+    failures are those of the step loop."""
+
+    @pytest.mark.parametrize(
+        "n_steps", [40, 2 * solver.BASE, 2 * solver.BASE + 1], ids=["short", "k_base", "k_base_plus_1"]
+    )
+    def test_block_boundaries(self, n_steps, block_solves):
+        # N < BASE is one block holding state N; at N = k BASE the last block
+        # holds state N alone, and at k BASE + 1 state N and one history row
+        grid = TimeGrid(step=0.03, n_steps=n_steps)
+        coeffs = CoefficientSet(drift=_Linear(-0.8), diffusion=_Constant(0.6))
+        assert_matches_direct(coeffs, noise_block(None, grid, 3), np.array([0.5]), 0.4, 0.7)
+        assert block_solves == [True] * (n_steps // solver.BASE + 1)
+
+    def test_time_dependent_factor(self, block_solves):
+        grid = TimeGrid(step=0.01, n_steps=1000)
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        assert_matches_direct(AFFINE, noise_block(spec, grid, 4, include_jumps=False), 0.1, 0.05, 0.6)
+        assert len(block_solves) == 16 and all(block_solves)
+
+    def test_two_dimensional_system(self, block_solves):
+        coeffs = CoefficientSet(
+            drift=_Linear(-0.7),
+            diffusion=_Constant(np.array([[0.3, 0.1], [-0.2, 0.4]]), shape=(2, 2)),
+            dim=2,
+            brownian_dim=2,
+        )
+        grid = TimeGrid(step=1e-2, n_steps=700)
+        noise = noise_block(None, grid, 3, dim=2)
+        assert_matches_direct(coeffs, noise, np.array([0.5, -0.2]), 0.2, 0.8)
+        assert all(block_solves)
+
+    def test_one_path_is_its_column_of_a_full_block(self, block_solves):
+        grid = TimeGrid(step=0.01, n_steps=300)
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        noise = noise_block(spec, grid, 64, include_jumps=False)
+        full, _, _ = _solve_block((AFFINE,), noise, 0.1, 0.3, 0.6)
+        one = NoiseBlock((noise.realizations[17],))
+        alone = assert_matches_direct(AFFINE, one, 0.1, 0.3, 0.6)
+        assert not alone.any() and all(block_solves)
+        states, _, _ = _solve_block((AFFINE,), one, 0.1, 0.3, 0.6)
+        column = full[:, :, 17:18]
+        assert np.all(np.abs(states - column) <= 1e-12 * (1.0 + np.abs(column)))
+
+    @pytest.mark.parametrize(
+        "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["block_boundary", "mid_block"]
+    )
+    def test_a_failure_is_that_of_the_step_loop(self, fail_step, block_solves):
+        grid = TimeGrid(step=0.02, n_steps=300)
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        clean = noise_block(spec, grid, 3, seed=2, include_jumps=False)
+        noise = kicked(clean, 1, fail_step - 1)  # the state after the kick overflows
+        averaged = solver.AveragedCoefficientSet(
+            drift=_Linear(1.0), diffusion=_Constant(1.0),
+            jump=lambda x, z: z**4 * x, jump_mode=JumpMode.NU_DRIFT, jump_drift=_Linear(0.2),
+        )
+        args = (noise, np.array([0.1]), 1.0, 0.7)
+        solved = solver.solve_coupled(AFFINE, averaged, *args)
+        assert False in block_solves and block_solves.count(True) == 4  # the failing block is stepped
+        stepped = solver.solve_coupled(
+            dataclasses.replace(AFFINE, drift=plain(AFFINE.drift)),
+            dataclasses.replace(averaged, drift=plain(averaged.drift)),
+            *args,
+        )
+        failures = [(e.step, e.time, e.system) if e else None for e in solved.failures]
+        assert failures == [(e.step, e.time, e.system) if e else None for e in stepped.failures]
+        assert failures[1] == (fail_step, grid.times[fail_step], "original")
+        ref = solver.solve_coupled(AFFINE, averaged, clean, *args[1:])
+        for name in ("original", "averaged"):
+            got, want = getattr(solved, name)[:, [0, 2]], getattr(ref, name)[:, [0, 2]]
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("size", [1e300, math.inf], ids=["singular", "non_finite"])
+    def test_a_factor_that_blows_up_is_a_recorded_failure(self, size, block_solves, monkeypatch):
+        # from t = 2 the factor is 1e300, whose elimination overflows to a zero
+        # pivot (LinAlgError), or inf, which gives a nan solution
+        raised = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        coeffs = CoefficientSet(drift=_Linear(lambda t: size if t >= 2.0 else 1.0), diffusion=_Constant(1.0))
+        noise = noise_block(None, TimeGrid(step=0.02, n_steps=300), 3, seed=2)
+        states, failed, _ = _solve_block((coeffs,), noise, np.array([0.1]), 1.0, 0.7)
+        ref, ref_failed, _ = _solve_block(
+            (dataclasses.replace(coeffs, drift=plain(coeffs.drift)),), noise, np.array([0.1]), 1.0, 0.7
+        )
+        assert failed.all() and failed.tolist() == ref_failed.tolist()
+        assert block_solves[:2] == [True, False] and bool(raised) == (size < math.inf)
+        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_a_system_that_stays_finite_beside_a_failing_one(self, block_solves):
+        # the failing block is stepped for both systems: the finite one stays
+        # within the tolerance of its solo solve, with no failure of its own
+        failing = CoefficientSet(drift=_Linear(lambda t: 1e300 if t >= 2.0 else 1.0), diffusion=_Constant(1.0))
+        finite = solver.AveragedCoefficientSet(drift=_Linear(1.0), diffusion=_Constant(1.0))
+        noise = noise_block(None, TimeGrid(step=0.02, n_steps=300), 3, seed=2)
+        solved = solver.solve_coupled(failing, finite, noise, np.array([0.1]), 1.0, 0.7)
+        assert all(e is not None and e.system == "original" for e in solved.failures)
+        assert False in block_solves
+        alone, failed, _ = _solve_block((finite,), noise, np.array([0.1]), 1.0, 0.7)
+        assert not failed.any()
+        assert np.all(np.abs(solved.averaged - alone[:, 0]) <= 1e-12 * (1.0 + np.abs(alone[:, 0])))
+
+    def test_equal_systems_give_exactly_zero(self, block_solves):
+        # acceptance criterion 5 through the block solve
+        same = dataclasses.replace(AFFINE, diffusion=_Constant(1.0))
+        grid = TimeGrid(step=0.01, n_steps=700)
+        noise = noise_block(None, grid, 5)
+        solved = solver.solve_coupled(AFFINE, same, noise, np.array([0.1]), 0.05, 0.6)
+        assert all(f is None for f in solved.failures) and all(block_solves)
+        assert np.all(solved.er == 0.0)

@@ -3,10 +3,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import pytest
 
-from fracavg import cli, harness
+from fracavg import cli, harness, levy
 from fracavg.averaging import theorem_bound
 from fracavg.cli import load_config_file, main
 from fracavg.errors import ConfigError
@@ -58,6 +59,45 @@ class TestSimulate:
         )
         assert code == 1
         assert "failed" in capsys.readouterr().err
+
+    def test_printed_sup_er_is_the_finite_gap(self, tmp_path, capsys):
+        # a gap of ~6.5e199, whose square overflows: the printed sup|X - Z| is the report's
+        code = run_cli(
+            "simulate", "--problem", "expr", "--beta", "0.75", "--epsilon", "1", "--x0", "0",
+            "--drift", "1e200", "--diffusion", "0", "--avg-drift", "0", "--avg-diffusion", "0",
+            "--horizon", "0.5", "--step", "0.1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        printed = float(re.search(r"sup Er = (\S+)$", capsys.readouterr().out, re.M)[1])
+        report = json.loads((tmp_path / "simulate" / "report.json").read_text())
+        assert math.isfinite(printed) and printed == float(f"{report['per_path_sup_er'][0]:.6g}")
+
+    def test_overflow_after_a_block_is_a_failure_at_its_first_step(self, tmp_path, capsys):
+        # mlbench from x0 = 1e307: the first far-field sum overflows, so the
+        # block after it is stepped and its first step fails
+        code = run_cli(
+            "simulate", "--problem", "mlbench", "--beta", "0.6", "--epsilon", "1",
+            "--x0", "1e307", "--horizon", "10", "--step", "1e-2", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("run failed: ")
+        manifest = json.loads((tmp_path / "simulate" / "manifest.json").read_text())
+        assert manifest["failures"] == [{"path": 0, "step": 64, "time": 0.64, "system": "original"}]
+
+    def test_too_many_expected_events_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*key):
+            raise AssertionError(f"noise stream {key} drawn")
+
+        monkeypatch.setattr(levy, "noise_stream", no_draws)
+        code = run_cli(
+            "simulate", "--problem", "expr", "--drift=-x", "--diffusion", "0.5",
+            "--jump", "z*x", "--jump-mode", "compensated_prm", "--gamma", "1", "--alpha", "1.7",
+            "--cutoff", "1", "--delta", "1e-5", "--avg-drift=-x", "--avg-diffusion", "0.5",
+            "--horizon", "1", "--step", "0.01", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: the jump measure expects 1.86e+08 events")
+        assert not (tmp_path / "simulate").exists()
 
     def test_expr_domain_error_is_a_path_failure(self, tmp_path, capsys):
         # log of a negative state has no real value: the path fails (exit 1),

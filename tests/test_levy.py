@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracavg.errors import DivergenceError
+from fracavg import levy
+from fracavg.errors import ConfigError, DivergenceError
 from fracavg.levy import (
     JumpMeasureSpec,
     NoiseBlock,
@@ -100,6 +101,28 @@ class TestSampleNoise:
         b = sample_noise(SPEC, grid, dim=1, seed=9, include_jumps=False)
         assert np.array_equal(a.increments, b.increments)
         assert b.n_events == 0
+
+    def test_too_many_expected_events_are_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*key):
+            raise AssertionError(f"noise stream {key} drawn")
+
+        monkeypatch.setattr(levy, "noise_stream", no_draws)
+        # 1.86e8 events per unit time, which sampling cannot hold in memory
+        spec = JumpMeasureSpec(gamma=1.0, alpha=1.7, cutoff=1.0, delta=1e-5)
+        with pytest.raises(ConfigError, match=r"1\.86e\+08 events per path"):
+            sample_noise(spec, TimeGrid(step=0.01, n_steps=100), dim=1, seed=1)
+        at_cap = TimeGrid(step=0.01, n_steps=1000).horizon * spec.simulated_intensity
+        assert at_cap > levy.MAX_EVENTS_PER_PATH
+
+    def test_expected_events_within_the_cap_are_sampled(self):
+        # jumps_quad's measure over its horizon: ~5.4e3 events per path
+        spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+        grid = TimeGrid(step=0.01, n_steps=1000)
+        assert 5e3 < spec.simulated_intensity * grid.horizon < levy.MAX_EVENTS_PER_PATH
+        assert sample_noise(spec, grid, dim=1, seed=1).n_events > 0
+        # a measure over the cap is not refused when its events are not sampled
+        big = JumpMeasureSpec(gamma=1.0, alpha=1.7, cutoff=1.0, delta=1e-5)
+        assert sample_noise(big, grid, dim=1, seed=1, include_jumps=False).n_events == 0
 
     def test_event_support(self):
         grid = TimeGrid(step=0.05, n_steps=100)
