@@ -259,11 +259,13 @@ def _jump_slot_residual(coeffs, averaged, spec, t1, x) -> float:
 
         return time_average(diff, x, t1, quadrature_tol=1e-10)
 
+    return _square_integral(spec, avg_mismatch)
+
+
+def _square_integral(spec, fn) -> float:
+    """Integral of the squared norm of fn(z) against the jump measure over (0, cutoff)."""
     return nu_integral(
-        spec,
-        lambda z: float(np.sum(avg_mismatch(z) ** 2)),
-        use_delta=False,
-        rtol=1e-8,
+        spec, lambda z: float(np.sum(np.asarray(fn(z), dtype=float) ** 2)), use_delta=False, rtol=1e-8
     )
 
 
@@ -321,60 +323,36 @@ def probe_hypotheses(
         times = np.linspace(0.0, 10.0, 41)
     times = [float(t) for t in times]
 
+    jumps = coeffs.jump is not None and spec is not None
     c1 = 0.0
     c2 = 0.0
     for t in times:
-        for i, x1 in enumerate(probes):
-            f1 = np.asarray(coeffs.drift(t, x1), dtype=float).reshape(-1)
-            a11 = _diffusion_square(coeffs.diffusion, t, x1, coeffs.dim, coeffs.brownian_dim)
+        # drift, diffusion and its square at each probe state, once per time
+        probed = []
+        for x in probes:
+            g = np.asarray(coeffs.diffusion(t, x), dtype=float).reshape(coeffs.dim, coeffs.brownian_dim)
+            probed.append((x, np.asarray(coeffs.drift(t, x), dtype=float).reshape(-1), g, g @ g.T))
+        for i, (x1, f1, g1, a11) in enumerate(probed):
             growth_terms = [float(np.sum(f1**2)), float(np.linalg.norm(a11, 2))]
-            if coeffs.jump is not None and spec is not None:
-                growth_terms.append(
-                    nu_integral(
-                        spec,
-                        lambda z: float(
-                            np.sum(np.asarray(coeffs.jump(t, x1, z), dtype=float) ** 2)
-                        ),
-                        use_delta=False,
-                        rtol=1e-8,
-                    )
-                )
+            if jumps:
+                growth_terms.append(_square_integral(spec, lambda z: coeffs.jump(t, x1, z)))
             c2 = max(c2, max(growth_terms) / (1.0 + float(np.sum(x1**2))))
 
-            for x2 in probes[i + 1 :]:
+            for x2, f2, g2, a22 in probed[i + 1 :]:
                 dist_sq = float(np.sum((x1 - x2) ** 2))
                 if dist_sq == 0.0:
                     continue
-                f2 = np.asarray(coeffs.drift(t, x2), dtype=float).reshape(-1)
-                a22 = _diffusion_square(coeffs.diffusion, t, x2, coeffs.dim, coeffs.brownian_dim)
-                g1 = np.asarray(coeffs.diffusion(t, x1), dtype=float).reshape(
-                    coeffs.dim, coeffs.brownian_dim
-                )
-                g2 = np.asarray(coeffs.diffusion(t, x2), dtype=float).reshape(
-                    coeffs.dim, coeffs.brownian_dim
-                )
                 a12 = g1 @ g2.T
                 lip_terms = [
                     float(np.sum((f1 - f2) ** 2)),
                     float(np.linalg.norm(a11 - a12 - a12.T + a22, 2)),
                 ]
-                if coeffs.jump is not None and spec is not None:
-                    lip_terms.append(
-                        nu_integral(
-                            spec,
-                            lambda z: float(
-                                np.sum(
-                                    (
-                                        np.asarray(coeffs.jump(t, x1, z), dtype=float)
-                                        - np.asarray(coeffs.jump(t, x2, z), dtype=float)
-                                    )
-                                    ** 2
-                                )
-                            ),
-                            use_delta=False,
-                            rtol=1e-8,
-                        )
-                    )
+                if jumps:
+                    lip_terms.append(_square_integral(
+                        spec,
+                        lambda z: np.asarray(coeffs.jump(t, x1, z), dtype=float)
+                        - np.asarray(coeffs.jump(t, x2, z), dtype=float),
+                    ))
                 c1 = max(c1, max(lip_terms) / dist_sq)
 
     envelope = h3_residuals(coeffs, averaged, t1_grid, probes, spec=spec)

@@ -132,7 +132,12 @@ class TimeGrid:
     @classmethod
     def from_horizon(cls, horizon: float, step: float) -> "TimeGrid":
         """Grid covering [0, horizon]; the step must divide the horizon."""
-        n = round(horizon / step)
+        ratio = horizon / step
+        if not (math.isfinite(horizon) and math.isfinite(step) and math.isfinite(ratio)):
+            raise ValueError(
+                f"horizon {horizon!r} and step {step!r} must be finite, as must their ratio"
+            )
+        n = round(ratio)
         if n < 1 or abs(n * step - horizon) > 1e-9 * max(1.0, abs(horizon)):
             raise ValueError(
                 f"step {step!r} does not divide horizon {horizon!r} within rounding"

@@ -72,8 +72,10 @@ def build_eq10(
     gamma1 = scale / sqrt(epsilon) is attached for cross-checks.  The unit
     diffusion is a ``_Constant`` (its noise terms are filled before the time
     loop) and every drift and jump drift a ``_Linear``, so both systems are
-    affine and the solver solves a near-field block of steps at once; the
-    jump coefficients stay callables for the hypothesis probes.
+    affine: the solver tabulates c_drift a(t) + c_stoch b(t) once per solve
+    and solves every near-field block of steps at once (16 blocks at the
+    default N = 1000).  The jump coefficients stay callables for the
+    hypothesis probes.
     """
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
@@ -121,7 +123,8 @@ def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
     """Deterministic linear benchmark with the known Mittag-Leffler solution.
 
     Drift x as a ``_Linear`` and a zero ``_Constant`` diffusion: an affine
-    system, solved a near-field block of steps at a time.
+    system with one constant factor per solve, solved a near-field block of
+    steps at a time (every block, as for eq10).
     """
     zero = _Constant(0.0)
     coeffs = CoefficientSet(drift=_Linear(1.0), diffusion=zero)

@@ -28,10 +28,8 @@ times eps / Gamma(beta); G dB (plus the compensated jump terms), then times
 sqrt(eps) / Gamma(beta).  For a constant diffusion (``_Constant``, additive
 noise) G dB does not depend on the state, so it is filled into the left-end
 slot of every step before the time loop, a bounded chunk of steps at a time,
-and the diffusion is never called.  For a state-linear drift (``_Linear``,
-factor(t) X) slot 0 is X times one factor f(t): c_drift factor(t), plus
-c_stoch times the factor of a NU_DRIFT ``_Linear`` jump_drift, which is then
-never called.  Every other coefficient is called at every step.
+and the diffusion is never called.  Every other coefficient is called at
+every step the loop takes.
 
 The sum over that history is blocked (Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985).  Near field: step n sums the rows of its own
@@ -42,16 +40,18 @@ added to the states of steps [n, n + s), which start at X_0.  A block of P
 paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
 the far field, in O(N) Python steps; for N < BASE it is the direct sum.
 
-When every system is affine (a ``_Linear`` drift, its NU_DRIFT ``_Linear``
-jump drift folded in, a ``_Constant`` diffusion and no other jump part),
-the states of a near-field block [n0, n0 + BASE) are one unit lower
-triangular linear system: (I - W diag(f)) X = R + V eta, where W and V hold
-the block's lag weights of the two slots, f the factors, R the X_0 plus
-far-field sums and eta the filled noise terms.  Each block is then one
-``np.linalg.solve`` stacked over the systems, not BASE Python steps.  A
-block whose solve raises LinAlgError or is not all finite is stepped
-instead, from the same far-field sums, so failures and masking are those of
-the step loop.
+When every system is affine (a ``_Linear`` drift a(t) X, a NU_DRIFT
+``_Linear`` jump drift b(t) X or no jump part, and a ``_Constant``
+diffusion), slot 0 of step j is f_j X_j with f_j = c_drift a(t_j) +
+c_stoch b(t_j), one table of factors built per solve, and the states of a
+near-field block [n0, n0 + BASE) are one unit lower triangular linear
+system: (I - W diag(f)) X = R + V eta, where W and V hold the block's lag
+weights of the two slots, R the X_0 plus far-field sums and eta the filled
+noise terms.  Each block is then one ``np.linalg.solve`` stacked over the
+systems, not BASE Python steps.  A block whose solve raises LinAlgError or
+is not all finite is stepped instead, from the same far-field sums, with
+the drift and jump drift called as any callable is, so failures and
+masking are those of the step loop.
 
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
 of one product over the whole history per step, whether a block is stepped
@@ -236,9 +236,10 @@ class _Linear:
     ``factor`` is a float, or for a time-dependent set a float function of a
     scalar time (so a drift or ``jump_drift``: ``jump`` gets arrays of event
     times); ``at`` is it as a function of the time arguments, and ``timed``
-    whether it is a function.  As a drift it makes slot 0 X times a factor,
-    and with a ``_Constant`` diffusion the solver solves a whole near-field
-    block at once (see the module docstring).
+    whether it is a function.  Only the solver's table of affine factors
+    reads ``at``, once per solve: once per step when the factor is timed and
+    the set time-dependent, else once (see the module docstring).  The step
+    loop calls a ``_Linear`` as it calls any coefficient.
     """
 
     def __init__(self, factor):
@@ -260,12 +261,13 @@ class CoefficientSet:
 
     A ``_Constant`` diffusion (eq10, mlbench, an ``expr`` diffusion naming
     none of its arguments) is additive noise: the solver computes G dB for
-    every step before its time loop and never calls it.  A ``_Linear`` drift
-    factor(t) X (eq10, mlbench) makes slot 0 X times a factor, and a NU_DRIFT
-    ``_Linear`` jump_drift beside it joins that factor.  A set with both and
-    no other jump part is affine: the solver solves each near-field block of
-    it at once.  Any other callable is called at every step, even if it
-    returns the same value each time.
+    every step before its time loop and never calls it.  A set with a
+    ``_Linear`` drift factor(t) X, a ``_Constant`` diffusion and, as its only
+    jump part if any, a NU_DRIFT ``_Linear`` jump_drift is affine (eq10,
+    mlbench): when every system of a solve is, the solver solves each
+    near-field block at once from a table of the factors.  Any other
+    callable is called at every step, even if it returns the same value
+    each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -574,26 +576,22 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
         del kernels[size]
 
 
-def _solve_affine_block(factors, times, n0: int, stop: int, state_rows, history, lags) -> bool:
-    """Solve the states [n0, stop) of one near-field block of affine systems at once.
+def _solve_affine_block(f, n0: int, state_rows, history, lags) -> bool:
+    """Solve the states [n0, n0 + m) of one near-field block of affine systems at once.
 
-    ``factors`` holds each system's (slot0, timed) pair: slot 0 of row j is
-    f_j X_j with f_j = slot0(t_j), or slot0() once per block when not
-    ``timed`` (a time-independent set, or constant factors).  Slot 1 holds
-    the noise terms eta filled before the time loop.  So the block's states
-    X solve (I - W diag(f)) X = R + V eta, one solve stacked over the
+    ``f`` is the block's (systems, m) slice of the solve's factor table: slot
+    0 of row j is f_j X_j, and the factor of state n_steps is 0.  Slot 1
+    holds the noise terms eta filled before the time loop.  So the block's
+    states X solve (I - W diag(f)) X = R + V eta, one solve stacked over the
     systems, where R is the rows' X_0 plus far-field sums and ``lags`` is
     (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
     left-end kernels, and the identity.  Writes the states and slot 0 and
     returns True; returns False and writes nothing when the solve raises
     LinAlgError or a state or slot-0 term is not finite.
     """
-    m = stop - n0
+    m = f.shape[1]
+    stop = n0 + m
     r = min(m, history.shape[1] - n0)  # history rows of the block: state n_steps has none
-    f = np.zeros((len(factors), m))
-    block_times = times[n0 : n0 + r].tolist()
-    for s, (slot0, timed) in enumerate(factors):
-        f[s, :r] = [slot0(t) for t in block_times] if timed else slot0()
     w, v, identity = lags
     rhs = state_rows[n0:stop].transpose(1, 0, 2) + v[:m, :r] @ history[:, n0 : n0 + r, 1]
     try:
@@ -627,9 +625,11 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
 
     The time loop runs a near-field block at a time: the far-field square
     ending at the block's first step, then the block.  When every system is
-    affine the block is one stacked solve (``_solve_affine_block``);
+    affine the block is one stacked solve (``_solve_affine_block``) with its
+    slice of the (S, n_steps + 1) factor table built before the loop;
     otherwise, or when that solve fails, it is stepped: state n, its
-    finiteness test, then history row n.
+    finiteness test, then history row n, with every coefficient that is not
+    a filled ``_Constant`` diffusion called.
 
     A drift, diffusion or ``jump_drift`` result that is a float64 array of the
     target shape is used as it is; any other is converted and reshaped
@@ -686,7 +686,6 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     increments = noise.increments[:, :, :, None]
 
     plans = []
-    factors = []  # (slot0, whether it depends on t) of each _Linear drift
     any_compensated = table_rates = False
     affine = True  # so far, every system has a _Linear drift, a _Constant diffusion and no other part
     for s, coeffs in enumerate(systems):
@@ -700,25 +699,27 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         constant_g = isinstance(coeffs.diffusion, _Constant)
         if constant_g:
             _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, noise_scale)
-        slot0 = None  # for a _Linear drift: slot 0 is X times slot0(*targs)
-        if isinstance(coeffs.drift, _Linear):
-            a = coeffs.drift.at
-            timed = coeffs.drift.timed
-            if nu_drift and isinstance(coeffs.jump_drift, _Linear):
-                has_jump = False  # the jump drift is folded into slot 0
-                slot0 = lambda *t, a=a, b=coeffs.jump_drift.at: c_drift * a(*t) + c_stoch * b(*t)
-                timed |= coeffs.jump_drift.timed
-            else:
-                slot0 = lambda *t, a=a: c_drift * a(*t)
-            factors.append((slot0, coeffs.time_dependent and timed))
-        affine &= slot0 is not None and constant_g and not has_jump
-        plans.append((s, coeffs, states[:, s], by_path[s], slot0, has_jump, nu_drift, noise_scale, constant_g))
+        folded = nu_drift and isinstance(coeffs.jump_drift, _Linear)
+        affine &= isinstance(coeffs.drift, _Linear) and constant_g and (folded or not has_jump)
+        plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, noise_scale, constant_g))
 
     events = any_compensated and any(r.n_events for r in noise.realizations)
     if events:
         ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
     shells = _shell_inputs(noise.spec, p_count) if table_rates else None
-    if affine:  # W and V of one near-field block: lag i - l of each slot at (i, l)
+    if affine:
+        # slot 0 of step j is factors[s, j] X_j: c_drift a(t_j), plus c_stoch b(t_j)
+        # for a folded jump drift b; state n_steps has no history row, so 0
+        factors = np.zeros((s_count, n_steps + 1))
+        for s, coeffs in enumerate(systems):
+            for linear, scale in ((coeffs.drift, c_drift), (coeffs.jump_drift, c_stoch)):
+                if isinstance(linear, _Linear):
+                    if linear.timed and coeffs.time_dependent:  # one call per step
+                        factor = np.fromiter(map(linear.at, times[:n_steps].tolist()), float, n_steps)
+                    else:
+                        factor = linear.at()
+                    factors[s, :n_steps] += scale * factor
+        # W and V of one near-field block: lag i - l of each slot at (i, l)
         size = min(BASE, n_steps + 1)
         lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
         lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
@@ -733,7 +734,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
             if n0:
                 _add_far_field(state_rows, history, weights, n0, n0 & -n0, kernels)
             stop = min(n0 + BASE, n_steps + 1)
-            if affine and _solve_affine_block(factors, times, n0, stop, state_rows, history, lags):
+            if affine and _solve_affine_block(factors[:, n0:stop], n0, state_rows, history, lags):
                 continue
             # step by step: state n, its finiteness, then history row n
             for n in range(n0, stop):
@@ -749,14 +750,11 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                         by_path[s, :n, :, bad] = 0.0
                 if n == n_steps:
                     break
-                for s, coeffs, sys_states, sys_slots, slot0, has_jump, nu_drift, noise_scale, constant_g in plans:
+                for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, noise_scale, constant_g in plans:
                     targs = (times[n],) if coeffs.time_dependent else ()
                     x_j = sys_states[n]
                     slots = sys_slots[n]
-                    if slot0 is None:
-                        np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
-                    else:
-                        np.multiply(x_j, slot0(*targs), out=slots[0])
+                    np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
                     if not constant_g:
                         g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)
                         np.multiply((g @ increments[n])[:, :, 0], noise_scale, out=slots[1])

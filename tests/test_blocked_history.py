@@ -242,13 +242,14 @@ class TestBlockedHistory:
 
 
 class TestLinearDrift:
-    """A ``_Linear`` drift (and a folded NU_DRIFT ``_Linear`` jump drift) makes
-    slot 0 X times one factor, stepped or solved a block at a time; states
-    stay within 1e-12 * (1 + |X|) of the same coefficients called every
-    step, with equal failure steps."""
+    """Only the affine block solve reads a ``_Linear`` (a drift, and a folded
+    NU_DRIFT jump drift): every block of the built-in problems is solved,
+    within 1e-12 * (1 + |X|) of the same coefficients called every step,
+    with equal failure steps.  Beside any other part the step loop calls a
+    ``_Linear`` as any callable, so states equal the plain ones bit for bit."""
 
     @staticmethod
-    def assert_matches_plain(coeffs, noise, x0, epsilon, beta):
+    def assert_matches_plain(coeffs, noise, x0, epsilon, beta, exact=False):
         fields = {"drift": plain(coeffs.drift)}
         if isinstance(coeffs.jump_drift, _Linear):
             fields["jump_drift"] = plain(coeffs.jump_drift)
@@ -258,10 +259,15 @@ class TestLinearDrift:
         )
         np.testing.assert_array_equal(failed, ref_failed)
         assert np.all(np.isfinite(ref))
-        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        if exact:
+            np.testing.assert_array_equal(states, ref)
+        else:
+            assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
-    @pytest.mark.parametrize("config", [c for c, _ in PROBLEMS[:5]], ids=PROBLEM_IDS[:5])
-    def test_builtin_problems_match_plain_callables(self, config):
+    @pytest.mark.parametrize(
+        "config, blocks", zip([c for c, _ in PROBLEMS[:5]], [32, 16, 16, 16, 16]), ids=PROBLEM_IDS[:5]
+    )
+    def test_builtin_problems_match_plain_callables(self, config, blocks, block_solves):
         cfg = config.resolved()
         problem = build_problem(cfg)
         grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
@@ -271,13 +277,15 @@ class TestLinearDrift:
             systems.append(problem.folded_averaged)
         for coeffs in systems:
             assert isinstance(coeffs.drift, _Linear)
+            block_solves.clear()
             self.assert_matches_plain(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
+            assert block_solves == [True] * blocks  # every block of the affine solve, none of the plain one
 
     @pytest.mark.parametrize("jump", ["state_diffusion", "compensated_expr", "nu_drift_callable"])
     def test_other_parts_still_run_every_step(self, jump):
-        # only slot 0 of the drift changes: a state-dependent diffusion, the
-        # compensated jump terms and a jump drift that is not linear are
-        # evaluated at every step as before
+        # beside a state-dependent diffusion, compensated jump terms or a jump
+        # drift that is not linear, the solve is stepped and the _Linear drift
+        # is called at every step as the plain callable is
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
         fields = dict(drift=_Linear(lambda t: -(1.0 + math.cos(t))), diffusion=_Constant(0.5))
         if jump == "state_diffusion":
@@ -294,7 +302,7 @@ class TestLinearDrift:
         noise = noise_block(spec, grid, 3, include_jumps=coeffs.jump_mode == JumpMode.COMPENSATED)
         if jump == "compensated_expr":
             assert any(r.n_events for r in noise.realizations)
-        self.assert_matches_plain(coeffs, noise, np.array([0.4]), 0.3, 0.7)
+        self.assert_matches_plain(coeffs, noise, np.array([0.4]), 0.3, 0.7, exact=True)
         assert_matches_direct(coeffs, noise, np.array([0.4]), 0.3, 0.7)
 
     def test_a_failure_step_is_the_plain_one(self):

@@ -45,6 +45,15 @@ class TestSimulate:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--horizon", "inf"), ("--horizon", "nan"), ("--step", "nan")])
+    def test_non_finite_grid_is_a_config_error(self, flag, value, tmp_path, capsys):
+        # refused by name before any solve: exit 2, not a traceback
+        code = run_cli("simulate", flag, value, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "must be finite" in err
+        assert not (tmp_path / "simulate").exists()
+
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run_cli("simulate", "--bogus")

@@ -82,6 +82,8 @@ class TestConfig:
             dict(bound_c1=1.0, bound_alphas=(0.1, "0.1", 0.1)),
             dict(bound_c1=math.inf, bound_alphas=(0.1, 0.1, 0.1)),
             dict(bound_c1=-1.0, bound_alphas=(0.1, 0.1, 0.1)),
+            dict(horizon=math.inf),
+            dict(step=math.nan),
         ],
     )
     def test_validation(self, kwargs):
