@@ -27,6 +27,7 @@ from .averaging import averaged_jump_drift, probe_hypotheses, theorem_bound, tim
 from .errors import ConfigError, FracavgError
 from .harness import ExperimentConfig, convergence_study, reproduce_fig1, run_ensemble
 from .problems import FIG1_CASES, build_problem
+from .solver import JumpMode
 
 WORKERS_ENV = "FRACAVG_WORKERS"
 DEFAULT_OUT = "fracavg_out"
@@ -207,11 +208,17 @@ def cmd_average(args) -> int:
     os.makedirs(out, exist_ok=True)
 
     avg_horizon = args.avg_horizon if args.avg_horizon is not None else 100.0 * math.pi
+    coeffs = problem.coeffs
     state = problem.x0[None]  # a batch of one state, as coefficient sets expect
-    drift_avg = time_average(problem.coeffs.drift, state, avg_horizon)
+    drift_avg = time_average(coeffs.drift, state, avg_horizon)
     print(f"time-averaged drift at x0={cfg.x0:g}: {float(drift_avg[0, 0]):.10g}")
-    if problem.coeffs.jump is not None and problem.spec is not None:
-        jd = averaged_jump_drift(problem.spec, problem.coeffs.jump, np.array([[1.0]]), avg_horizon)
+    if coeffs.jump is not None and problem.spec is not None:
+        unit = np.array([[1.0]])
+        if coeffs.jump_mode == JumpMode.NU_DRIFT and coeffs.jump_drift is not None:
+            # the closed-form integral of the jump coefficient over (0, cutoff)
+            jd = time_average(coeffs.jump_drift, unit, avg_horizon).reshape(-1)
+        else:
+            jd = averaged_jump_drift(problem.spec, coeffs.jump, unit, avg_horizon)
         gamma1 = float(jd[0]) / math.sqrt(cfg.epsilon)
         print(f"averaged jump drift per unit state: {float(jd[0]):.10g}")
         print(f"gamma1 = {gamma1:.10g}")

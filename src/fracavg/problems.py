@@ -8,6 +8,7 @@ builders must depend only on picklable inputs.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import types
@@ -166,6 +167,35 @@ def _names(code) -> list[str]:
     return names
 
 
+def _x_degree(node):
+    """The degree in x of an expression's syntax tree: 0 when it does not name
+    x, 1 when it is state-linear (x, a product of a linear term and an x-free
+    one, a linear term divided by an x-free one, or a sum, difference or
+    negation of linear terms), else None."""
+    if isinstance(node, ast.Name):
+        return int(node.id == "x")
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _x_degree(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        left, right = _x_degree(node.left), _x_degree(node.right)
+        if left is None or right is None:
+            return None
+        if isinstance(node.op, ast.Mult):
+            return left + right if left + right < 2 else None
+        if isinstance(node.op, ast.Div):
+            return left if right == 0 else None
+        return left if left == right else None
+    return 0 if all(_x_degree(child) == 0 for child in ast.iter_child_nodes(node)) else None
+
+
+def _state_linear(source: str) -> bool:
+    """Whether an expression is of degree 1 in x; one nested too deeply to inspect is not."""
+    try:
+        return _x_degree(ast.parse(source, mode="eval").body) == 1
+    except RecursionError:
+        return False
+
+
 def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1,)):
     """Compile a scalar coefficient expression into a batch-contract evaluator.
 
@@ -186,6 +216,13 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     ``(-8)**(1/3)``, is a ConfigError naming the expression.  An expression
     that names none of its arguments is a constant: its evaluator returns one
     read-only array per batch size.
+
+    An expression of result shape (1,) that is state-linear by its syntax
+    tree (``_state_linear``: ``-x*(1+cos(t))``, ``x - x*cos(t)``,
+    ``z*x*sin(t)**2``, not ``x*x``, ``x**1``, ``x+1`` or ``sin(x)``) is a
+    ``_Linear``: a call still evaluates the source, and its factor is the
+    expression at x = 1 (a constant when it names no other argument), which
+    the solver's affine block solve reads once per solve.
     """
     try:
         code = compile(source, "<coefficient>", "eval")
@@ -213,7 +250,14 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
         raise ConfigError(f"coefficient expression {source!r} cannot be evaluated: {exc}") from None
     if set(args).isdisjoint(names):
         return _Constant(probe[0], shape)
-    return _Batched(body, shape)
+    call = _Batched(body, shape)
+    if "x" not in args or shape != (1,) or not _state_linear(source):
+        return call
+    if (set(args) - {"x"}).isdisjoint(names):  # a constant factor
+        return _Linear(probe[0], call)
+    i = args.index("x")
+    one = np.float64(1.0)
+    return _Linear(lambda *rest: body(*rest[:i], one, *rest[i:]), call)
 
 
 def build_expr_problem(

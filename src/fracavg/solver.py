@@ -40,18 +40,27 @@ added to the states of steps [n, n + s), which start at X_0.  A block of P
 paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
 the far field, in O(N) Python steps; for N < BASE it is the direct sum.
 
-When every system is affine (a ``_Linear`` drift a(t) X, a NU_DRIFT
-``_Linear`` jump drift b(t) X or no jump part, and a ``_Constant``
-diffusion), slot 0 of step j is f_j X_j with f_j = c_drift a(t_j) +
-c_stoch b(t_j), one table of factors built per solve, and the states of a
-near-field block [n0, n0 + BASE) are one unit lower triangular linear
-system: (I - W diag(f)) X = R + V eta, where W and V hold the block's lag
-weights of the two slots, R the X_0 plus far-field sums and eta the filled
-noise terms.  Each block is then one ``np.linalg.solve`` stacked over the
-systems, not BASE Python steps.  A block whose solve raises LinAlgError or
-is not all finite is stepped instead, from the same far-field sums, with
-the drift and jump drift called as any callable is, so failures and
-masking are those of the step loop.
+When every system is affine (a ``_Linear`` drift a(t) X, a ``_Constant``
+diffusion, and as its jump part none, a NU_DRIFT ``_Linear`` jump drift
+b(t) X, or a ``_Linear`` jump phi(t, z) X without a closed-form rate), slot
+0 of step j is f_j X_j with f_j = c_drift a(t_j) + c_stoch b(t_j), where b
+of a NU_DRIFT jump is its rate over (0, cutoff), one adaptive integral per
+step.  A compensated jump adds e_j X_j to the unscaled noise u_j of slot 1:
+e_j sums phi over the step's events of the path, in the event table's
+order, less h rho(t_j), with the rate rho read off the shell table for all
+steps at once (a step the table cannot settle is integrated adaptively
+once and counts one fallback per path).  These tables are built once per
+solve, and the states of a near-field block [n0, n0 + BASE) are a unit
+lower triangular linear system: (I - W diag(f)) X = R + V eta, or (I -
+W diag(f) - c_stoch V diag(e_p)) X_p = R_p + c_stoch V u_p with a
+compensated jump, where W and V hold the block's lag weights of the two
+slots, R the X_0 plus far-field sums and eta the filled noise terms.  Each
+block is then one ``np.linalg.solve`` per kind of system, stacked as
+(systems, Q) matrices, with Q = P for systems whose e differ by path
+because the noise has events and Q = 1 otherwise, not BASE Python steps.
+A block whose solve raises LinAlgError or is not all finite is stepped
+instead, from the same far-field sums, with the drift and jumps called as
+any callable is, so failures and masking are those of the step loop.
 
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
 of one product over the whole history per step, whether a block is stepped
@@ -111,7 +120,7 @@ FFT_CELLS = 2048
 STEP_CHUNK = 256
 # A compensator rate from the shell table is kept when its 21-point and
 # nested 10-point estimates agree to this relative difference; otherwise
-# that path's rate is integrated adaptively.
+# that rate (of a path, or of a step of a linear jump) is integrated adaptively.
 TABLE_RTOL = 1e-10
 
 
@@ -231,22 +240,29 @@ class _Constant:
 
 
 class _Linear:
-    """State-linear coefficient factor(t) X in the batch contract, of X's shape.
+    """State-linear coefficient factor(...) X in the batch contract, of X's shape.
 
-    ``factor`` is a float, or for a time-dependent set a float function of a
-    scalar time (so a drift or ``jump_drift``: ``jump`` gets arrays of event
-    times); ``at`` is it as a function of the time arguments, and ``timed``
-    whether it is a function.  Only the solver's table of affine factors
-    reads ``at``, once per solve: once per step when the factor is timed and
-    the set time-dependent, else once (see the module docstring).  The step
-    loop calls a ``_Linear`` as it calls any coefficient.
+    ``factor`` is a float or a function of the coefficient's arguments other
+    than X; ``at`` is it as such a function, and ``timed`` whether it is one.
+    Built by hand (eq10, mlbench) it is a drift or ``jump_drift``, its
+    factor a float or a float function of a scalar time, and a call is
+    factor(t) X.  Built by ``compile_expr`` from a state-linear expression,
+    ``call`` is the compiled expression, which a call evaluates, so results
+    are the source's bit for bit; ``at`` is the expression at x = 1, a
+    function of numpy columns: times, and for a jump (t, X, z) also marks.
+    Only the solver's tables of affine factors read ``at``, once per solve
+    (see the module docstring).  The step loop calls a ``_Linear`` as it
+    calls any coefficient.
     """
 
-    def __init__(self, factor):
+    def __init__(self, factor, call=None):
         self.timed = callable(factor)
         self.at = factor if self.timed else lambda *t: factor
+        self.call = call
 
     def __call__(self, *args):
+        if self.call is not None:
+            return self.call(*args)
         return np.multiply(self.at(*args[:-1]), args[-1])
 
 
@@ -263,11 +279,13 @@ class CoefficientSet:
     none of its arguments) is additive noise: the solver computes G dB for
     every step before its time loop and never calls it.  A set with a
     ``_Linear`` drift factor(t) X, a ``_Constant`` diffusion and, as its only
-    jump part if any, a NU_DRIFT ``_Linear`` jump_drift is affine (eq10,
-    mlbench): when every system of a solve is, the solver solves each
-    near-field block at once from a table of the factors.  Any other
-    callable is called at every step, even if it returns the same value
-    each time.
+    jump part if any, a NU_DRIFT ``_Linear`` jump_drift or a ``_Linear`` jump
+    with no jump_drift is affine (eq10, mlbench, and an ``expr`` problem
+    whose drift and jump are state-linear expressions and whose diffusion
+    is a constant, such as the benchmark's compensated jumps_quad): when
+    every system of a solve is, the solver solves each near-field block at
+    once from tables of the factors.  Any other callable is called at every
+    step, even if it returns the same value each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -277,7 +295,10 @@ class CoefficientSet:
     together (``levy.shell_table``; the table and its nodes tiled over the
     paths are built once per solve), and only a path whose table estimate is
     not settled is integrated adaptively; NU_DRIFT mode integrates every path
-    adaptively at every step, which is correct but slow.  A float callable
+    adaptively at every step, which is correct but slow.  An affine solve
+    integrates a ``_Linear`` jump phi(t, z) X once per step for all paths,
+    phi alone: at the table's nodes for all steps at once, or adaptively
+    (NU_DRIFT, or a step the table cannot settle).  A float callable
     (``scalar``) or a compiled ``expr`` is integrated on scalars there, one
     call of it per quadrature node.
     """
@@ -326,8 +347,8 @@ class AveragedCoefficientSet(CoefficientSet):
     time_dependent: ClassVar[bool] = False
 
 
-# Rows per array-to-float-list conversion of a CSV file; rows are then written
-# one by one, so no string longer than a row is built.
+# Rows per array-to-float-list conversion and per write of a CSV file: no
+# string longer than this many rows is built.
 CSV_CHUNK_ROWS = 256
 
 
@@ -336,8 +357,9 @@ def _write_csv(path, header: list[str], columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            rows = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in columns]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+            chunk = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in columns])
+            cells = [map(repr, col) for col in chunk.T.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 @dataclass(frozen=True)
@@ -463,6 +485,8 @@ def _event_table(noise: NoiseBlock):
 
 def _adaptive_rate(jump, targs, row, spec, use_delta: bool) -> np.ndarray:
     """Integral of the jump coefficient of one (1, dim) state row, by adaptive quadrature."""
+    if isinstance(jump, _Linear) and jump.call is not None:
+        jump = jump.call
     if isinstance(jump, (_RowLoop, _Batched)):
         # integrate the scalar function itself, so each quadrature node costs
         # one call of it: on floats for a float callable, on float64 scalars
@@ -487,6 +511,45 @@ def _shell_inputs(spec, p_count: int):
     """
     table = levy.shell_table(spec)
     return table, np.tile(table.nodes, p_count)
+
+
+def _factor_row(linear: _Linear, times):
+    """A drift or jump drift ``_Linear``'s factor at each of ``times``, or its
+    one value when it is constant or ``times`` is None (a time-independent set)."""
+    if not (linear.timed and times is not None):
+        return linear.at()
+    if linear.call is not None:  # a compiled expression: one call on the column of times
+        return linear.at(times)
+    return np.fromiter(map(linear.at, times.tolist()), float, len(times))
+
+
+def _jump_rates(jump: _Linear, times, spec, use_delta: bool):
+    """Rates rho(t) of a ``_Linear`` jump phi(t, z) X: phi's integral over
+    [delta, cutoff) (``use_delta``) or (0, cutoff), at each of ``times``, or
+    once when ``times`` is None (a time-independent set).
+
+    Over [delta, cutoff) the shell table gives every rate, BASE times per
+    call of ``jump.at``, and only a rate it cannot settle (TABLE_RTOL) is
+    integrated adaptively; over (0, cutoff) every rate is.  Returns the rates
+    and how many of those over [delta, cutoff) were integrated adaptively.
+    """
+    count = 1 if times is None else len(times)
+    rate = np.empty(count)
+    redo = np.arange(count)
+    if use_delta:
+        table = levy.shell_table(spec)
+        spread = np.empty(count)
+        for s0 in range(0, count, BASE):
+            part = slice(s0, s0 + BASE)
+            targs = () if times is None else (times[part, None],)
+            values = np.broadcast_to(jump.at(*targs, table.nodes), (rate[part].size, table.nodes.size))
+            rate[part] = values @ table.weights
+            spread[part] = values @ table.spread
+        redo = np.flatnonzero(np.abs(spread) > TABLE_RTOL * np.abs(rate))
+    for j in redo.tolist():
+        targs = () if times is None else (times[j],)
+        rate[j] = _adaptive_rate(jump, targs, np.ones((1, 1)), spec, use_delta)[0]
+    return rate, redo.size if use_delta else 0
 
 
 def _quadrature_rate(jump, targs, X, spec, shells):
@@ -576,33 +639,104 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
         del kernels[size]
 
 
-def _solve_affine_block(f, n0: int, state_rows, history, lags) -> bool:
+def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, events):
+    """Factor tables, solve groups and fallback counts of an affine solve, built before its loop.
+
+    factors[s, j] is c_drift a(t_j) + c_stoch b(t_j), b a NU_DRIFT jump drift
+    or a NU_DRIFT ``_Linear`` jump's rate, and 0 for state n_steps, which has
+    no history row.  A compensated ``_Linear`` jump phi(t, z) X has jump
+    factors e_j: phi summed over the step's events (``events`` is the event
+    table, or None) in the table's order, less h rho(t_j); one row per path
+    when there are events, else one.  The groups pair the systems with no
+    compensated jump with None, and the others with their stacked e (see
+    ``_solve_affine_block``).  A rate the shell table cannot settle counts
+    one fallback per path of each step it serves, as the step loop counts.
+    """
+    grid = noise.grid
+    n_steps, p_count = grid.n_steps, noise.size
+    factors = np.zeros((len(systems), n_steps + 1))
+    jumps, fallbacks = {}, []
+    for s, coeffs in enumerate(systems):
+        step_times = grid.times[:n_steps] if coeffs.time_dependent else None
+        factors[s, :n_steps] += c_drift * _factor_row(coeffs.drift, step_times)
+        redone = 0
+        if coeffs.jump_drift is not None:
+            factors[s, :n_steps] += c_stoch * _factor_row(coeffs.jump_drift, step_times)
+        elif coeffs.jump is not None and coeffs.jump_mode == JumpMode.NU_DRIFT:
+            factors[s, :n_steps] += c_stoch * _jump_rates(coeffs.jump, step_times, noise.spec, False)[0]
+        elif coeffs.jump is not None:
+            rate, redone = _jump_rates(coeffs.jump, step_times, noise.spec, True)
+            e = jumps[s] = np.zeros((1 if events is None else p_count, n_steps + 1))
+            if events is not None:
+                ev_path, ev_time, ev_mark, starts, ends = events
+                ev_steps = np.repeat(np.arange(n_steps), np.subtract(ends, starts))
+                phi = coeffs.jump.at(*((ev_time,) if coeffs.time_dependent else ()), ev_mark)
+                np.add.at(e, (ev_path, ev_steps), np.broadcast_to(phi, ev_path.shape))
+            e[:, :n_steps] -= grid.step * rate
+        fallbacks.append(redone * p_count * (n_steps if step_times is None else 1))
+    plain = [s for s in range(len(systems)) if s not in jumps]
+    groups = [(plain, None)] if plain else []
+    if jumps:
+        groups.append((list(jumps), np.stack(list(jumps.values()))))
+    if len(groups) == 1:  # every system: a view, not a copy, of the system axis
+        groups = [(slice(None), groups[0][1])]
+    return factors, groups, fallbacks
+
+
+def _solve_affine_block(f, groups, c_stoch: float, n0: int, state_rows, history, lags) -> bool:
     """Solve the states [n0, n0 + m) of one near-field block of affine systems at once.
 
     ``f`` is the block's (systems, m) slice of the solve's factor table: slot
-    0 of row j is f_j X_j, and the factor of state n_steps is 0.  Slot 1
-    holds the noise terms eta filled before the time loop.  So the block's
-    states X solve (I - W diag(f)) X = R + V eta, one solve stacked over the
-    systems, where R is the rows' X_0 plus far-field sums and ``lags`` is
-    (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
-    left-end kernels, and the identity.  Writes the states and slot 0 and
-    returns True; returns False and writes nothing when the solve raises
-    LinAlgError or a state or slot-0 term is not finite.
+    0 of row j is f_j X_j, and the factor of state n_steps is 0.  ``lags``
+    is (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
+    left-end kernels, and the identity; R is the rows' X_0 plus far-field
+    sums.  ``groups`` are (systems, e) pairs, systems an index of the system
+    axis.  With e None, slot 1 holds the noise terms eta filled before the
+    time loop, and the states X solve (I - W diag(f)) X = R + V eta, one
+    solve stacked over the systems.  Otherwise the systems have compensated
+    jumps phi(t, z) X: slot 1 holds the unscaled noise u, e is their (systems,
+    Q, n_steps + 1) table of jump factors (the step's events' phi less h times
+    the rate; Q = P when they vary by path, else 1), and X_q solves
+    (I - W diag(f) - c_stoch V diag(e_q)) X_q = R_q + c_stoch V u_q, stacked
+    as (systems, Q).  Writes the states and slot 0 (and slot 1, c_stoch (u +
+    e X), of compensated systems) and returns True; returns False and writes
+    nothing when a solve raises LinAlgError or a term is not finite.
     """
     m = f.shape[1]
     stop = n0 + m
     r = min(m, history.shape[1] - n0)  # history rows of the block: state n_steps has none
     w, v, identity = lags
-    rhs = state_rows[n0:stop].transpose(1, 0, 2) + v[:m, :r] @ history[:, n0 : n0 + r, 1]
+    rhs = v[:m, :r] @ history[:, n0 : n0 + r, 1]
+    for index, e in groups:
+        if e is not None:
+            rhs[index] *= c_stoch
+    rhs += state_rows[n0:stop].transpose(1, 0, 2)
+    drift = identity[:m, :m] - w[:m, :m] * f[:, None, :]
+    x = rhs  # each group's solution replaces its right-hand sides
+    jump_rows = []
     try:
-        x = np.linalg.solve(identity[:m, :m] - w[:m, :m] * f[:, None, :], rhs)
+        for index, e in groups:
+            if e is None:
+                x[index] = np.linalg.solve(drift[index], rhs[index])
+                continue
+            e = e[:, :, n0:stop]
+            s_g, q = e.shape[:2]
+            # (systems, Q, m, columns per Q): path q's columns, or all columns when Q = 1
+            b = rhs[index].reshape(s_g, m, q, -1).transpose(0, 2, 1, 3)
+            xq = np.linalg.solve(drift[index][:, None] - v[:m, :m] * (c_stoch * e)[:, :, None, :], b)
+            x[index] = xq.transpose(0, 2, 1, 3).reshape(s_g, m, -1)
+            jumps = (e[:, :, :r, None] * xq[:, :, :r]).transpose(0, 2, 1, 3).reshape(s_g, r, -1)
+            jump_rows.append((index, (history[index, n0 : n0 + r, 1] + jumps) * c_stoch))
     except np.linalg.LinAlgError:
         return False
     rows = f[:, :r, None] * x[:, :r]
-    if not math.isfinite(x.sum() + rows.sum()):  # also when a finite sum overflows: then the steps decide
+    total = x.sum() + rows.sum() + sum(noise.sum() for _, noise in jump_rows)
+    if not math.isfinite(total):  # also when a finite sum overflows: then the steps decide
         return False
     state_rows[n0:stop] = x.transpose(1, 0, 2)
     history[:, n0 : n0 + r, 0] = rows
+    for index, noise in jump_rows:
+        history[index, n0 : n0 + r, 1] = noise
     return True
 
 
@@ -625,9 +759,10 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
 
     The time loop runs a near-field block at a time: the far-field square
     ending at the block's first step, then the block.  When every system is
-    affine the block is one stacked solve (``_solve_affine_block``) with its
-    slice of the (S, n_steps + 1) factor table built before the loop;
-    otherwise, or when that solve fails, it is stepped: state n, its
+    affine the block is one stacked solve per kind of system
+    (``_solve_affine_block``) with its slice of the tables that
+    ``_affine_tables`` builds before the loop; otherwise, or when a solve
+    fails, it is stepped: state n, its
     finiteness test, then history row n, with every coefficient that is not
     a filled ``_Constant`` diffusion called.
 
@@ -700,41 +835,33 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         if constant_g:
             _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, noise_scale)
         folded = nu_drift and isinstance(coeffs.jump_drift, _Linear)
-        affine &= isinstance(coeffs.drift, _Linear) and constant_g and (folded or not has_jump)
+        linear_jump = isinstance(coeffs.jump, _Linear) and coeffs.jump_drift is None
+        affine &= isinstance(coeffs.drift, _Linear) and constant_g and (folded or linear_jump or not has_jump)
         plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, noise_scale, constant_g))
 
     events = any_compensated and any(r.n_events for r in noise.realizations)
+    event_table = _event_table(noise) if events else None
     if events:
-        ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
+        ev_path, ev_time, ev_mark, starts, ends = event_table
     shells = _shell_inputs(noise.spec, p_count) if table_rates else None
-    if affine:
-        # slot 0 of step j is factors[s, j] X_j: c_drift a(t_j), plus c_stoch b(t_j)
-        # for a folded jump drift b; state n_steps has no history row, so 0
-        factors = np.zeros((s_count, n_steps + 1))
-        for s, coeffs in enumerate(systems):
-            for linear, scale in ((coeffs.drift, c_drift), (coeffs.jump_drift, c_stoch)):
-                if isinstance(linear, _Linear):
-                    if linear.timed and coeffs.time_dependent:  # one call per step
-                        factor = np.fromiter(map(linear.at, times[:n_steps].tolist()), float, n_steps)
-                    else:
-                        factor = linear.at()
-                    factors[s, :n_steps] += scale * factor
-        # W and V of one near-field block: lag i - l of each slot at (i, l)
-        size = min(BASE, n_steps + 1)
-        lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
-        lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
-        lag = np.arange(size)
-        lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
-
     kernels = {}
     failed = np.zeros((s_count, p_count), dtype=np.int64)
     fallbacks = [0] * s_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if affine:
+            factors, groups, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table)
+            # W and V of one near-field block: lag i - l of each slot at (i, l)
+            size = min(BASE, n_steps + 1)
+            lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
+            lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
+            lag = np.arange(size)
+            lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
+
         for n0 in range(0, n_steps + 1, BASE):
             if n0:
                 _add_far_field(state_rows, history, weights, n0, n0 & -n0, kernels)
             stop = min(n0 + BASE, n_steps + 1)
-            if affine and _solve_affine_block(factors[:, n0:stop], n0, state_rows, history, lags):
+            if affine and _solve_affine_block(factors[:, n0:stop], groups, c_stoch, n0, state_rows, history, lags):
                 continue
             # step by step: state n, its finiteness, then history row n
             for n in range(n0, stop):
@@ -766,7 +893,8 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                             rate, redone = _quadrature_rate(
                                 coeffs.jump, targs, x_j, noise.spec, None if nu_drift else shells
                             )
-                            fallbacks[s] += redone
+                            if not affine:  # an affine solve counts them once, in its tables
+                                fallbacks[s] += redone
                         if nu_drift:
                             slots[0] += c_stoch * rate
                         else:

@@ -242,11 +242,12 @@ class TestBlockedHistory:
 
 
 class TestLinearDrift:
-    """Only the affine block solve reads a ``_Linear`` (a drift, and a folded
-    NU_DRIFT jump drift): every block of the built-in problems is solved,
-    within 1e-12 * (1 + |X|) of the same coefficients called every step,
-    with equal failure steps.  Beside any other part the step loop calls a
-    ``_Linear`` as any callable, so states equal the plain ones bit for bit."""
+    """Only the affine block solve reads a ``_Linear`` (a drift, a folded
+    NU_DRIFT jump drift, a linear jump): every block of the built-in problems
+    is solved, within 1e-12 * (1 + |X|) of the same coefficients called
+    every step, with equal failure steps.  Beside any other part (a state
+    diffusion, a jump that is not linear) the step loop calls a ``_Linear``
+    as any callable, so states equal the plain ones bit for bit."""
 
     @staticmethod
     def assert_matches_plain(coeffs, noise, x0, epsilon, beta, exact=False):
@@ -281,17 +282,22 @@ class TestLinearDrift:
             self.assert_matches_plain(coeffs, noise, problem.x0, cfg.epsilon, problem.beta)
             assert block_solves == [True] * blocks  # every block of the affine solve, none of the plain one
 
-    @pytest.mark.parametrize("jump", ["state_diffusion", "compensated_expr", "nu_drift_callable"])
-    def test_other_parts_still_run_every_step(self, jump):
-        # beside a state-dependent diffusion, compensated jump terms or a jump
-        # drift that is not linear, the solve is stepped and the _Linear drift
-        # is called at every step as the plain callable is
+    @pytest.mark.parametrize(
+        "jump", ["state_diffusion", "compensated_expr", "nu_drift_callable", "compensated_nonlinear"]
+    )
+    def test_other_parts_still_run_every_step(self, jump, block_solves):
+        # beside a state-dependent diffusion, compensated jump terms that are
+        # not linear or a jump drift that is not linear, the solve is stepped
+        # and the _Linear drift is called at every step as the plain callable
+        # is; a linear compensated expression joins the affine block solve
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
         fields = dict(drift=_Linear(lambda t: -(1.0 + math.cos(t))), diffusion=_Constant(0.5))
         if jump == "state_diffusion":
             fields["diffusion"] = OU.diffusion
         elif jump == "compensated_expr":
             fields.update(jump=compile_expr("z*x*sin(t)**2", ("t", "x", "z")))
+        elif jump == "compensated_nonlinear":
+            fields.update(jump=compile_expr("z*sin(x)*sin(t)**2", ("t", "x", "z")))
         else:
             fields.update(
                 jump=lambda t, x, z: z**2 * x, jump_mode=JumpMode.NU_DRIFT,
@@ -300,9 +306,11 @@ class TestLinearDrift:
         coeffs = CoefficientSet(**fields)
         grid = TimeGrid(step=0.01, n_steps=300)
         noise = noise_block(spec, grid, 3, include_jumps=coeffs.jump_mode == JumpMode.COMPENSATED)
-        if jump == "compensated_expr":
+        if jump.startswith("compensated"):
             assert any(r.n_events for r in noise.realizations)
-        self.assert_matches_plain(coeffs, noise, np.array([0.4]), 0.3, 0.7, exact=True)
+        block = jump == "compensated_expr"
+        self.assert_matches_plain(coeffs, noise, np.array([0.4]), 0.3, 0.7, exact=not block)
+        assert block_solves == [True] * 5 * block  # every block of the affine solve, none of the plain one
         assert_matches_direct(coeffs, noise, np.array([0.4]), 0.3, 0.7)
 
     def test_a_failure_step_is_the_plain_one(self):
@@ -510,3 +518,137 @@ class TestAffineBlock:
         solved = solver.solve_coupled(AFFINE, same, noise, np.array([0.1]), 0.05, 0.6)
         assert all(f is None for f in solved.failures) and all(block_solves)
         assert np.all(solved.er == 0.0)
+
+
+def compensated(source, mode=JumpMode.COMPENSATED):
+    """jumps_quad's original system with the jump ``source`` in the given mode."""
+    return CoefficientSet(
+        drift=compile_expr("-x*(1+cos(t))", ("t", "x")),
+        diffusion=_Constant(0.5),
+        jump=compile_expr(source, ("t", "x", "z")),
+        jump_mode=mode,
+    )
+
+
+def twin(coeffs, source):
+    """The same system with its jump ``source`` written ``... + 0*x*x``, which is not linear."""
+    return dataclasses.replace(coeffs, jump=compile_expr(source + " + 0*x*x", ("t", "x", "z")))
+
+
+class TestCompensatedBlock:
+    """A state-linear compensated jump phi(t, z) X joins the affine block
+    solve: states within 1e-12 * (1 + |X|) of its stepped twin, written
+    ``... + 0*x*x``, with equal failure steps and fallback counts."""
+
+    SPEC = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
+
+    @staticmethod
+    def assert_matches_twin(source, noise, x0=np.array([0.4]), epsilon=0.3, beta=0.7):
+        coeffs = compensated(source)
+        states, failed, fallbacks = _solve_block((coeffs,), noise, x0, epsilon, beta)
+        ref, ref_failed, ref_fallbacks = _solve_block((twin(coeffs, source),), noise, x0, epsilon, beta)
+        np.testing.assert_array_equal(failed, ref_failed)
+        assert fallbacks == ref_fallbacks
+        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        return states, failed, fallbacks
+
+    def test_the_twin_is_the_stepped_solve(self, block_solves):
+        coeffs = compensated("z*x*sin(t)**2")
+        assert isinstance(coeffs.jump, _Linear)
+        assert not isinstance(twin(coeffs, "z*x*sin(t)**2").jump, _Linear)
+        noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=300), 3)
+        args = (noise, np.array([0.4]), 0.3, 0.7)
+        stepped, _, _ = _solve_block((twin(coeffs, "z*x*sin(t)**2"),), *args)
+        # the expression evaluated by the step loop, as every expression was before
+        plain_expr, _, _ = _solve_block((dataclasses.replace(coeffs, jump=coeffs.jump.call),), *args)
+        np.testing.assert_array_equal(stepped, plain_expr)
+        assert block_solves == []
+
+    @pytest.mark.parametrize("paths", [1, 3, 64])
+    def test_block_solve_matches_the_twin(self, paths, block_solves):
+        noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=300), paths)
+        assert all(r.n_events for r in noise.realizations)
+        _, failed, fallbacks = self.assert_matches_twin("z*x*sin(t)**2", noise)
+        assert not failed.any() and fallbacks == [0]
+        assert block_solves == [True] * 5
+        assert_matches_direct(compensated("z*x*sin(t)**2"), noise, np.array([0.4]), 0.3, 0.7)
+
+    def test_without_events_one_matrix_serves_every_path(self, block_solves, monkeypatch):
+        shapes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+        noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=300), 3, include_jumps=False)
+        self.assert_matches_twin("z*x*sin(t)**2", noise)
+        assert all(block_solves) and shapes[0] == (1, 1, 64, 64)
+
+    def test_an_unsettled_rate_counts_one_fallback_per_path(self, block_solves, monkeypatch):
+        # |z - 0.1| has a kink inside the shell table: every step's rate is
+        # integrated adaptively once, and counted once per path, as stepping does
+        calls = []
+        integral = solver.levy.nu_integral
+        monkeypatch.setattr(solver.levy, "nu_integral", lambda *a, **k: calls.append(1) or integral(*a, **k))
+        noise = noise_block(self.SPEC, TimeGrid(step=0.02, n_steps=50), 3)
+        _, _, fallbacks = self.assert_matches_twin("abs(z-0.1)*x", noise)
+        assert fallbacks == [3 * 50]
+        assert len(calls) == 50 + 3 * 50  # one per step here, one per path and step for the twin
+        assert all(block_solves)
+
+    def test_a_time_independent_jump(self, block_solves):
+        averaged = solver.AveragedCoefficientSet(
+            drift=compile_expr("-x", ("x",)), diffusion=_Constant(0.5),
+            jump=compile_expr("z*x", ("x", "z")), jump_mode=JumpMode.COMPENSATED,
+        )
+        stepped = dataclasses.replace(averaged, jump=compile_expr("z*x + 0*x*x", ("x", "z")))
+        noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=200), 3)
+        args = (noise, np.array([0.4]), 0.3, 0.7)
+        states, failed, fallbacks = _solve_block((averaged,), *args)
+        ref, ref_failed, ref_fallbacks = _solve_block((stepped,), *args)
+        assert all(block_solves) and len(block_solves) == 4
+        np.testing.assert_array_equal(failed, ref_failed)
+        assert fallbacks == ref_fallbacks == [0]
+        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["block_boundary", "mid_block"]
+    )
+    def test_a_blow_up_is_the_failure_of_the_twin(self, fail_step, block_solves):
+        clean = noise_block(self.SPEC, TimeGrid(step=0.02, n_steps=300), 3, seed=2)
+        noise = kicked(clean, 1, fail_step - 1)  # with a unit diffusion the state after the kick overflows
+        args = (np.array([0.1]), 1.0, 0.7)
+        coeffs = dataclasses.replace(compensated("z*x*sin(t)**2"), diffusion=_Constant(1.0))
+        averaged = solver.AveragedCoefficientSet(drift=compile_expr("-x", ("x",)), diffusion=_Constant(1.0))
+        solved = solver.solve_coupled(coeffs, averaged, noise, *args)
+        assert False in block_solves and block_solves.count(True) == 4  # the failing block is stepped
+        stepped = solver.solve_coupled(twin(coeffs, "z*x*sin(t)**2"), averaged, noise, *args)
+        failures = [(e.step, e.time, e.system) if e else None for e in solved.failures]
+        assert failures == [(e.step, e.time, e.system) if e else None for e in stepped.failures]
+        assert failures[1] == (fail_step, noise.grid.times[fail_step], "original")
+        ref = solver.solve_coupled(coeffs, averaged, clean, *args)
+        for name in ("original", "averaged"):
+            got, want = getattr(solved, name)[:, [0, 2]], getattr(ref, name)[:, [0, 2]]
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    def test_equal_systems_give_exactly_zero(self, block_solves):
+        noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=700), 5)
+        solved = solver.solve_coupled(
+            compensated("z*x*sin(t)**2"), compensated("z*x*sin(t)**2"), noise, np.array([0.1]), 0.05, 0.6
+        )
+        assert all(f is None for f in solved.failures) and block_solves == [True] * 11
+        assert np.all(solved.er == 0.0)
+
+    def test_a_nu_drift_rate_is_one_integral_per_step(self, block_solves, monkeypatch):
+        # a NU_DRIFT linear expression with no closed form: its (0, cutoff)
+        # rate is integrated once per step for all paths, not once per path
+        calls = []
+        integral = solver.levy.nu_integral
+        monkeypatch.setattr(solver.levy, "nu_integral", lambda *a, **k: calls.append(1) or integral(*a, **k))
+        coeffs = compensated("z**2*x*sin(t)**2", mode=JumpMode.NU_DRIFT)
+        stepped = twin(coeffs, "z**2*x*sin(t)**2")
+        noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=20), 3, include_jumps=False)
+        args = (noise, np.array([0.4]), 0.3, 0.7)
+        states, failed, _ = _solve_block((coeffs,), *args)
+        assert len(calls) == 20 and block_solves == [True]
+        ref, ref_failed, _ = _solve_block((stepped,), *args)
+        assert len(calls) == 20 + 3 * 20
+        np.testing.assert_array_equal(failed, ref_failed)
+        assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))

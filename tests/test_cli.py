@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from fracavg import cli, harness, levy
+from fracavg import averaging, cli, harness, levy
 from fracavg.averaging import theorem_bound
 from fracavg.cli import load_config_file, main
 from fracavg.errors import ConfigError
@@ -339,6 +339,24 @@ class TestAverage:
         assert "(1 + gamma1) = 2.972915781" in captured
         report = json.loads((out / "average" / "hypothesis.json").read_text())
         assert report["envelope"]["decay_flags"]["alpha1"] == "decays"
+
+    def test_closed_form_jump_drift_is_averaged_without_nu_integrals(self, tmp_path, capsys, monkeypatch):
+        # eq10's jump drift has a closed form: its time average needs no
+        # integral against the measure (the hypothesis probes still make theirs)
+        calls, before_probes = [], []
+        integral = levy.nu_integral
+        counting = lambda *args, **kwargs: calls.append(1) or integral(*args, **kwargs)
+        monkeypatch.setattr(levy, "nu_integral", counting)
+        monkeypatch.setattr(averaging, "nu_integral", counting)
+        probe = cli.probe_hypotheses
+        monkeypatch.setattr(cli, "probe_hypotheses", lambda *a, **k: before_probes.append(len(calls)) or probe(*a, **k))
+        out = tmp_path / "avg"
+        code = run_cli("average", "--case", "a", "--out", str(out), "--t1-grid", "10,50", "--probes", "0.1,1.0")
+        assert code == 0
+        assert before_probes == [0] and calls
+        captured = capsys.readouterr().out
+        assert "averaged jump drift per unit state: 0.062389075\n" in captured
+        assert "gamma1 = 1.972915781\n" in captured
 
     def test_already_averaged_problem_all_zero(self, tmp_path, capsys):
         out = tmp_path / "avg"

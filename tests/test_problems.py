@@ -10,7 +10,7 @@ from fracavg.errors import ConfigError
 from fracavg.harness import ExperimentConfig
 from fracavg.levy import NoiseBlock, TimeGrid, sample_noise
 from fracavg.problems import _EXPR_NAMES, build_problem, compile_expr
-from fracavg.solver import _Constant, solve_coupled
+from fracavg.solver import _Constant, _Linear, solve_coupled
 
 # Plain-float semantics of every expression name: the reference that the
 # numpy evaluation is checked against.
@@ -142,6 +142,42 @@ def test_batched_results_are_float64_columns_of_the_batch():
     assert out.dtype == np.float64 and out.tolist() == [[0.0], [1.0], [1.0]]
     out = compile_expr("0.5*x", ("t", "x"), shape=(1, 1))(t, states)
     assert out.shape == (3, 1, 1) and np.array_equal(out[:, :, 0], 0.5 * states)
+
+
+LINEAR = ["x", "-x", "x/3", "x - x*cos(t)", "-x*(1+cos(t))", "z*x*sin(t)**2", "abs(z-0.1)*x"]
+NOT_LINEAR = ["x*x", "x**1", "sin(x)", "x+1", "abs(x)", "min(x, 1)", "(lambda: x)()", "(lambda x: x)(2)*x"]
+
+
+@pytest.mark.parametrize("source", LINEAR)
+def test_state_linear_expressions_are_linear(source):
+    # a call evaluates the source bit for bit; the factor is the source at x = 1
+    fn = compile_expr(source, ("t", "x", "z"))
+    assert isinstance(fn, _Linear)
+    assert fn.timed == ("t" in source or "z" in source)
+    t, z = np.array([0.0, 0.7, 2.0]), np.array([0.01, 0.2, 0.45])
+    states = np.array([[1.5], [-0.3], [4.0]])
+    got = fn(t, states, z)
+    assert got.tobytes() == eval_reference(source, ("t", "x", "z"), [t, states, z]).tobytes()
+    factor = np.broadcast_to(fn.at(t, z), (3,))
+    np.testing.assert_array_equal(factor, eval_reference(source, ("t", "x", "z"), [t, np.ones(3), z])[:, 0])
+    np.testing.assert_allclose(factor[:, None] * states, got, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("source", NOT_LINEAR)
+def test_other_expressions_of_x_are_not_linear(source):
+    assert not isinstance(compile_expr(source, ("t", "x", "z")), _Linear)
+
+
+def test_a_sum_nested_too_deeply_to_inspect_still_compiles():
+    # deeper than the recursion limit of the linearity check, not of the compiler
+    fn = compile_expr("+".join(["x"] * 1500), ("t", "x"))
+    assert not isinstance(fn, _Linear)
+    assert fn(0.0, np.array([[2.0]]))[0, 0] == 3000.0
+
+
+def test_a_linear_expression_of_matrix_shape_is_not_linear():
+    assert not isinstance(compile_expr("0.5*x", ("t", "x"), shape=(1, 1)), _Linear)
+    assert isinstance(compile_expr("0.5*x", ("t", "x")), _Linear)
 
 
 def test_domain_error_gives_nan():

@@ -491,9 +491,9 @@ class TestCompensatorTable:
         # integral of z^2 against the measure over (0, cutoff), in closed form
         spec = self.SPEC
         z2 = spec.gamma * spec.cutoff ** (2.0 - spec.alpha) / (2.0 - spec.alpha)
-        jump = compile_expr("z**2*x*sin(t)**2", ("t", "x", "z"))
-        body, args = jump.fn, []
-        jump.fn = lambda *values: args.append(values) or body(*values)
+        jump = compile_expr("z**2*x*sin(t)**2", ("t", "x", "z"))  # a _Linear: its call is integrated
+        body, args = jump.call.fn, []
+        jump.call.fn = lambda *values: args.append(values) or body(*values)
         t = np.float64(0.4)
         rate = _adaptive_rate(jump, (t,), np.array([[0.7]]), spec, False)
         assert args and all(type(v) is np.float64 for values in args for v in values)
