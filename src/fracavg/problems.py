@@ -72,11 +72,12 @@ def build_eq10(
     jump-drift scale * x.  The drift-folded form (1 + gamma1) x with
     gamma1 = scale / sqrt(epsilon) is attached for cross-checks.  The unit
     diffusion is a ``_Constant`` (its noise terms are filled before the time
-    loop) and every drift and jump drift a ``_Linear``, so both systems are
-    affine: the solver tabulates c_drift a(t) + c_stoch b(t) once per solve
-    and solves every near-field block of steps at once (16 blocks at the
-    default N = 1000).  The jump coefficients stay callables for the
-    hypothesis probes.
+    loop) and every drift and jump drift a ``_Linear`` whose factor is a
+    float or a numpy function of t, so both systems are affine: the solver
+    tabulates c_drift a(t) + c_stoch b(t) once per solve, one call of each
+    factor on the column of step times, and solves every near-field block
+    of steps at once (16 blocks at the default N = 1000).  The jump
+    coefficients stay callables for the hypothesis probes.
     """
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
@@ -84,11 +85,11 @@ def build_eq10(
     unit = _Constant(1.0)
 
     coeffs = CoefficientSet(
-        drift=_Linear(lambda t: 2.0 * math.cos(t) ** 2),
+        drift=_Linear(lambda t: 2.0 * np.cos(t) ** 2),
         diffusion=unit,
         jump=lambda t, x, z: 2.0 * z**4 * np.sin(t) ** 2 * x,
         jump_mode=JumpMode.NU_DRIFT,
-        jump_drift=_Linear(lambda t: 2.0 * math.sin(t) ** 2 * scale),
+        jump_drift=_Linear(lambda t: 2.0 * np.sin(t) ** 2 * scale),
     )
     averaged = AveragedCoefficientSet(
         drift=_Linear(1.0),
@@ -213,9 +214,10 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     The expression is evaluated once here, with every argument one.  A part
     of it built from literals alone runs as Python arithmetic, so one that
     cannot be evaluated to a real number, such as ``1/0``, ``10.0**400`` or
-    ``(-8)**(1/3)``, is a ConfigError naming the expression.  An expression
-    that names none of its arguments is a constant: its evaluator returns one
-    read-only array per batch size.
+    ``(-8)**(1/3)``, is a ConfigError naming the expression, as is an
+    expression nested too deeply to compile.  An expression that names none
+    of its arguments is a constant: its evaluator returns one read-only
+    array per batch size.
 
     An expression of result shape (1,) that is state-linear by its syntax
     tree (``_state_linear``: ``-x*(1+cos(t))``, ``x - x*cos(t)``,
@@ -224,10 +226,16 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     expression at x = 1 (a constant when it names no other argument), which
     the solver's affine block solve reads once per solve.
     """
+    # the source parsed alone as one expression, so inside the parentheses it
+    # is that expression; the line breaks end a trailing comment
+    wrapper = f"lambda {', '.join(args)}: (\n{source}\n)"
     try:
         code = compile(source, "<coefficient>", "eval")
+        wrapped = compile(wrapper, "<coefficient>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"bad coefficient expression {source!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"coefficient expression {source!r} is nested too deeply to compile") from None
     allowed = set(_EXPR_NAMES) | set(args)
     names = _names(code)
     for name in names:
@@ -236,10 +244,7 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
                 f"coefficient expression {source!r} uses unknown name {name!r} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
-    # the source parsed alone as one expression, so inside the parentheses it
-    # is that expression; the line breaks end a trailing comment
-    wrapper = f"lambda {', '.join(args)}: (\n{source}\n)"
-    body = eval(compile(wrapper, "<coefficient>", "eval"), {"__builtins__": {}, **_EXPR_NAMES})
+    body = eval(wrapped, {"__builtins__": {}, **_EXPR_NAMES})
 
     probe = np.empty(1)
     try:

@@ -23,13 +23,13 @@ averaged system's coefficients take the same arguments without t.
 
 The three memory sums share one history array (the scaled terms of each
 step in a drift-kernel and a left-end-kernel slot), and every weight depends
-on the lag n - j only.  Each step writes its terms already scaled: f, then
-times eps / Gamma(beta); G dB (plus the compensated jump terms), then times
-sqrt(eps) / Gamma(beta).  For a constant diffusion (``_Constant``, additive
-noise) G dB does not depend on the state, so it is filled into the left-end
-slot of every step before the time loop, a bounded chunk of steps at a time,
-and the diffusion is never called.  Every other coefficient is called at
-every step the loop takes.
+on the lag n - j only.  Each step writes its terms already scaled: f times
+eps / Gamma(beta) in slot 0; G dB and each compensated jump term times
+sqrt(eps) / Gamma(beta) in slot 1.  For a constant diffusion (``_Constant``,
+additive noise) G dB does not depend on the state, so it is filled into
+slot 1 of every step before the time loop, a bounded chunk of steps at a
+time, and the diffusion is never called.  Every other coefficient is
+called at every step the loop takes.
 
 The sum over that history is blocked (Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985).  Near field: step n sums the rows of its own
@@ -45,19 +45,19 @@ diffusion, and as its jump part none, a NU_DRIFT ``_Linear`` jump drift
 b(t) X, or a ``_Linear`` jump phi(t, z) X without a closed-form rate), slot
 0 of step j is f_j X_j with f_j = c_drift a(t_j) + c_stoch b(t_j), where b
 of a NU_DRIFT jump is its rate over (0, cutoff), one adaptive integral per
-step.  A compensated jump adds e_j X_j to the unscaled noise u_j of slot 1:
-e_j sums phi over the step's events of the path, in the event table's
-order, less h rho(t_j), with the rate rho read off the shell table for all
-steps at once (a step the table cannot settle is integrated adaptively
-once and counts one fallback per path).  These tables are built once per
-solve, and the states of a near-field block [n0, n0 + BASE) are a unit
-lower triangular linear system: (I - W diag(f)) X = R + V eta, or (I -
-W diag(f) - c_stoch V diag(e_p)) X_p = R_p + c_stoch V u_p with a
-compensated jump, where W and V hold the block's lag weights of the two
-slots, R the X_0 plus far-field sums and eta the filled noise terms.  Each
-block is then one ``np.linalg.solve`` per kind of system, stacked as
-(systems, Q) matrices, with Q = P for systems whose e differ by path
-because the noise has events and Q = 1 otherwise, not BASE Python steps.
+step.  Slot 1 is eta_j + e_j X_j, eta the filled noise terms.  A
+compensated jump has e_j = c_stoch (sum of phi over the step's events of
+the path, in the event table's order, less h rho(t_j)), with the rate rho
+read off the shell table for all steps at once (a step the table cannot
+settle is integrated adaptively once and counts one fallback per path);
+otherwise e = 0.  These tables are built once per solve, and the states of
+a near-field block [n0, n0 + BASE) are a unit lower triangular linear
+system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W and V
+hold the block's lag weights of the two slots and R the X_0 plus
+far-field sums.  Each block is then one ``np.linalg.solve`` per kind of
+system, stacked as (systems, Q) matrices, with Q = P for systems whose e
+differ by path because the noise has events and Q = 1 otherwise, not BASE
+Python steps.
 A block whose solve raises LinAlgError or is not all finite is stepped
 instead, from the same far-field sums, with the drift and jumps called as
 any callable is, so failures and masking are those of the step loop.
@@ -242,22 +242,20 @@ class _Constant:
 class _Linear:
     """State-linear coefficient factor(...) X in the batch contract, of X's shape.
 
-    ``factor`` is a float or a function of the coefficient's arguments other
-    than X; ``at`` is it as such a function, and ``timed`` whether it is one.
-    Built by hand (eq10, mlbench) it is a drift or ``jump_drift``, its
-    factor a float or a float function of a scalar time, and a call is
-    factor(t) X.  Built by ``compile_expr`` from a state-linear expression,
-    ``call`` is the compiled expression, which a call evaluates, so results
-    are the source's bit for bit; ``at`` is the expression at x = 1, a
-    function of numpy columns: times, and for a jump (t, X, z) also marks.
-    Only the solver's tables of affine factors read ``at``, once per solve
-    (see the module docstring).  The step loop calls a ``_Linear`` as it
-    calls any coefficient.
+    ``factor`` is a float or a numpy function of the coefficient's arguments
+    other than X, each a scalar or a column: times, and for a jump (t, X, z)
+    also marks.  ``at`` is it as such a function.  Built by hand (eq10,
+    mlbench) it is a drift or ``jump_drift`` and a call is factor(t) X.
+    Built by ``compile_expr`` from a state-linear expression, ``call`` is the
+    compiled expression, which a call evaluates, so results are the source's
+    bit for bit, and ``at`` is the expression at x = 1.  Only the solver's
+    tables of affine factors read ``at``, once per solve on the column of
+    step times (see the module docstring).  The step loop calls a
+    ``_Linear`` as it calls any coefficient.
     """
 
     def __init__(self, factor, call=None):
-        self.timed = callable(factor)
-        self.at = factor if self.timed else lambda *t: factor
+        self.at = factor if callable(factor) else lambda *t: factor
         self.call = call
 
     def __call__(self, *args):
@@ -284,8 +282,10 @@ class CoefficientSet:
     whose drift and jump are state-linear expressions and whose diffusion
     is a constant, such as the benchmark's compensated jumps_quad): when
     every system of a solve is, the solver solves each near-field block at
-    once from tables of the factors.  Any other callable is called at every
-    step, even if it returns the same value each time.
+    once from tables of the factors, each factor (a float or a numpy
+    function of time columns) read by one call per solve.  Any other
+    callable is called at every step, even if it returns the same value
+    each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -458,11 +458,12 @@ class CoupledBlock:
 
 
 def _event_table(noise: NoiseBlock):
-    """Jump events of every path as (path, time, mark) arrays grouped by grid step.
+    """Jump events of every path as (path, time, mark, step) arrays grouped by grid step.
 
-    Returns the arrays ordered by step, then path, then time, and the
-    start/end index of each step's events as lists of Python ints, which
-    the time loop indexes and compares faster than array entries.
+    An event's step is min(floor(t / h), N - 1).  Returns the arrays ordered
+    by step, then path, then time, and the start/end index of each step's
+    events as lists of Python ints, which the time loop indexes and compares
+    faster than array entries.
     """
     n = noise.grid.n_steps
     paths = np.concatenate(
@@ -478,6 +479,7 @@ def _event_table(noise: NoiseBlock):
         paths[order],
         times[order],
         marks[order],
+        steps,
         np.searchsorted(steps, grid_steps, side="left").tolist(),
         np.searchsorted(steps, grid_steps, side="right").tolist(),
     )
@@ -503,37 +505,23 @@ def _adaptive_rate(jump, targs, row, spec, use_delta: bool) -> np.ndarray:
     )
 
 
-def _shell_inputs(spec, p_count: int):
-    """The measure's shell table and its nodes tiled once per row of a P-row state.
-
-    Built once per solve, and only when a compensated jump has no closed-form
-    rate; ``_quadrature_rate`` takes the pair as ``shells``.
-    """
-    table = levy.shell_table(spec)
-    return table, np.tile(table.nodes, p_count)
+def _unsettled(rate, spread):
+    """Where the shell table has not settled a rate: its 21-point estimate
+    ``rate`` and nested 10-point estimate differ by more than TABLE_RTOL of it."""
+    return np.abs(spread) > TABLE_RTOL * np.abs(rate)
 
 
-def _factor_row(linear: _Linear, times):
-    """A drift or jump drift ``_Linear``'s factor at each of ``times``, or its
-    one value when it is constant or ``times`` is None (a time-independent set)."""
-    if not (linear.timed and times is not None):
-        return linear.at()
-    if linear.call is not None:  # a compiled expression: one call on the column of times
-        return linear.at(times)
-    return np.fromiter(map(linear.at, times.tolist()), float, len(times))
-
-
-def _jump_rates(jump: _Linear, times, spec, use_delta: bool):
+def _jump_rates(jump: _Linear, targs, spec, use_delta: bool):
     """Rates rho(t) of a ``_Linear`` jump phi(t, z) X: phi's integral over
-    [delta, cutoff) (``use_delta``) or (0, cutoff), at each of ``times``, or
-    once when ``times`` is None (a time-independent set).
+    [delta, cutoff) (``use_delta``) or (0, cutoff), at each time of the
+    column in ``targs``, or once when ``targs`` is () (a time-independent set).
 
     Over [delta, cutoff) the shell table gives every rate, BASE times per
-    call of ``jump.at``, and only a rate it cannot settle (TABLE_RTOL) is
-    integrated adaptively; over (0, cutoff) every rate is.  Returns the rates
-    and how many of those over [delta, cutoff) were integrated adaptively.
+    call of ``jump.at``, and only a rate it has not settled is integrated
+    adaptively; over (0, cutoff) every rate is.  Returns the rates and how
+    many of those over [delta, cutoff) were integrated adaptively.
     """
-    count = 1 if times is None else len(times)
+    count = len(targs[0]) if targs else 1
     rate = np.empty(count)
     redo = np.arange(count)
     if use_delta:
@@ -541,28 +529,26 @@ def _jump_rates(jump: _Linear, times, spec, use_delta: bool):
         spread = np.empty(count)
         for s0 in range(0, count, BASE):
             part = slice(s0, s0 + BASE)
-            targs = () if times is None else (times[part, None],)
-            values = np.broadcast_to(jump.at(*targs, table.nodes), (rate[part].size, table.nodes.size))
+            values = jump.at(*(t[part, None] for t in targs), table.nodes)
+            values = np.broadcast_to(values, (rate[part].size, table.nodes.size))
             rate[part] = values @ table.weights
             spread[part] = values @ table.spread
-        redo = np.flatnonzero(np.abs(spread) > TABLE_RTOL * np.abs(rate))
+        redo = np.flatnonzero(_unsettled(rate, spread))
     for j in redo.tolist():
-        targs = () if times is None else (times[j],)
-        rate[j] = _adaptive_rate(jump, targs, np.ones((1, 1)), spec, use_delta)[0]
+        rate[j] = _adaptive_rate(jump, tuple(t[j] for t in targs), np.ones((1, 1)), spec, use_delta)[0]
     return rate, redo.size if use_delta else 0
 
 
 def _quadrature_rate(jump, targs, X, spec, shells):
     """Integral of the jump coefficient against the measure for every row of X.
 
-    ``shells`` is the (table, tiled nodes) pair of ``_shell_inputs``, built
-    once per solve, for the range [delta, cutoff), or None for the open range
-    (0, cutoff).  Over [delta, cutoff) all rows are evaluated at the table's
-    nodes in one call of ``jump``.  A row whose 21-point and nested 10-point
-    estimates differ by more than TABLE_RTOL (relative) is integrated again
-    adaptively; a non-finite row stays non-finite.  The open range is
-    integrated adaptively row by row.  Returns the (P, dim) rates and the
-    number of rows integrated again.
+    ``shells`` is the measure's shell table and its nodes tiled once per row
+    of X, built once per solve, for the range [delta, cutoff), or None for
+    the open range (0, cutoff).  Over [delta, cutoff) all rows are evaluated
+    at the table's nodes in one call of ``jump``.  A row the table has not
+    settled (``_unsettled``) is integrated again adaptively; a non-finite row
+    stays non-finite.  The open range is integrated adaptively row by row.
+    Returns the (P, dim) rates and the number of rows integrated again.
     """
     p_count = X.shape[0]
     if shells is None:
@@ -573,7 +559,7 @@ def _quadrature_rate(jump, targs, X, spec, shells):
     values = _as_float(jump(*targs, np.repeat(X, k, axis=0), nodes), (p_count, k, -1))
     rate = table.weights @ values
     spread = table.spread @ values
-    unsettled = np.abs(spread) > TABLE_RTOL * np.abs(rate)
+    unsettled = _unsettled(rate, spread)
     if not unsettled.any():
         return rate, 0
     redo = np.flatnonzero(unsettled.any(axis=1))
@@ -644,8 +630,9 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
 
     factors[s, j] is c_drift a(t_j) + c_stoch b(t_j), b a NU_DRIFT jump drift
     or a NU_DRIFT ``_Linear`` jump's rate, and 0 for state n_steps, which has
-    no history row.  A compensated ``_Linear`` jump phi(t, z) X has jump
-    factors e_j: phi summed over the step's events (``events`` is the event
+    no history row; each factor is read by one call on the column of step
+    times.  A compensated ``_Linear`` jump phi(t, z) X has jump factors e_j:
+    c_stoch times phi summed over the step's events (``events`` is the event
     table, or None) in the table's order, less h rho(t_j); one row per path
     when there are events, else one.  The groups pair the systems with no
     compensated jump with None, and the others with their stacked e (see
@@ -657,23 +644,23 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
     factors = np.zeros((len(systems), n_steps + 1))
     jumps, fallbacks = {}, []
     for s, coeffs in enumerate(systems):
-        step_times = grid.times[:n_steps] if coeffs.time_dependent else None
-        factors[s, :n_steps] += c_drift * _factor_row(coeffs.drift, step_times)
+        targs = (grid.times[:n_steps],) if coeffs.time_dependent else ()
+        factors[s, :n_steps] += c_drift * coeffs.drift.at(*targs)
         redone = 0
         if coeffs.jump_drift is not None:
-            factors[s, :n_steps] += c_stoch * _factor_row(coeffs.jump_drift, step_times)
+            factors[s, :n_steps] += c_stoch * coeffs.jump_drift.at(*targs)
         elif coeffs.jump is not None and coeffs.jump_mode == JumpMode.NU_DRIFT:
-            factors[s, :n_steps] += c_stoch * _jump_rates(coeffs.jump, step_times, noise.spec, False)[0]
+            factors[s, :n_steps] += c_stoch * _jump_rates(coeffs.jump, targs, noise.spec, False)[0]
         elif coeffs.jump is not None:
-            rate, redone = _jump_rates(coeffs.jump, step_times, noise.spec, True)
+            rate, redone = _jump_rates(coeffs.jump, targs, noise.spec, True)
             e = jumps[s] = np.zeros((1 if events is None else p_count, n_steps + 1))
             if events is not None:
-                ev_path, ev_time, ev_mark, starts, ends = events
-                ev_steps = np.repeat(np.arange(n_steps), np.subtract(ends, starts))
+                ev_path, ev_time, ev_mark, ev_step = events[:4]
                 phi = coeffs.jump.at(*((ev_time,) if coeffs.time_dependent else ()), ev_mark)
-                np.add.at(e, (ev_path, ev_steps), np.broadcast_to(phi, ev_path.shape))
+                np.add.at(e, (ev_path, ev_step), np.broadcast_to(phi, ev_path.shape))
             e[:, :n_steps] -= grid.step * rate
-        fallbacks.append(redone * p_count * (n_steps if step_times is None else 1))
+            e *= c_stoch
+        fallbacks.append(redone * p_count * (1 if targs else n_steps))
     plain = [s for s in range(len(systems)) if s not in jumps]
     groups = [(plain, None)] if plain else []
     if jumps:
@@ -683,33 +670,29 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
     return factors, groups, fallbacks
 
 
-def _solve_affine_block(f, groups, c_stoch: float, n0: int, state_rows, history, lags) -> bool:
+def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
     """Solve the states [n0, n0 + m) of one near-field block of affine systems at once.
 
     ``f`` is the block's (systems, m) slice of the solve's factor table: slot
     0 of row j is f_j X_j, and the factor of state n_steps is 0.  ``lags``
     is (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
     left-end kernels, and the identity; R is the rows' X_0 plus far-field
-    sums.  ``groups`` are (systems, e) pairs, systems an index of the system
-    axis.  With e None, slot 1 holds the noise terms eta filled before the
-    time loop, and the states X solve (I - W diag(f)) X = R + V eta, one
-    solve stacked over the systems.  Otherwise the systems have compensated
-    jumps phi(t, z) X: slot 1 holds the unscaled noise u, e is their (systems,
-    Q, n_steps + 1) table of jump factors (the step's events' phi less h times
-    the rate; Q = P when they vary by path, else 1), and X_q solves
-    (I - W diag(f) - c_stoch V diag(e_q)) X_q = R_q + c_stoch V u_q, stacked
-    as (systems, Q).  Writes the states and slot 0 (and slot 1, c_stoch (u +
-    e X), of compensated systems) and returns True; returns False and writes
-    nothing when a solve raises LinAlgError or a term is not finite.
+    sums, and slot 1 holds the noise terms eta filled before the time loop.
+    ``groups`` are (systems, e) pairs, systems an index of the system axis.
+    With e None the states X solve (I - W diag(f)) X = R + V eta, one solve
+    stacked over the systems.  Otherwise the systems have compensated jumps
+    phi(t, z) X, and e is their (systems, Q, n_steps + 1) table of jump
+    factors (Q = P when they vary by path, else 1): slot 1 of row j is then
+    eta_j + e_j X_j, and X_q solves (I - W diag(f) - V diag(e_q)) X_q = R_q
+    + V eta_q, stacked as (systems, Q).  Writes the states and slot 0 (and
+    slot 1 of compensated systems) and returns True; returns False and
+    writes nothing when a solve raises LinAlgError or a term is not finite.
     """
     m = f.shape[1]
     stop = n0 + m
     r = min(m, history.shape[1] - n0)  # history rows of the block: state n_steps has none
     w, v, identity = lags
     rhs = v[:m, :r] @ history[:, n0 : n0 + r, 1]
-    for index, e in groups:
-        if e is not None:
-            rhs[index] *= c_stoch
     rhs += state_rows[n0:stop].transpose(1, 0, 2)
     drift = identity[:m, :m] - w[:m, :m] * f[:, None, :]
     x = rhs  # each group's solution replaces its right-hand sides
@@ -723,10 +706,10 @@ def _solve_affine_block(f, groups, c_stoch: float, n0: int, state_rows, history,
             s_g, q = e.shape[:2]
             # (systems, Q, m, columns per Q): path q's columns, or all columns when Q = 1
             b = rhs[index].reshape(s_g, m, q, -1).transpose(0, 2, 1, 3)
-            xq = np.linalg.solve(drift[index][:, None] - v[:m, :m] * (c_stoch * e)[:, :, None, :], b)
+            xq = np.linalg.solve(drift[index][:, None] - v[:m, :m] * e[:, :, None, :], b)
             x[index] = xq.transpose(0, 2, 1, 3).reshape(s_g, m, -1)
             jumps = (e[:, :, :r, None] * xq[:, :, :r]).transpose(0, 2, 1, 3).reshape(s_g, r, -1)
-            jump_rows.append((index, (history[index, n0 : n0 + r, 1] + jumps) * c_stoch))
+            jump_rows.append((index, history[index, n0 : n0 + r, 1] + jumps))
     except np.linalg.LinAlgError:
         return False
     rows = f[:, :r, None] * x[:, :r]
@@ -829,21 +812,22 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         compensated = has_jump and not nu_drift
         any_compensated |= compensated
         table_rates |= compensated and coeffs.jump_drift is None
-        # compensated jump terms join G dB in slot 1 before the two are scaled together
-        noise_scale = 1.0 if compensated else c_stoch
         constant_g = isinstance(coeffs.diffusion, _Constant)
         if constant_g:
-            _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, noise_scale)
+            _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, c_stoch)
         folded = nu_drift and isinstance(coeffs.jump_drift, _Linear)
         linear_jump = isinstance(coeffs.jump, _Linear) and coeffs.jump_drift is None
         affine &= isinstance(coeffs.drift, _Linear) and constant_g and (folded or linear_jump or not has_jump)
-        plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, noise_scale, constant_g))
+        plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, constant_g))
 
     events = any_compensated and any(r.n_events for r in noise.realizations)
     event_table = _event_table(noise) if events else None
     if events:
-        ev_path, ev_time, ev_mark, starts, ends = event_table
-    shells = _shell_inputs(noise.spec, p_count) if table_rates else None
+        ev_path, ev_time, ev_mark, _, starts, ends = event_table
+    shells = None
+    if table_rates:  # the table and its nodes tiled once per path, built once per solve
+        table = levy.shell_table(noise.spec)
+        shells = (table, np.tile(table.nodes, p_count))
     kernels = {}
     failed = np.zeros((s_count, p_count), dtype=np.int64)
     fallbacks = [0] * s_count
@@ -857,11 +841,12 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
             lag = np.arange(size)
             lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
 
+        event_table = _ = None  # the events' steps serve the tables only: not held through the loop
         for n0 in range(0, n_steps + 1, BASE):
             if n0:
                 _add_far_field(state_rows, history, weights, n0, n0 & -n0, kernels)
             stop = min(n0 + BASE, n_steps + 1)
-            if affine and _solve_affine_block(factors[:, n0:stop], groups, c_stoch, n0, state_rows, history, lags):
+            if affine and _solve_affine_block(factors[:, n0:stop], groups, n0, state_rows, history, lags):
                 continue
             # step by step: state n, its finiteness, then history row n
             for n in range(n0, stop):
@@ -877,14 +862,14 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                         by_path[s, :n, :, bad] = 0.0
                 if n == n_steps:
                     break
-                for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, noise_scale, constant_g in plans:
+                for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, constant_g in plans:
                     targs = (times[n],) if coeffs.time_dependent else ()
                     x_j = sys_states[n]
                     slots = sys_slots[n]
                     np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
                     if not constant_g:
                         g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)
-                        np.multiply((g @ increments[n])[:, :, 0], noise_scale, out=slots[1])
+                        np.multiply((g @ increments[n])[:, :, 0], c_stoch, out=slots[1])
 
                     if has_jump:
                         if coeffs.jump_drift is not None:
@@ -906,8 +891,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                                     coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
                                 ).reshape(-1, dim)
                                 np.add.at(raw, ev_path[sel], hits)  # in event order, per path
-                            slots[1] += raw - h * rate
-                            slots[1] *= c_stoch
+                            slots[1] += c_stoch * (raw - h * rate)
     return states, failed, fallbacks
 
 

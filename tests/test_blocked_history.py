@@ -11,7 +11,7 @@ from fracavg import solver
 from fracavg.averaging import time_average
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
-from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise
+from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise, shell_table
 from fracavg.problems import build_problem, compile_expr
 from fracavg.solver import (
     CoefficientSet,
@@ -20,7 +20,6 @@ from fracavg.solver import (
     _Linear,
     _event_table,
     _quadrature_rate,
-    _shell_inputs,
     _solve_block,
 )
 
@@ -53,7 +52,7 @@ def direct_solve_block(coeffs, noise, x0, epsilon, beta):
 
     events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
     if events:
-        ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
+        ev_path, ev_time, ev_mark, _, starts, ends = _event_table(noise)
 
     states = np.empty((n_steps + 1,) + shape)
     states[0] = x0
@@ -76,9 +75,10 @@ def direct_solve_block(coeffs, noise, x0, epsilon, beta):
                 if coeffs.jump_drift is not None:
                     rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                 else:
+                    table = shell_table(noise.spec)
                     rate, redone = _quadrature_rate(
                         coeffs.jump, targs, x_j, noise.spec,
-                        None if nu_drift else _shell_inputs(noise.spec, p_count),
+                        None if nu_drift else (table, np.tile(table.nodes, p_count)),
                     )
                     fallbacks += redone
                 if not nu_drift:
@@ -291,7 +291,7 @@ class TestLinearDrift:
         # and the _Linear drift is called at every step as the plain callable
         # is; a linear compensated expression joins the affine block solve
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
-        fields = dict(drift=_Linear(lambda t: -(1.0 + math.cos(t))), diffusion=_Constant(0.5))
+        fields = dict(drift=_Linear(lambda t: -(1.0 + np.cos(t))), diffusion=_Constant(0.5))
         if jump == "state_diffusion":
             fields["diffusion"] = OU.diffusion
         elif jump == "compensated_expr":
@@ -350,10 +350,10 @@ class TestLinearDrift:
     def test_called_directly_keeps_the_batch_contract(self):
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(5, 2))
-        timed = _Linear(lambda t: 2.0 * math.cos(t) ** 2)
+        timed = _Linear(lambda t: 2.0 * np.cos(t) ** 2)
         out = timed(0.3, batch)
         assert out.shape == (5, 2) and out.dtype == np.float64 and out is not batch
-        np.testing.assert_array_equal(out, 2.0 * batch * math.cos(0.3) ** 2)
+        np.testing.assert_array_equal(out, 2.0 * batch * np.cos(0.3) ** 2)
         assert _Linear(1.5)(batch).tolist() == (1.5 * batch).tolist()
         one = np.array([[0.1]])
         assert timed(np.float64(0.3), one).shape == (1, 1)
@@ -381,11 +381,11 @@ def block_solves(monkeypatch):
 # eq10's original form: a time-dependent _Linear drift, a folded NU_DRIFT
 # _Linear jump drift and a unit additive noise
 AFFINE = CoefficientSet(
-    drift=_Linear(lambda t: 2.0 * math.cos(t) ** 2),
+    drift=_Linear(lambda t: 2.0 * np.cos(t) ** 2),
     diffusion=_Constant(1.0),
     jump=lambda t, x, z: z**4 * x,
     jump_mode=JumpMode.NU_DRIFT,
-    jump_drift=_Linear(lambda t: 0.4 * math.sin(t) ** 2),
+    jump_drift=_Linear(lambda t: 0.4 * np.sin(t) ** 2),
 )
 
 
@@ -419,6 +419,24 @@ class TestAffineBlock:
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
         assert_matches_direct(AFFINE, noise_block(spec, grid, 4, include_jumps=False), 0.1, 0.05, 0.6)
         assert len(block_solves) == 16 and all(block_solves)
+
+    def test_a_time_dependent_factor_is_read_once_on_the_step_times(self, block_solves):
+        # a hand-built factor is a numpy function of time: the tables call it
+        # once, on the column of step times, not once per step
+        shapes = []
+
+        def factor(t):
+            shapes.append(np.shape(t))
+            return 2.0 * np.cos(t) ** 2
+
+        coeffs = CoefficientSet(drift=_Linear(factor), diffusion=_Constant(1.0))
+        noise = noise_block(None, TimeGrid(step=0.01, n_steps=300), 2)
+        factors, _, _ = solver._affine_tables((coeffs,), noise, 0.25, 0.5, None)
+        assert shapes == [(300,)]
+        np.testing.assert_array_equal(factors[0], np.append(0.25 * factor(noise.grid.times[:300]), 0.0))
+        shapes.clear()
+        _solve_block((coeffs,), noise, np.array([0.1]), 0.05, 0.6)
+        assert shapes == [(300,)] and block_solves == [True] * 5
 
     def test_two_dimensional_system(self, block_solves):
         coeffs = CoefficientSet(
@@ -487,7 +505,7 @@ class TestAffineBlock:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        coeffs = CoefficientSet(drift=_Linear(lambda t: size if t >= 2.0 else 1.0), diffusion=_Constant(1.0))
+        coeffs = CoefficientSet(drift=_Linear(lambda t: np.where(t >= 2.0, size, 1.0)), diffusion=_Constant(1.0))
         noise = noise_block(None, TimeGrid(step=0.02, n_steps=300), 3, seed=2)
         states, failed, _ = _solve_block((coeffs,), noise, np.array([0.1]), 1.0, 0.7)
         ref, ref_failed, _ = _solve_block(
@@ -500,7 +518,7 @@ class TestAffineBlock:
     def test_a_system_that_stays_finite_beside_a_failing_one(self, block_solves):
         # the failing block is stepped for both systems: the finite one stays
         # within the tolerance of its solo solve, with no failure of its own
-        failing = CoefficientSet(drift=_Linear(lambda t: 1e300 if t >= 2.0 else 1.0), diffusion=_Constant(1.0))
+        failing = CoefficientSet(drift=_Linear(lambda t: np.where(t >= 2.0, 1e300, 1.0)), diffusion=_Constant(1.0))
         finite = solver.AveragedCoefficientSet(drift=_Linear(1.0), diffusion=_Constant(1.0))
         noise = noise_block(None, TimeGrid(step=0.02, n_steps=300), 3, seed=2)
         solved = solver.solve_coupled(failing, finite, noise, np.array([0.1]), 1.0, 0.7)
@@ -572,6 +590,23 @@ class TestCompensatedBlock:
         assert not failed.any() and fallbacks == [0]
         assert block_solves == [True] * 5
         assert_matches_direct(compensated("z*x*sin(t)**2"), noise, np.array([0.4]), 0.3, 0.7)
+
+    def test_event_steps_are_those_of_the_grid(self):
+        # min(floor(t / h), N - 1) in the table's order (step, path, time),
+        # with an event at a grid time and events in the last step
+        grid = TimeGrid(step=0.25, n_steps=8)
+        times = ([0.5, 0.6, 1.75, 1.9], [0.1, 0.5, 1.99])
+        noise = NoiseBlock(tuple(
+            dataclasses.replace(
+                r, jump_times=np.array(t), jump_marks=np.full(len(t), 0.2)
+            ) for r, t in zip(noise_block(self.SPEC, grid, 2, include_jumps=False).realizations, times)
+        ))
+        paths, ev_times, _, steps, starts, ends = _event_table(noise)
+        assert paths.tolist() == [1, 0, 0, 1, 0, 0, 1]
+        assert ev_times.tolist() == [0.1, 0.5, 0.6, 0.5, 1.75, 1.9, 1.99]
+        assert steps.tolist() == np.minimum(np.floor(ev_times / grid.step), grid.n_steps - 1).tolist()
+        assert steps.tolist() == [0, 2, 2, 2, 7, 7, 7]
+        assert starts == [0, 1, 1, 4, 4, 4, 4, 4] and ends == [1, 1, 4, 4, 4, 4, 4, 7]
 
     def test_without_events_one_matrix_serves_every_path(self, block_solves, monkeypatch):
         shapes = []

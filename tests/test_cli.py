@@ -134,6 +134,18 @@ class TestSimulate:
         assert err.startswith("config error: ") and "'1/0'" in err
         assert not (tmp_path / "simulate").exists()
 
+    def test_expression_nested_too_deeply_to_compile_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--problem", "expr", "--drift", "+".join(["x"] * 5000), "--diffusion", "1",
+            "--avg-drift", "x", "--avg-diffusion", "1", "--horizon", "1", "--step", "0.1",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: coefficient expression 'x+x+")
+        assert "nested too deeply to compile" in err and "Traceback" not in err
+        assert not (tmp_path / "simulate").exists()
+
     def test_flag_that_simulate_overrides_exits_2(self, tmp_path, capsys):
         out = tmp_path / "runs"
         for flag, value in (("--paths", "2"), ("--workers", "3")):

@@ -11,7 +11,7 @@ import pytest
 from fracavg import solver
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
-from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, nu_integral, sample_noise
+from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, nu_integral, sample_noise, shell_table
 from fracavg.problems import build_problem
 from fracavg.solver import (
     CoefficientSet,
@@ -20,7 +20,6 @@ from fracavg.solver import (
     JumpMode,
     _event_table,
     _quadrature_rate,
-    _shell_inputs,
     _solve_block,
 )
 
@@ -46,7 +45,7 @@ def three_product_solve_block(coeffs, noise, x0, epsilon, beta):
 
     events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
     if events:
-        ev_path, ev_time, ev_mark, starts, ends = _event_table(noise)
+        ev_path, ev_time, ev_mark, _, starts, ends = _event_table(noise)
 
     drift_vals = np.zeros((n_steps,) + shape)
     stoch_vals = np.zeros((n_steps,) + shape)
@@ -71,9 +70,10 @@ def three_product_solve_block(coeffs, noise, x0, epsilon, beta):
                 if coeffs.jump_drift is not None:
                     rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
                 else:
+                    table = shell_table(noise.spec)
                     rate, redone = _quadrature_rate(
                         coeffs.jump, targs, x_j, noise.spec,
-                        _shell_inputs(noise.spec, p_count) if mode == JumpMode.COMPENSATED else None,
+                        (table, np.tile(table.nodes, p_count)) if mode == JumpMode.COMPENSATED else None,
                     )
                     fallbacks += redone
                 if mode == JumpMode.NU_DRIFT:

@@ -153,7 +153,6 @@ def test_state_linear_expressions_are_linear(source):
     # a call evaluates the source bit for bit; the factor is the source at x = 1
     fn = compile_expr(source, ("t", "x", "z"))
     assert isinstance(fn, _Linear)
-    assert fn.timed == ("t" in source or "z" in source)
     t, z = np.array([0.0, 0.7, 2.0]), np.array([0.01, 0.2, 0.45])
     states = np.array([[1.5], [-0.3], [4.0]])
     got = fn(t, states, z)
@@ -173,6 +172,13 @@ def test_a_sum_nested_too_deeply_to_inspect_still_compiles():
     fn = compile_expr("+".join(["x"] * 1500), ("t", "x"))
     assert not isinstance(fn, _Linear)
     assert fn(0.0, np.array([[2.0]]))[0, 0] == 3000.0
+
+
+def test_a_sum_nested_too_deeply_to_compile_is_a_config_error():
+    source = "+".join(["x"] * 5000)
+    with pytest.raises(ConfigError, match="nested too deeply to compile") as refused:
+        compile_expr(source, ("t", "x"))
+    assert repr(source) in str(refused.value)
 
 
 def test_a_linear_expression_of_matrix_shape_is_not_linear():
