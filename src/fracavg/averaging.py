@@ -362,16 +362,7 @@ def probe_hypotheses(
         envelope=envelope,
         probe_states=[x.ravel().tolist() for x in probes],
         times=times,
-        spec_params=(
-            {
-                "gamma": spec.gamma,
-                "alpha": spec.alpha,
-                "cutoff": spec.cutoff,
-                "delta": spec.delta,
-            }
-            if spec is not None
-            else None
-        ),
+        spec_params=asdict(spec) if spec is not None else None,
     )
 
 

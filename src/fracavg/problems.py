@@ -33,13 +33,20 @@ FIG1_CASES = {
 
 @dataclass(frozen=True)
 class Problem:
-    name: str
+    """The solver inputs of one experiment: original and averaged coefficient
+    sets, the jump measure (None without jumps), the initial state and the
+    kernel order.
+
+    A Problem keeps no copy of the values it was built from: ``build_problem``
+    builds it from an ExperimentConfig in one step, and that config, which the
+    manifest records as ``effective_config``, is their only record.
+    """
+
     coeffs: CoefficientSet
     averaged: AveragedCoefficientSet
     spec: Optional[JumpMeasureSpec]
     x0: np.ndarray
     beta: FractionalOrder
-    params: dict
     # drift-folded averaged form (jump drift absorbed into the drift slot);
     # dynamics-equivalent to ``averaged``, kept for cross-checks
     folded_averaged: Optional[AveragedCoefficientSet] = None
@@ -100,24 +107,12 @@ def build_eq10(
     )
     folded = AveragedCoefficientSet(drift=_Linear(1.0 + gamma1), diffusion=unit)
     return Problem(
-        name="eq10",
         coeffs=coeffs,
         averaged=averaged,
         folded_averaged=folded,
         spec=spec,
         x0=np.array([x0]),
         beta=FractionalOrder(beta),
-        params={
-            "beta": beta,
-            "alpha": alpha,
-            "gamma": gamma,
-            "cutoff": cutoff,
-            "delta": spec.delta,
-            "epsilon": epsilon,
-            "x0": x0,
-            "gamma1": gamma1,
-            "jump_drift_scale": scale,
-        },
     )
 
 
@@ -132,13 +127,11 @@ def build_mlbench(beta: float, x0: float = 1.0) -> Problem:
     coeffs = CoefficientSet(drift=_Linear(1.0), diffusion=zero)
     averaged = AveragedCoefficientSet(drift=_Linear(1.0), diffusion=zero)
     return Problem(
-        name="mlbench",
         coeffs=coeffs,
         averaged=averaged,
         spec=None,
         x0=np.array([x0]),
         beta=FractionalOrder(beta),
-        params={"beta": beta, "x0": x0},
     )
 
 
@@ -156,6 +149,13 @@ _EXPR_NAMES = {
     "pi": math.pi,
     "e": math.e,
 }
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted, or for one longer than 40 characters its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _names(code) -> list[str]:
@@ -215,9 +215,10 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     of it built from literals alone runs as Python arithmetic, so one that
     cannot be evaluated to a real number, such as ``1/0``, ``10.0**400`` or
     ``(-8)**(1/3)``, is a ConfigError naming the expression, as is an
-    expression nested too deeply to compile.  An expression that names none
-    of its arguments is a constant: its evaluator returns one read-only
-    array per batch size.
+    expression nested too deeply to compile.  A refusal quotes a source or
+    name longer than 40 characters by its first 40 and its length.  An
+    expression that names none of its arguments is a constant: its
+    evaluator returns one read-only array per batch size.
 
     An expression of result shape (1,) that is state-linear by its syntax
     tree (``_state_linear``: ``-x*(1+cos(t))``, ``x - x*cos(t)``,
@@ -233,15 +234,17 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
         code = compile(source, "<coefficient>", "eval")
         wrapped = compile(wrapper, "<coefficient>", "eval")
     except SyntaxError as exc:
-        raise ConfigError(f"bad coefficient expression {source!r}: {exc.msg}") from None
+        raise ConfigError(f"bad coefficient expression {_shown(source)}: {exc.msg}") from None
     except RecursionError:
-        raise ConfigError(f"coefficient expression {source!r} is nested too deeply to compile") from None
+        raise ConfigError(
+            f"coefficient expression {_shown(source)} is nested too deeply to compile"
+        ) from None
     allowed = set(_EXPR_NAMES) | set(args)
     names = _names(code)
     for name in names:
         if name not in allowed:
             raise ConfigError(
-                f"coefficient expression {source!r} uses unknown name {name!r} "
+                f"coefficient expression {_shown(source)} uses unknown name {_shown(name)} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
     body = eval(wrapped, {"__builtins__": {}, **_EXPR_NAMES})
@@ -252,7 +255,9 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
             value = body(*[np.ones(1)] * len(args))
             np.copyto(probe, value, casting="same_kind")  # a complex value is refused
     except Exception as exc:  # any error of the expression itself is a config error
-        raise ConfigError(f"coefficient expression {source!r} cannot be evaluated: {exc}") from None
+        raise ConfigError(
+            f"coefficient expression {_shown(source)} cannot be evaluated: {exc}"
+        ) from None
     if set(args).isdisjoint(names):
         return _Constant(probe[0], shape)
     call = _Batched(body, shape)
@@ -265,71 +270,13 @@ def compile_expr(source: str, args: tuple[str, ...], shape: tuple[int, ...] = (1
     return _Linear(lambda *rest: body(*rest[:i], one, *rest[i:]), call)
 
 
-def build_expr_problem(
-    beta: float,
-    drift: str,
-    diffusion: str,
-    avg_drift: str,
-    avg_diffusion: str,
-    jump: str | None = None,
-    avg_jump_drift: str | None = None,
-    jump_mode: str = JumpMode.NU_DRIFT.value,
-    gamma: float | None = None,
-    alpha: float | None = None,
-    cutoff: float | None = None,
-    delta: float | None = None,
-    x0: float = 0.1,
-) -> Problem:
-    """Custom scalar problem from expression strings in t, x (and z for jumps)."""
-    mode = JumpMode(jump_mode)
-    spec = None
-    if jump is not None:
-        if gamma is None or alpha is None or cutoff is None:
-            raise ConfigError(
-                "a jump expression needs the measure parameters gamma, alpha, cutoff"
-            )
-        spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
-
-    f = compile_expr(drift, ("t", "x"))
-    g = compile_expr(diffusion, ("t", "x"), shape=(1, 1))
-    fbar = compile_expr(avg_drift, ("x",))
-    gbar = compile_expr(avg_diffusion, ("x",), shape=(1, 1))
-    h = compile_expr(jump, ("t", "x", "z")) if jump is not None else None
-    hbar_drift = (
-        compile_expr(avg_jump_drift, ("x",)) if avg_jump_drift is not None else None
-    )
-
-    coeffs = CoefficientSet(drift=f, diffusion=g, jump=h, jump_mode=mode)
-    averaged = AveragedCoefficientSet(
-        drift=fbar, diffusion=gbar, jump_mode=mode, jump_drift=hbar_drift
-    )
-    return Problem(
-        name="expr",
-        coeffs=coeffs,
-        averaged=averaged,
-        spec=spec,
-        x0=np.array([x0]),
-        beta=FractionalOrder(beta),
-        params={
-            "beta": beta,
-            "drift": drift,
-            "diffusion": diffusion,
-            "avg_drift": avg_drift,
-            "avg_diffusion": avg_diffusion,
-            "jump": jump,
-            "avg_jump_drift": avg_jump_drift,
-            "jump_mode": mode.value,
-            "gamma": gamma,
-            "alpha": alpha,
-            "cutoff": cutoff,
-            "delta": spec.delta if spec is not None else None,
-            "x0": x0,
-        },
-    )
-
-
 def build_problem(config) -> Problem:
-    """Resolve an ExperimentConfig into one of the built-in problems."""
+    """Build the problem an ExperimentConfig names, in one step from its fields.
+
+    eq10 and mlbench take their parameters from it; an ``expr`` problem
+    compiles its expression fields in t, x (and z for the jump) and takes
+    its jump measure from gamma, alpha, cutoff and delta.
+    """
     name = config.problem
     if name == "eq10":
         return build_eq10(
@@ -348,19 +295,33 @@ def build_problem(config) -> Problem:
             raise ConfigError("expr problems need drift_expr and diffusion_expr")
         if config.avg_drift_expr is None or config.avg_diffusion_expr is None:
             raise ConfigError("expr problems need avg_drift_expr and avg_diffusion_expr")
-        return build_expr_problem(
-            beta=config.beta,
-            drift=config.drift_expr,
-            diffusion=config.diffusion_expr,
-            avg_drift=config.avg_drift_expr,
-            avg_diffusion=config.avg_diffusion_expr,
-            jump=config.jump_expr,
-            avg_jump_drift=config.avg_jump_drift_expr,
-            jump_mode=config.jump_mode,
-            gamma=config.gamma,
-            alpha=config.alpha,
-            cutoff=config.cutoff,
-            delta=config.delta,
-            x0=config.x0,
+        mode = JumpMode(config.jump_mode)
+        spec = None
+        if config.jump_expr is not None:
+            if config.gamma is None or config.alpha is None or config.cutoff is None:
+                raise ConfigError(
+                    "a jump expression needs the measure parameters gamma, alpha, cutoff"
+                )
+            spec = JumpMeasureSpec(
+                gamma=config.gamma, alpha=config.alpha, cutoff=config.cutoff, delta=config.delta
+            )
+        f = compile_expr(config.drift_expr, ("t", "x"))
+        g = compile_expr(config.diffusion_expr, ("t", "x"), shape=(1, 1))
+        fbar = compile_expr(config.avg_drift_expr, ("x",))
+        gbar = compile_expr(config.avg_diffusion_expr, ("x",), shape=(1, 1))
+        h = compile_expr(config.jump_expr, ("t", "x", "z")) if spec is not None else None
+        hbar_drift = (
+            compile_expr(config.avg_jump_drift_expr, ("x",))
+            if config.avg_jump_drift_expr is not None
+            else None
+        )
+        return Problem(
+            coeffs=CoefficientSet(drift=f, diffusion=g, jump=h, jump_mode=mode),
+            averaged=AveragedCoefficientSet(
+                drift=fbar, diffusion=gbar, jump_mode=mode, jump_drift=hbar_drift
+            ),
+            spec=spec,
+            x0=np.array([config.x0]),
+            beta=FractionalOrder(config.beta),
         )
     raise ConfigError(f"unknown problem {name!r} (built in: eq10, mlbench, expr)")

@@ -368,7 +368,6 @@ class GridPath:
 
     times: np.ndarray   # (n_steps + 1,)
     states: np.ndarray  # (n_steps + 1, dim)
-    epsilon: float
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -435,7 +434,6 @@ class CoupledBlock:
     original: np.ndarray  # (n_steps + 1, P, dim)
     averaged: np.ndarray  # (n_steps + 1, P, dim)
     failures: tuple[Optional[PathBlowupError], ...]
-    epsilon: float
     quadrature_fallbacks: int
     er: np.ndarray = field(init=False)  # (n_steps + 1, P)
 
@@ -452,8 +450,8 @@ class CoupledBlock:
         """Path p as CoupledPaths; raises its PathBlowupError if it failed."""
         if self.failures[p] is not None:
             raise self.failures[p]
-        original = GridPath(times=self.times, states=self.original[:, p].copy(), epsilon=self.epsilon)
-        averaged = GridPath(times=self.times, states=self.averaged[:, p].copy(), epsilon=self.epsilon)
+        original = GridPath(times=self.times, states=self.original[:, p].copy())
+        averaged = GridPath(times=self.times, states=self.averaged[:, p].copy())
         return CoupledPaths(original=original, averaged=averaged, er=self.er[:, p].copy())
 
 
@@ -708,7 +706,7 @@ def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
             b = rhs[index].reshape(s_g, m, q, -1).transpose(0, 2, 1, 3)
             xq = np.linalg.solve(drift[index][:, None] - v[:m, :m] * e[:, :, None, :], b)
             x[index] = xq.transpose(0, 2, 1, 3).reshape(s_g, m, -1)
-            jumps = (e[:, :, :r, None] * xq[:, :, :r]).transpose(0, 2, 1, 3).reshape(s_g, r, -1)
+            jumps = (e[:, :, :r, None] * xq[:, :, :r]).transpose(0, 2, 1, 3).reshape(s_g, r, rhs.shape[2])
             jump_rows.append((index, history[index, n0 : n0 + r, 1] + jumps))
     except np.linalg.LinAlgError:
         return False
@@ -901,7 +899,7 @@ def _solve_one(coeffs, noise, x0, epsilon, beta, system: str) -> GridPath:
     step = failed[0, 0]
     if step:
         raise PathBlowupError(step=step, time=times[step], system=system)
-    return GridPath(times=times, states=states[:, 0, 0], epsilon=float(epsilon))
+    return GridPath(times=times, states=states[:, 0, 0])
 
 
 def solve_original(
@@ -952,7 +950,6 @@ def solve_coupled(
         original=states[:, 0],
         averaged=states[:, 1],
         failures=tuple(failures),
-        epsilon=float(epsilon),
         quadrature_fallbacks=sum(fallbacks),
     )
     return solved if block is noise else solved.path(0)

@@ -15,7 +15,7 @@ from fracavg.averaging import (
 )
 from fracavg.errors import ConvergenceError
 from fracavg.levy import JumpMeasureSpec, nu_integral
-from fracavg.problems import build_eq10
+from fracavg.problems import build_eq10, jump_drift_scale
 from fracavg.solver import AveragedCoefficientSet, CoefficientSet, JumpMode
 
 from test_kernels import mp_log_mittag_leffler
@@ -203,7 +203,7 @@ class TestAveragedConstruction:
                 problem.averaged.jump_drift(state)[0], abs=1e-8
             )
         # and the drift-folded coefficient matches 1 + gamma1 of the example
-        gamma1 = problem.params["gamma1"]
+        gamma1 = jump_drift_scale(gamma=3.0, alpha=0.3, cutoff=0.5) / math.sqrt(1e-3)
         folded = problem.folded_averaged.drift(np.array([1.0]))[0]
         assert folded == pytest.approx(1.0 + gamma1, rel=1e-12)
         assert gamma1 == pytest.approx(GAMMA1_CASE_A, rel=1e-12)

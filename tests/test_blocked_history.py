@@ -591,6 +591,16 @@ class TestCompensatedBlock:
         assert block_solves == [True] * 5
         assert_matches_direct(compensated("z*x*sin(t)**2"), noise, np.array([0.4]), 0.3, 0.7)
 
+    @pytest.mark.parametrize("events", [True, False], ids=["events", "no_events"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_last_block_of_state_n_alone(self, k, events, block_solves):
+        # at N = k BASE the last block holds state N and no history rows
+        grid = TimeGrid(step=0.01, n_steps=k * solver.BASE)
+        noise = noise_block(self.SPEC, grid, 3, include_jumps=events)
+        _, failed, _ = self.assert_matches_twin("z*x*sin(t)**2", noise)
+        assert not failed.any()
+        assert block_solves == [True] * (k + 1)
+
     def test_event_steps_are_those_of_the_grid(self):
         # min(floor(t / h), N - 1) in the table's order (step, path, time),
         # with an event at a grid time and events in the last step

@@ -144,6 +144,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: coefficient expression 'x+x+")
         assert "nested too deeply to compile" in err and "Traceback" not in err
+        assert len(err.encode()) < 200  # the source quoted by its start and length
+        assert not (tmp_path / "simulate").exists()
+
+    def test_expr_problem_without_drift_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--problem", "expr", "--diffusion", "1", "--avg-drift", "x",
+            "--avg-diffusion", "1", "--horizon", "1", "--step", "0.1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: expr problems need drift_expr and diffusion_expr\n"
         assert not (tmp_path / "simulate").exists()
 
     def test_flag_that_simulate_overrides_exits_2(self, tmp_path, capsys):

@@ -107,12 +107,11 @@ class TestConfig:
 class TestProblemRegistry:
     def test_eq10_params_echo(self):
         problem = build_eq10(beta=0.85, alpha=1.9, gamma=3.0, cutoff=0.5, epsilon=1e-3)
-        assert problem.params["beta"] == 0.85
-        assert problem.params["alpha"] == 1.9
-        assert problem.params["gamma"] == 3.0
-        assert problem.params["gamma1"] == pytest.approx(
-            3.0 * 0.5**2.1 / 2.1 / np.sqrt(1e-3), rel=1e-12
-        )
+        assert problem.beta.beta == 0.85
+        assert problem.spec.alpha == 1.9
+        assert problem.spec.gamma == 3.0
+        gamma1 = problem.folded_averaged.drift(np.array([1.0]))[0] - 1.0
+        assert gamma1 == pytest.approx(3.0 * 0.5**2.1 / 2.1 / np.sqrt(1e-3), rel=1e-12)
 
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
@@ -121,6 +120,29 @@ class TestProblemRegistry:
     def test_expr_problem_needs_all_expressions(self):
         with pytest.raises(ConfigError):
             build_problem(ExperimentConfig(problem="expr", case=None, drift_expr="x"))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"avg_drift_expr": "x", "avg_diffusion_expr": "1"},
+                "expr problems need drift_expr and diffusion_expr",
+            ),
+            (
+                {"drift_expr": "x", "diffusion_expr": "1", "avg_drift_expr": "x"},
+                "expr problems need avg_drift_expr and avg_diffusion_expr",
+            ),
+            (
+                {"drift_expr": "x", "diffusion_expr": "1", "avg_drift_expr": "x", "avg_diffusion_expr": "1",
+                 "jump_expr": "z*x", "gamma": None},
+                "a jump expression needs the measure parameters gamma, alpha, cutoff",
+            ),
+        ],
+        ids=["drift", "avg_drift", "jump_measure"],
+    )
+    def test_expr_refusals_name_what_is_missing(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            build_problem(ExperimentConfig(problem="expr", case=None, **fields))
 
     def test_expr_rejects_unknown_names(self):
         cfg = ExperimentConfig(
@@ -253,7 +275,7 @@ class TestRunEnsemble:
             averaged[2, 2] = [3e153, 4e153][:dim]
             solved = solver.CoupledBlock(
                 times=times, original=averaged.copy(), averaged=averaged,
-                failures=(None,) * 3, epsilon=0.5, quadrature_fallbacks=0,
+                failures=(None,) * 3, quadrature_fallbacks=0,
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -215,7 +215,7 @@ def grid_path(n_rows, dim, seed):
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((n_rows, dim)) * 10.0 ** rng.integers(-8, 8, (n_rows, dim))
     states.flat[: SPECIAL.size] = SPECIAL[: states.size]
-    return GridPath(times=np.arange(n_rows) * 0.01, states=states, epsilon=0.1)
+    return GridPath(times=np.arange(n_rows) * 0.01, states=states)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

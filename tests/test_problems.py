@@ -178,7 +178,18 @@ def test_a_sum_nested_too_deeply_to_compile_is_a_config_error():
     source = "+".join(["x"] * 5000)
     with pytest.raises(ConfigError, match="nested too deeply to compile") as refused:
         compile_expr(source, ("t", "x"))
-    assert repr(source) in str(refused.value)
+    # quoted by its first 40 characters and its length, not all 9999
+    assert str(refused.value).startswith(f"coefficient expression {source[:40]!r}... (9999 characters) ")
+    assert len(str(refused.value)) < 200
+
+
+def test_a_long_unknown_name_is_quoted_by_its_start_and_length():
+    name = "a" * 3000
+    with pytest.raises(ConfigError, match="uses unknown name") as refused:
+        compile_expr(name, ("t", "x"))
+    shown = f"{name[:40]!r}... (3000 characters)"
+    assert str(refused.value).startswith(f"coefficient expression {shown} uses unknown name {shown} ")
+    assert len(str(refused.value)) < 300  # 6121 characters when both were quoted whole
 
 
 def test_a_linear_expression_of_matrix_shape_is_not_linear():

@@ -638,7 +638,7 @@ class TestCoupling:
     def test_sup_square_is_the_correctly_rounded_product(self):
         # glibc 2.36's pow rounds this square one ulp above x * x
         sup = 0.42672114373024106
-        grid = GridPath(times=np.array([0.0, 0.1]), states=np.zeros((2, 1)), epsilon=0.1)
+        grid = GridPath(times=np.array([0.0, 0.1]), states=np.zeros((2, 1)))
         res = CoupledPaths(original=grid, averaged=grid, er=np.array([0.0, sup]))
         assert res.sup_sq_error == 0.18209093450644503 == float(np.square(sup))
 
