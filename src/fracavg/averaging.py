@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import as_order, gamma_fn, log_mittag_leffler
-from .levy import JumpMeasureSpec, nu_integral, nu_integral_vector
+from .levy import JumpMeasureSpec, gauss_kronrod, nu_integral
 from .solver import AveragedCoefficientSet, CoefficientSet
 
-_CHUNK = 2.0 * math.pi  # oscillatory coefficients get one quadrature chunk per period
+_CHUNK = 2.0 * math.pi  # oscillatory coefficients get one first-level panel per period
 
 # A bound is evaluated through its natural log, a float64 that fixes the bound
 # only to about |log| * 2^-53 relative.  Past this log that is coarser than
@@ -44,18 +44,6 @@ def write_json(data: dict, path) -> None:
         fh.write(text)
 
 
-def _chunked_integral(fn, horizon: float, tol: float) -> float:
-    """Integral of a scalar callable over [0, horizon], split into short chunks."""
-    from scipy.integrate import quad  # loaded on first use, as in levy.nu_integral
-
-    n_chunks = max(1, math.ceil(horizon / _CHUNK))
-    edges = np.linspace(0.0, horizon, n_chunks + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += quad(fn, a, b, epsabs=tol, epsrel=tol, limit=200)[0]
-    return total
-
-
 def time_average(
     coefficient,
     state,
@@ -65,45 +53,51 @@ def time_average(
 ):
     """Average of ``coefficient(t, state)`` over t in [0, horizon].
 
-    The output shape matches whatever the coefficient returns: plain float for
-    scalar evaluators, arrays of the same shape for vector- and matrix-valued
-    ones.  With ``with_diagnostic`` the average is recomputed over twice the
-    horizon and the relative drift between the two is returned alongside the
-    value; a large drift means the average has not settled and is reported as
-    a warning, never an error.
+    The coefficient is called on float times, and every component of its
+    result is integrated at once by ``levy.gauss_kronrod``, whose first level
+    is one panel per 2 pi of the horizon, to ``quadrature_tol`` of the average
+    or absolutely, whichever is larger.  The output shape matches whatever
+    the coefficient returns: plain float for scalar evaluators, arrays of the
+    same shape for vector- and matrix-valued ones.  With ``with_diagnostic``
+    the average is recomputed over twice the horizon and the relative drift
+    between the two is returned alongside the value; a large drift means the
+    average has not settled and is reported as a warning, never an error.
     """
     horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError(f"averaging horizon must be positive; got {horizon!r}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"averaging horizon must be positive and finite; got {horizon!r}")
     state = np.asarray(state, dtype=float)
-    probe = np.asarray(coefficient(0.0, state), dtype=float)
 
-    def averaged_over(span: float) -> np.ndarray:
-        flat = np.empty(probe.size)
-        for i in range(probe.size):
-            flat[i] = _chunked_integral(
-                lambda t, i=i: float(
-                    np.asarray(coefficient(t, state), dtype=float).reshape(-1)[i]
-                ),
-                span,
-                quadrature_tol,
-            ) / span
-        return flat.reshape(probe.shape)
+    def values(times):
+        return np.array([np.asarray(coefficient(t, state), dtype=float) for t in times.tolist()])
+
+    def averaged_over(span: float):
+        cuts = np.linspace(0.0, span, max(1, math.ceil(span / _CHUNK)) + 1)
+        return gauss_kronrod(values, cuts, rtol=quadrature_tol, atol=quadrature_tol * span) / span
 
     value = averaged_over(horizon)
-    scalar = probe.ndim == 0
     if not with_diagnostic:
-        return float(value) if scalar else value
+        return value
     doubled = averaged_over(2.0 * horizon)
-    scale = 1.0 + float(np.linalg.norm(value.reshape(-1)))
-    drift = float(np.linalg.norm((doubled - value).reshape(-1))) / scale
+    scale = 1.0 + float(np.linalg.norm(np.reshape(value, -1)))
+    drift = float(np.linalg.norm(np.reshape(doubled - value, -1))) / scale
     if drift > 1e-3:
         warnings.warn(
             f"time average has not settled: doubling the horizon moved it by "
             f"{drift:.3g} (relative)",
             stacklevel=2,
         )
-    return (float(value) if scalar else value), drift
+    return value, drift
+
+
+def _jump_integrand(jump, targs, state):
+    """The jump coefficient at ``state`` as an integrand of marks: the state
+    repeated at a 1-D array of nodes, (k, dim) values out."""
+    def integrand(z):
+        value = np.asarray(jump(*targs, np.repeat(state, z.size, axis=0), z), dtype=float)
+        return (np.full(z.size, value) if value.ndim == 0 else value).reshape(z.size, state.shape[-1])
+
+    return integrand
 
 
 def averaged_jump_drift(
@@ -117,17 +111,15 @@ def averaged_jump_drift(
 
     This is the deterministic drift the jump term contributes when it
     integrates against the intensity measure itself; the mark integral runs
-    over the full (0, cutoff) range.
+    over the full (0, cutoff) range, at each time one ``nu_integral`` of all
+    components.
     """
     state = np.asarray(state, dtype=float)
-    probe = np.asarray(jump(0.0, state, spec.cutoff * 0.5), dtype=float).reshape(-1)
 
-    def rate(t: float) -> np.ndarray:
-        return nu_integral_vector(
-            spec, lambda z: jump(t, state, z), dim=probe.size, use_delta=False
-        )
+    def rate(t: float, _x) -> np.ndarray:
+        return nu_integral(spec, _jump_integrand(jump, (t,), state), use_delta=False)
 
-    return time_average(lambda t, _x: rate(t), state, horizon, quadrature_tol)
+    return time_average(rate, state, horizon, quadrature_tol)
 
 
 def _total_drift_residual(coeffs, averaged, t1, x):
@@ -249,12 +241,13 @@ def _jump_slot_residual(coeffs, averaged, spec, t1, x) -> float:
             "jump-slot residual needs a JumpMeasureSpec when no closed-form "
             "rates are available"
         )
-    # L2(measure) norm of the time-averaged jump-coefficient mismatch
-    def avg_mismatch(z: float) -> np.ndarray:
+    # L2(measure) norm of the time-averaged jump-coefficient mismatch, at
+    # every node of a level at once: one time average of all their components
+    def avg_mismatch(z: np.ndarray) -> np.ndarray:
         def diff(t, y):
-            orig = np.asarray(coeffs.jump(t, y, z), dtype=float).reshape(-1)
+            orig = _jump_integrand(coeffs.jump, (t,), y)(z)
             if averaged.jump is not None:
-                orig = orig - np.asarray(averaged.jump(y, z), dtype=float).reshape(-1)
+                orig = orig - _jump_integrand(averaged.jump, (), y)(z)
             return orig
 
         return time_average(diff, x, t1, quadrature_tol=1e-10)
@@ -263,10 +256,9 @@ def _jump_slot_residual(coeffs, averaged, spec, t1, x) -> float:
 
 
 def _square_integral(spec, fn) -> float:
-    """Integral of the squared norm of fn(z) against the jump measure over (0, cutoff)."""
-    return nu_integral(
-        spec, lambda z: float(np.sum(np.asarray(fn(z), dtype=float) ** 2)), use_delta=False, rtol=1e-8
-    )
+    """Integral of the squared norm of fn(z) against the jump measure over
+    (0, cutoff); fn takes a 1-D array of marks and returns (k, dim) values."""
+    return nu_integral(spec, lambda z: np.sum(fn(z) ** 2, axis=1), use_delta=False, rtol=1e-8)
 
 
 def default_probe_states(dim: int) -> list[np.ndarray]:
@@ -335,7 +327,7 @@ def probe_hypotheses(
         for i, (x1, f1, g1, a11) in enumerate(probed):
             growth_terms = [float(np.sum(f1**2)), float(np.linalg.norm(a11, 2))]
             if jumps:
-                growth_terms.append(_square_integral(spec, lambda z: coeffs.jump(t, x1, z)))
+                growth_terms.append(_square_integral(spec, _jump_integrand(coeffs.jump, (t,), x1)))
             c2 = max(c2, max(growth_terms) / (1.0 + float(np.sum(x1**2))))
 
             for x2, f2, g2, a22 in probed[i + 1 :]:
@@ -350,8 +342,8 @@ def probe_hypotheses(
                 if jumps:
                     lip_terms.append(_square_integral(
                         spec,
-                        lambda z: np.asarray(coeffs.jump(t, x1, z), dtype=float)
-                        - np.asarray(coeffs.jump(t, x2, z), dtype=float),
+                        lambda z: _jump_integrand(coeffs.jump, (t,), x1)(z)
+                        - _jump_integrand(coeffs.jump, (t,), x2)(z),
                     ))
                 c1 = max(c1, max(lip_terms) / dist_sq)
 

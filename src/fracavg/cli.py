@@ -203,6 +203,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_average(args) -> int:
     cfg = _config_from_args(args, n_paths=1)
+    t1_grid = _float_list(args.t1_grid) if args.t1_grid else [10.0, 100.0, 1000.0]
+    probes = _float_list(args.probes) if args.probes else [0.01, 0.1, 1.0, 10.0]
+    if not all(map(math.isfinite, probes)):
+        raise ValueError(f"probe states must be finite; got {', '.join(map(repr, probes))}")
     problem = build_problem(cfg)
     out = _out_dir(args, "average")
     os.makedirs(out, exist_ok=True)
@@ -212,9 +216,11 @@ def cmd_average(args) -> int:
     state = problem.x0[None]  # a batch of one state, as coefficient sets expect
     drift_avg = time_average(coeffs.drift, state, avg_horizon)
     print(f"time-averaged drift at x0={cfg.x0:g}: {float(drift_avg[0, 0]):.10g}")
-    if coeffs.jump is not None and problem.spec is not None:
+    # a jump drift over (0, cutoff) exists in NU_DRIFT mode only: a compensated
+    # jump integrates over [delta, cutoff), and its open-range integral may diverge
+    if coeffs.jump is not None and coeffs.jump_mode == JumpMode.NU_DRIFT:
         unit = np.array([[1.0]])
-        if coeffs.jump_mode == JumpMode.NU_DRIFT and coeffs.jump_drift is not None:
+        if coeffs.jump_drift is not None:
             # the closed-form integral of the jump coefficient over (0, cutoff)
             jd = time_average(coeffs.jump_drift, unit, avg_horizon).reshape(-1)
         else:
@@ -224,18 +230,12 @@ def cmd_average(args) -> int:
         print(f"gamma1 = {gamma1:.10g}")
         print(f"averaged drift coefficient (1 + gamma1) = {1.0 + gamma1:.10g}")
 
-    t1_grid = _float_list(args.t1_grid) if args.t1_grid else [10.0, 100.0, 1000.0]
-    probes = (
-        [np.array([v]) for v in _float_list(args.probes)]
-        if args.probes
-        else [np.array([v]) for v in (0.01, 0.1, 1.0, 10.0)]
-    )
     report = probe_hypotheses(
         problem.coeffs,
         problem.averaged,
         spec=problem.spec,
         t1_grid=t1_grid,
-        probe_states=probes,
+        probe_states=[np.array([v]) for v in probes],
         times=np.linspace(0.0, min(cfg.horizon, 10.0), 21),
     )
     path = os.path.join(out, "hypothesis.json")

@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_paths must be >= 1; got {self.n_paths}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1]; got {self.epsilon}")
+        if not math.isfinite(self.x0):
+            raise ConfigError(f"x0 must be finite; got {self.x0!r}")
         if self.step <= 0.0 or self.horizon <= 0.0:
             raise ConfigError("step and horizon must be positive")
         try:

@@ -292,17 +292,19 @@ def sample_noise(
     )
 
 
-def _delta_shell_edges(spec: JumpMeasureSpec) -> list[float]:
-    """Edges cutoff, cutoff/4, ... down to delta of the geometric shells of [delta, cutoff)."""
-    edges = [spec.cutoff]
-    while edges[-1] / _SHELL_RATIO > spec.delta:
+def _half_shell_cuts(hi: float, lo: float) -> np.ndarray:
+    """hi, hi/4, ... down to lo, each shell split at its geometric midpoint:
+    the cuts of the first-level panels of [lo, hi], from the top."""
+    edges = [hi]
+    while edges[-1] / _SHELL_RATIO > lo:
         edges.append(edges[-1] / _SHELL_RATIO)
-    edges.append(spec.delta)
-    return edges
+    edges.append(lo)
+    return np.array([x for a, b in zip(edges, edges[1:]) for x in (a, math.sqrt(a * b))] + [lo])
 
 
-# Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK qk21): the Kronrod nodes
-# +-_GK21_NODES, with the 10-point Gauss nodes at the odd indices.
+# Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK qk21; Piessens, de
+# Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983): the Kronrod
+# nodes +-_GK21_NODES, with the 10-point Gauss nodes at the odd indices.
 _GK21_NODES = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -324,18 +326,101 @@ _GK10_GAUSS_WEIGHTS = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173952009447316,
 ])
+# the 21 nodes in ascending order, their Kronrod weights, and those less the
+# nested Gauss weights, which sit at the odd positions
+_UNIT = np.concatenate([-_GK21_NODES[:-1], _GK21_NODES[::-1]])
+_KRONROD = np.concatenate([_GK21_KRONROD_WEIGHTS[:-1], _GK21_KRONROD_WEIGHTS[::-1]])
+_SPREAD = _KRONROD.copy()
+_SPREAD[1::2] -= np.concatenate([_GK10_GAUSS_WEIGHTS, _GK10_GAUSS_WEIGHTS[::-1]])
+
+RTOL = 1e-10  # nu_integral's default relative tolerance
+# An error estimate below this share of the integral of |f| is rounding, not
+# truncation (QUADPACK's 50 machine epsilons).
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+_BISECTIONS_PER_PANEL = 200  # per first-level panel, on average, before ConvergenceError
+
+
+def _panels(a, b, density):
+    """Nodes, 21-point weights and spread weights of the panels between a_i
+    and b_i (in either order), one row each.
+
+    ``weights @ values`` of a row is the panel's 21-point estimate of the
+    integral of f(x) density(x) dx, and ``spread @ values`` its difference
+    from the nested 10-point Gauss estimate, for values of f at its nodes.
+    """
+    half = 0.5 * np.abs(b - a)[:, None]
+    nodes = 0.5 * (a + b)[:, None] + half * _UNIT
+    scale = half if density is None else half * density(nodes)
+    return nodes, _KRONROD * scale, _SPREAD * scale
+
+
+def _tolerance(total, mag, rtol, atol=0.0):
+    """What the error estimate of an integral may reach: rtol of it, atol or
+    the rounding floor of ``mag``, its integral of |f|, whichever is largest.
+    A non-finite integral gets a tolerance no estimate exceeds."""
+    return np.maximum(np.maximum(atol, rtol * np.abs(total)), _ROUNDOFF * mag)
+
+
+def gauss_kronrod(integrand, cuts, density=None, rtol=RTOL, atol=0.0):
+    """Adaptive Gauss-Kronrod 10/21 integral of integrand(x) density(x) dx.
+
+    The range runs from the lowest to the highest of ``cuts``, and the first
+    level is one panel between each two consecutive cuts.  The integrand
+    takes a 1-D array of nodes and returns (k,) or (k, d) values, and the
+    result is a float or a (d,) array.  A panel's error estimate is the
+    difference between its 21-point and nested 10-point estimates, and each
+    component is settled when its panels' estimates sum to at most its
+    ``_tolerance``.  Until every component is, each panel whose estimate
+    exceeds an even share of that tolerance is bisected, and only the new
+    panels are evaluated: one call of the integrand per level.  A non-finite
+    component counts as settled, so it is returned as it is while the others
+    are refined; more than _BISECTIONS_PER_PANEL bisections per first-level
+    panel raise ConvergenceError.
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    a, b = cuts[:-1], cuts[1:]  # the panels to evaluate
+    live = None  # a, b, estimate, error estimate and integral of |f| of every panel
+    budget = _BISECTIONS_PER_PANEL * len(a)
+    while True:
+        nodes, weights, spread = _panels(a, b, density)
+        values = np.asarray(integrand(nodes.ravel()), dtype=float)
+        shape = values.shape[1:]
+        values = np.broadcast_to(values, (nodes.size,) + shape).reshape(nodes.shape + (-1,))
+        est, diff, mag = (
+            np.einsum("mk,mkd->md", w, v)
+            for w, v in ((weights, values), (spread, values), (weights, np.abs(values)))
+        )
+        new = (a, b, est, np.abs(diff), mag)
+        live = new if live is None else tuple(map(np.concatenate, zip(live, new)))
+        a, b, est, err, mag = live
+        total = est.sum(axis=0)
+        tol = _tolerance(total, mag.sum(axis=0), rtol, atol)
+        if not (err.sum(axis=0) > tol).any():
+            return float(total[0]) if shape == () else total.reshape(shape)
+        split = (err > tol / len(est)).any(axis=1)
+        budget -= np.count_nonzero(split)
+        if budget < 0:
+            raise ConvergenceError(
+                f"adaptive quadrature did not settle within {_BISECTIONS_PER_PANEL} bisections "
+                f"per panel of its first level ({len(cuts) - 1} panels)"
+            )
+        live = tuple(x[~split] for x in live)
+        mid = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
 
 
 @dataclass(frozen=True)
 class ShellTable:
-    """Fixed quadrature of integrand(x) nu(dx) over [delta, cutoff).
+    """The first level of ``nu_integral`` over [delta, cutoff) as one fixed rule.
 
-    The geometric shells of ``nu_integral`` are split at their geometric
-    midpoints, and each half-shell carries the Gauss-Kronrod 10/21 rule with
-    the measure density folded into the weights.  ``weights @ values`` is the
-    21-point estimate of the integral and ``spread @ values`` its difference
-    from the nested 10-point Gauss estimate, for values of the integrand at
-    ``nodes``.
+    Its panels are the geometric shells of ``nu_integral`` split at their
+    geometric midpoints, each with the Gauss-Kronrod 10/21 rule and the
+    measure density folded into the weights, flattened: ``weights @ values``
+    is the 21-point estimate of the integral and ``spread @ values`` its
+    difference from the nested 10-point Gauss estimate, for values of the
+    integrand at ``nodes``.  ``unsettled`` is the test of ``gauss_kronrod``
+    at this level, so a rate it passes is the integral's, and any other is
+    ``nu_integral``'s to refine.
     """
 
     nodes: np.ndarray    # (K,)
@@ -346,52 +431,49 @@ class ShellTable:
         for arr in (self.nodes, self.weights, self.spread):
             arr.setflags(write=False)
 
+    def unsettled(self, values, rate, rtol: float = RTOL) -> np.ndarray:
+        """Where rates ``rate`` (...,) from ``values`` (..., K) at the nodes are not settled."""
+        panels = values.reshape(values.shape[:-1] + (-1, _UNIT.size))
+        err = np.abs(np.einsum("...mk,mk->...m", panels, self.spread.reshape(-1, _UNIT.size))).sum(axis=-1)
+        unsettled = err > rtol * np.abs(rate)
+        if unsettled.any():  # the rest of the tolerance only settles more: test it where needed
+            unsettled = err > _tolerance(rate, np.abs(values) @ self.weights, rtol)
+        return unsettled
+
 
 @functools.lru_cache(maxsize=32)
 def shell_table(spec: JumpMeasureSpec) -> ShellTable:
     """The ShellTable of a measure, built once per spec."""
-    unit = np.concatenate([-_GK21_NODES[:-1], _GK21_NODES[::-1]])
-    kronrod = np.concatenate([_GK21_KRONROD_WEIGHTS[:-1], _GK21_KRONROD_WEIGHTS[::-1]])
-    gauss = np.zeros(_GK21_NODES.size)
-    gauss[1::2] = _GK10_GAUSS_WEIGHTS
-    gauss = np.concatenate([gauss[:-1], gauss[::-1]])
-    shells = _delta_shell_edges(spec)
-    cuts = [x for hi, lo in zip(shells, shells[1:]) for x in (hi, math.sqrt(lo * hi))]
-    cuts = np.array(cuts + [spec.delta])
-    half = 0.5 * (cuts[:-1] - cuts[1:])[:, None]  # one row per half-shell
-    nodes = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * unit
-    density = half * spec.density(nodes)
-    weights = (kronrod * density).ravel()
-    return ShellTable(
-        nodes=nodes.ravel(), weights=weights, spread=weights - (gauss * density).ravel()
-    )
+    cuts = _half_shell_cuts(spec.cutoff, spec.delta)
+    nodes, weights, spread = _panels(cuts[:-1], cuts[1:], spec.density)
+    return ShellTable(nodes=nodes.ravel(), weights=weights.ravel(), spread=spread.ravel())
 
 
 def nu_integral(
     spec: JumpMeasureSpec,
     integrand,
     use_delta: bool = True,
-    rtol: float = 1e-10,
-) -> float:
+    rtol: float = RTOL,
+):
     """Integral of ``integrand(x)`` against the jump measure density.
 
-    The range is [delta, cutoff) when ``use_delta`` is on and (0, cutoff)
-    otherwise.  Integration proceeds over geometric shells shrinking toward
-    the origin; on the open range the shell sums are extrapolated once their
-    decay is geometric, and a failure to decay raises DivergenceError (the
-    measure has infinite mass at 0, so the integrand must vanish there).
+    The integrand follows ``gauss_kronrod``'s contract: a 1-D array of marks
+    in, (k,) or (k, d) values out, and the result is a float or a (d,)
+    array.  The range is [delta, cutoff) when ``use_delta`` is on, one
+    adaptive integral to ``rtol`` whose first level is the ``shell_table``,
+    and (0, cutoff) otherwise.  There integration proceeds over geometric
+    shells shrinking toward the origin, each an adaptive integral to 1% of
+    ``rtol``; the shell sums are extrapolated once their decay is geometric
+    in every component, and a failure to decay raises DivergenceError (the
+    measure has infinite mass at 0, so the integrand must vanish there).  A
+    component whose sum turns non-finite keeps that sum, and the others are
+    integrated on to the same tolerance.
     """
-    from scipy.integrate import quad  # scipy's import dominates start-up; load it only here
-
-    def weighted(x):
-        return integrand(x) * spec.gamma * x ** (-1.0 - spec.alpha)
-
     if use_delta:
-        edges = _delta_shell_edges(spec)
-        return sum(
-            quad(weighted, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-            for hi, lo in zip(edges, edges[1:])
-        )
+        return gauss_kronrod(integrand, _half_shell_cuts(spec.cutoff, spec.delta), spec.density, rtol)
+
+    def result(value):
+        return float(value) if value.ndim == 0 else value
 
     hi = spec.cutoff
     total = 0.0
@@ -401,57 +483,43 @@ def nu_integral(
     agree = 0
     for _ in range(_MAX_SHELLS):
         next_hi = hi / _SHELL_RATIO
-        piece = quad(weighted, next_hi, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-        total += piece
-        scale = max(abs(total), 1e-300)
-        if abs(piece) <= 1e-3 * rtol * scale:
-            return total
-        if prev_piece is not None and abs(prev_piece) > 0.0:
-            ratio = abs(piece) / abs(prev_piece)
-            if ratio >= 0.999 and abs(piece) > rtol * scale:
-                stall += 1
-                if stall >= 3:
-                    raise DivergenceError(
-                        "integral against the jump measure does not converge at 0 "
-                        f"(shell contributions stopped decaying near x={next_hi:g})"
-                    )
-            else:
-                stall = 0
-            if ratio < 0.999:
-                # geometric tail extrapolation; exact for pure powers, so two
-                # consecutive agreements mean the local exponent has settled
-                extrapolated = total + piece * ratio / (1.0 - ratio)
-                if (
-                    prev_extrapolated is not None
-                    and abs(extrapolated - prev_extrapolated)
-                    <= 0.5 * rtol * max(abs(extrapolated), 1e-300)
-                ):
-                    agree += 1
-                    if agree >= 2:
-                        return extrapolated
+        cuts = _half_shell_cuts(hi, next_hi)
+        piece = np.asarray(gauss_kronrod(integrand, cuts, spec.density, 1e-2 * rtol))
+        total = total + piece
+        done = ~np.isfinite(total)  # a non-finite sum is final; the others go on
+        scale = np.maximum(np.abs(total), 1e-300)
+        if (done | (np.abs(piece) <= 1e-3 * rtol * scale)).all():
+            return result(total)
+        if prev_piece is not None:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # a component whose last piece was 0 decays at once if this one is 0 too
+                ratio = np.where(prev_piece != 0.0, np.abs(piece) / np.abs(prev_piece),
+                                 np.where(piece == 0.0, 0.0, np.inf))
+                if (~done & (ratio >= 0.999) & (np.abs(piece) > rtol * scale)).any():
+                    stall += 1
+                    if stall >= 3:
+                        raise DivergenceError(
+                            "integral against the jump measure does not converge at 0 "
+                            f"(shell contributions stopped decaying near x={next_hi:g})"
+                        )
                 else:
-                    agree = 0
-                prev_extrapolated = extrapolated
+                    stall = 0
+                if (done | (ratio < 0.999)).all():
+                    # geometric tail extrapolation; exact for pure powers, so two
+                    # consecutive agreements mean the local exponent has settled
+                    extrapolated = np.where(done, total, total + piece * ratio / (1.0 - ratio))
+                    if prev_extrapolated is not None and (done | (
+                        np.abs(extrapolated - prev_extrapolated)
+                        <= 0.5 * rtol * np.maximum(np.abs(extrapolated), 1e-300)
+                    )).all():
+                        agree += 1
+                        if agree >= 2:
+                            return result(extrapolated)
+                    else:
+                        agree = 0
+                    prev_extrapolated = extrapolated
         prev_piece = piece
         hi = next_hi
     raise ConvergenceError(
         f"shell refinement exhausted ({_MAX_SHELLS} shells) without convergence"
     )
-
-
-def nu_integral_vector(
-    spec: JumpMeasureSpec,
-    integrand,
-    dim: int,
-    use_delta: bool = True,
-    rtol: float = 1e-10,
-) -> np.ndarray:
-    """Componentwise nu_integral for a vector-valued integrand."""
-    out = np.empty(dim, dtype=float)
-    for i in range(dim):
-        out[i] = nu_integral(
-            spec, lambda x, i=i: float(np.asarray(integrand(x), dtype=float).reshape(-1)[i]),
-            use_delta=use_delta, rtol=rtol,
-        )
-    return out
-

@@ -84,7 +84,10 @@ def build_eq10(
     tabulates c_drift a(t) + c_stoch b(t) once per solve, one call of each
     factor on the column of step times, and solves every near-field block
     of steps at once (16 blocks at the default N = 1000).  The jump
-    coefficients stay callables for the hypothesis probes.
+    coefficients stay callables for the hypothesis probes, which integrate
+    them at arrays of marks, one per row of the state (the batch contract):
+    through ``x.T`` a mark scales its row of a (P, dim) state, or its entry
+    of a 1-D one.
     """
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
@@ -94,14 +97,14 @@ def build_eq10(
     coeffs = CoefficientSet(
         drift=_Linear(lambda t: 2.0 * np.cos(t) ** 2),
         diffusion=unit,
-        jump=lambda t, x, z: 2.0 * z**4 * np.sin(t) ** 2 * x,
+        jump=lambda t, x, z: (2.0 * z**4 * np.sin(t) ** 2 * x.T).T,
         jump_mode=JumpMode.NU_DRIFT,
         jump_drift=_Linear(lambda t: 2.0 * np.sin(t) ** 2 * scale),
     )
     averaged = AveragedCoefficientSet(
         drift=_Linear(1.0),
         diffusion=unit,
-        jump=lambda x, z: z**4 * x,
+        jump=lambda x, z: (z**4 * x.T).T,
         jump_mode=JumpMode.NU_DRIFT,
         jump_drift=_Linear(scale),
     )

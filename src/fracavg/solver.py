@@ -44,16 +44,16 @@ When every system is affine (a ``_Linear`` drift a(t) X, a ``_Constant``
 diffusion, and as its jump part none, a NU_DRIFT ``_Linear`` jump drift
 b(t) X, or a ``_Linear`` jump phi(t, z) X without a closed-form rate), slot
 0 of step j is f_j X_j with f_j = c_drift a(t_j) + c_stoch b(t_j), where b
-of a NU_DRIFT jump is its rate over (0, cutoff), one adaptive integral per
-step.  Slot 1 is eta_j + e_j X_j, eta the filled noise terms.  A
+of a NU_DRIFT jump is its rate over (0, cutoff), one ``nu_integral`` for
+all steps.  Slot 1 is eta_j + e_j X_j, eta the filled noise terms.  A
 compensated jump has e_j = c_stoch (sum of phi over the step's events of
 the path, in the event table's order, less h rho(t_j)), with the rate rho
-read off the shell table for all steps at once (a step the table cannot
-settle is integrated adaptively once and counts one fallback per path);
-otherwise e = 0.  These tables are built once per solve, and the states of
-a near-field block [n0, n0 + BASE) are a unit lower triangular linear
-system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W and V
-hold the block's lag weights of the two slots and R the X_0 plus
+read off the shell table for all steps at once (the steps the table cannot
+settle are refined by one ``nu_integral``, and each counts one fallback
+per path); otherwise e = 0.  These tables are built once per solve, and the
+states of a near-field block [n0, n0 + BASE) are a unit lower triangular
+linear system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W
+and V hold the block's lag weights of the two slots and R the X_0 plus
 far-field sums.  Each block is then one ``np.linalg.solve`` per kind of
 system, stacked as (systems, Q) matrices, with Q = P for systems whose e
 differ by path because the noise has events and Q = 1 otherwise, not BASE
@@ -106,7 +106,7 @@ import numpy as np
 from . import levy
 from .errors import PathBlowupError
 from .kernels import as_order, build_kernel_weights, gamma_fn
-from .levy import NoiseBlock, NoiseRealization, nu_integral_vector
+from .levy import NoiseBlock, NoiseRealization
 
 EPSILON_MAX = 1.0
 # Near-field block of the history sum (see above).  A far-field transform of
@@ -118,10 +118,10 @@ FFT_CELLS = 2048
 # Grid steps per pass over all steps outside the time loop (the noise terms of
 # a constant diffusion, the distance curve); bounds the temporaries.
 STEP_CHUNK = 256
-# A compensator rate from the shell table is kept when its 21-point and
-# nested 10-point estimates agree to this relative difference; otherwise
-# that rate (of a path, or of a step of a linear jump) is integrated adaptively.
-TABLE_RTOL = 1e-10
+# The relative tolerance of a compensator rate over [delta, cutoff): the shell
+# table's rate is kept when it passes the integrator's test at this tolerance,
+# and ``nu_integral`` refines any other to it.
+RATE_RTOL = 1e-12
 
 
 class JumpMode(str, enum.Enum):
@@ -185,9 +185,8 @@ class _Batched:
     A result that is already a new float64 column of the arguments' length
     (the usual one) is only reshaped; any other, such as a scalar, a boolean
     column or an argument returned as it is, is copied into a new float64
-    array, so the result never shares memory with an argument.  Called on
-    float64 scalars it gives one float64, which is how adaptive quadrature
-    integrates it.
+    array, so the result never shares memory with an argument.  Quadrature
+    calls it the same way, once per level on a column of nodes.
     """
 
     def __init__(self, fn, shape=(1,)):
@@ -292,15 +291,17 @@ class CoefficientSet:
     over [delta, cutoff) in COMPENSATED mode (where it serves as the
     compensator rate).  Without it, COMPENSATED mode evaluates H once per
     step at the nodes of the measure's fixed shell table for all paths
-    together (``levy.shell_table``; the table and its nodes tiled over the
-    paths are built once per solve), and only a path whose table estimate is
-    not settled is integrated adaptively; NU_DRIFT mode integrates every path
-    adaptively at every step, which is correct but slow.  An affine solve
-    integrates a ``_Linear`` jump phi(t, z) X once per step for all paths,
-    phi alone: at the table's nodes for all steps at once, or adaptively
-    (NU_DRIFT, or a step the table cannot settle).  A float callable
-    (``scalar``) or a compiled ``expr`` is integrated on scalars there, one
-    call of it per quadrature node.
+    together (``levy.shell_table``, the first level of ``levy.nu_integral``;
+    the table and its nodes tiled over the paths are built once per solve),
+    and only the paths whose table estimate is not settled are refined, by
+    one ``nu_integral`` of them all; NU_DRIFT mode makes one ``nu_integral``
+    over (0, cutoff) of all paths at every step.  An affine solve integrates
+    a ``_Linear`` jump phi(t, z) X for all paths at once, phi alone: at the
+    table's nodes for all steps at once, refining the steps the table cannot
+    settle by one ``nu_integral``, or in NU_DRIFT mode by one ``nu_integral``
+    of all steps.  Every integral calls H through the batch contract, once
+    per quadrature level, with marks a column of nodes: a float callable
+    (``scalar``) runs once per node there, a compiled ``expr`` once per call.
     """
 
     drift: Callable[..., np.ndarray]
@@ -426,7 +427,7 @@ class CoupledBlock:
     PathBlowupError of the original system if it failed at all, else that of
     the averaged system.  ``quadrature_fallbacks`` counts the compensator
     rates, one per path and step, that the shell table could not settle and
-    adaptive quadrature computed instead.  ``er`` is the distance curve
+    ``nu_integral`` refined.  ``er`` is the distance curve
     |X_n - Z_n| of every path, computed once; column p is ``path(p).er``.
     """
 
@@ -483,30 +484,14 @@ def _event_table(noise: NoiseBlock):
     )
 
 
-def _adaptive_rate(jump, targs, row, spec, use_delta: bool) -> np.ndarray:
-    """Integral of the jump coefficient of one (1, dim) state row, by adaptive quadrature."""
-    if isinstance(jump, _Linear) and jump.call is not None:
-        jump = jump.call
-    if isinstance(jump, (_RowLoop, _Batched)):
-        # integrate the scalar function itself, so each quadrature node costs
-        # one call of it: on floats for a float callable, on float64 scalars
-        # (which overflow to inf as arrays do) for a compiled expression
-        fn = jump.fn
-        cast = float if isinstance(jump, _RowLoop) else np.float64
-        x = cast(row[0, 0])
-        try:
-            return np.array([levy.nu_integral(spec, lambda z: fn(*targs, x, cast(z)), use_delta=use_delta)])
-        except OverflowError:
-            return np.array([math.inf])
-    return nu_integral_vector(
-        spec, lambda z: jump(*targs, row, z), dim=row.shape[1], use_delta=use_delta
-    )
+def _rows_integrand(jump, targs, X):
+    """The jump coefficient of the state rows X as one integrand of marks:
+    every row at a 1-D array of k nodes in one call, (k, rows * dim) values out."""
+    def integrand(z):
+        values = jump(*targs, np.repeat(X, z.size, axis=0), np.tile(z, len(X)))
+        return _as_float(values, (len(X), z.size, X.shape[1])).transpose(1, 0, 2).reshape(z.size, -1)
 
-
-def _unsettled(rate, spread):
-    """Where the shell table has not settled a rate: its 21-point estimate
-    ``rate`` and nested 10-point estimate differ by more than TABLE_RTOL of it."""
-    return np.abs(spread) > TABLE_RTOL * np.abs(rate)
+    return integrand
 
 
 def _jump_rates(jump: _Linear, targs, spec, use_delta: bool):
@@ -515,25 +500,28 @@ def _jump_rates(jump: _Linear, targs, spec, use_delta: bool):
     column in ``targs``, or once when ``targs`` is () (a time-independent set).
 
     Over [delta, cutoff) the shell table gives every rate, BASE times per
-    call of ``jump.at``, and only a rate it has not settled is integrated
-    adaptively; over (0, cutoff) every rate is.  Returns the rates and how
-    many of those over [delta, cutoff) were integrated adaptively.
+    call of ``jump.at``, and the rates it has not settled are refined by one
+    ``nu_integral`` of them all; over (0, cutoff) every rate is, by one
+    ``nu_integral`` of all times.  Returns the rates and how many of those
+    over [delta, cutoff) were refined.
     """
     count = len(targs[0]) if targs else 1
     rate = np.empty(count)
     redo = np.arange(count)
     if use_delta:
         table = levy.shell_table(spec)
-        spread = np.empty(count)
+        unsettled = np.empty(count, dtype=bool)
         for s0 in range(0, count, BASE):
             part = slice(s0, s0 + BASE)
             values = jump.at(*(t[part, None] for t in targs), table.nodes)
             values = np.broadcast_to(values, (rate[part].size, table.nodes.size))
             rate[part] = values @ table.weights
-            spread[part] = values @ table.spread
-        redo = np.flatnonzero(_unsettled(rate, spread))
-    for j in redo.tolist():
-        rate[j] = _adaptive_rate(jump, tuple(t[j] for t in targs), np.ones((1, 1)), spec, use_delta)[0]
+            unsettled[part] = table.unsettled(values, rate[part], RATE_RTOL)
+        redo = np.flatnonzero(unsettled)
+    if redo.size:
+        times = tuple(t[redo, None] for t in targs)
+        phi = lambda z: np.broadcast_to(jump.at(*times, z), (redo.size, z.size)).T
+        rate[redo] = levy.nu_integral(spec, phi, use_delta, RATE_RTOL if use_delta else levy.RTOL)
     return rate, redo.size if use_delta else 0
 
 
@@ -543,26 +531,23 @@ def _quadrature_rate(jump, targs, X, spec, shells):
     ``shells`` is the measure's shell table and its nodes tiled once per row
     of X, built once per solve, for the range [delta, cutoff), or None for
     the open range (0, cutoff).  Over [delta, cutoff) all rows are evaluated
-    at the table's nodes in one call of ``jump``.  A row the table has not
-    settled (``_unsettled``) is integrated again adaptively; a non-finite row
-    stays non-finite.  The open range is integrated adaptively row by row.
-    Returns the (P, dim) rates and the number of rows integrated again.
+    at the table's nodes in one call of ``jump``, and the rows the table has
+    not settled (``ShellTable.unsettled``) are refined by one ``nu_integral``
+    of them all; a non-finite row stays non-finite.  The open range is one
+    ``nu_integral`` of all rows.  A ``nu_integral`` calls ``jump`` once per
+    level of each shell, on its rows repeated at that level's nodes.
+    Returns the (P, dim) rates and the number of rows refined.
     """
-    p_count = X.shape[0]
     if shells is None:
-        rows = [_adaptive_rate(jump, targs, X[p : p + 1], spec, False) for p in range(p_count)]
-        return np.stack(rows), 0
+        return levy.nu_integral(spec, _rows_integrand(jump, targs, X), use_delta=False).reshape(X.shape), 0
     table, nodes = shells
-    k = table.nodes.size
+    p_count, k = X.shape[0], table.nodes.size
     values = _as_float(jump(*targs, np.repeat(X, k, axis=0), nodes), (p_count, k, -1))
     rate = table.weights @ values
-    spread = table.spread @ values
-    unsettled = _unsettled(rate, spread)
-    if not unsettled.any():
-        return rate, 0
-    redo = np.flatnonzero(unsettled.any(axis=1))
-    for p in redo:
-        rate[p] = _adaptive_rate(jump, targs, X[p : p + 1], spec, True)
+    redo = np.flatnonzero(table.unsettled(values.transpose(0, 2, 1), rate, RATE_RTOL).any(axis=1))
+    if redo.size:
+        refined = levy.nu_integral(spec, _rows_integrand(jump, targs, X[redo]), rtol=RATE_RTOL)
+        rate[redo] = refined.reshape(redo.size, -1)
     return rate, redo.size
 
 
@@ -728,7 +713,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     block's shared noise.  Also returns each (system, path)'s first grid step
     with a non-finite state, an (S, P) array with 0 where the path stayed
     finite, and per system the number of compensator rates that fell back
-    from the shell table to adaptive quadrature.
+    from the shell table to ``nu_integral``.
 
     The systems share the grid, the weights, the event table and the far-field
     kernels and transforms; each step makes one near-field product and one

@@ -79,6 +79,27 @@ class TestTimeAverage:
         with pytest.raises(ValueError):
             time_average(lambda t, x: 1.0, np.array([0.0]), 0.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_horizon_by_name(self, horizon):
+        calls = []
+        with pytest.raises(ValueError, match=rf"averaging horizon .*; got {horizon!r}$"):
+            time_average(lambda t, x: calls.append(t) or 1.0, np.array([0.0]), horizon)
+        assert calls == []
+
+    def test_every_component_is_integrated_at_once_on_float_times(self):
+        # one call per node and no more, each on a Python float, for all four entries
+        times = []
+
+        def coefficient(t, x):
+            times.append(t)
+            return np.array([[math.cos(t) ** 2, math.sin(t)], [t, 1.0]])
+
+        value = time_average(coefficient, np.array([0.0]), 3.0)
+        assert all(type(t) is float for t in times) and len(times) % 21 == 0
+        np.testing.assert_allclose(
+            value, [[0.5 + math.sin(6.0) / 12.0, (1.0 - math.cos(3.0)) / 3.0], [1.5, 1.0]], rtol=1e-12
+        )
+
 
 class TestAveragedJumpDrift:
     SPEC = JumpMeasureSpec(gamma=3.0, alpha=0.3, cutoff=0.5)

@@ -217,7 +217,7 @@ class TestBlockedHistory:
         coeffs = CoefficientSet(
             drift=lambda t, x: -x,
             diffusion=lambda t, x: np.full(x.shape + (1,), 0.3),
-            jump=lambda t, x, z: z**2 * x * np.sin(t) ** 2,
+            jump=lambda t, x, z: np.reshape(z, (-1, 1)) ** 2 * x * np.sin(t) ** 2,
             jump_mode=JumpMode.NU_DRIFT,
         )
         grid = TimeGrid(step=0.05, n_steps=130)
@@ -628,14 +628,15 @@ class TestCompensatedBlock:
 
     def test_an_unsettled_rate_counts_one_fallback_per_path(self, block_solves, monkeypatch):
         # |z - 0.1| has a kink inside the shell table: every step's rate is
-        # integrated adaptively once, and counted once per path, as stepping does
+        # refined, all steps by one nu_integral, and counted once per path, as
+        # stepping does
         calls = []
         integral = solver.levy.nu_integral
         monkeypatch.setattr(solver.levy, "nu_integral", lambda *a, **k: calls.append(1) or integral(*a, **k))
         noise = noise_block(self.SPEC, TimeGrid(step=0.02, n_steps=50), 3)
         _, _, fallbacks = self.assert_matches_twin("abs(z-0.1)*x", noise)
         assert fallbacks == [3 * 50]
-        assert len(calls) == 50 + 3 * 50  # one per step here, one per path and step for the twin
+        assert len(calls) == 1 + 50  # one for all steps here, one per step (all paths) for the twin
         assert all(block_solves)
 
     def test_a_time_independent_jump(self, block_solves):
@@ -681,9 +682,9 @@ class TestCompensatedBlock:
         assert all(f is None for f in solved.failures) and block_solves == [True] * 11
         assert np.all(solved.er == 0.0)
 
-    def test_a_nu_drift_rate_is_one_integral_per_step(self, block_solves, monkeypatch):
+    def test_a_nu_drift_rate_is_one_integral_per_solve(self, block_solves, monkeypatch):
         # a NU_DRIFT linear expression with no closed form: its (0, cutoff)
-        # rate is integrated once per step for all paths, not once per path
+        # rates are one integral for all steps and paths; stepped, one per step
         calls = []
         integral = solver.levy.nu_integral
         monkeypatch.setattr(solver.levy, "nu_integral", lambda *a, **k: calls.append(1) or integral(*a, **k))
@@ -692,8 +693,8 @@ class TestCompensatedBlock:
         noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=20), 3, include_jumps=False)
         args = (noise, np.array([0.4]), 0.3, 0.7)
         states, failed, _ = _solve_block((coeffs,), *args)
-        assert len(calls) == 20 and block_solves == [True]
+        assert len(calls) == 1 and block_solves == [True]
         ref, ref_failed, _ = _solve_block((stepped,), *args)
-        assert len(calls) == 20 + 3 * 20
+        assert len(calls) == 1 + 20
         np.testing.assert_array_equal(failed, ref_failed)
         assert np.all(np.abs(states - ref) <= 1e-12 * (1.0 + np.abs(ref)))

@@ -393,8 +393,8 @@ class TestAverage:
         assert report["envelope"]["decay_flags"]["alpha1"] == "all_zero"
 
     def test_time_power_overflows_to_inf(self, tmp_path, capsys):
-        # quad hands t over as a Python float; t**200 must overflow to inf,
-        # not raise OverflowError
+        # time_average hands t over as a Python float; t**200 must overflow
+        # to inf, not raise OverflowError
         out = tmp_path / "avg"
         with pytest.warns(RuntimeWarning, match="overflow"):
             code = run_cli(
@@ -406,6 +406,49 @@ class TestAverage:
         assert "time-averaged drift at x0=0.1: inf" in capsys.readouterr().out
         report = json.loads((out / "average" / "hypothesis.json").read_text())
         assert report["envelope"]["alpha1"] == [math.inf] * 3
+
+    def test_compensated_problem_has_no_open_range_jump_drift(self, tmp_path, capsys):
+        # z x on alpha 1.7 integrates over [delta, cutoff) only: its integral
+        # over (0, cutoff) diverges, so average prints no jump drift or gamma1
+        out = tmp_path / "avg"
+        code = run_cli(
+            "average", "--problem", "expr", "--drift=-x", "--diffusion", "0.5", "--jump", "z*x",
+            "--jump-mode", "compensated_prm", "--gamma", "1", "--alpha", "1.7", "--cutoff", "0.5",
+            "--delta", "0.01", "--avg-drift=-x", "--avg-diffusion", "0.5", "--horizon", "1",
+            "--step", "0.01", "--t1-grid", "10", "--probes", "0.1,1", "--out", str(out),
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "gamma1" not in captured.out and "jump drift" not in captured.out
+        report = json.loads((out / "average" / "hypothesis.json").read_text())
+        assert report["spec_params"]["alpha"] == 1.7 and report["lipschitz_estimate"] > 0.0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--avg-horizon", "inf"), ("--avg-horizon", "nan"), ("--t1-grid", "inf")]
+    )
+    def test_non_finite_averaging_horizon_exits_2(self, flag, value, tmp_path, capsys):
+        code = run_cli("average", "--case", "a", "--probes", "1.0", flag, value, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid value: averaging horizon must be positive and finite; got {value}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.1,-inf"])
+    def test_non_finite_probe_exits_2_before_any_integral(self, value, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "time_average", lambda *a, **k: calls.append(a))
+        code = run_cli("average", "--case", "a", "--probes", value, "--out", str(tmp_path))
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("invalid value: probe states must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "average"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_x0_exits_2(self, command, value, tmp_path, capsys):
+        code = run_cli(command, "--x0", value, "--out", str(tmp_path), *FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: x0 must be finite; got {value}\n"
+        assert not (tmp_path / command).exists()
 
     def test_single_horizon_insufficient_data(self, tmp_path, capsys):
         out = tmp_path / "avg"

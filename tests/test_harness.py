@@ -84,6 +84,8 @@ class TestConfig:
             dict(bound_c1=-1.0, bound_alphas=(0.1, 0.1, 0.1)),
             dict(horizon=math.inf),
             dict(step=math.nan),
+            dict(x0=math.nan),
+            dict(x0=-math.inf),
         ],
     )
     def test_validation(self, kwargs):

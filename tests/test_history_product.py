@@ -161,7 +161,7 @@ class TestOneHistoryProduct:
         coeffs = CoefficientSet(
             drift=lambda t, x: -x,
             diffusion=lambda t, x: np.full(x.shape + (1,), 0.3),
-            jump=lambda t, x, z: z**2 * x * np.sin(t) ** 2,
+            jump=lambda t, x, z: np.reshape(z, (-1, 1)) ** 2 * x * np.sin(t) ** 2,
             jump_mode=JumpMode.NU_DRIFT,
         )
         grid = TimeGrid(step=0.05, n_steps=20)

@@ -1,21 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from fracavg import levy
-from fracavg.errors import ConfigError, DivergenceError
+from fracavg.errors import ConfigError, ConvergenceError, DivergenceError
 from fracavg.levy import (
     JumpMeasureSpec,
     NoiseBlock,
     NoiseRealization,
     TimeGrid,
+    gauss_kronrod,
     noise_stream,
     nu_integral,
-    nu_integral_vector,
     sample_noise,
     shell_table,
 )
@@ -23,8 +23,19 @@ from fracavg.levy import (
 SPEC = JumpMeasureSpec(gamma=3.0, alpha=0.3, cutoff=0.5, delta=0.01)
 
 # closed form gamma/alpha * (delta^-alpha - cutoff^-alpha), cross-checked
-# against direct quadrature of the density below
+# against mpmath quadrature of the density below
 LAMBDA_DELTA = 27.499272921900562
+
+
+def mp_nu_integral(spec, integrand, points=()):
+    """Integral of an mpmath integrand against the measure over [delta, cutoff)
+    at 30 digits, split at the half-shell cuts and at ``points``."""
+    cuts = sorted({*levy._half_shell_cuts(spec.cutoff, spec.delta).tolist(), *points})
+    with mpmath.workdps(30):
+        alpha = mpmath.mpf(spec.alpha)
+        return float(mpmath.quad(
+            lambda z: integrand(z) * spec.gamma * z ** (-1 - alpha), [mpmath.mpf(c) for c in cuts]
+        ))
 
 
 class TestJumpMeasureSpec:
@@ -32,7 +43,7 @@ class TestJumpMeasureSpec:
         assert SPEC.simulated_intensity == pytest.approx(LAMBDA_DELTA, rel=1e-13)
 
     def test_intensity_matches_quadrature_oracle(self):
-        oracle = quad(lambda x: 3.0 * x**-1.3, 0.01, 0.5, epsrel=1e-12)[0]
+        oracle = mp_nu_integral(SPEC, lambda x: 1)
         assert SPEC.simulated_intensity == pytest.approx(oracle, rel=1e-10)
 
     def test_default_delta(self):
@@ -255,23 +266,26 @@ class TestShellTable:
 
     @pytest.mark.parametrize("spec", SPECS, ids=["alpha0.3", "alpha0.8", "alpha1.7"])
     @pytest.mark.parametrize(
-        "integrand",
+        "integrand, oracle",
         [
-            lambda z: z**3 - 2.0 * z + 1.0,
-            lambda z: z**2.45,
-            lambda z: z * np.sin(30.0 * z),
-            np.exp,
+            (lambda z: z**3 - 2.0 * z + 1.0, lambda z: z**3 - 2 * z + 1),
+            (lambda z: z**2.45, lambda z: z ** mpmath.mpf(2.45)),
+            (lambda z: z * np.sin(30.0 * z), lambda z: z * mpmath.sin(30 * z)),
+            (np.exp, mpmath.exp),
         ],
         ids=["polynomial", "power_law", "oscillatory", "exponential"],
     )
-    def test_matches_adaptive_quadrature(self, spec, integrand):
+    def test_matches_adaptive_quadrature(self, spec, integrand, oracle):
         table = shell_table(spec)
         values = integrand(table.nodes)
         fine = table.weights @ values
-        adaptive = nu_integral(spec, lambda z: float(integrand(np.float64(z))), use_delta=True)
-        assert fine == pytest.approx(adaptive, rel=1e-10)
-        # the nested 10-point estimate agrees too, so the solver keeps the table value
+        exact = mp_nu_integral(spec, oracle)
+        assert fine == pytest.approx(exact, rel=1e-10)
+        assert nu_integral(spec, integrand) == pytest.approx(exact, rel=1e-10)
+        # the nested 10-point estimate agrees too, half-shell by half-shell,
+        # so nu_integral and the solver keep the table value
         assert abs(table.spread @ values) <= 1e-10 * abs(fine)
+        assert not table.unsettled(values, fine)
 
     @pytest.mark.parametrize("spec", SPECS, ids=["alpha0.3", "alpha0.8", "alpha1.7"])
     def test_both_rules_exact_for_polynomial_weighted_integrands(self, spec):
@@ -298,13 +312,79 @@ class TestShellTable:
         table = shell_table(SPEC)
         values = np.abs(table.nodes - 0.1)
         assert abs(table.spread @ values) > 1e-10 * abs(table.weights @ values)
+        assert table.unsettled(values, table.weights @ values)
+
+
+class TestGaussKronrod:
+    """The one adaptive integrator: the shell table is its first level."""
+
+    def test_time_integrals_of_every_component_meet_closed_forms(self):
+        calls = []
+
+        def integrand(t):
+            calls.append(t.size)
+            return np.stack([np.cos(t) ** 2, np.sin(t), t**2, np.ones_like(t)], axis=1)
+
+        span = 7.3
+        cuts = np.linspace(0.0, span, 3)
+        value = gauss_kronrod(integrand, cuts, rtol=1e-12, atol=1e-12 * span)
+        exact = [span / 2 + np.sin(2 * span) / 4, 1.0 - np.cos(span), span**3 / 3, span]
+        np.testing.assert_allclose(value, exact, rtol=1e-12, atol=1e-12)
+        assert calls[0] == 2 * 21 and all(n % 21 == 0 for n in calls)
+        # the cuts in either order give the same integral
+        assert gauss_kronrod(lambda t: t**2, cuts[::-1]) == pytest.approx(span**3 / 3, rel=1e-14)
+
+    def test_only_the_failing_half_shell_is_bisected(self):
+        # z sin 30z with alpha 1.7, cutoff 1: the spreads of the half-shells
+        # sum to 1.4e-9 of the integral, though the table value is within
+        # 1e-15 of mpmath.  One half-shell fails the estimate, and its two
+        # halves are the only nodes evaluated again.
+        spec = JumpMeasureSpec(gamma=1.0, alpha=1.7, cutoff=1.0, delta=1e-5)
+        sizes = []
+        value = nu_integral(spec, lambda z: sizes.append(z.size) or z * np.sin(30.0 * z))
+        assert sizes == [shell_table(spec).nodes.size, 2 * 21]
+        exact = mp_nu_integral(spec, lambda z: z * mpmath.sin(30 * z))
+        assert value == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-8, 1e-12])
+    def test_rtol_is_honoured_on_the_simulation_range(self, rtol):
+        sizes = []
+        value = nu_integral(SPEC, lambda z: sizes.append(z.size) or np.abs(z - 0.1), rtol=rtol)
+        exact = mp_nu_integral(SPEC, lambda z: abs(z - mpmath.mpf("0.1")), points=[0.1])
+        assert value == pytest.approx(exact, rel=rtol)
+        # one call per level, each on the new panels only
+        assert len(sizes) <= 25 and sum(sizes) <= {1e-4: 300, 1e-8: 500, 1e-12: 800}[rtol]
+
+    def test_vector_integrand_over_the_open_range(self):
+        # each component extrapolates its own geometric tail; a zero one stays
+        # 0, and an infinite one keeps its sum without holding the others back
+        p = SPEC.alpha + 0.5
+        value = nu_integral(
+            SPEC, lambda z: np.stack([2.0 * z**4, 0.0 * z, z**p, np.full_like(z, np.inf)], axis=1),
+            use_delta=False,
+        )
+        closed = [2.0 * 3.0 * 0.5**3.7 / 3.7, 0.0, SPEC.gamma * SPEC.cutoff**0.5 / 0.5]
+        np.testing.assert_allclose(value[:3], closed, rtol=1e-9, atol=0)
+        assert value[1] == 0.0 and value[3] == math.inf
+
+    @pytest.mark.parametrize("use_delta", [True, False])
+    def test_non_finite_integrand_gives_its_sum_at_once(self, use_delta):
+        sizes = []
+        with np.errstate(divide="ignore"):
+            value = nu_integral(SPEC, lambda z: sizes.append(z.size) or 1.0 / (z - z), use_delta=use_delta)
+        assert value == math.inf and len(sizes) == 1
+
+    def test_an_integrand_that_never_settles_is_refused(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            nu_integral(SPEC, lambda z: rng.random(z.size))
 
 
 class TestCompensatorIncrement:
     # the compensator of a step of length dt is dt times the integral of the
     # jump coefficient against the measure over [delta, cutoff)
     def test_zero_function(self):
-        out = nu_integral_vector(SPEC, lambda z: np.zeros(2), dim=2)
+        out = nu_integral(SPEC, lambda z: np.zeros((z.size, 2)))
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_small_delta_limit_matches_full_integral(self):

@@ -24,9 +24,8 @@ from fracavg.solver import (
     CoupledPaths,
     GridPath,
     JumpMode,
-    TABLE_RTOL,
+    RATE_RTOL,
     _Constant,
-    _adaptive_rate,
     _quadrature_rate,
     _solve_block,
     solve_averaged,
@@ -430,10 +429,13 @@ class TestCompensatorTable:
             jump(*targs, np.repeat(X, k, axis=0), np.tile(table.nodes, p_count)), dtype=float
         ).reshape(p_count, k, -1)
         rate = table.weights @ values
-        spread = table.spread @ values
-        redo = np.flatnonzero(np.any(np.abs(spread) > TABLE_RTOL * np.abs(rate), axis=1))
-        for p in redo:
-            rate[p] = _adaptive_rate(jump, targs, X[p : p + 1], spec, True)
+        redo = np.flatnonzero(table.unsettled(values.transpose(0, 2, 1), rate, RATE_RTOL).any(axis=1))
+        if redo.size:  # the unsettled rows together, each column of values one row
+            rows = X[redo]
+            integrand = lambda z: np.asarray(
+                jump(*targs, np.repeat(rows, z.size, axis=0), np.tile(z, len(rows)))
+            ).reshape(len(rows), z.size).T
+            rate[redo] = nu_integral(spec, integrand, rtol=RATE_RTOL)[:, None]
         return rate, redo.size
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
@@ -487,7 +489,7 @@ class TestCompensatorTable:
         solve_coupled(coeffs, averaged, noise, x0=1.0, epsilon=0.5, beta=0.75)
         assert len(calls) == tables
 
-    def test_nu_drift_expression_is_integrated_on_float64_scalars(self):
+    def test_nu_drift_expression_is_integrated_on_node_columns(self):
         # integral of z^2 against the measure over (0, cutoff), in closed form
         spec = self.SPEC
         z2 = spec.gamma * spec.cutoff ** (2.0 - spec.alpha) / (2.0 - spec.alpha)
@@ -495,10 +497,28 @@ class TestCompensatorTable:
         body, args = jump.call.fn, []
         jump.call.fn = lambda *values: args.append(values) or body(*values)
         t = np.float64(0.4)
-        rate = _adaptive_rate(jump, (t,), np.array([[0.7]]), spec, False)
-        assert args and all(type(v) is np.float64 for values in args for v in values)
-        assert rate.shape == (1,)
-        assert rate[0] == pytest.approx(z2 * 0.7 * math.sin(0.4) ** 2, rel=1e-10)
+        rate, redone = _quadrature_rate(jump, (t,), np.array([[0.7]]), spec, None)
+        # one call per shell of the open range, on the row repeated at the shell's nodes
+        assert 0 < len(args) <= 30 and redone == 0
+        for t_arg, x, z in args:
+            assert t_arg == t and type(t_arg) is np.float64
+            assert x.dtype == z.dtype == np.float64 and x.shape == z.shape == (42,)
+            assert np.all(x == 0.7)
+        assert rate.shape == (1, 1)
+        assert rate[0, 0] == pytest.approx(z2 * 0.7 * math.sin(0.4) ** 2, rel=1e-10)
+
+    def test_refining_a_row_calls_the_jump_once_per_level(self):
+        # |z - 0.1| is not settled by the table: nu_integral refines the row,
+        # calling the compiled jump on node columns, not once per node
+        jump = compile_expr("abs(z-0.1)*x", ("t", "x", "z"))
+        body, sizes = jump.call.fn, []
+        jump.call.fn = lambda *values: sizes.append(values[-1].size) or body(*values)
+        table = levy.shell_table(self.SPEC)
+        rate, redone = _quadrature_rate(jump, (0.3,), np.array([[0.7]]), self.SPEC, (table, table.nodes))
+        assert redone == 1
+        assert sizes[0] == sizes[1] == table.nodes.size  # the table, then nu_integral's first level
+        assert len(sizes) <= 20 and sum(sizes) <= 5 * table.nodes.size
+        assert rate[0, 0] == pytest.approx(0.7 * self.kink_rate(self.SPEC), rel=1e-10)
 
 
 class TestCoefficientResults:
