@@ -27,6 +27,11 @@ from .solver import AveragedCoefficientSet, CoefficientSet
 
 _CHUNK = 2.0 * math.pi  # oscillatory coefficients get one first-level panel per period
 
+# A slot's residual at a probe no larger than this many float64 epsilons
+# times the norm of the slot's averaged coefficient there (a few ulps) is
+# the time quadrature's rounding, not a trend: it counts as zero.
+_RESIDUAL_ULPS = 4
+
 # A bound is evaluated through its natural log, a float64 that fixes the bound
 # only to about |log| * 2^-53 relative.  Past this log that is coarser than
 # 1e-10, the accuracy the calculator is held to, and the bound is refused.
@@ -122,11 +127,18 @@ def averaged_jump_drift(
     return time_average(rate, state, horizon, quadrature_tol)
 
 
+def _residual(size: float, scale: float) -> float:
+    """A slot's residual norm ``size``, or 0.0 when it is within
+    _RESIDUAL_ULPS ulps of ``scale``, the norm of the slot's averaged
+    coefficient; an infinite scale floors nothing."""
+    return 0.0 if size <= _RESIDUAL_ULPS * np.finfo(float).eps * scale < math.inf else size
+
+
 def _total_drift_residual(coeffs, averaged, t1, x):
     """Norm of the time-averaged drift mismatch at one probe state."""
     avg_f = time_average(coeffs.drift, x, t1)
-    target = np.asarray(averaged.drift(x), dtype=float)
-    return float(np.linalg.norm((avg_f - target).reshape(-1)))
+    target = np.asarray(averaged.drift(x), dtype=float).reshape(-1)
+    return _residual(float(np.linalg.norm(np.reshape(avg_f, -1) - target)), float(np.linalg.norm(target)))
 
 
 def _as_batches(states) -> list[np.ndarray]:
@@ -176,9 +188,13 @@ def h3_residuals(
 
     where the jump slot compares either the measure-drift rates (when a
     closed-form rate is available on both sides) or the L2(measure) norm of
-    the time-averaged jump-coefficient mismatch.  Suprema over a finite probe
-    set are lower bounds of the true constants; the probe set is echoed in
-    the enclosing report.
+    the time-averaged jump-coefficient mismatch.  Where a slot compares with
+    a value of the averaged coefficient at the probe (the drift, G_bar G_bar'
+    and a closed-form rate), a residual within a few ulps of that value
+    counts as zero: a drift that is its own average reads ``all_zero``
+    whatever the rounding of the time quadrature.  Suprema over a finite
+    probe set are lower bounds of the true constants; the probe set is
+    echoed in the enclosing report.
     """
     if not len(probe_states):
         raise ValueError("probe_states must be nonempty")
@@ -207,7 +223,8 @@ def h3_residuals(
             target_a = _diffusion_square(
                 lambda t, y: averaged.diffusion(y), 0.0, x, averaged.dim, averaged.brownian_dim
             )
-            a2 = max(a2, float(np.linalg.norm(avg_a - target_a, 2)) / (1.0 + nx**2))
+            mismatch = _residual(float(np.linalg.norm(avg_a - target_a, 2)), float(np.linalg.norm(target_a, 2)))
+            a2 = max(a2, mismatch / (1.0 + nx**2))
 
             a3 = max(a3, _jump_slot_residual(coeffs, averaged, spec, t1, x) / (1.0 + nx**2))
         alpha1.append(a1)
@@ -234,8 +251,8 @@ def _jump_slot_residual(coeffs, averaged, spec, t1, x) -> float:
         return 0.0
     if coeffs.jump_drift is not None and averaged.jump_drift is not None:
         avg_rate = time_average(coeffs.jump_drift, x, t1)
-        target = np.asarray(averaged.jump_drift(x), dtype=float)
-        return float(np.linalg.norm((avg_rate - target).reshape(-1)))
+        target = np.asarray(averaged.jump_drift(x), dtype=float).reshape(-1)
+        return _residual(float(np.linalg.norm(np.reshape(avg_rate, -1) - target)), float(np.linalg.norm(target)))
     if spec is None:
         raise ValueError(
             "jump-slot residual needs a JumpMeasureSpec when no closed-form "

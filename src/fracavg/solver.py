@@ -54,13 +54,21 @@ per path); otherwise e = 0.  These tables are built once per solve, and the
 states of a near-field block [n0, n0 + BASE) are a unit lower triangular
 linear system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W
 and V hold the block's lag weights of the two slots and R the X_0 plus
-far-field sums.  Each block is then one ``np.linalg.solve`` per kind of
-system, stacked as (systems, Q) matrices, with Q = P for systems whose e
-differ by path because the noise has events and Q = 1 otherwise, not BASE
-Python steps.
+far-field sums.  A steady system, with no compensated jump and one factor
+f for all steps (such as every affine averaged system without one), has
+the same matrix I - f W in every block: its inverse is formed once per
+solve, by one ``np.linalg.inv`` for all such systems, and each block is
+one matmul by its leading corner.  The choice is made per system, so a
+system is solved as its solo solve solves it.  Every other system is
+LU-solved in each block, by one ``np.linalg.solve`` per kind of system,
+stacked as (systems, Q) matrices, with Q = P for systems whose e differ by
+path because the noise has events and Q = 1 otherwise.  Either way a
+block is a few numpy calls, not BASE Python steps.
 A block whose solve raises LinAlgError or is not all finite is stepped
 instead, from the same far-field sums, with the drift and jumps called as
-any callable is, so failures and masking are those of the step loop.
+any callable is, so failures and masking are those of the step loop; a
+steady system whose inverse raises LinAlgError or is not finite is
+LU-solved instead.
 
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
 of one product over the whole history per step, whether a block is stepped
@@ -87,7 +95,8 @@ Putting both systems' columns into one 2-D near-field product would break
 that: BLAS may round a column differently by its position in the matrix.
 One exception: an affine block in which only another system fails is
 stepped for every system, so there a system that stays finite is within
-1e-12 * (1 + |X|) of its solo solve, not bitwise.
+1e-12 * (1 + |X|) of its solo solve, not bitwise; so is a steady system
+LU-solved because another one's inverse raised LinAlgError.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -608,7 +617,7 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
         del kernels[size]
 
 
-def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, events):
+def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, events, lags):
     """Factor tables, solve groups and fallback counts of an affine solve, built before its loop.
 
     factors[s, j] is c_drift a(t_j) + c_stoch b(t_j), b a NU_DRIFT jump drift
@@ -617,10 +626,19 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
     times.  A compensated ``_Linear`` jump phi(t, z) X has jump factors e_j:
     c_stoch times phi summed over the step's events (``events`` is the event
     table, or None) in the table's order, less h rho(t_j); one row per path
-    when there are events, else one.  The groups pair the systems with no
-    compensated jump with None, and the others with their stacked e (see
-    ``_solve_affine_block``).  A rate the shell table cannot settle counts
-    one fallback per path of each step it serves, as the step loop counts.
+    when there are events, else one.  A rate the shell table cannot settle
+    counts one fallback per path of each step it serves, as the step loop
+    counts.
+
+    The groups are (systems, inverse, e) triples (see
+    ``_solve_affine_block``), decided per system.  A steady system, with no
+    compensated jump and one factor f for all steps, has the same block
+    matrix I - f W in every block (``lags`` is (W, V, I)): the inverses of
+    all steady systems are formed here, by one ``np.linalg.inv`` per solve,
+    and their group carries them stacked.  A steady system whose inverse is
+    not finite (all of them when the stacked inverse raises LinAlgError)
+    and a system whose factor varies are LU-solved in every block (inverse
+    and e None); the systems with a compensated jump carry their stacked e.
     """
     grid = noise.grid
     n_steps, p_count = grid.n_steps, noise.size
@@ -644,12 +662,25 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
             e[:, :n_steps] -= grid.step * rate
             e *= c_stoch
         fallbacks.append(redone * p_count * (1 if targs else n_steps))
-    plain = [s for s in range(len(systems)) if s not in jumps]
-    groups = [(plain, None)] if plain else []
+    w, _, identity = lags
+    free = [s for s in range(len(systems)) if s not in jumps]
+    steady = [s for s in free if (factors[s, :n_steps] == factors[s, 0]).all()]
+    kept = np.zeros(len(steady), dtype=bool)
+    if steady:
+        try:
+            inverse = np.linalg.inv(identity - w * factors[steady, :1, None])
+            kept = np.isfinite(inverse).all(axis=(1, 2))
+        except np.linalg.LinAlgError:  # one is singular: each is LU-solved, as a varying one is
+            pass
+    inverted = [s for s, k in zip(steady, kept) if k]
+    lu = [s for s in free if s not in inverted]
+    groups = [(inverted, inverse[kept], None)] if inverted else []
+    if lu:
+        groups.append((lu, None, None))
     if jumps:
-        groups.append((list(jumps), np.stack(list(jumps.values()))))
+        groups.append((list(jumps), None, np.stack(list(jumps.values()))))
     if len(groups) == 1:  # every system: a view, not a copy, of the system axis
-        groups = [(slice(None), groups[0][1])]
+        groups = [(slice(None),) + groups[0][1:]]
     return factors, groups, fallbacks
 
 
@@ -661,15 +692,21 @@ def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
     is (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
     left-end kernels, and the identity; R is the rows' X_0 plus far-field
     sums, and slot 1 holds the noise terms eta filled before the time loop.
-    ``groups`` are (systems, e) pairs, systems an index of the system axis.
-    With e None the states X solve (I - W diag(f)) X = R + V eta, one solve
-    stacked over the systems.  Otherwise the systems have compensated jumps
-    phi(t, z) X, and e is their (systems, Q, n_steps + 1) table of jump
-    factors (Q = P when they vary by path, else 1): slot 1 of row j is then
-    eta_j + e_j X_j, and X_q solves (I - W diag(f) - V diag(e_q)) X_q = R_q
-    + V eta_q, stacked as (systems, Q).  Writes the states and slot 0 (and
-    slot 1 of compensated systems) and returns True; returns False and
-    writes nothing when a solve raises LinAlgError or a term is not finite.
+    ``groups`` are (systems, inverse, e) triples, systems an index of the
+    system axis.  Without a jump factor the states X solve
+    (I - W diag(f)) X = R + V eta.  A steady group's ``inverse`` holds
+    (I - f W)^-1 of each system, and X is its leading m x m corner times
+    R + V eta, one matmul stacked over the systems: the corner of a lower
+    triangular matrix's inverse is the inverse of its corner, so a short
+    last block needs no other.  With inverse and e None the systems are
+    LU-solved, one ``np.linalg.solve`` stacked over them.  Otherwise the
+    systems have compensated jumps phi(t, z) X, and e is their (systems, Q,
+    n_steps + 1) table of jump factors (Q = P when they vary by path, else
+    1): slot 1 of row j is then eta_j + e_j X_j, and X_q solves
+    (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, stacked as
+    (systems, Q).  Writes the states and slot 0 (and slot 1 of compensated
+    systems) and returns True; returns False and writes nothing when a solve
+    raises LinAlgError or a term is not finite.
     """
     m = f.shape[1]
     stop = n0 + m
@@ -677,19 +714,22 @@ def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
     w, v, identity = lags
     rhs = v[:m, :r] @ history[:, n0 : n0 + r, 1]
     rhs += state_rows[n0:stop].transpose(1, 0, 2)
-    drift = identity[:m, :m] - w[:m, :m] * f[:, None, :]
     x = rhs  # each group's solution replaces its right-hand sides
     jump_rows = []
     try:
-        for index, e in groups:
+        for index, inverse, e in groups:
+            if inverse is not None:
+                x[index] = inverse[:, :m, :m] @ rhs[index]
+                continue
+            drift = identity[:m, :m] - w[:m, :m] * f[index, None, :]
             if e is None:
-                x[index] = np.linalg.solve(drift[index], rhs[index])
+                x[index] = np.linalg.solve(drift, rhs[index])
                 continue
             e = e[:, :, n0:stop]
             s_g, q = e.shape[:2]
             # (systems, Q, m, columns per Q): path q's columns, or all columns when Q = 1
             b = rhs[index].reshape(s_g, m, q, -1).transpose(0, 2, 1, 3)
-            xq = np.linalg.solve(drift[index][:, None] - v[:m, :m] * e[:, :, None, :], b)
+            xq = np.linalg.solve(drift[:, None] - v[:m, :m] * e[:, :, None, :], b)
             x[index] = xq.transpose(0, 2, 1, 3).reshape(s_g, m, -1)
             jumps = (e[:, :, :r, None] * xq[:, :, :r]).transpose(0, 2, 1, 3).reshape(s_g, r, rhs.shape[2])
             jump_rows.append((index, history[index, n0 : n0 + r, 1] + jumps))
@@ -717,18 +757,19 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
 
     The systems share the grid, the weights, the event table and the far-field
     kernels and transforms; each step makes one near-field product and one
-    finiteness test for all of them, and each affine block one solve.  The
-    history is (S, n_steps, 2, P * dim), system outermost, so the near field
-    is a stack of S products (or solves) of the shape a solo solve makes,
-    and each column is a far-field lane of its own: each system's sums are
-    those of a solve of that system alone, bit for bit.
+    finiteness test for all of them, and each affine block one matmul or
+    solve per kind of system.  The history is (S, n_steps, 2, P * dim),
+    system outermost, so the near field is a stack of S products (or
+    solves) of the shape a solo solve makes, and each column is a far-field
+    lane of its own: each system's sums are those of a solve of that system
+    alone, bit for bit.
 
     The time loop runs a near-field block at a time: the far-field square
     ending at the block's first step, then the block.  When every system is
-    affine the block is one stacked solve per kind of system
-    (``_solve_affine_block``) with its slice of the tables that
-    ``_affine_tables`` builds before the loop; otherwise, or when a solve
-    fails, it is stepped: state n, its
+    affine the block is one stacked matmul or solve per kind of system
+    (``_solve_affine_block``) with its slice of the tables and the steady
+    systems' inverses that ``_affine_tables`` builds before the loop;
+    otherwise, or when a solve fails, it is stepped: state n, its
     finiteness test, then history row n, with every coefficient that is not
     a filled ``_Constant`` diffusion called.
 
@@ -816,13 +857,13 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     fallbacks = [0] * s_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if affine:
-            factors, groups, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table)
             # W and V of one near-field block: lag i - l of each slot at (i, l)
             size = min(BASE, n_steps + 1)
             lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
             lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
             lag = np.arange(size)
             lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
+            factors, groups, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table, lags)
 
         event_table = _ = None  # the events' steps serve the tables only: not held through the loop
         for n0 in range(0, n_steps + 1, BASE):

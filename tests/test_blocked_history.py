@@ -378,6 +378,19 @@ def block_solves(monkeypatch):
     return outcomes
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(name, matrix shape) of each ``np.linalg.solve`` (an LU) and ``np.linalg.inv`` call, in call order."""
+    calls = []
+    for name in ("solve", "inv"):
+        def spy(a, *rest, name=name, call=getattr(np.linalg, name)):
+            calls.append((name, a.shape))
+            return call(a, *rest)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
 # eq10's original form: a time-dependent _Linear drift, a folded NU_DRIFT
 # _Linear jump drift and a unit additive noise
 AFFINE = CoefficientSet(
@@ -406,13 +419,17 @@ class TestAffineBlock:
     @pytest.mark.parametrize(
         "n_steps", [40, 2 * solver.BASE, 2 * solver.BASE + 1], ids=["short", "k_base", "k_base_plus_1"]
     )
-    def test_block_boundaries(self, n_steps, block_solves):
+    def test_block_boundaries(self, n_steps, block_solves, linalg_calls):
         # N < BASE is one block holding state N; at N = k BASE the last block
-        # holds state N alone, and at k BASE + 1 state N and one history row
+        # holds state N alone, and at k BASE + 1 state N and one history row.
+        # The factor is constant, so this runs the steady path: every block
+        # is a leading corner of the one inverse, whose size is N + 1 when
+        # N < BASE
         grid = TimeGrid(step=0.03, n_steps=n_steps)
         coeffs = CoefficientSet(drift=_Linear(-0.8), diffusion=_Constant(0.6))
         assert_matches_direct(coeffs, noise_block(None, grid, 3), np.array([0.5]), 0.4, 0.7)
         assert block_solves == [True] * (n_steps // solver.BASE + 1)
+        assert linalg_calls == [("inv", (1,) + (min(solver.BASE, n_steps + 1),) * 2)]
 
     def test_time_dependent_factor(self, block_solves):
         grid = TimeGrid(step=0.01, n_steps=1000)
@@ -431,7 +448,8 @@ class TestAffineBlock:
 
         coeffs = CoefficientSet(drift=_Linear(factor), diffusion=_Constant(1.0))
         noise = noise_block(None, TimeGrid(step=0.01, n_steps=300), 2)
-        factors, _, _ = solver._affine_tables((coeffs,), noise, 0.25, 0.5, None)
+        lags = (np.zeros((solver.BASE,) * 2), None, np.eye(solver.BASE))  # W = 0: the inverse is I
+        factors, _, _ = solver._affine_tables((coeffs,), noise, 0.25, 0.5, None, lags)
         assert shapes == [(300,)]
         np.testing.assert_array_equal(factors[0], np.append(0.25 * factor(noise.grid.times[:300]), 0.0))
         shapes.clear()
@@ -527,6 +545,59 @@ class TestAffineBlock:
         alone, failed, _ = _solve_block((finite,), noise, np.array([0.1]), 1.0, 0.7)
         assert not failed.any()
         assert np.all(np.abs(solved.averaged - alone[:, 0]) <= 1e-12 * (1.0 + np.abs(alone[:, 0])))
+
+    def test_a_steady_system_makes_one_inverse_and_no_lu(self, block_solves, linalg_calls):
+        # mlbench: both systems have one constant factor
+        cfg = ExperimentConfig(problem="mlbench", beta=0.6, x0=1.0, epsilon=1.0, horizon=2.0, step=2e-3).resolved()
+        problem = build_problem(cfg)
+        noise = noise_block(problem.spec, TimeGrid.from_horizon(cfg.horizon, cfg.step), 2)
+        solver.solve_coupled(problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta)
+        assert linalg_calls == [("inv", (2, solver.BASE, solver.BASE))]
+        assert block_solves == [True] * 16
+
+    def test_only_a_time_dependent_factor_is_lu_solved(self, block_solves, linalg_calls):
+        # fig1_a: eq10 case a's original drift 2 cos^2(t) x varies, its
+        # averaged twin's factor does not; N = 1000, so the last block holds 41 states
+        cfg = ExperimentConfig(
+            problem="eq10", case="a", epsilon=1e-3, cutoff=0.5, x0=0.1, horizon=10.0, step=1e-2
+        ).resolved()
+        problem = build_problem(cfg)
+        grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+        noise = noise_block(problem.spec, grid, 3, include_jumps=problem.needs_jump_events)
+        solver.solve_coupled(problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta)
+        lu = [("solve", (1, solver.BASE, solver.BASE))] * 15 + [("solve", (1, 41, 41))]
+        assert linalg_calls == [("inv", (1, solver.BASE, solver.BASE))] + lu
+        assert block_solves == [True] * 16
+
+    @pytest.mark.parametrize(
+        "size, fail_step, solved",
+        [
+            (1e3, 166, [True, True, False, True, True]),  # a finite inverse: the states overflow in block 2
+            (1e300, 2, [False] * 5),  # the inverse raises LinAlgError, and so does each LU
+            (math.inf, 1, [False] * 5),  # the inverse is not finite, and each LU's solution neither
+        ],
+        ids=["overflowing_states", "singular", "non_finite"],
+    )
+    def test_a_steady_factor_that_blows_up_is_stepped(self, size, fail_step, solved, block_solves):
+        # failure steps, systems and solved blocks are those of the LU solve
+        # of every block: the failing blocks are stepped
+        failing = CoefficientSet(drift=_Linear(size), diffusion=_Constant(1.0))
+        finite = solver.AveragedCoefficientSet(drift=_Linear(1.0), diffusion=_Constant(1.0))
+        noise = noise_block(None, TimeGrid(step=0.02, n_steps=300), 3, seed=2)
+        args = (noise, np.array([0.1]), 1.0, 0.7)
+        solved_block = solver.solve_coupled(failing, finite, *args)
+        assert block_solves == solved
+        stepped = solver.solve_coupled(
+            dataclasses.replace(failing, drift=plain(failing.drift)),
+            dataclasses.replace(finite, drift=plain(finite.drift)),
+            *args,
+        )
+        failures = [(e.step, e.time, e.system) if e else None for e in solved_block.failures]
+        assert failures == [(e.step, e.time, e.system) if e else None for e in stepped.failures]
+        assert failures == [(fail_step, noise.grid.times[fail_step], "original")] * 3
+        alone, failed, _ = _solve_block((finite,), noise, np.array([0.1]), 1.0, 0.7)
+        assert not failed.any()
+        assert np.all(np.abs(solved_block.averaged - alone[:, 0]) <= 1e-12 * (1.0 + np.abs(alone[:, 0])))
 
     def test_equal_systems_give_exactly_zero(self, block_solves):
         # acceptance criterion 5 through the block solve

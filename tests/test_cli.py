@@ -392,6 +392,21 @@ class TestAverage:
         assert max(report["envelope"]["alpha1"]) == 0.0
         assert report["envelope"]["decay_flags"]["alpha1"] == "all_zero"
 
+    def test_a_drift_that_is_its_own_average_reads_all_zero(self, tmp_path, capsys):
+        # the time quadrature of -x rounds to one ulp off -x at some probes
+        # and horizons: that residual counts as zero, not as a trend
+        out = tmp_path / "avg"
+        code = run_cli(
+            "average", "--problem", "expr", "--drift=-x", "--diffusion", "0.5", "--jump", "z**2*x*sin(t)**2",
+            "--jump-mode", "deterministic_nu_drift", "--gamma", "1", "--alpha", "0.8", "--cutoff", "0.5",
+            "--avg-drift=-x", "--avg-diffusion", "0.5", "--horizon", "1", "--step", "0.01",
+            "--t1-grid", "10,100", "--probes", "0.1,10", "--out", str(out),
+        )
+        assert code == 0, capsys.readouterr().err
+        envelope = json.loads((out / "average" / "hypothesis.json").read_text())["envelope"]
+        assert envelope["alpha1"] == [0.0, 0.0]
+        assert envelope["decay_flags"]["alpha1"] == "all_zero"
+
     def test_time_power_overflows_to_inf(self, tmp_path, capsys):
         # time_average hands t over as a Python float; t**200 must overflow
         # to inf, not raise OverflowError
