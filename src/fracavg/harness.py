@@ -113,8 +113,8 @@ class ExperimentConfig:
             raise ConfigError(f"save_paths must be >= 0; got {self.save_paths}")
         if not 0.0 < self.lam < 1.0:
             raise ConfigError(f"lam must lie in (0, 1); got {self.lam}")
-        if self.big_l <= 0.0:
-            raise ConfigError(f"big_l must be positive; got {self.big_l}")
+        if not (math.isfinite(self.big_l) and self.big_l > 0.0):
+            raise ConfigError(f"big_l must be positive and finite; got {self.big_l}")
         if (
             self.problem == "expr"
             and self.jump_mode == JumpMode.COMPENSATED.value
@@ -442,7 +442,8 @@ def convergence_study(
 ) -> ErrorReport:
     """Ensembles across a grid of small parameters with common random numbers.
 
-    Requires at least three epsilon values spanning at least two decades.
+    Requires at least three epsilon values in (0, 1] spanning at least two
+    decades; a value outside (0, 1] is refused by name before anything else.
     The headline per-path fields come from the smallest epsilon; the study
     grid, per-epsilon means and confidence half-widths, and the fitted
     log-log slope ride along.  The fit is refused (fitted_rate None with a
@@ -451,6 +452,9 @@ def convergence_study(
     the failed paths of every ensemble, each with its epsilon.
     """
     started = time.perf_counter()
+    for e in epsilons:
+        if not 0.0 < float(e) <= 1.0:
+            raise ConfigError(f"epsilon must lie in (0, 1]; got {float(e)} in the study grid")
     eps = sorted({float(e) for e in epsilons}, reverse=True)
     if len(eps) < 3:
         raise ConfigError(f"a study needs >= 3 distinct epsilon values; got {len(eps)}")

@@ -54,21 +54,21 @@ per path); otherwise e = 0.  These tables are built once per solve, and the
 states of a near-field block [n0, n0 + BASE) are a unit lower triangular
 linear system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W
 and V hold the block's lag weights of the two slots and R the X_0 plus
-far-field sums.  A steady system, with no compensated jump and one factor
-f for all steps (such as every affine averaged system without one), has
-the same matrix I - f W in every block: its inverse is formed once per
-solve, by one ``np.linalg.inv`` for all such systems, and each block is
-one matmul by its leading corner.  The choice is made per system, so a
-system is solved as its solo solve solves it.  Every other system is
-LU-solved in each block, by one ``np.linalg.solve`` per kind of system,
-stacked as (systems, Q) matrices, with Q = P for systems whose e differ by
-path because the noise has events and Q = 1 otherwise.  Either way a
-block is a few numpy calls, not BASE Python steps.
+far-field sums.  How a system is solved is ruled once per solve, for each
+system on its own, so a system is solved as its solo solve solves it.  A
+steady system, with no compensated jump and one factor f for all steps
+(such as every affine averaged system without one), has the same matrix
+I - f W in every block: its own ``np.linalg.inv`` forms the inverse once
+per solve, and each block is one matmul by its leading corner.  Every
+other system, and a steady one whose inverse raises LinAlgError or is not
+finite, is LU-solved in each block: one ``np.linalg.solve`` of the
+equation above, stacked over q, with e one zero row for a system without
+a compensated jump, and Q = P rows for a compensated one whose e differ by
+path because the noise has events (Q = 1 otherwise).  Either way a block
+is a few numpy calls per system, not BASE Python steps.
 A block whose solve raises LinAlgError or is not all finite is stepped
 instead, from the same far-field sums, with the drift and jumps called as
-any callable is, so failures and masking are those of the step loop; a
-steady system whose inverse raises LinAlgError or is not finite is
-LU-solved instead.
+any callable is, so failures and masking are those of the step loop.
 
 Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
 of one product over the whole history per step, whether a block is stepped
@@ -82,7 +82,7 @@ is recorded, per system.
 
 Systems stepped together share the weights, the event table, the far-field
 kernels and transforms, one near-field product and one finiteness test per
-step (or one stacked block solve).  The history is laid out system
+step (or per block solve).  The history is laid out system
 outermost, (systems, N, 2, P * dim), and the states (N + 1, systems, P,
 dim): the near field is then a stack of per-system products or solves, each
 of the shape a solve of that system alone makes.
@@ -95,8 +95,7 @@ Putting both systems' columns into one 2-D near-field product would break
 that: BLAS may round a column differently by its position in the matrix.
 One exception: an affine block in which only another system fails is
 stepped for every system, so there a system that stays finite is within
-1e-12 * (1 + |X|) of its solo solve, not bitwise; so is a steady system
-LU-solved because another one's inverse raised LinAlgError.
+1e-12 * (1 + |X|) of its solo solve, not bitwise.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -618,7 +617,7 @@ def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dic
 
 
 def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, events, lags):
-    """Factor tables, solve groups and fallback counts of an affine solve, built before its loop.
+    """Factor tables, block rules and fallback counts of an affine solve, built before its loop.
 
     factors[s, j] is c_drift a(t_j) + c_stoch b(t_j), b a NU_DRIFT jump drift
     or a NU_DRIFT ``_Linear`` jump's rate, and 0 for state n_steps, which has
@@ -626,35 +625,35 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
     times.  A compensated ``_Linear`` jump phi(t, z) X has jump factors e_j:
     c_stoch times phi summed over the step's events (``events`` is the event
     table, or None) in the table's order, less h rho(t_j); one row per path
-    when there are events, else one.  A rate the shell table cannot settle
-    counts one fallback per path of each step it serves, as the step loop
-    counts.
+    when there are events, else one.  A system without a compensated jump
+    has one zero row.  A rate the shell table cannot settle counts one
+    fallback per path of each step it serves, as the step loop counts.
 
-    The groups are (systems, inverse, e) triples (see
-    ``_solve_affine_block``), decided per system.  A steady system, with no
-    compensated jump and one factor f for all steps, has the same block
-    matrix I - f W in every block (``lags`` is (W, V, I)): the inverses of
-    all steady systems are formed here, by one ``np.linalg.inv`` per solve,
-    and their group carries them stacked.  A steady system whose inverse is
-    not finite (all of them when the stacked inverse raises LinAlgError)
-    and a system whose factor varies are LU-solved in every block (inverse
-    and e None); the systems with a compensated jump carry their stacked e.
+    Each system's rule is an (inverse, e) pair (see ``_solve_affine_block``).
+    A steady system, with no compensated jump and one factor f for all
+    steps, has the same block matrix I - f W in every block (``lags`` is
+    (W, V, I)), and its inverse is formed here, by its own
+    ``np.linalg.inv``.  Every other system, and a steady one whose inverse
+    raises LinAlgError or is not finite, has inverse None: it is LU-solved
+    in every block.
     """
     grid = noise.grid
     n_steps, p_count = grid.n_steps, noise.size
+    w, _, identity = lags
     factors = np.zeros((len(systems), n_steps + 1))
-    jumps, fallbacks = {}, []
+    rules, fallbacks = [], []
     for s, coeffs in enumerate(systems):
         targs = (grid.times[:n_steps],) if coeffs.time_dependent else ()
         factors[s, :n_steps] += c_drift * coeffs.drift.at(*targs)
-        redone = 0
+        redone, steady = 0, True  # steady until a compensated jump or a varying factor shows
+        e = np.zeros((1, n_steps + 1))
         if coeffs.jump_drift is not None:
             factors[s, :n_steps] += c_stoch * coeffs.jump_drift.at(*targs)
         elif coeffs.jump is not None and coeffs.jump_mode == JumpMode.NU_DRIFT:
             factors[s, :n_steps] += c_stoch * _jump_rates(coeffs.jump, targs, noise.spec, False)[0]
         elif coeffs.jump is not None:
             rate, redone = _jump_rates(coeffs.jump, targs, noise.spec, True)
-            e = jumps[s] = np.zeros((1 if events is None else p_count, n_steps + 1))
+            steady, e = False, np.zeros((1 if events is None else p_count, n_steps + 1))
             if events is not None:
                 ev_path, ev_time, ev_mark, ev_step = events[:4]
                 phi = coeffs.jump.at(*((ev_time,) if coeffs.time_dependent else ()), ev_mark)
@@ -662,29 +661,18 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
             e[:, :n_steps] -= grid.step * rate
             e *= c_stoch
         fallbacks.append(redone * p_count * (1 if targs else n_steps))
-    w, _, identity = lags
-    free = [s for s in range(len(systems)) if s not in jumps]
-    steady = [s for s in free if (factors[s, :n_steps] == factors[s, 0]).all()]
-    kept = np.zeros(len(steady), dtype=bool)
-    if steady:
-        try:
-            inverse = np.linalg.inv(identity - w * factors[steady, :1, None])
-            kept = np.isfinite(inverse).all(axis=(1, 2))
-        except np.linalg.LinAlgError:  # one is singular: each is LU-solved, as a varying one is
-            pass
-    inverted = [s for s, k in zip(steady, kept) if k]
-    lu = [s for s in free if s not in inverted]
-    groups = [(inverted, inverse[kept], None)] if inverted else []
-    if lu:
-        groups.append((lu, None, None))
-    if jumps:
-        groups.append((list(jumps), None, np.stack(list(jumps.values()))))
-    if len(groups) == 1:  # every system: a view, not a copy, of the system axis
-        groups = [(slice(None),) + groups[0][1:]]
-    return factors, groups, fallbacks
+        inverse = None
+        if steady and (factors[s, :n_steps] == factors[s, 0]).all():
+            try:
+                inverse = np.linalg.inv(identity - w * factors[s, 0])
+            except np.linalg.LinAlgError:  # singular: LU-solved, as a varying factor is
+                pass
+        finite = inverse is not None and np.isfinite(inverse).all()
+        rules.append((inverse if finite else None, e))
+    return factors, rules, fallbacks
 
 
-def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
+def _solve_affine_block(f, rules, n0: int, state_rows, history, lags) -> bool:
     """Solve the states [n0, n0 + m) of one near-field block of affine systems at once.
 
     ``f`` is the block's (systems, m) slice of the solve's factor table: slot
@@ -692,21 +680,17 @@ def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
     is (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
     left-end kernels, and the identity; R is the rows' X_0 plus far-field
     sums, and slot 1 holds the noise terms eta filled before the time loop.
-    ``groups`` are (systems, inverse, e) triples, systems an index of the
-    system axis.  Without a jump factor the states X solve
-    (I - W diag(f)) X = R + V eta.  A steady group's ``inverse`` holds
-    (I - f W)^-1 of each system, and X is its leading m x m corner times
-    R + V eta, one matmul stacked over the systems: the corner of a lower
+    ``rules`` holds one (inverse, e) pair per system, and the systems are
+    solved one after another.  A steady system's ``inverse`` is (I - f W)^-1,
+    and X is its leading m x m corner times R + V eta: the corner of a lower
     triangular matrix's inverse is the inverse of its corner, so a short
-    last block needs no other.  With inverse and e None the systems are
-    LU-solved, one ``np.linalg.solve`` stacked over them.  Otherwise the
-    systems have compensated jumps phi(t, z) X, and e is their (systems, Q,
-    n_steps + 1) table of jump factors (Q = P when they vary by path, else
-    1): slot 1 of row j is then eta_j + e_j X_j, and X_q solves
-    (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, stacked as
-    (systems, Q).  Writes the states and slot 0 (and slot 1 of compensated
-    systems) and returns True; returns False and writes nothing when a solve
-    raises LinAlgError or a term is not finite.
+    last block needs no other.  Any other system has inverse None and its
+    (Q, n_steps + 1) table e of jump factors (Q = P when they vary by path,
+    else 1; one zero row without a compensated jump): slot 1 of row j is
+    eta_j + e_j X_j, and X_q solves (I - W diag(f) - V diag(e_q)) X_q = R_q
+    + V eta_q, one ``np.linalg.solve`` stacked over q.  Writes the states
+    and both slots and returns True; returns False and writes nothing when a
+    solve raises LinAlgError or a term is not finite.
     """
     m = f.shape[1]
     stop = n0 + m
@@ -714,35 +698,29 @@ def _solve_affine_block(f, groups, n0: int, state_rows, history, lags) -> bool:
     w, v, identity = lags
     rhs = v[:m, :r] @ history[:, n0 : n0 + r, 1]
     rhs += state_rows[n0:stop].transpose(1, 0, 2)
-    x = rhs  # each group's solution replaces its right-hand sides
-    jump_rows = []
+    x = rhs  # each system's solution replaces its right-hand sides
+    noise = history[:, n0 : n0 + r, 1].copy()
     try:
-        for index, inverse, e in groups:
+        for s, (inverse, e) in enumerate(rules):
             if inverse is not None:
-                x[index] = inverse[:, :m, :m] @ rhs[index]
+                x[s] = inverse[:m, :m] @ rhs[s]
                 continue
-            drift = identity[:m, :m] - w[:m, :m] * f[index, None, :]
-            if e is None:
-                x[index] = np.linalg.solve(drift, rhs[index])
-                continue
-            e = e[:, :, n0:stop]
-            s_g, q = e.shape[:2]
-            # (systems, Q, m, columns per Q): path q's columns, or all columns when Q = 1
-            b = rhs[index].reshape(s_g, m, q, -1).transpose(0, 2, 1, 3)
-            xq = np.linalg.solve(drift[:, None] - v[:m, :m] * e[:, :, None, :], b)
-            x[index] = xq.transpose(0, 2, 1, 3).reshape(s_g, m, -1)
-            jumps = (e[:, :, :r, None] * xq[:, :, :r]).transpose(0, 2, 1, 3).reshape(s_g, r, rhs.shape[2])
-            jump_rows.append((index, history[index, n0 : n0 + r, 1] + jumps))
+            e = e[:, n0:stop]
+            q = len(e)
+            # (Q, m, columns per Q): path q's columns, or all columns when Q = 1
+            b = rhs[s].reshape(m, q, -1).transpose(1, 0, 2)
+            xq = np.linalg.solve(identity[:m, :m] - w[:m, :m] * f[s] - v[:m, :m] * e[:, None, :], b)
+            x[s] = xq.transpose(1, 0, 2).reshape(m, -1)
+            noise[s] += (e[:, :r, None] * xq[:, :r]).transpose(1, 0, 2).reshape(noise.shape[1:])
     except np.linalg.LinAlgError:
         return False
     rows = f[:, :r, None] * x[:, :r]
-    total = x.sum() + rows.sum() + sum(noise.sum() for _, noise in jump_rows)
+    total = x.sum() + rows.sum() + noise.sum()
     if not math.isfinite(total):  # also when a finite sum overflows: then the steps decide
         return False
     state_rows[n0:stop] = x.transpose(1, 0, 2)
     history[:, n0 : n0 + r, 0] = rows
-    for index, noise in jump_rows:
-        history[index, n0 : n0 + r, 1] = noise
+    history[:, n0 : n0 + r, 1] = noise
     return True
 
 
@@ -758,17 +736,17 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     The systems share the grid, the weights, the event table and the far-field
     kernels and transforms; each step makes one near-field product and one
     finiteness test for all of them, and each affine block one matmul or
-    solve per kind of system.  The history is (S, n_steps, 2, P * dim),
-    system outermost, so the near field is a stack of S products (or
-    solves) of the shape a solo solve makes, and each column is a far-field
-    lane of its own: each system's sums are those of a solve of that system
-    alone, bit for bit.
+    LU solve per system.  The history is (S, n_steps, 2, P * dim), system
+    outermost, so the near field is a stack of S products (or one solve
+    per system) of the shape a solo solve makes, and each column is a
+    far-field lane of its own: each system's sums are those of a solve of
+    that system alone, bit for bit.
 
     The time loop runs a near-field block at a time: the far-field square
     ending at the block's first step, then the block.  When every system is
-    affine the block is one stacked matmul or solve per kind of system
-    (``_solve_affine_block``) with its slice of the tables and the steady
-    systems' inverses that ``_affine_tables`` builds before the loop;
+    affine the block is one matmul or LU solve per system
+    (``_solve_affine_block``), by its slice of the tables and the rule of
+    each system that ``_affine_tables`` builds before the loop;
     otherwise, or when a solve fails, it is stepped: state n, its
     finiteness test, then history row n, with every coefficient that is not
     a filled ``_Constant`` diffusion called.
@@ -863,14 +841,14 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
             lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
             lag = np.arange(size)
             lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
-            factors, groups, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table, lags)
+            factors, rules, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table, lags)
 
         event_table = _ = None  # the events' steps serve the tables only: not held through the loop
         for n0 in range(0, n_steps + 1, BASE):
             if n0:
                 _add_far_field(state_rows, history, weights, n0, n0 & -n0, kernels)
             stop = min(n0 + BASE, n_steps + 1)
-            if affine and _solve_affine_block(factors[:, n0:stop], groups, n0, state_rows, history, lags):
+            if affine and _solve_affine_block(factors[:, n0:stop], rules, n0, state_rows, history, lags):
                 continue
             # step by step: state n, its finiteness, then history row n
             for n in range(n0, stop):

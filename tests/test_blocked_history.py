@@ -422,14 +422,14 @@ class TestAffineBlock:
     def test_block_boundaries(self, n_steps, block_solves, linalg_calls):
         # N < BASE is one block holding state N; at N = k BASE the last block
         # holds state N alone, and at k BASE + 1 state N and one history row.
-        # The factor is constant, so this runs the steady path: every block
-        # is a leading corner of the one inverse, whose size is N + 1 when
-        # N < BASE
+        # The factor is constant, so this runs the steady path: one inverse
+        # per steady system (here one), no LU, and every block is a leading
+        # corner of that inverse, whose size is N + 1 when N < BASE
         grid = TimeGrid(step=0.03, n_steps=n_steps)
         coeffs = CoefficientSet(drift=_Linear(-0.8), diffusion=_Constant(0.6))
         assert_matches_direct(coeffs, noise_block(None, grid, 3), np.array([0.5]), 0.4, 0.7)
         assert block_solves == [True] * (n_steps // solver.BASE + 1)
-        assert linalg_calls == [("inv", (1,) + (min(solver.BASE, n_steps + 1),) * 2)]
+        assert linalg_calls == [("inv", (min(solver.BASE, n_steps + 1),) * 2)]
 
     def test_time_dependent_factor(self, block_solves):
         grid = TimeGrid(step=0.01, n_steps=1000)
@@ -547,17 +547,20 @@ class TestAffineBlock:
         assert np.all(np.abs(solved.averaged - alone[:, 0]) <= 1e-12 * (1.0 + np.abs(alone[:, 0])))
 
     def test_a_steady_system_makes_one_inverse_and_no_lu(self, block_solves, linalg_calls):
-        # mlbench: both systems have one constant factor
+        # mlbench: both systems have one constant factor, so one inverse
+        # per steady system (two) and no LU
         cfg = ExperimentConfig(problem="mlbench", beta=0.6, x0=1.0, epsilon=1.0, horizon=2.0, step=2e-3).resolved()
         problem = build_problem(cfg)
         noise = noise_block(problem.spec, TimeGrid.from_horizon(cfg.horizon, cfg.step), 2)
         solver.solve_coupled(problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta)
-        assert linalg_calls == [("inv", (2, solver.BASE, solver.BASE))]
+        assert linalg_calls == [("inv", (solver.BASE, solver.BASE))] * 2
         assert block_solves == [True] * 16
 
     def test_only_a_time_dependent_factor_is_lu_solved(self, block_solves, linalg_calls):
         # fig1_a: eq10 case a's original drift 2 cos^2(t) x varies, its
-        # averaged twin's factor does not; N = 1000, so the last block holds 41 states
+        # averaged twin's factor does not: one inverse per steady system (the
+        # averaged one) and one LU per block for the other, its one zero row of
+        # jump factors making Q = 1; N = 1000, so the last block holds 41 states
         cfg = ExperimentConfig(
             problem="eq10", case="a", epsilon=1e-3, cutoff=0.5, x0=0.1, horizon=10.0, step=1e-2
         ).resolved()
@@ -566,7 +569,7 @@ class TestAffineBlock:
         noise = noise_block(problem.spec, grid, 3, include_jumps=problem.needs_jump_events)
         solver.solve_coupled(problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta)
         lu = [("solve", (1, solver.BASE, solver.BASE))] * 15 + [("solve", (1, 41, 41))]
-        assert linalg_calls == [("inv", (1, solver.BASE, solver.BASE))] + lu
+        assert linalg_calls == [("inv", (solver.BASE, solver.BASE))] + lu
         assert block_solves == [True] * 16
 
     @pytest.mark.parametrize(
@@ -690,12 +693,14 @@ class TestCompensatedBlock:
         assert starts == [0, 1, 1, 4, 4, 4, 4, 4] and ends == [1, 1, 4, 4, 4, 4, 4, 7]
 
     def test_without_events_one_matrix_serves_every_path(self, block_solves, monkeypatch):
+        # no inverse for a compensated system: one LU per block, of one (Q = 1)
+        # matrix for all paths
         shapes = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
         noise = noise_block(self.SPEC, TimeGrid(step=0.01, n_steps=300), 3, include_jumps=False)
         self.assert_matches_twin("z*x*sin(t)**2", noise)
-        assert all(block_solves) and shapes[0] == (1, 1, 64, 64)
+        assert all(block_solves) and shapes[0] == (1, 64, 64)
 
     def test_an_unsettled_rate_counts_one_fallback_per_path(self, block_solves, monkeypatch):
         # |z - 0.1| has a kink inside the shell table: every step's rate is

@@ -559,6 +559,14 @@ class TestStudy:
         assert code == 2
         assert "3" in capsys.readouterr().err
 
+    def test_zero_epsilon_exits_2_without_a_run_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = run_cli("study", "--epsilons", "0.1,0.01,0", "--out", str(out), *FAST)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: epsilon must lie in (0, 1]; got 0.0 in the study grid"]
+        assert not out.exists()
+
     def test_small_study_prints_slope(self, tmp_path, capsys):
         out = tmp_path / "study"
         code = run_cli(

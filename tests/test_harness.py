@@ -86,6 +86,8 @@ class TestConfig:
             dict(step=math.nan),
             dict(x0=math.nan),
             dict(x0=-math.inf),
+            dict(big_l=math.inf),
+            dict(big_l=math.nan),
         ],
     )
     def test_validation(self, kwargs):
@@ -420,6 +422,14 @@ class TestConvergenceStudy:
     def test_needs_two_decades(self):
         with pytest.raises(ConfigError):
             convergence_study(TINY, [1e-2, 5e-3, 1e-3])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3], ids=["zero", "negative"])
+    def test_an_epsilon_outside_the_unit_interval_is_refused_first(self, bad, tmp_path, monkeypatch):
+        # refused by its value before the grid's span is computed or any ensemble runs
+        monkeypatch.setattr(harness, "_ensemble", lambda cfg: pytest.fail("an ensemble ran"))
+        with pytest.raises(ConfigError, match=rf"^epsilon must lie in \(0, 1\]; got {bad} "):
+            convergence_study(TINY, [0.1, 0.01, bad], out_dir=tmp_path / "study")
+        assert not (tmp_path / "study").exists()
 
     def test_slope_on_small_grid(self):
         report = convergence_study(
