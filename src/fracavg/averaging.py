@@ -32,6 +32,9 @@ _CHUNK = 2.0 * math.pi  # oscillatory coefficients get one first-level panel per
 # the time quadrature's rounding, not a trend: it counts as zero.
 _RESIDUAL_ULPS = 4
 
+# The Mittag-Leffler series of the bound is summed to this relative accuracy.
+_SERIES_TOL = 1e-14
+
 # A bound is evaluated through its natural log, a float64 that fixes the bound
 # only to about |log| * 2^-53 relative.  Past this log that is coarser than
 # 1e-10, the accuracy the calculator is held to, and the bound is refused.
@@ -105,26 +108,21 @@ def _jump_integrand(jump, targs, state):
     return integrand
 
 
-def averaged_jump_drift(
-    spec: JumpMeasureSpec,
-    jump,
-    state,
-    horizon: float,
-    quadrature_tol: float = 1e-12,
-) -> np.ndarray:
+def averaged_jump_drift(spec: JumpMeasureSpec, jump, state, horizon: float) -> np.ndarray:
     """Time average of the jump coefficient's integral against the measure.
 
     This is the deterministic drift the jump term contributes when it
     integrates against the intensity measure itself; the mark integral runs
     over the full (0, cutoff) range, at each time one ``nu_integral`` of all
-    components.
+    components, and the time average is ``time_average``'s at its default
+    tolerance.
     """
     state = np.asarray(state, dtype=float)
 
     def rate(t: float, _x) -> np.ndarray:
         return nu_integral(spec, _jump_integrand(jump, (t,), state), use_delta=False)
 
-    return time_average(rate, state, horizon, quadrature_tol)
+    return time_average(rate, state, horizon)
 
 
 def _residual(size: float, scale: float) -> float:
@@ -134,21 +132,26 @@ def _residual(size: float, scale: float) -> float:
     return 0.0 if size <= _RESIDUAL_ULPS * np.finfo(float).eps * scale < math.inf else size
 
 
-def _total_drift_residual(coeffs, averaged, t1, x):
-    """Norm of the time-averaged drift mismatch at one probe state."""
-    avg_f = time_average(coeffs.drift, x, t1)
-    target = np.asarray(averaged.drift(x), dtype=float).reshape(-1)
-    return _residual(float(np.linalg.norm(np.reshape(avg_f, -1) - target)), float(np.linalg.norm(target)))
+def _slot_residual(coefficient, target, t1, x, order=None) -> float:
+    """The residual of one slot at probe state x: the norm of the average of
+    ``coefficient(t, x)`` over t in [0, t1] less ``target``, the averaged
+    coefficient's value at x, floored by ``_residual``.  With ``order`` None
+    both are compared as flat vectors; otherwise as matrices, in that norm."""
+    shape = (-1,) if order is None else np.shape(target)
+    target = np.asarray(target, dtype=float).reshape(shape)
+    average = np.asarray(time_average(coefficient, x, t1), dtype=float).reshape(shape)
+    return _residual(float(np.linalg.norm(average - target, order)), float(np.linalg.norm(target, order)))
+
+
+def _gram(g, dim: int) -> np.ndarray:
+    """G G' of a diffusion value G, read as a (dim, m) matrix."""
+    g = np.asarray(g, dtype=float).reshape(dim, -1)
+    return g @ g.T
 
 
 def _as_batches(states) -> list[np.ndarray]:
     """Probe states as batches of one, shape (1, dim)."""
     return [np.asarray(x, dtype=float).reshape(1, -1) for x in states]
-
-
-def _diffusion_square(diffusion, t, x, dim, brownian_dim):
-    g = np.asarray(diffusion(t, x), dtype=float).reshape(dim, brownian_dim)
-    return g @ g.T
 
 
 @dataclass(frozen=True)
@@ -188,13 +191,14 @@ def h3_residuals(
 
     where the jump slot compares either the measure-drift rates (when a
     closed-form rate is available on both sides) or the L2(measure) norm of
-    the time-averaged jump-coefficient mismatch.  Where a slot compares with
-    a value of the averaged coefficient at the probe (the drift, G_bar G_bar'
-    and a closed-form rate), a residual within a few ulps of that value
-    counts as zero: a drift that is its own average reads ``all_zero``
-    whatever the rounding of the time quadrature.  Suprema over a finite
-    probe set are lower bounds of the true constants; the probe set is
-    echoed in the enclosing report.
+    the time-averaged jump-coefficient mismatch.  The drift, G G' (in the
+    spectral norm) and a closed-form rate follow one rule, ``_slot_residual``:
+    time-average the slot at the probe, compare with the averaged slot's
+    value there, and count a residual within a few ulps of that value as
+    zero, so a drift that is its own average reads ``all_zero`` whatever the
+    rounding of the time quadrature.  Suprema over a finite probe set are
+    lower bounds of the true constants; the probe set is echoed in the
+    enclosing report.
     """
     if not len(probe_states):
         raise ValueError("probe_states must be nonempty")
@@ -206,26 +210,18 @@ def h3_residuals(
         a1 = a2 = a3 = pw = 0.0
         for x in probes:
             nx = float(np.linalg.norm(x.ravel()))
-            a1 = max(a1, _total_drift_residual(coeffs, averaged, t1, x) / (1.0 + nx))
+            a1 = max(a1, _slot_residual(coeffs.drift, averaged.drift(x), t1, x) / (1.0 + nx))
             pointwise = np.linalg.norm(
                 np.asarray(coeffs.drift(t1, x), dtype=float).reshape(-1)
                 - np.asarray(averaged.drift(x), dtype=float).reshape(-1)
             )
             pw = max(pw, float(pointwise) / (1.0 + nx))
 
-            avg_a = time_average(
-                lambda t, y: _diffusion_square(
-                    coeffs.diffusion, t, y, coeffs.dim, coeffs.brownian_dim
-                ),
-                x,
-                t1,
-            )
-            target_a = _diffusion_square(
-                lambda t, y: averaged.diffusion(y), 0.0, x, averaged.dim, averaged.brownian_dim
-            )
-            mismatch = _residual(float(np.linalg.norm(avg_a - target_a, 2)), float(np.linalg.norm(target_a, 2)))
-            a2 = max(a2, mismatch / (1.0 + nx**2))
-
+            a2 = max(a2, _slot_residual(
+                lambda t, y: _gram(coeffs.diffusion(t, y), coeffs.dim),
+                _gram(averaged.diffusion(x), averaged.dim),
+                t1, x, order=2,
+            ) / (1.0 + nx**2))
             a3 = max(a3, _jump_slot_residual(coeffs, averaged, spec, t1, x) / (1.0 + nx**2))
         alpha1.append(a1)
         alpha2.append(a2)
@@ -250,9 +246,7 @@ def _jump_slot_residual(coeffs, averaged, spec, t1, x) -> float:
     if coeffs.jump is None and coeffs.jump_drift is None:
         return 0.0
     if coeffs.jump_drift is not None and averaged.jump_drift is not None:
-        avg_rate = time_average(coeffs.jump_drift, x, t1)
-        target = np.asarray(averaged.jump_drift(x), dtype=float).reshape(-1)
-        return _residual(float(np.linalg.norm(np.reshape(avg_rate, -1) - target)), float(np.linalg.norm(target)))
+        return _slot_residual(coeffs.jump_drift, averaged.jump_drift(x), t1, x)
     if spec is None:
         raise ValueError(
             "jump-slot residual needs a JumpMeasureSpec when no closed-form "
@@ -320,10 +314,13 @@ def probe_hypotheses(
     """Estimate the Lipschitz/growth constants and the residual envelopes.
 
     The Lipschitz probe takes, over all probe pairs and times, the largest of
-    the squared drift increment, the second-difference of the diffusion
-    square, and the squared-mismatch measure integral of the jump
-    coefficient, each divided by the squared state distance; the growth probe
-    is the analogous supremum against 1 + |x|^2.
+    the squared drift increment |f(x1) - f(x2)|^2, the squared diffusion
+    increment ||G(x1) - G(x2)||^2 (spectral norm), and the squared-mismatch
+    measure integral of the jump coefficient, each divided by the squared
+    state distance; the growth probe is the analogous supremum of |f(x)|^2,
+    ||G(x)||^2 and the jump's squared measure integral against 1 + |x|^2.
+    Without ``probe_states`` the probes are ``default_probe_states``, and
+    without ``times`` 41 times evenly spaced on [0, 10].
     """
     if probe_states is None:
         probe_states = default_probe_states(coeffs.dim)
@@ -336,26 +333,26 @@ def probe_hypotheses(
     c1 = 0.0
     c2 = 0.0
     for t in times:
-        # drift, diffusion and its square at each probe state, once per time
-        probed = []
-        for x in probes:
-            g = np.asarray(coeffs.diffusion(t, x), dtype=float).reshape(coeffs.dim, coeffs.brownian_dim)
-            probed.append((x, np.asarray(coeffs.drift(t, x), dtype=float).reshape(-1), g, g @ g.T))
-        for i, (x1, f1, g1, a11) in enumerate(probed):
-            growth_terms = [float(np.sum(f1**2)), float(np.linalg.norm(a11, 2))]
+        # drift and diffusion at each probe state, once per time
+        probed = [
+            (
+                x,
+                np.asarray(coeffs.drift(t, x), dtype=float).reshape(-1),
+                np.asarray(coeffs.diffusion(t, x), dtype=float).reshape(coeffs.dim, -1),
+            )
+            for x in probes
+        ]
+        for i, (x1, f1, g1) in enumerate(probed):
+            growth_terms = [float(np.sum(f1**2)), float(np.linalg.norm(g1, 2)) ** 2]
             if jumps:
                 growth_terms.append(_square_integral(spec, _jump_integrand(coeffs.jump, (t,), x1)))
             c2 = max(c2, max(growth_terms) / (1.0 + float(np.sum(x1**2))))
 
-            for x2, f2, g2, a22 in probed[i + 1 :]:
+            for x2, f2, g2 in probed[i + 1 :]:
                 dist_sq = float(np.sum((x1 - x2) ** 2))
                 if dist_sq == 0.0:
                     continue
-                a12 = g1 @ g2.T
-                lip_terms = [
-                    float(np.sum((f1 - f2) ** 2)),
-                    float(np.linalg.norm(a11 - a12 - a12.T + a22, 2)),
-                ]
+                lip_terms = [float(np.sum((f1 - f2) ** 2)), float(np.linalg.norm(g1 - g2, 2)) ** 2]
                 if jumps:
                     lip_terms.append(_square_integral(
                         spec,
@@ -437,7 +434,6 @@ def theorem_bound(
     epsilon,
     lam: float = 0.5,
     big_l: float = 1.0,
-    series_tol: float = 1e-14,
 ) -> BoundReport:
     """Evaluate the closeness bound C * epsilon^(1 - lambda) per epsilon.
 
@@ -447,7 +443,8 @@ def theorem_bound(
     constants of the underlying estimate exactly.  The series is evaluated in
     the log domain, so a bound beyond float64 still has its ``log10_bounds``
     entry; ConvergenceError is raised only when even that log is too large to
-    fix the bound to 1e-10 relative, or a constant overflows float64.
+    fix the bound to 1e-10 relative, or a constant overflows float64.  The
+    series is summed to _SERIES_TOL (1e-14) relative.
     """
     order = as_order(beta)
     b = order.beta
@@ -499,7 +496,7 @@ def theorem_bound(
                 k11 * big_l ** (1.0 + b) * eps ** (2.0 - lam - b * lam)
                 + (k21 + k31) * big_l**b * eps ** (1.0 - b * lam)
             ) * gb
-            log_series, n_terms = log_mittag_leffler(b, base, tol=series_tol)
+            log_series, n_terms = log_mittag_leffler(b, base, tol=_SERIES_TOL)
             log_bound = math.log(prefactor) + log_series + (1.0 - lam) * math.log(eps)
             if abs(log_bound) > _MAX_LOG_BOUND:
                 raise ConvergenceError(

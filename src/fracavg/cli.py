@@ -9,7 +9,8 @@ The run commands (simulate, average, study, fig1) name each experiment flag's
 destination after its ExperimentConfig field, and merge config file values,
 then explicit flags, then the command's forced values into one config.  An
 explicit flag that a forced value would replace, such as ``simulate --paths
-2``, is a configuration error.
+2``, or that the command replaces itself, as ``study`` replaces ``--epsilon``
+by each value of its grid, is a configuration error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ def _parse_scalar(text: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Read a flat key=value config file (or a manifest.json) into a dict."""
+    """Read a flat key=value config file (or a manifest.json) into a dict.
+
+    In a flat file, ``none`` (or ``null``) is None for any key.  A string
+    field keeps its value's text, so ``drift_expr = 5`` is the expression
+    "5"; a tuple field reads a comma list of numbers; any other value is
+    read as a bool, int, float or else text, and ExperimentConfig.validate
+    refuses one of the wrong type by its key.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
@@ -73,7 +81,9 @@ def load_config_file(path: str) -> dict:
         if key not in field_types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = _parse_scalar(value)
-        if out[key] is not None and "tuple" in field_types[key]:
+        if out[key] is not None and "str" in field_types[key]:
+            out[key] = value.strip()
+        elif out[key] is not None and "tuple" in field_types[key]:
             out[key] = tuple(_float_list(value))  # a comma list: bound_alphas = 0.05,0.0,0.05
     return out
 
@@ -127,7 +137,8 @@ def _given_values(args, **forced) -> dict:
     if "workers" not in values and args.command in ("study", "fig1"):
         values["workers"] = _default_workers()
     case = values.get("case", ExperimentConfig.case)
-    if values.get("problem", ExperimentConfig.problem) == "eq10" and case in FIG1_CASES:
+    eq10 = values.get("problem", ExperimentConfig.problem) == "eq10"
+    if eq10 and isinstance(case, str) and case in FIG1_CASES:
         for key, preset in zip(("beta", "alpha", "gamma"), FIG1_CASES[case]):
             if key in values and values[key] != preset:
                 raise ConfigError(
@@ -277,6 +288,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_study(args) -> int:
+    # the study replaces epsilon by each value of its grid, so a given one cannot apply
+    if args.epsilon is not None:
+        raise ConfigError(
+            f"study runs each epsilon of --epsilons, so --epsilon {args.epsilon!r} cannot apply"
+        )
     epsilons = _float_list(args.epsilons)
     cfg = _config_from_args(args)
     out = _out_dir(args, "study")

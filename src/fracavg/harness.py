@@ -35,6 +35,12 @@ FAILURE_BUDGET = 0.10
 BLOCK_SIZE = 64
 
 
+# The types of the config fields by annotation (Optional[...] stripped), and
+# how a refusal names them.  A bool is an int to isinstance, and is refused.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "tuple": (tuple, list)}
+_TYPE_NAMES = {"str": "a string", "int": "an integer", "float": "a number", "tuple": "a list"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs, in plain picklable values.
@@ -43,6 +49,9 @@ class ExperimentConfig:
     beta/alpha/gamma); set it to None to supply those directly.
     Expression-problem fields stay None for built-in problems.  ``bound_c1``
     and ``bound_alphas`` (a1, a2, a3) are given together, or not at all.
+    Each field holds a value of its annotated type (a float field also takes
+    an int, and no number field a bool); ``validate`` refuses any other by
+    its key, whether the config came from a file, a manifest or a caller.
     """
 
     problem: str = "eq10"
@@ -74,6 +83,7 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         """Apply case presets and validate; returns a ready-to-run config."""
+        self._check_types()  # before the presets read any value
         cfg = self
         if cfg.problem == "eq10" and cfg.case is not None:
             if cfg.case not in FIG1_CASES:
@@ -92,7 +102,19 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
+    def _check_types(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            optional = f.type.startswith("Optional[")
+            if value is None and optional:
+                continue
+            kind = f.type.removeprefix("Optional[").removesuffix("]")
+            if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool):
+                none = " or none" if optional else ""
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind]}{none}; got {value!r}")
+
     def validate(self) -> None:
+        self._check_types()
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1; got {self.n_paths}")
         if not 0.0 < self.epsilon <= 1.0:
@@ -131,7 +153,7 @@ class ExperimentConfig:
         if self.bound_alphas is not None and not (
             len(self.bound_alphas) == 3
             and all(
-                isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v >= 0.0
                 for v in (self.bound_c1, *self.bound_alphas)
             )
         ):
@@ -449,7 +471,10 @@ def convergence_study(
     log-log slope ride along.  The fit is refused (fitted_rate None with a
     reason) when every pair of per-epsilon confidence intervals overlaps or
     any mean is exactly zero.  The manifest times the whole study and lists
-    the failed paths of every ensemble, each with its epsilon.
+    the failed paths of every ensemble, each with its epsilon.  A study whose
+    ensemble fails its budget (or has its bound refused) writes the manifest
+    of the ensembles solved so far, with that ensemble's config, and no
+    report, then raises.
     """
     started = time.perf_counter()
     for e in epsilons:
@@ -465,9 +490,25 @@ def convergence_study(
 
     configs = {e: dataclasses.replace(base_config, epsilon=e).resolved() for e in eps}
     ensembles, reports = {}, {}
+
+    def record(last: float) -> Ensemble:
+        """The ensembles solved so far as one: the saved paths of the one at
+        epsilon ``last``, and the failures of all, each tagged with its epsilon."""
+        return dataclasses.replace(
+            ensembles[last],
+            failures=[dict(failure, epsilon=k) for k, part in ensembles.items() for failure in part.failures],
+            quadrature_fallbacks=sum(part.quadrature_fallbacks for part in ensembles.values()),
+        )
+
     for e in eps:
         ensembles[e] = _ensemble(configs[e])
-        reports[e] = _aggregate(configs[e], ensembles[e])
+        try:
+            reports[e] = _aggregate(configs[e], ensembles[e])
+        except FracavgError:
+            if out_dir is not None:
+                elapsed = time.perf_counter() - started
+                _write_outputs(configs[e], None, record(e), out_dir, "convergence_study", elapsed)
+            raise
 
     means = [reports[e].mean_sup_sq for e in eps]
     cis = [reports[e].ci_half_width for e in eps]
@@ -484,13 +525,8 @@ def convergence_study(
         ci_by_epsilon=cis,
     )
     if out_dir is not None:
-        study = dataclasses.replace(
-            ensembles[eps[-1]],
-            failures=[dict(failure, epsilon=e) for e in eps for failure in ensembles[e].failures],
-            quadrature_fallbacks=sum(ensembles[e].quadrature_fallbacks for e in eps),
-        )
         elapsed = time.perf_counter() - started
-        _write_outputs(configs[eps[-1]], report, study, out_dir, "convergence_study", elapsed)
+        _write_outputs(configs[eps[-1]], report, record(eps[-1]), out_dir, "convergence_study", elapsed)
     return report
 
 
@@ -503,10 +539,8 @@ def reproduce_fig1(case: str, out_dir, /, **values) -> dict:
     paths/path_000000.csv with columns t, X_1, Z_1, Er); returns the file
     paths.
     """
-    save_paths = max(1, int(values.get("save_paths", 1)))
-    cfg = ExperimentConfig.from_dict(
-        {**values, "problem": "eq10", "case": case, "save_paths": save_paths}
-    )
+    cfg = ExperimentConfig.from_dict({**values, "problem": "eq10", "case": case}).resolved()
+    cfg = dataclasses.replace(cfg, save_paths=max(1, cfg.save_paths))
     run_ensemble(cfg, out_dir=out_dir, command=f"fig1:{case}")
     return {
         "manifest": os.path.join(out_dir, "manifest.json"),

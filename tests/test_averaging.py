@@ -247,6 +247,40 @@ class TestProbeHypotheses:
         assert report.growth_estimate == pytest.approx(400.0 / 101.0, rel=1e-6)
         assert report.envelope.decay_flags["alpha1"] == "decays"
 
+    def test_close_probes_of_a_linear_diffusion_read_its_slope(self):
+        # G = 1 + x: |G(x1) - G(x2)|^2 / |x1 - x2|^2 = 1 for every pair; the
+        # increment is taken of G itself, not as a difference of G G' terms
+        # that cancel to a few ulps of 4 at this spacing
+        coeffs = CoefficientSet.scalar(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0 + x)
+        averaged = AveragedCoefficientSet.scalar(drift=lambda x: 0.0, diffusion=lambda x: 1.0 + x)
+        report = probe_hypotheses(
+            coeffs, averaged, t1_grid=[10.0],
+            probe_states=[np.array([1.0]), np.array([1.0 + 1e-7])], times=[0.0],
+        )
+        assert report.lipschitz_estimate == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_default_probe_states_and_times(self, dim):
+        # f = A x with A = diag(2, 3)[:dim], G = I: the Lipschitz quotient peaks
+        # along the last axis, the growth quotient at its largest probe 100
+        rates = np.array([2.0, 3.0])[:dim]
+        drift = lambda x: x * rates
+        diffusion = lambda x: np.broadcast_to(np.eye(dim), (len(x), dim, dim))
+        coeffs = CoefficientSet(
+            drift=lambda t, x: drift(x), diffusion=lambda t, x: diffusion(x), dim=dim, brownian_dim=dim
+        )
+        averaged = AveragedCoefficientSet(drift=drift, diffusion=diffusion, dim=dim, brownian_dim=dim)
+        report = probe_hypotheses(coeffs, averaged, t1_grid=[10.0])
+        assert len(report.probe_states) == 10 * dim
+        assert sorted({abs(v) for x in report.probe_states for v in x} - {0.0}) == [1e-2, 1e-1, 1.0, 1e1, 1e2]
+        assert report.times == np.linspace(0.0, 10.0, 41).tolist()
+        top = rates[-1] ** 2
+        assert report.lipschitz_estimate == pytest.approx(top, rel=1e-12)
+        assert report.growth_estimate == pytest.approx(top * 1e4 / (1.0 + 1e4), rel=1e-12)
+        flags = report.envelope.decay_flags
+        assert flags == dict.fromkeys(("alpha1", "alpha2", "alpha3"), "insufficient_data")
+        assert report.envelope.alpha1 == report.envelope.alpha2 == report.envelope.alpha3 == [0.0]
+
     def test_json_round_trip(self, tmp_path):
         coeffs, averaged = EnvelopeFixtures.oscillating_pair()
         report = probe_hypotheses(

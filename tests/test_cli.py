@@ -341,6 +341,41 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "simulate").exists()
 
+    EXPR_FILE = "problem = expr\ncase = none\ndiffusion_expr = 1\navg_drift_expr = 5\navg_diffusion_expr = 1\n"
+
+    @pytest.mark.parametrize(
+        "command, name, text, refusal",
+        [
+            ("simulate", "run.conf", EXPR_FILE + "drift_expr = 5\nhorizon = 1\nstep = 0.1\n", None),
+            ("study", "run.conf", "epsilon = small\nn_paths = 2\n", "epsilon must be a number; got 'small'"),
+            ("study", "run.conf", "n_paths = 2.5\n", "n_paths must be an integer; got 2.5"),
+            ("simulate", "manifest.json", '{"effective_config": {"horizon": 1, "step": "0.1"}}',
+             "step must be a number; got '0.1'"),
+            ("simulate", "manifest.json", '{"effective_config": {"case": ["a"]}}',
+             "case must be a string or none; got ['a']"),
+            ("simulate", "run.conf", "master_seed = 1.5\nhorizon = 1\nstep = 0.1\n",
+             "master_seed must be an integer; got 1.5"),
+        ],
+        ids=["expr_text", "epsilon_text", "n_paths_float", "manifest_step_text", "manifest_case_list",
+             "master_seed_float"],
+    )
+    def test_values_of_the_wrong_type(self, command, name, text, refusal, tmp_path, capsys):
+        # a string field keeps the text; a value of the wrong type is refused by its key
+        # before anything runs: exit 2, one config error line, no run directory
+        config = tmp_path / name
+        config.write_text(text)
+        out = tmp_path / "out"
+        extra = ["--epsilons", "0.1,0.01,0.001", "--horizon", "1", "--step", "0.1"] if command == "study" else []
+        code = run_cli(command, "--config", str(config), "--out", str(out), *extra)
+        if refusal is None:
+            assert code == 0
+            manifest = json.loads((out / command / "manifest.json").read_text())
+            assert manifest["effective_config"]["drift_expr"] == "5"
+            return
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {refusal}"]
+        assert not out.exists()
+
     def test_expression_with_a_comma_stays_a_string(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("problem = expr\ndrift_expr = max(x, 0)\njump_expr = min(z, x, 1)\n")
@@ -567,6 +602,23 @@ class TestStudy:
         assert err == ["config error: epsilon must lie in (0, 1]; got 0.0 in the study grid"]
         assert not out.exists()
 
+    def test_explicit_epsilon_exits_2_without_a_run_directory(self, tmp_path, capsys):
+        # the study replaces epsilon by each value of its grid, as simulate replaces --paths
+        out = tmp_path / "runs"
+        code = run_cli("study", "--epsilon", "0.5", "--epsilons", "0.1,0.01,0.001", "--out", str(out), *FAST)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "--epsilon 0.5" in err[0]
+        assert not out.exists()
+        # an epsilon from a config file is replaced silently
+        config = tmp_path / "run.conf"
+        config.write_text("epsilon = 0.5\n")
+        code = run_cli("study", "--config", str(config), "--epsilons", "0.1,0.01,0.001", "--paths", "2",
+                       "--out", str(out), *FAST)
+        assert code == 0
+        manifest = json.loads((out / "study" / "manifest.json").read_text())
+        assert manifest["effective_config"]["epsilon"] == 0.001
+
     def test_small_study_prints_slope(self, tmp_path, capsys):
         out = tmp_path / "study"
         code = run_cli(
@@ -698,6 +750,14 @@ class TestWorkersEnv:
         assert (out / "average" / "hypothesis.json").is_file()
         argv = ["average", "--workers", "3"]
         assert cli._config_from_args(cli.build_parser().parse_args(argv)).workers == 3
+
+    def test_env_var_that_is_no_integer_exits_2_for_study(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FRACAVG_WORKERS", "x")
+        out = tmp_path / "study"
+        code = run_cli("study", "--epsilons", "1e-2,1e-3,1e-4", "--out", str(out), *FAST)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: FRACAVG_WORKERS must be an integer; got 'x'\n"
+        assert not out.exists()
 
     def test_env_var_flows_into_study_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FRACAVG_WORKERS", "2")

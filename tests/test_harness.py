@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 import warnings
 from pathlib import Path
@@ -88,11 +89,39 @@ class TestConfig:
             dict(x0=-math.inf),
             dict(big_l=math.inf),
             dict(big_l=math.nan),
+            dict(save_paths=-1),
+            dict(step=0.0),
+            dict(horizon=-1.0),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             dataclasses.replace(ExperimentConfig(), **kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_paths=2.0), "n_paths must be an integer; got 2.0"),
+            (dict(n_paths=True), "n_paths must be an integer; got True"),
+            (dict(epsilon=False), "epsilon must be a number; got False"),
+            (dict(step="0.1"), "step must be a number; got '0.1'"),
+            (dict(delta="0.1"), "delta must be a number or none; got '0.1'"),
+            (dict(drift_expr=5), "drift_expr must be a string or none; got 5"),
+            (dict(problem=None), "problem must be a string; got None"),
+            (dict(bound_c1=1.0, bound_alphas=(0.1, True, 0.1)), "three bound_alphas"),
+        ],
+        ids=["n_paths_float", "n_paths_bool", "epsilon_bool", "step_text", "delta_text", "drift_expr_int",
+             "problem_none", "bound_alpha_bool"],
+    )
+    def test_wrong_types_are_refused_by_key(self, kwargs, message):
+        cfg = dataclasses.replace(ExperimentConfig(), **kwargs)
+        for check in (cfg.validate, cfg.resolved):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                check()
+
+    def test_an_int_is_a_valid_float(self):
+        cfg = ExperimentConfig(horizon=1, step=0.5, x0=0, cutoff=1).resolved()
+        assert (cfg.horizon, cfg.x0, cfg.delta) == (1, 0, 1 * harness.DEFAULT_DELTA_RATIO)
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(case="b", n_paths=17, bound_alphas=(0.1, 0.2, 0.3))
@@ -460,6 +489,34 @@ class TestConvergenceStudy:
         assert len(spent) == 3
         assert manifest["timing_seconds"] >= sum(spent)
         assert manifest["failures"] == []
+
+    def test_study_that_fails_its_budget_writes_its_manifest(self, tmp_path):
+        # every path fails at epsilon 0.9, the first ensemble solved: the manifest lists
+        # them, each with its epsilon, under that ensemble's config, and no report is written
+        with pytest.raises(RunFailedError, match="30 of 30 paths failed"):
+            convergence_study(FRAGILE, [0.9, 0.3, 0.009], out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "convergence_study"
+        assert manifest["effective_config"]["epsilon"] == 0.9
+        assert [(f["path"], f["epsilon"]) for f in manifest["failures"]] == [(p, 0.9) for p in range(30)]
+        assert os.listdir(tmp_path) == ["manifest.json"]
+
+    def test_refused_study_manifest_covers_the_ensembles_solved_so_far(self, tmp_path, monkeypatch):
+        aggregate = harness._aggregate
+
+        def refuse_the_second(cfg, ensemble):
+            if cfg.epsilon == 0.05:
+                raise RunFailedError("refused")
+            return aggregate(cfg, ensemble)
+
+        monkeypatch.setattr(harness, "_aggregate", refuse_the_second)
+        kinked = dataclasses.replace(COMPENSATED, jump_expr="abs(z-0.1)*x")
+        with pytest.raises(RunFailedError, match="refused"):
+            convergence_study(kinked, [0.5, 0.05, 0.005], out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["effective_config"]["epsilon"] == 0.05
+        assert manifest["counts"] == {"quadrature_fallbacks": 2 * 4 * 10}
+        assert os.listdir(tmp_path) == ["manifest.json"]
 
     def test_manifest_sums_quadrature_fallbacks_over_the_study(self, tmp_path):
         kinked = dataclasses.replace(COMPENSATED, jump_expr="abs(z-0.1)*x")

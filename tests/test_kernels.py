@@ -85,6 +85,11 @@ class TestMittagLeffler:
         with pytest.raises(ConvergenceError):
             mittag_leffler(0.6, 50.0, max_terms=5)
 
+    def test_overflowing_series_raises(self):
+        # the second term is already 1e300 / Gamma(1.6); the sum passes float64 soon after
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            mittag_leffler(0.6, 1e300)
+
     def test_term_count_reported(self):
         value, terms = mittag_leffler_terms(0.75, 1.0)
         assert value == pytest.approx(3.4858662200517439, rel=1e-12)

@@ -426,6 +426,22 @@ class TestRealizationInvariants:
                 master_seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "increments, times, marks, message",
+        [
+            (np.zeros(10), np.empty(0), np.empty(0), "shape"),
+            (np.zeros((10, 1)), np.array([0.1, 0.2]), np.array([0.3]), "parallel"),
+        ],
+        ids=["one_dim_increments", "unequal_jump_arrays"],
+    )
+    def test_shape_refusals(self, increments, times, marks, message):
+        grid = TimeGrid(step=0.1, n_steps=10)
+        with pytest.raises(ValueError, match=message):
+            NoiseRealization(
+                grid=grid, increments=increments, jump_times=times, jump_marks=marks,
+                spec=None, master_seed=0,
+            )
+
     def test_block_holds_its_brownian_noise_once(self):
         grid = TimeGrid(step=0.1, n_steps=40)
         noises = [sample_noise(SPEC, grid, dim=2, seed=21, stream_key=(i,)) for i in range(3)]
