@@ -38,9 +38,7 @@ from .solver import (
     CoupledPaths,
     GridPath,
     JumpMode,
-    solve_averaged,
     solve_coupled,
-    solve_original,
 )
 from .averaging import (
     BoundReport,
@@ -97,9 +95,7 @@ __all__ = [
     "reproduce_fig1",
     "run_ensemble",
     "sample_noise",
-    "solve_averaged",
     "solve_coupled",
-    "solve_original",
     "theorem_bound",
     "time_average",
 ]

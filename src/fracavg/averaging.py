@@ -64,12 +64,12 @@ def time_average(
     The coefficient is called on float times, and every component of its
     result is integrated at once by ``levy.gauss_kronrod``, whose first level
     is one panel per 2 pi of the horizon, to ``quadrature_tol`` of the average
-    or absolutely, whichever is larger.  The output shape matches whatever
-    the coefficient returns: plain float for scalar evaluators, arrays of the
-    same shape for vector- and matrix-valued ones.  With ``with_diagnostic``
-    the average is recomputed over twice the horizon and the relative drift
-    between the two is returned alongside the value; a large drift means the
-    average has not settled and is reported as a warning, never an error.
+    or absolutely, whichever is larger.  The output has the shape of the
+    coefficient's result, such as (1, dim) for a drift at a state given as
+    a batch of one.  With ``with_diagnostic`` the average is recomputed over
+    twice the horizon and the relative drift between the two is returned
+    alongside the value; a large drift means the average has not settled and
+    is reported as a warning, never an error.
     """
     horizon = float(horizon)
     if not (math.isfinite(horizon) and horizon > 0.0):

@@ -10,7 +10,10 @@ destination after its ExperimentConfig field, and merge config file values,
 then explicit flags, then the command's forced values into one config.  An
 explicit flag that a forced value would replace, such as ``simulate --paths
 2``, or that the command replaces itself, as ``study`` replaces ``--epsilon``
-by each value of its grid, is a configuration error.
+by each value of its grid, is a configuration error.  A config file value
+that a command replaces is replaced silently: ``study`` replaces a number
+given as ``epsilon`` in the file by its grid, while one of the wrong type
+(``epsilon = small``) is refused as in any other command.
 """
 
 from __future__ import annotations
@@ -294,7 +297,10 @@ def cmd_study(args) -> int:
             f"study runs each epsilon of --epsilons, so --epsilon {args.epsilon!r} cannot apply"
         )
     epsilons = _float_list(args.epsilons)
-    cfg = _config_from_args(args)
+    values = _given_values(args)
+    if type(values.get("epsilon")) in (int, float):  # a config file's number: the grid replaces it
+        del values["epsilon"]
+    cfg = ExperimentConfig.from_dict(values).resolved()
     out = _out_dir(args, "study")
     report = convergence_study(cfg, epsilons, out_dir=out)
     for eps, mean, ci in zip(report.epsilons, report.mean_by_epsilon, report.ci_by_epsilon):

@@ -314,7 +314,10 @@ def _aggregate(cfg: ExperimentConfig, ensemble: Ensemble) -> ErrorReport:
 
     n = len(sup_sq)
     mean_sq = float(np.mean(sup_sq))
-    ci = float(_Z95 * np.std(sup_sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if mean_sq == math.inf:  # a square past float64 has no finite half-width (np.std gives nan)
+        ci = math.inf
+    else:
+        ci = float(_Z95 * np.std(sup_sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     z_moment = 1.0 + float(np.mean(ensemble.sup_z_sq))
 
     bound_value = bound_log10 = None
@@ -438,11 +441,14 @@ def fit_rate(epsilons, means, cis):
     """Least-squares slope of log(mean) against log(epsilon), or a refusal.
 
     Returns (rate, stderr, degenerate_reason).  The fit is refused when any
-    mean is exactly zero ("zero_error") or when every pair of mean +- ci
-    intervals overlaps ("insufficient_resolution").
+    mean is exactly zero ("zero_error") or not finite ("non_finite_error"),
+    or when every pair of mean +- ci intervals overlaps
+    ("insufficient_resolution").
     """
     if any(m <= 0.0 for m in means):
         return None, None, "zero_error"
+    if not all(math.isfinite(m) for m in means):
+        return None, None, "non_finite_error"
     overlap_all = all(
         (means[i] - cis[i] <= means[j] + cis[j])
         and (means[j] - cis[j] <= means[i] + cis[i])
@@ -468,10 +474,9 @@ def convergence_study(
     decades; a value outside (0, 1] is refused by name before anything else.
     The headline per-path fields come from the smallest epsilon; the study
     grid, per-epsilon means and confidence half-widths, and the fitted
-    log-log slope ride along.  The fit is refused (fitted_rate None with a
-    reason) when every pair of per-epsilon confidence intervals overlaps or
-    any mean is exactly zero.  The manifest times the whole study and lists
-    the failed paths of every ensemble, each with its epsilon.  A study whose
+    log-log slope ride along: ``fit_rate`` fits it, or refuses with a reason
+    and fitted_rate None.  The manifest times the whole study and lists the
+    failed paths of every ensemble, each with its epsilon.  A study whose
     ensemble fails its budget (or has its bound refused) writes the manifest
     of the ensembles solved so far, with that ensemble's config, and no
     report, then raises.

@@ -47,9 +47,6 @@ class Problem:
     spec: Optional[JumpMeasureSpec]
     x0: np.ndarray
     beta: FractionalOrder
-    # drift-folded averaged form (jump drift absorbed into the drift slot);
-    # dynamics-equivalent to ``averaged``, kept for cross-checks
-    folded_averaged: Optional[AveragedCoefficientSet] = None
 
     @property
     def needs_jump_events(self) -> bool:
@@ -75,15 +72,15 @@ def build_eq10(
 
     Original system: drift 2 x cos^2(t), unit additive diffusion, and a
     deterministic jump drift integrating 2 z^4 sin^2(t) x against the
-    power-law measure.  Averaged system (slot form): drift x, unit diffusion,
-    jump-drift scale * x.  The drift-folded form (1 + gamma1) x with
-    gamma1 = scale / sqrt(epsilon) is attached for cross-checks.  The unit
+    power-law measure.  Averaged system (slot form): drift x, unit
+    diffusion, jump-drift scale * x.  Neither system depends on ``epsilon``:
+    it is accepted with the other parameters and not read.  The unit
     diffusion is a ``_Constant`` (its noise terms are filled before the time
     loop) and every drift and jump drift a ``_Linear`` whose factor is a
     float or a numpy function of t, so both systems are affine: the solver
     tabulates c_drift a(t) + c_stoch b(t) once per solve, one call of each
-    factor on the column of step times, and solves every near-field block
-    of steps at once (16 blocks at the default N = 1000).  The jump
+    factor on the column of step times, and solves every near-field block of
+    steps at once (16 blocks at the default N = 1000).  The jump
     coefficients stay callables for the hypothesis probes, which integrate
     them at arrays of marks, one per row of the state (the batch contract):
     through ``x.T`` a mark scales its row of a (P, dim) state, or its entry
@@ -91,7 +88,6 @@ def build_eq10(
     """
     spec = JumpMeasureSpec(gamma=gamma, alpha=alpha, cutoff=cutoff, delta=delta)
     scale = jump_drift_scale(gamma, alpha, cutoff)
-    gamma1 = scale / math.sqrt(epsilon)
     unit = _Constant(1.0)
 
     coeffs = CoefficientSet(
@@ -108,11 +104,9 @@ def build_eq10(
         jump_mode=JumpMode.NU_DRIFT,
         jump_drift=_Linear(scale),
     )
-    folded = AveragedCoefficientSet(drift=_Linear(1.0 + gamma1), diffusion=unit)
     return Problem(
         coeffs=coeffs,
         averaged=averaged,
-        folded_averaged=folded,
         spec=spec,
         x0=np.array([x0]),
         beta=FractionalOrder(beta),

@@ -114,7 +114,7 @@ import numpy as np
 from . import levy
 from .errors import PathBlowupError
 from .kernels import as_order, build_kernel_weights, gamma_fn
-from .levy import NoiseBlock, NoiseRealization
+from .levy import NoiseBlock
 
 EPSILON_MAX = 1.0
 # Near-field block of the history sum (see above).  A far-field transform of
@@ -158,30 +158,6 @@ def _as_float(value, shape):
     if type(value) is not np.ndarray or value.dtype is not _F64:
         value = np.asarray(value, dtype=float)
     return value if value.shape == shape else value.reshape(shape)
-
-
-class _RowLoop:
-    """Batch evaluator built from a float callable of a scalar state.
-
-    Arguments are the batch contract's: the (P, 1) state, and times or marks
-    as scalars or (P,) arrays.  The callable runs once per row on plain
-    floats.  An OverflowError in a row makes that row inf, which the solver
-    reports as a non-finite state at the same step.
-    """
-
-    def __init__(self, fn, shape=(1,)):
-        self.fn = fn
-        self.shape = shape
-
-    def __call__(self, *args):
-        rows = np.broadcast_arrays(*(a[:, 0] if np.ndim(a) == 2 else a for a in args))
-        out = np.empty(rows[0].shape[0])
-        for p, values in enumerate(zip(*(r.tolist() for r in rows))):
-            try:
-                out[p] = self.fn(*values)
-            except OverflowError:
-                out[p] = math.inf
-        return out.reshape((-1,) + self.shape)
 
 
 class _Batched:
@@ -308,8 +284,7 @@ class CoefficientSet:
     table's nodes for all steps at once, refining the steps the table cannot
     settle by one ``nu_integral``, or in NU_DRIFT mode by one ``nu_integral``
     of all steps.  Every integral calls H through the batch contract, once
-    per quadrature level, with marks a column of nodes: a float callable
-    (``scalar``) runs once per node there, a compiled ``expr`` once per call.
+    per quadrature level, with marks a column of nodes.
     """
 
     drift: Callable[..., np.ndarray]
@@ -321,28 +296,6 @@ class CoefficientSet:
     jump_drift: Optional[Callable[..., np.ndarray]] = None
 
     time_dependent: ClassVar[bool] = True
-
-    @classmethod
-    def scalar(
-        cls,
-        drift,
-        diffusion,
-        jump=None,
-        jump_mode: JumpMode = JumpMode.COMPENSATED,
-        jump_drift=None,
-    ):
-        """Build a 1-dimensional set from plain float-valued callables.
-
-        They take the same arguments as the batch contract, with the state a
-        float: (t, x) and (t, x, z), or (x) and (x, z) for averaged sets.
-        """
-        return cls(
-            drift=_RowLoop(drift),
-            diffusion=_RowLoop(diffusion, shape=(1, 1)),
-            jump=_RowLoop(jump) if jump is not None else None,
-            jump_mode=jump_mode,
-            jump_drift=_RowLoop(jump_drift) if jump_drift is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -897,37 +850,6 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     return states, failed, fallbacks
 
 
-def _solve_one(coeffs, noise, x0, epsilon, beta, system: str) -> GridPath:
-    states, failed, _ = _solve_block((coeffs,), NoiseBlock((noise,)), x0, epsilon, beta)
-    times = noise.grid.times
-    step = failed[0, 0]
-    if step:
-        raise PathBlowupError(step=step, time=times[step], system=system)
-    return GridPath(times=times, states=states[:, 0, 0])
-
-
-def solve_original(
-    coeffs: CoefficientSet,
-    noise: NoiseRealization,
-    x0,
-    epsilon: float,
-    beta,
-) -> GridPath:
-    """Solve the time-dependent system on the noise realization's grid."""
-    return _solve_one(coeffs, noise, x0, epsilon, beta, system="original")
-
-
-def solve_averaged(
-    coeffs: AveragedCoefficientSet,
-    noise: NoiseRealization,
-    x0,
-    epsilon: float,
-    beta,
-) -> GridPath:
-    """Solve the averaged system on the *same* noise as the original one."""
-    return _solve_one(coeffs, noise, x0, epsilon, beta, system="averaged")
-
-
 def solve_coupled(
     coeffs: CoefficientSet,
     avg_coeffs: AveragedCoefficientSet,
@@ -938,9 +860,12 @@ def solve_coupled(
 ):
     """Solve both systems on shared noise and record their pointwise distance.
 
-    With a NoiseRealization, returns its CoupledPaths and raises
-    PathBlowupError if either system fails.  With a NoiseBlock, returns a
-    CoupledBlock in which each failed path carries its error instead.
+    With a NoiseBlock (as the harness passes), returns a CoupledBlock in
+    which each failed path carries its error.  With one NoiseRealization (the
+    README's quick start, and a check that re-solves one path), returns its
+    CoupledPaths and raises the PathBlowupError of the original system if it
+    fails, else that of the averaged one.  To solve one system, pass it as
+    both: each system's states are bitwise those of a solve of it alone.
     """
     block = noise if isinstance(noise, NoiseBlock) else NoiseBlock((noise,))
     states, failed, fallbacks = _solve_block((coeffs, avg_coeffs), block, x0, epsilon, beta)

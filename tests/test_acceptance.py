@@ -23,7 +23,6 @@ from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
     solve_coupled,
-    solve_original,
 )
 
 FIXTURES = json.loads((Path(__file__).parent / "oracles" / "eq10_fixtures.json").read_text())
@@ -70,17 +69,19 @@ def test_criterion_1_kernel_telescoping():
 def test_criterion_2_mittag_leffler_benchmark():
     started = time.perf_counter()
     exact = mittag_leffler(0.75, 1.0)  # X0 * E_beta(t^beta) at t = 1, X0 = 1
-    coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
+    coeffs = CoefficientSet(drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1)))
 
-    path = solve_original(coeffs, _deterministic_noise(1000, 1e-3), x0=1.0, epsilon=1.0, beta=0.75)
+    path = solve_coupled(
+        coeffs, coeffs, _deterministic_noise(1000, 1e-3), x0=1.0, epsilon=1.0, beta=0.75
+    ).original
     rel_err = abs(path.states[-1, 0] - exact) / exact
 
     errors = []
     steps = [1e-2, 5e-3, 2.5e-3]
     for h in steps:
-        p = solve_original(
-            coeffs, _deterministic_noise(round(1.0 / h), h), x0=1.0, epsilon=1.0, beta=0.75
-        )
+        p = solve_coupled(
+            coeffs, coeffs, _deterministic_noise(round(1.0 / h), h), x0=1.0, epsilon=1.0, beta=0.75
+        ).original
         errors.append(abs(p.states[-1, 0] - exact))
     order = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     elapsed = time.perf_counter() - started
@@ -94,8 +95,10 @@ def test_criterion_2_mittag_leffler_benchmark():
 def test_criterion_3_classical_limit():
     h = 1e-3
     n = 1000
-    coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-    path = solve_original(coeffs, _deterministic_noise(n, h), x0=1.0, epsilon=1.0, beta=0.999)
+    coeffs = CoefficientSet(drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1)))
+    path = solve_coupled(
+        coeffs, coeffs, _deterministic_noise(n, h), x0=1.0, epsilon=1.0, beta=0.999
+    ).original
     euler = np.empty(n + 1)
     euler[0] = 1.0
     for k in range(n):
@@ -128,11 +131,12 @@ def test_criterion_4_measure_integral_and_averaged_drift():
 
 
 def test_criterion_5_coupling_null():
-    coeffs = CoefficientSet.scalar(
-        drift=lambda t, x: math.sin(x) + 0.2 * x, diffusion=lambda t, x: 0.4 + 0.1 * x**2
+    coeffs = CoefficientSet(
+        drift=lambda t, x: np.sin(x) + 0.2 * x,
+        diffusion=lambda t, x: (0.4 + 0.1 * x**2)[:, :, None],
     )
-    averaged = AveragedCoefficientSet.scalar(
-        drift=lambda x: math.sin(x) + 0.2 * x, diffusion=lambda x: 0.4 + 0.1 * x**2
+    averaged = AveragedCoefficientSet(
+        drift=lambda x: np.sin(x) + 0.2 * x, diffusion=lambda x: (0.4 + 0.1 * x**2)[:, :, None]
     )
     grid = TimeGrid(step=0.02, n_steps=50)
     worst = 0.0

@@ -125,21 +125,25 @@ class TestAveragedJumpDrift:
 class EnvelopeFixtures:
     @staticmethod
     def oscillating_pair():
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 2.0 * x * math.cos(t) ** 2,
-            diffusion=lambda t, x: 1.0,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: 2.0 * x * np.cos(t) ** 2,
+            diffusion=lambda t, x: np.ones((len(x), 1, 1)),
         )
-        averaged = AveragedCoefficientSet.scalar(
+        averaged = AveragedCoefficientSet(
             drift=lambda x: x,
-            diffusion=lambda x: 1.0,
+            diffusion=lambda x: np.ones((len(x), 1, 1)),
         )
         return coeffs, averaged
 
 
 class TestH3Residuals:
     def test_already_averaged_all_zero(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 0.5 * x, diffusion=lambda t, x: 1.0)
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: 0.5 * x, diffusion=lambda x: 1.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: 0.5 * x, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: 0.5 * x, diffusion=lambda x: np.ones((len(x), 1, 1))
+        )
         env = h3_residuals(coeffs, averaged, [5.0, 50.0], [np.array([1.0]), np.array([-2.0])])
         assert max(env.alpha1) < 1e-12
         assert max(env.alpha2) < 1e-12
@@ -158,11 +162,13 @@ class TestH3Residuals:
         assert max(env.alpha1_pointwise) > 0.3
 
     def test_diffusion_square_residual_bound(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: math.sqrt(1.0 + math.sin(t)),
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.full((len(x), 1, 1), np.sqrt(1.0 + np.sin(t))),
         )
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: 0.0, diffusion=lambda x: 1.0)
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.zeros_like(x), diffusion=lambda x: np.ones((len(x), 1, 1))
+        )
         grid = [10.0, 100.0]
         env = h3_residuals(coeffs, averaged, grid, [np.array([0.0])])
         for t1, a2 in zip(grid, env.alpha2):
@@ -183,16 +189,16 @@ class TestH3Residuals:
 
     def test_jump_slot_l2_fallback(self):
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.5, cutoff=0.5)
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: 2.0 * z**4 * math.sin(t) ** 2 * x,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: (2.0 * z**4 * np.sin(t) ** 2 * x.T).T,
             jump_mode=JumpMode.NU_DRIFT,
         )
-        averaged = AveragedCoefficientSet.scalar(
-            drift=lambda x: 0.0,
-            diffusion=lambda x: 0.0,
-            jump=lambda x, z: z**4 * x,
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.zeros_like(x),
+            diffusion=lambda x: np.zeros((len(x), 1, 1)),
+            jump=lambda x, z: (z**4 * x.T).T,
             jump_mode=JumpMode.NU_DRIFT,
         )
         t1 = 5.0
@@ -223,9 +229,12 @@ class TestAveragedConstruction:
             assert rate_num[0] == pytest.approx(
                 problem.averaged.jump_drift(state)[0], abs=1e-8
             )
-        # and the drift-folded coefficient matches 1 + gamma1 of the example
+        # and the averaged drift and jump drift fold into (1 + gamma1) x: slot 0
+        # takes eps f + sqrt(eps) rate, that is eps (1 + rate / sqrt(eps)) at x = 1
         gamma1 = jump_drift_scale(gamma=3.0, alpha=0.3, cutoff=0.5) / math.sqrt(1e-3)
-        folded = problem.folded_averaged.drift(np.array([1.0]))[0]
+        one = np.array([1.0])
+        rate = problem.averaged.jump_drift(one)[0]
+        folded = problem.averaged.drift(one)[0] + rate / math.sqrt(1e-3)
         assert folded == pytest.approx(1.0 + gamma1, rel=1e-12)
         assert gamma1 == pytest.approx(GAMMA1_CASE_A, rel=1e-12)
 
@@ -251,8 +260,12 @@ class TestProbeHypotheses:
         # G = 1 + x: |G(x1) - G(x2)|^2 / |x1 - x2|^2 = 1 for every pair; the
         # increment is taken of G itself, not as a difference of G G' terms
         # that cancel to a few ulps of 4 at this spacing
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0 + x)
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: 0.0, diffusion=lambda x: 1.0 + x)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x), diffusion=lambda t, x: (1.0 + x)[:, :, None]
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.zeros_like(x), diffusion=lambda x: (1.0 + x)[:, :, None]
+        )
         report = probe_hypotheses(
             coeffs, averaged, t1_grid=[10.0],
             probe_states=[np.array([1.0]), np.array([1.0 + 1e-7])], times=[0.0],

@@ -12,8 +12,9 @@ from fracavg.averaging import time_average
 from fracavg.harness import ExperimentConfig
 from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
 from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise, shell_table
-from fracavg.problems import build_problem, compile_expr
+from fracavg.problems import build_problem, compile_expr, jump_drift_scale
 from fracavg.solver import (
+    AveragedCoefficientSet,
     CoefficientSet,
     JumpMode,
     _Constant,
@@ -228,15 +229,17 @@ class TestBlockedHistory:
         "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["square_boundary", "mid_block"]
     )
     def test_one_path_blows_up(self, fail_step):
-        scalar = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
+        called = CoefficientSet(
+            drift=lambda t, x: -x**3, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
         grid = TimeGrid(step=0.02, n_steps=700)
         noises = list(noise_block(None, grid, 4, seed=2).realizations)
         kick = noises[2].increments.copy()
-        kick[fail_step - 2, 0] = 1e200  # the drift overflows in plain floats one step later
+        kick[fail_step - 2, 0] = 1e200  # the drift overflows to inf one step later
         noises[2] = dataclasses.replace(noises[2], increments=kick)
         # the same unit diffusion as a constant, whose noise terms are filled
         # before the time loop: the restarted path keeps its later noise
-        for coeffs in (scalar, dataclasses.replace(scalar, diffusion=_Constant(1.0))):
+        for coeffs in (called, dataclasses.replace(called, diffusion=_Constant(1.0))):
             failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
             assert failed.tolist() == [0, 0, fail_step, 0]
 
@@ -274,8 +277,11 @@ class TestLinearDrift:
         grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
         noise = noise_block(problem.spec, grid, 5, include_jumps=problem.needs_jump_events)
         systems = [problem.coeffs, problem.averaged]
-        if problem.folded_averaged is not None:
-            systems.append(problem.folded_averaged)
+        if cfg.problem == "eq10":  # eq10's averaged system with its jump drift folded in: (1 + gamma1) x
+            gamma1 = jump_drift_scale(cfg.gamma, cfg.alpha, cfg.cutoff) / math.sqrt(cfg.epsilon)
+            systems.append(
+                AveragedCoefficientSet(drift=_Linear(1.0 + gamma1), diffusion=_Constant(1.0))
+            )
         for coeffs in systems:
             assert isinstance(coeffs.drift, _Linear)
             block_solves.clear()

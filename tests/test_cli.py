@@ -619,6 +619,33 @@ class TestStudy:
         manifest = json.loads((out / "study" / "manifest.json").read_text())
         assert manifest["effective_config"]["epsilon"] == 0.001
 
+    def test_a_number_for_epsilon_in_the_config_file_is_replaced_by_the_grid(self, tmp_path):
+        # even one outside (0, 1]: the study never runs at it
+        config = tmp_path / "run.conf"
+        config.write_text("epsilon = 5\n")
+        out = tmp_path / "runs"
+        code = run_cli("study", "--config", str(config), "--epsilons", "0.1,0.01,0.001", "--paths", "2",
+                       "--out", str(out), *FAST)
+        assert code == 0
+        manifest = json.loads((out / "study" / "manifest.json").read_text())
+        assert manifest["effective_config"]["epsilon"] == 0.001
+
+    def test_overflowing_study_refuses_the_fit_without_nan(self, tmp_path, capsys):
+        # every sup-square overflows to inf: the fit is refused, and report.json stays strict JSON
+        out = tmp_path / "runs"
+        code = run_cli(
+            "study", "--problem", "expr", "--beta", "0.75", "--epsilons", "1,0.1,0.01", "--x0", "0",
+            "--drift", "1e200", "--diffusion", "0", "--avg-drift", "0", "--avg-diffusion", "0",
+            "--horizon", "0.5", "--step", "0.1", "--paths", "2", "--out", str(out),
+        )
+        assert code == 0
+        assert "fit refused: non_finite_error" in capsys.readouterr().out.splitlines()
+        text = (out / "study" / "report.json").read_text()
+        assert "NaN" not in text
+        report = json.loads(text)
+        assert report["fitted_rate"] is None and report["degenerate_fit"] == "non_finite_error"
+        assert report["ci_by_epsilon"] == [math.inf] * 3
+
     def test_small_study_prints_slope(self, tmp_path, capsys):
         out = tmp_path / "study"
         code = run_cli(

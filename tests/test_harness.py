@@ -21,7 +21,7 @@ from fracavg.harness import (
     run_ensemble,
 )
 from fracavg.levy import NoiseBlock, TimeGrid, sample_noise
-from fracavg.problems import FIG1_CASES, build_eq10, build_problem
+from fracavg.problems import FIG1_CASES, build_eq10, build_problem, jump_drift_scale
 from fracavg.solver import solve_coupled
 
 TINY = ExperimentConfig(case="a", n_paths=4, horizon=1.0, step=0.02, master_seed=7, save_paths=0)
@@ -143,7 +143,7 @@ class TestProblemRegistry:
         assert problem.beta.beta == 0.85
         assert problem.spec.alpha == 1.9
         assert problem.spec.gamma == 3.0
-        gamma1 = problem.folded_averaged.drift(np.array([1.0]))[0] - 1.0
+        gamma1 = problem.averaged.jump_drift(np.array([1.0]))[0] / np.sqrt(1e-3)
         assert gamma1 == pytest.approx(3.0 * 0.5**2.1 / 2.1 / np.sqrt(1e-3), rel=1e-12)
 
     def test_unknown_problem(self):
@@ -433,13 +433,17 @@ class TestFoldedAveragedForm:
         # drift slot as (1 + gamma1) x must produce the same path as the
         # slot-form representation on identical noise
         from fracavg.levy import TimeGrid, sample_noise
-        from fracavg.solver import solve_averaged
+        from fracavg.solver import AveragedCoefficientSet, _Constant, _Linear
 
         problem = build_eq10(beta=0.6, alpha=0.3, gamma=3.0, cutoff=0.5, epsilon=1e-3)
+        gamma1 = jump_drift_scale(gamma=3.0, alpha=0.3, cutoff=0.5) / math.sqrt(1e-3)
+        folded_set = AveragedCoefficientSet(drift=_Linear(1.0 + gamma1), diffusion=_Constant(1.0))
         grid = TimeGrid(step=0.01, n_steps=300)
         noise = sample_noise(problem.spec, grid, dim=1, seed=3, include_jumps=False)
-        slot = solve_averaged(problem.averaged, noise, problem.x0, 1e-3, problem.beta)
-        folded = solve_averaged(problem.folded_averaged, noise, problem.x0, 1e-3, problem.beta)
+        slot, folded = (
+            solve_coupled(system, system, noise, problem.x0, 1e-3, problem.beta).averaged
+            for system in (problem.averaged, folded_set)
+        )
         np.testing.assert_allclose(slot.states, folded.states, atol=1e-14)
 
 
@@ -583,6 +587,12 @@ class TestConvergenceStudy:
         rate, stderr, reason = fit_rate([1e-2, 1e-3, 1e-4], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         assert rate is None
         assert reason == "zero_error"
+
+    @pytest.mark.parametrize("means", [[math.inf] * 3, [1e-3, math.inf, 1e-5], [1e-3, math.nan, 1e-5]])
+    def test_fit_rate_refuses_a_non_finite_mean(self, means):
+        # an overflowing ensemble's mean is inf, its half-width inf: a fit would give nan
+        rate, stderr, reason = fit_rate([1e-2, 1e-3, 1e-4], means, [math.inf] * 3)
+        assert (rate, stderr, reason) == (None, None, "non_finite_error")
 
 
 class TestReproduceFig1:

@@ -189,11 +189,13 @@ class TestOneHistoryProduct:
         assert_matches_reference(coeffs, noise, np.array([0.5, -0.2]), 0.2, 0.8)
 
     def test_block_with_one_blown_up_column(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: -x**3, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
         grid = TimeGrid(step=0.05, n_steps=40)
         noises = [sample_noise(None, grid, dim=1, seed=2, stream_key=(i,)) for i in range(4)]
         kick = noises[2].increments.copy()
-        kick[5, 0] = 1e200  # the drift overflows in plain floats one step later
+        kick[5, 0] = 1e200  # the drift overflows to inf one step later
         noises[2] = dataclasses.replace(noises[2], increments=kick)
         failed = assert_matches_reference(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
         assert failed[2] > 0 and not failed[[0, 1, 3]].any()

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +30,7 @@ from fracavg.solver import (
     _Constant,
     _quadrature_rate,
     _solve_block,
-    solve_averaged,
     solve_coupled,
-    solve_original,
 )
 
 ML_075_AT_1 = 3.4858662200517439  # sum_k 1 / Gamma(0.75 k + 1), 200-term oracle
@@ -50,22 +50,31 @@ def zero_noise(n_steps, step=0.01, dim=1, spec=None):
 
 class TestDeterministicSolves:
     def test_zero_coefficients_constant_path(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 0.0, diffusion=lambda t, x: 0.0)
-        path = solve_original(coeffs, zero_noise(50), x0=2.5, epsilon=0.7, beta=0.75)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x), diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        path = solve_coupled(
+            coeffs, coeffs, zero_noise(50), x0=2.5, epsilon=0.7, beta=0.75
+        ).original
         assert np.all(path.states == 2.5)
 
     def test_linear_drift_matches_mittag_leffler(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-        path = solve_original(coeffs, zero_noise(1000, step=1e-3), x0=1.0, epsilon=1.0, beta=0.75)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        path = solve_coupled(
+            coeffs, coeffs, zero_noise(1000, step=1e-3), x0=1.0, epsilon=1.0, beta=0.75
+        ).original
         assert path.states[-1, 0] == pytest.approx(ML_075_AT_1, rel=0.01)
 
     def test_refinement_order_at_least_09(self):
         errors = []
         for step in (1e-2, 5e-3, 2.5e-3):
-            coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-            path = solve_original(
-                coeffs, zero_noise(round(1.0 / step), step=step), x0=1.0, epsilon=1.0, beta=0.75
+            coeffs = CoefficientSet(
+                drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
             )
+            noise = zero_noise(round(1.0 / step), step=step)
+            path = solve_coupled(coeffs, coeffs, noise, x0=1.0, epsilon=1.0, beta=0.75).original
             errors.append(abs(path.states[-1, 0] - ML_075_AT_1))
         slope = np.polyfit(np.log([1e-2, 5e-3, 2.5e-3]), np.log(errors), 1)[0]
         assert slope >= 0.9
@@ -73,8 +82,12 @@ class TestDeterministicSolves:
     def test_near_one_order_matches_classical_euler(self):
         step = 1e-3
         n = 1000
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-        path = solve_original(coeffs, zero_noise(n, step=step), x0=1.0, epsilon=1.0, beta=0.999)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        path = solve_coupled(
+            coeffs, coeffs, zero_noise(n, step=step), x0=1.0, epsilon=1.0, beta=0.999
+        ).original
         euler = np.empty(n + 1)
         euler[0] = 1.0
         for k in range(n):
@@ -87,10 +100,10 @@ class TestStochasticSolves:
         step = 1e-3
         grid = TimeGrid(step=step, n_steps=1000)
         noise = sample_noise(None, grid, dim=1, seed=31)
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: math.cos(t) * x, diffusion=lambda t, x: 0.2
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.cos(t) * x, diffusion=lambda t, x: np.full((len(x), 1, 1), 0.2)
         )
-        path = solve_original(coeffs, noise, x0=1.0, epsilon=1.0, beta=0.999)
+        path = solve_coupled(coeffs, coeffs, noise, x0=1.0, epsilon=1.0, beta=0.999).original
         em = np.empty(1001)
         em[0] = 1.0
         for k in range(1000):
@@ -104,12 +117,16 @@ class TestStochasticSolves:
         h = 0.05
         n = 20
         grid = TimeGrid(step=h, n_steps=n)
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x), diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
         n_rep = 5000
         finals = np.empty(n_rep)
         for i in range(n_rep):
             noise = sample_noise(None, grid, dim=1, seed=23, stream_key=(i,))
-            finals[i] = solve_original(coeffs, noise, x0=0.0, epsilon=1.0, beta=beta).states[-1, 0]
+            finals[i] = solve_coupled(
+                coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=beta
+            ).original.states[-1, 0]
         lags = np.arange(1, n + 1, dtype=float)
         exact = h ** (2 * beta - 1) * np.sum(lags ** (2 * beta - 2)) / gamma_fn(beta) ** 2
         sample = finals.var(ddof=1)
@@ -129,9 +146,13 @@ class TestStochasticSolves:
         coeffs = CoefficientSet(
             drift=probing_drift, diffusion=lambda t, x: np.full((len(x), 1, 1), 0.5)
         )
+        # the averaged system does not probe: ``seen`` holds the original's calls only
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: 0.3 * x, diffusion=lambda x: np.full((len(x), 1, 1), 0.5)
+        )
         grid = TimeGrid(step=0.1, n_steps=20)
         noise = sample_noise(None, grid, dim=1, seed=3)
-        path = solve_original(coeffs, noise, x0=1.0, epsilon=0.5, beta=0.8)
+        path = solve_coupled(coeffs, averaged, noise, x0=1.0, epsilon=0.5, beta=0.8).original
         times_seen = [t for t, _ in seen]
         states_seen = [x for _, x in seen]
         np.testing.assert_allclose(times_seen, grid.times[:-1])
@@ -140,34 +161,44 @@ class TestStochasticSolves:
     def test_epsilon_zero_freezes_path(self):
         grid = TimeGrid(step=0.1, n_steps=10)
         noise = sample_noise(None, grid, dim=1, seed=8)
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 1.0)
-        path = solve_original(coeffs, noise, x0=0.4, epsilon=0.0, beta=0.6)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
+        path = solve_coupled(coeffs, coeffs, noise, x0=0.4, epsilon=0.0, beta=0.6).original
         assert np.all(path.states == 0.4)
 
     def test_epsilon_continuity_near_zero(self):
         grid = TimeGrid(step=0.1, n_steps=10)
         noise = sample_noise(None, grid, dim=1, seed=8)
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 1.0)
-        path = solve_original(coeffs, noise, x0=0.4, epsilon=1e-10, beta=0.6)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
+        path = solve_coupled(coeffs, coeffs, noise, x0=0.4, epsilon=1e-10, beta=0.6).original
         assert np.max(np.abs(path.states - 0.4)) < 1e-4
 
     def test_epsilon_out_of_range(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                solve_original(coeffs, zero_noise(5), x0=1.0, epsilon=bad, beta=0.75)
+                solve_coupled(coeffs, coeffs, zero_noise(5), x0=1.0, epsilon=bad, beta=0.75)
 
     def test_blowup_reports_step_and_system(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 1e308 * (1 + x**2), diffusion=lambda t, x: 0.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: 1e308 * (1 + x**2), diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
         with pytest.raises(PathBlowupError) as err:
-            solve_original(coeffs, zero_noise(10, step=1.0), x0=1.0, epsilon=1.0, beta=0.75)
+            solve_coupled(coeffs, coeffs, zero_noise(10, step=1.0), x0=1.0, epsilon=1.0, beta=0.75)
         assert err.value.system == "original"
         assert err.value.step >= 1
 
     def test_noise_dimension_mismatch(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 1.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
         with pytest.raises(ValueError):
-            solve_original(coeffs, zero_noise(5, dim=2), x0=1.0, epsilon=0.5, beta=0.75)
+            solve_coupled(coeffs, coeffs, zero_noise(5, dim=2), x0=1.0, epsilon=0.5, beta=0.75)
 
 
 class TestJumpModes:
@@ -175,22 +206,22 @@ class TestJumpModes:
 
     def test_nu_drift_closed_form_vs_quadrature_fallback(self):
         scale = self.SPEC.gamma * self.SPEC.cutoff**3.5 / 3.5
-        with_closed = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: z**4 * x,
+        with_closed = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: (z**4 * x.T).T,
             jump_mode=JumpMode.NU_DRIFT,
             jump_drift=lambda t, x: scale * x,
         )
-        with_quad = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: z**4 * x,
+        with_quad = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: (z**4 * x.T).T,
             jump_mode=JumpMode.NU_DRIFT,
         )
         noise = zero_noise(20, step=0.05, spec=self.SPEC)
-        a = solve_original(with_closed, noise, x0=1.0, epsilon=1.0, beta=0.75)
-        b = solve_original(with_quad, noise, x0=1.0, epsilon=1.0, beta=0.75)
+        a = solve_coupled(with_closed, with_closed, noise, x0=1.0, epsilon=1.0, beta=0.75).original
+        b = solve_coupled(with_quad, with_quad, noise, x0=1.0, epsilon=1.0, beta=0.75).original
         np.testing.assert_allclose(a.states, b.states, rtol=1e-9)
         assert a.states[-1, 0] > 1.0  # positive drift actually acted
 
@@ -207,13 +238,13 @@ class TestJumpModes:
             spec=self.SPEC,
             master_seed=0,
         )
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: z,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: _column(z),
             jump_mode=JumpMode.COMPENSATED,
         )
-        path = solve_original(coeffs, noise, x0=0.0, epsilon=1.0, beta=beta)
+        path = solve_coupled(coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=beta).original
 
         # rate = integral of z against the measure over [delta, cutoff)
         g, a, c, d = 1.0, 0.5, 0.5, 0.05
@@ -227,44 +258,48 @@ class TestJumpModes:
         assert path.states[2, 0] == pytest.approx(x2, rel=1e-12)
 
     def test_compensated_without_events_is_pure_compensator(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: z,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: _column(z),
             jump_mode=JumpMode.COMPENSATED,
         )
         noise = zero_noise(4, step=0.25, spec=self.SPEC)
-        path = solve_original(coeffs, noise, x0=0.0, epsilon=1.0, beta=0.75)
+        path = solve_coupled(coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=0.75).original
         assert np.all(path.states[1:, 0] < 0.0)  # only the subtracted rate acts
 
     def test_compensated_mode_requires_jump_coefficient(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
             jump_mode=JumpMode.COMPENSATED,
-            jump_drift=lambda t, x: 1.0,
+            jump_drift=lambda t, x: np.ones_like(x),
         )
         with pytest.raises(ValueError):
-            solve_original(coeffs, zero_noise(4, spec=self.SPEC), x0=0.0, epsilon=1.0, beta=0.75)
+            solve_coupled(
+                coeffs, coeffs, zero_noise(4, spec=self.SPEC), x0=0.0, epsilon=1.0, beta=0.75
+            )
 
     def test_jump_without_measure_or_closed_form_rejected(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: z,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: _column(z),
             jump_mode=JumpMode.NU_DRIFT,
         )
         with pytest.raises(ValueError):
-            solve_original(coeffs, zero_noise(4, spec=None), x0=0.0, epsilon=1.0, beta=0.75)
+            solve_coupled(coeffs, coeffs, zero_noise(4, spec=None), x0=0.0, epsilon=1.0, beta=0.75)
 
     def test_nu_drift_closed_form_needs_no_measure(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
             jump_mode=JumpMode.NU_DRIFT,
-            jump_drift=lambda t, x: 0.5,
+            jump_drift=lambda t, x: np.full_like(x, 0.5),
         )
-        path = solve_original(coeffs, zero_noise(10, step=0.1, spec=None), x0=0.0, epsilon=1.0, beta=0.75)
+        path = solve_coupled(
+            coeffs, coeffs, zero_noise(10, step=0.1, spec=None), x0=0.0, epsilon=1.0, beta=0.75
+        ).original
         assert path.states[-1, 0] > 0.0
 
     def test_compensated_term_is_centered(self):
@@ -272,19 +307,21 @@ class TestJumpModes:
         # zero at every grid time, so the terminal ensemble mean vanishes
         spec = JumpMeasureSpec(gamma=2.0, alpha=0.8, cutoff=0.5, delta=0.02)
         rate = spec.gamma * (spec.cutoff**0.2 - spec.delta**0.2) / 0.2
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.0,
-            diffusion=lambda t, x: 0.0,
-            jump=lambda t, x, z: z,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            jump=lambda t, x, z: _column(z),
             jump_mode=JumpMode.COMPENSATED,
-            jump_drift=lambda t, x: rate,
+            jump_drift=lambda t, x: np.full_like(x, rate),
         )
         grid = TimeGrid(step=0.05, n_steps=20)
         n_rep = 3000
         finals = np.empty(n_rep)
         for i in range(n_rep):
             noise = sample_noise(spec, grid, dim=1, seed=13, stream_key=(i,))
-            finals[i] = solve_original(coeffs, noise, x0=0.0, epsilon=1.0, beta=0.75).states[-1, 0]
+            finals[i] = solve_coupled(
+                coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=0.75
+            ).original.states[-1, 0]
         se = finals.std(ddof=1) / math.sqrt(n_rep)
         assert abs(finals.mean()) < 4.0 * se
 
@@ -309,7 +346,7 @@ class TestJumpModes:
         )
         grid = TimeGrid(step=0.1, n_steps=10)
         noise = sample_noise(spec, grid, dim=1, seed=19)
-        path = solve_original(coeffs, noise, x0=[0.0, 0.0], epsilon=1.0, beta=0.75)
+        path = solve_coupled(coeffs, coeffs, noise, x0=[0.0, 0.0], epsilon=1.0, beta=0.75).original
         # the second component sees exactly twice the jump input of the first
         np.testing.assert_allclose(path.states[:, 1], 2.0 * path.states[:, 0], rtol=1e-12)
 
@@ -374,9 +411,10 @@ class TestCompensatorTable:
         assert table.quadrature_fallbacks == 50 * 3  # every step of every path
         np.testing.assert_allclose(table.original, closed.original, rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("form", ["batch", "scalar"])
+    @pytest.mark.parametrize("form", ["batch", "column"])
     def test_overflowing_rate_fails_at_the_closed_form_step(self, form):
-        # the compensator pushes x up until exp(1000 x) overflows
+        # the compensator pushes x up until exp(1000 x) overflows; the column
+        # form returns (P,) results of the state's column, which the solver reshapes
         c = self.Z_RATE
         if form == "batch":
             def build(jump_drift):
@@ -390,20 +428,21 @@ class TestCompensatorTable:
             closed_form = lambda t, x: -c * np.exp(1000.0 * x)
         else:
             def build(jump_drift):
-                return CoefficientSet.scalar(
-                    drift=lambda t, x: 0.0,
-                    diffusion=lambda t, x: 0.0,
-                    jump=lambda t, x, z: -z * math.exp(1000.0 * x),
+                return CoefficientSet(
+                    drift=lambda t, x: np.zeros(len(x)),
+                    diffusion=lambda t, x: np.zeros(len(x)),
+                    jump=lambda t, x, z: -z * np.exp(1000.0 * x[:, 0]),
                     jump_mode=JumpMode.COMPENSATED,
                     jump_drift=jump_drift,
                 )
-            closed_form = lambda t, x: -c * math.exp(1000.0 * x)
+            closed_form = lambda t, x: -c * np.exp(1000.0 * x[:, 0])
         noise = zero_noise(40, step=0.05, spec=self.SPEC)
         kw = dict(x0=0.0, epsilon=1.0, beta=0.75)
+        by_table, by_closed_form = build(None), build(closed_form)
         with pytest.raises(PathBlowupError) as table:
-            solve_original(build(None), noise, **kw)
+            solve_coupled(by_table, by_table, noise, **kw)
         with pytest.raises(PathBlowupError) as closed:
-            solve_original(build(closed_form), noise, **kw)
+            solve_coupled(by_closed_form, by_closed_form, noise, **kw)
         assert 1 < table.value.step < 40
         assert table.value.step == closed.value.step
 
@@ -571,24 +610,24 @@ class TestCoefficientResults:
 
 class TestCoupling:
     def test_frozen_coefficients_bitwise_identical(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: 0.8 * x, diffusion=lambda t, x: 0.3
+        coeffs = CoefficientSet(
+            drift=lambda t, x: 0.8 * x, diffusion=lambda t, x: np.full((len(x), 1, 1), 0.3)
         )
-        averaged = AveragedCoefficientSet.scalar(
-            drift=lambda x: 0.8 * x, diffusion=lambda x: 0.3
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: 0.8 * x, diffusion=lambda x: np.full((len(x), 1, 1), 0.3)
         )
         grid = TimeGrid(step=0.02, n_steps=100)
         noise = sample_noise(None, grid, dim=1, seed=99)
-        a = solve_original(coeffs, noise, x0=0.1, epsilon=0.4, beta=0.7)
-        b = solve_averaged(averaged, noise, x0=0.1, epsilon=0.4, beta=0.7)
+        a = solve_coupled(coeffs, coeffs, noise, x0=0.1, epsilon=0.4, beta=0.7).original
+        b = solve_coupled(averaged, averaged, noise, x0=0.1, epsilon=0.4, beta=0.7).averaged
         assert np.array_equal(a.states, b.states)
 
     def test_identical_coefficients_zero_error_many_seeds(self):
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: math.sin(x), diffusion=lambda t, x: 0.5 + 0.1 * x**2
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.sin(x), diffusion=lambda t, x: (0.5 + 0.1 * x**2)[:, :, None]
         )
-        averaged = AveragedCoefficientSet.scalar(
-            drift=lambda x: math.sin(x), diffusion=lambda x: 0.5 + 0.1 * x**2
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.sin(x), diffusion=lambda x: (0.5 + 0.1 * x**2)[:, :, None]
         )
         grid = TimeGrid(step=0.05, n_steps=40)
         for seed in range(10):
@@ -609,22 +648,32 @@ class TestCoupling:
             assert solved.path(p).sup_sq_error == 0.0
 
     def test_zero_noise_zero_drift_constant(self):
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: 0.0, diffusion=lambda x: 1.0)
-        path = solve_averaged(averaged, zero_noise(30), x0=0.7, epsilon=0.5, beta=0.75)
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.zeros_like(x), diffusion=lambda x: np.ones((len(x), 1, 1))
+        )
+        path = solve_coupled(
+            averaged, averaged, zero_noise(30), x0=0.7, epsilon=0.5, beta=0.75
+        ).averaged
         assert np.all(path.states == 0.7)
 
     def test_blowup_labels_failing_system(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 0.0, diffusion=lambda t, x: 0.0)
-        averaged = AveragedCoefficientSet.scalar(
-            drift=lambda x: 1e308 * (1 + x**2), diffusion=lambda x: 0.0
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.zeros_like(x), diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: 1e308 * (1 + x**2), diffusion=lambda x: np.zeros((len(x), 1, 1))
         )
         with pytest.raises(PathBlowupError) as err:
             solve_coupled(coeffs, averaged, zero_noise(5, step=1.0), x0=1.0, epsilon=1.0, beta=0.75)
         assert err.value.system == "averaged"
 
     def test_er_curve_definition(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: 1.0, diffusion=lambda t, x: 0.0)
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: 0.0, diffusion=lambda x: 0.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: np.ones_like(x), diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: np.zeros_like(x), diffusion=lambda x: np.zeros((len(x), 1, 1))
+        )
         res = solve_coupled(coeffs, averaged, zero_noise(10, step=0.1), x0=0.0, epsilon=1.0, beta=0.75)
         np.testing.assert_allclose(res.er, np.abs(res.original.states[:, 0]))
         assert res.sup_sq_error == pytest.approx(res.er.max() ** 2)
@@ -665,8 +714,12 @@ class TestCoupling:
 
 class TestSerialization:
     def test_grid_path_csv_columns(self, tmp_path):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-        path = solve_original(coeffs, zero_noise(3, step=0.5), x0=1.0, epsilon=1.0, beta=0.75)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        path = solve_coupled(
+            coeffs, coeffs, zero_noise(3, step=0.5), x0=1.0, epsilon=1.0, beta=0.75
+        ).original
         target = tmp_path / "path.csv"
         path.to_csv(target)
         lines = target.read_text().splitlines()
@@ -674,8 +727,12 @@ class TestSerialization:
         assert len(lines) == 5
 
     def test_coupled_csv_columns(self, tmp_path):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: x, diffusion=lambda x: 0.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: x, diffusion=lambda x: np.zeros((len(x), 1, 1))
+        )
         res = solve_coupled(coeffs, averaged, zero_noise(3, step=0.5), x0=1.0, epsilon=1.0, beta=0.75)
         target = tmp_path / "coupled.csv"
         res.to_csv(target)
@@ -685,8 +742,10 @@ class TestSerialization:
         assert lines[1].split(",")[-1] == "0.0"
 
     def test_path_arrays_frozen(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
-        path = solve_original(coeffs, zero_noise(3), x0=1.0, epsilon=1.0, beta=0.75)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
+        path = solve_coupled(coeffs, coeffs, zero_noise(3), x0=1.0, epsilon=1.0, beta=0.75).original
         with pytest.raises(ValueError):
             path.states[0, 0] = 5.0
 
@@ -700,15 +759,19 @@ class TestVectorStates:
             return np.zeros((len(x), 2, 1))
 
         coeffs = CoefficientSet(drift=drift, diffusion=diffusion, dim=2, brownian_dim=1)
-        path = solve_original(coeffs, zero_noise(200, step=5e-3), x0=[1.0, 0.0], epsilon=1.0, beta=0.9)
+        path = solve_coupled(
+            coeffs, coeffs, zero_noise(200, step=5e-3), x0=[1.0, 0.0], epsilon=1.0, beta=0.9
+        ).original
         norms = np.linalg.norm(path.states, axis=1)
         assert norms[-1] == pytest.approx(1.0, abs=0.1)
         assert path.states[-1, 1] > 0.0  # rotated counterclockwise
 
     def test_x0_shape_checked(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: x, diffusion=lambda t, x: 0.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
+        )
         with pytest.raises(ValueError):
-            solve_original(coeffs, zero_noise(3), x0=[1.0, 2.0], epsilon=1.0, beta=0.75)
+            solve_coupled(coeffs, coeffs, zero_noise(3), x0=[1.0, 2.0], epsilon=1.0, beta=0.75)
 
 
 class TestBlocks:
@@ -748,16 +811,18 @@ class TestBlocks:
             np.testing.assert_allclose(block.original[:, p], single.original.states, rtol=1e-12, atol=0)
             np.testing.assert_allclose(block.averaged[:, p], single.averaged.states, rtol=1e-12, atol=0)
 
-    def test_scalar_compensated_block_matches_single_solves(self):
-        # float callables reach the shell table through the row-loop adapter
+    def test_callable_compensated_block_matches_single_solves(self):
+        # plain callables, called at every step, reach the shell table
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
-        coeffs = CoefficientSet.scalar(
-            drift=lambda t, x: -x * (1.0 + math.cos(t)),
-            diffusion=lambda t, x: 0.5,
-            jump=lambda t, x, z: z * x * math.sin(t) ** 2,
+        coeffs = CoefficientSet(
+            drift=lambda t, x: -x * (1.0 + np.cos(t)),
+            diffusion=lambda t, x: np.full((len(x), 1, 1), 0.5),
+            jump=lambda t, x, z: (z * np.sin(t) ** 2 * x.T).T,
             jump_mode=JumpMode.COMPENSATED,
         )
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: -x, diffusion=lambda x: 0.5)
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: -x, diffusion=lambda x: np.full((len(x), 1, 1), 0.5)
+        )
         grid = TimeGrid(step=0.02, n_steps=50)
         noises = [sample_noise(spec, grid, dim=1, seed=5, stream_key=(i,)) for i in range(7)]
         kw = dict(x0=0.1, epsilon=1e-3, beta=0.75)
@@ -778,12 +843,16 @@ class TestBlocks:
             NoiseBlock((zero_noise(5), zero_noise(5, dim=2)))
 
     def test_blowup_in_one_column_leaves_the_others_unchanged(self):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: -x**3, diffusion=lambda x: 1.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: -x**3, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: -x**3, diffusion=lambda x: np.ones((len(x), 1, 1))
+        )
         grid = TimeGrid(step=0.05, n_steps=40)
         noises = [sample_noise(None, grid, dim=1, seed=2, stream_key=(i,)) for i in range(4)]
         kick = noises[2].increments.copy()
-        kick[5, 0] = 1e200  # the drift overflows in plain floats one step later
+        kick[5, 0] = 1e200  # the drift overflows to inf one step later
         bad = dataclasses.replace(noises[2], increments=kick)
         kw = dict(x0=0.1, epsilon=0.5, beta=0.7)
 
@@ -841,12 +910,13 @@ class TestLockstep:
     @staticmethod
     def _assert_solo_equal(coeffs, averaged, noise, kw):
         coupled = solve_coupled(coeffs, averaged, noise, **kw)
-        pairs = ((coeffs, coupled.original, solve_original), (averaged, coupled.averaged, solve_averaged))
-        for system, states, solve in pairs:
+        pairs = ((coeffs, coupled.original, "original"), (averaged, coupled.averaged, "averaged"))
+        for system, states, name in pairs:
             alone, failed, _ = _solve_block((system,), noise, kw["x0"], kw["epsilon"], kw["beta"])
             assert np.array_equal(states, alone[:, 0])
             if noise.size == 1 and not failed.any():
-                assert np.array_equal(states[:, 0], solve(system, noise.realizations[0], **kw).states)
+                twin = solve_coupled(system, system, noise.realizations[0], **kw)
+                assert np.array_equal(states[:, 0], getattr(twin, name).states)
         return coupled
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
@@ -864,17 +934,21 @@ class TestLockstep:
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
     def test_a_blow_up_in_one_system_leaves_the_other_as_solved_alone(self, paths):
-        coeffs = CoefficientSet.scalar(drift=lambda t, x: -x**3, diffusion=lambda t, x: 1.0)
-        averaged = AveragedCoefficientSet.scalar(drift=lambda x: -x, diffusion=lambda x: 1.0)
+        coeffs = CoefficientSet(
+            drift=lambda t, x: -x**3, diffusion=lambda t, x: np.ones((len(x), 1, 1))
+        )
+        averaged = AveragedCoefficientSet(
+            drift=lambda x: -x, diffusion=lambda x: np.ones((len(x), 1, 1))
+        )
         grid = TimeGrid(step=0.02, n_steps=300)
         noises = [sample_noise(None, grid, dim=1, seed=2, stream_key=(i,)) for i in range(paths)]
         kick = noises[-1].increments.copy()
-        kick[140, 0] = 1e120  # the cubic drift overflows in plain floats one step later
+        kick[140, 0] = 1e120  # the cubic drift overflows to inf one step later
         noises[-1] = dataclasses.replace(noises[-1], increments=kick)
         kw = dict(x0=0.1, epsilon=0.5, beta=0.7)
         if paths == 1:
             with pytest.raises(PathBlowupError) as alone:
-                solve_original(coeffs, noises[0], **kw)
+                solve_coupled(coeffs, coeffs, noises[0], **kw)
             assert alone.value.step == 142
         coupled = self._assert_solo_equal(coeffs, averaged, NoiseBlock(tuple(noises)), kw)
         failure = coupled.failures[-1]
@@ -906,3 +980,18 @@ class TestLockstep:
         assert solved.failures == (None,) * paths
         assert np.all(solved.er == 0.0)
         assert solved.er.max() ** 2 == 0.0
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        # both python blocks under "Library quick start", in order, in one namespace
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+        assert len(blocks) == 2
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert math.isfinite(float(capsys.readouterr().out.splitlines()[0]))
+        assert (tmp_path / "coupled.csv").read_text().startswith("t,X_1,Z_1,Er")
