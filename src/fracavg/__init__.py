@@ -16,7 +16,6 @@ from .errors import (
 )
 from .kernels import (
     FractionalOrder,
-    KernelWeights,
     as_order,
     build_kernel_weights,
     gamma_fn,
@@ -36,7 +35,6 @@ from .solver import (
     CoefficientSet,
     CoupledBlock,
     CoupledPaths,
-    GridPath,
     JumpMode,
     solve_coupled,
 )
@@ -72,11 +70,9 @@ __all__ = [
     "ExperimentConfig",
     "FracavgError",
     "FractionalOrder",
-    "GridPath",
     "HypothesisReport",
     "JumpMeasureSpec",
     "JumpMode",
-    "KernelWeights",
     "NoiseBlock",
     "NoiseRealization",
     "PathBlowupError",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .kernels import as_order, gamma_fn, log_mittag_leffler
 from .levy import JumpMeasureSpec, gauss_kronrod, nu_integral
-from .solver import AveragedCoefficientSet, CoefficientSet
+from .solver import AveragedCoefficientSet, CoefficientSet, _rows_integrand
 
 _CHUNK = 2.0 * math.pi  # oscillatory coefficients get one first-level panel per period
 
@@ -57,7 +56,6 @@ def time_average(
     state,
     horizon: float,
     quadrature_tol: float = 1e-12,
-    with_diagnostic: bool = False,
 ):
     """Average of ``coefficient(t, state)`` over t in [0, horizon].
 
@@ -66,10 +64,8 @@ def time_average(
     is one panel per 2 pi of the horizon, to ``quadrature_tol`` of the average
     or absolutely, whichever is larger.  The output has the shape of the
     coefficient's result, such as (1, dim) for a drift at a state given as
-    a batch of one.  With ``with_diagnostic`` the average is recomputed over
-    twice the horizon and the relative drift between the two is returned
-    alongside the value; a large drift means the average has not settled and
-    is reported as a warning, never an error.
+    a batch of one.  Whether the average has settled is not tested here;
+    ``h3_residuals`` reads the residuals over a grid of horizons.
     """
     horizon = float(horizon)
     if not (math.isfinite(horizon) and horizon > 0.0):
@@ -79,33 +75,8 @@ def time_average(
     def values(times):
         return np.array([np.asarray(coefficient(t, state), dtype=float) for t in times.tolist()])
 
-    def averaged_over(span: float):
-        cuts = np.linspace(0.0, span, max(1, math.ceil(span / _CHUNK)) + 1)
-        return gauss_kronrod(values, cuts, rtol=quadrature_tol, atol=quadrature_tol * span) / span
-
-    value = averaged_over(horizon)
-    if not with_diagnostic:
-        return value
-    doubled = averaged_over(2.0 * horizon)
-    scale = 1.0 + float(np.linalg.norm(np.reshape(value, -1)))
-    drift = float(np.linalg.norm(np.reshape(doubled - value, -1))) / scale
-    if drift > 1e-3:
-        warnings.warn(
-            f"time average has not settled: doubling the horizon moved it by "
-            f"{drift:.3g} (relative)",
-            stacklevel=2,
-        )
-    return value, drift
-
-
-def _jump_integrand(jump, targs, state):
-    """The jump coefficient at ``state`` as an integrand of marks: the state
-    repeated at a 1-D array of nodes, (k, dim) values out."""
-    def integrand(z):
-        value = np.asarray(jump(*targs, np.repeat(state, z.size, axis=0), z), dtype=float)
-        return (np.full(z.size, value) if value.ndim == 0 else value).reshape(z.size, state.shape[-1])
-
-    return integrand
+    cuts = np.linspace(0.0, horizon, max(1, math.ceil(horizon / _CHUNK)) + 1)
+    return gauss_kronrod(values, cuts, rtol=quadrature_tol, atol=quadrature_tol * horizon) / horizon
 
 
 def averaged_jump_drift(spec: JumpMeasureSpec, jump, state, horizon: float) -> np.ndarray:
@@ -115,12 +86,13 @@ def averaged_jump_drift(spec: JumpMeasureSpec, jump, state, horizon: float) -> n
     integrates against the intensity measure itself; the mark integral runs
     over the full (0, cutoff) range, at each time one ``nu_integral`` of all
     components, and the time average is ``time_average``'s at its default
-    tolerance.
+    tolerance.  The state is a batch of one, (1, dim), as at every probe,
+    and the jump follows the batch contract; the result has shape (dim,).
     """
-    state = np.asarray(state, dtype=float)
+    state = np.asarray(state, dtype=float).reshape(1, -1)
 
     def rate(t: float, _x) -> np.ndarray:
-        return nu_integral(spec, _jump_integrand(jump, (t,), state), use_delta=False)
+        return nu_integral(spec, _rows_integrand(jump, (t,), state), use_delta=False)
 
     return time_average(rate, state, horizon)
 
@@ -256,9 +228,9 @@ def _jump_slot_residual(coeffs, averaged, spec, t1, x) -> float:
     # every node of a level at once: one time average of all their components
     def avg_mismatch(z: np.ndarray) -> np.ndarray:
         def diff(t, y):
-            orig = _jump_integrand(coeffs.jump, (t,), y)(z)
+            orig = _rows_integrand(coeffs.jump, (t,), y)(z)
             if averaged.jump is not None:
-                orig = orig - _jump_integrand(averaged.jump, (), y)(z)
+                orig = orig - _rows_integrand(averaged.jump, (), y)(z)
             return orig
 
         return time_average(diff, x, t1, quadrature_tol=1e-10)
@@ -345,7 +317,7 @@ def probe_hypotheses(
         for i, (x1, f1, g1) in enumerate(probed):
             growth_terms = [float(np.sum(f1**2)), float(np.linalg.norm(g1, 2)) ** 2]
             if jumps:
-                growth_terms.append(_square_integral(spec, _jump_integrand(coeffs.jump, (t,), x1)))
+                growth_terms.append(_square_integral(spec, _rows_integrand(coeffs.jump, (t,), x1)))
             c2 = max(c2, max(growth_terms) / (1.0 + float(np.sum(x1**2))))
 
             for x2, f2, g2 in probed[i + 1 :]:
@@ -356,8 +328,8 @@ def probe_hypotheses(
                 if jumps:
                     lip_terms.append(_square_integral(
                         spec,
-                        lambda z: _jump_integrand(coeffs.jump, (t,), x1)(z)
-                        - _jump_integrand(coeffs.jump, (t,), x2)(z),
+                        lambda z: _rows_integrand(coeffs.jump, (t,), x1)(z)
+                        - _rows_integrand(coeffs.jump, (t,), x2)(z),
                     ))
                 c1 = max(c1, max(lip_terms) / dist_sq)
 

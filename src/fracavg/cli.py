@@ -201,7 +201,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jump-mode",
         dest="jump_mode",
-        choices=["compensated_prm", "deterministic_nu_drift"],
+        choices=[mode.value for mode in JumpMode],
         help="how the jump coefficient enters",
     )
 
@@ -242,7 +242,8 @@ def cmd_average(args) -> int:
         gamma1 = float(jd[0]) / math.sqrt(cfg.epsilon)
         print(f"averaged jump drift per unit state: {float(jd[0]):.10g}")
         print(f"gamma1 = {gamma1:.10g}")
-        print(f"averaged drift coefficient (1 + gamma1) = {1.0 + gamma1:.10g}")
+        if cfg.problem == "eq10":  # its averaged drift is x, so the folded drift is (1 + gamma1) x
+            print(f"averaged drift coefficient (1 + gamma1) = {1.0 + gamma1:.10g}")
 
     report = probe_hypotheses(
         problem.coeffs,

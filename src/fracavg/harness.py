@@ -49,6 +49,8 @@ class ExperimentConfig:
     beta/alpha/gamma); set it to None to supply those directly.
     Expression-problem fields stay None for built-in problems.  ``bound_c1``
     and ``bound_alphas`` (a1, a2, a3) are given together, or not at all.
+    ``jump_mode`` is a ``JumpMode`` value; eq10 runs deterministic_nu_drift
+    only, and refuses compensated_prm.
     Each field holds a value of its annotated type (a float field also takes
     an int, and no number field a bool); ``validate`` refuses any other by
     its key, whether the config came from a file, a manifest or a caller.
@@ -137,6 +139,14 @@ class ExperimentConfig:
             raise ConfigError(f"lam must lie in (0, 1); got {self.lam}")
         if not (math.isfinite(self.big_l) and self.big_l > 0.0):
             raise ConfigError(f"big_l must be positive and finite; got {self.big_l}")
+        modes = [mode.value for mode in JumpMode]
+        if self.jump_mode not in modes:
+            raise ConfigError(f"jump_mode must be one of {', '.join(modes)}; got {self.jump_mode!r}")
+        if self.problem == "eq10" and self.jump_mode == JumpMode.COMPENSATED.value:
+            raise ConfigError(
+                f"jump_mode {JumpMode.COMPENSATED.value} is not available on eq10, which runs "
+                f"its jump as {JumpMode.NU_DRIFT.value} (a drift of the measure integral)"
+            )
         if (
             self.problem == "expr"
             and self.jump_mode == JumpMode.COMPENSATED.value

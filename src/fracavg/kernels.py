@@ -3,7 +3,8 @@
 Everything fractional in this package reduces to three primitives: the gamma
 function, the one-parameter Mittag-Leffler series, and the exact product
 integrals of the power-law kernel (t - s)^(beta - 1) over uniform grid cells.
-All three are pure functions; values returned here are immutable.
+All three are pure functions; values returned here are immutable, and the
+weights come back as one read-only array.
 """
 
 from __future__ import annotations
@@ -168,39 +169,19 @@ def _check_mittag_leffler_args(beta, z, tol) -> tuple[float, float]:
     return beta, z
 
 
-@dataclass(frozen=True)
-class KernelWeights:
-    """Exact cell integrals of (t_n - s)^(beta - 1) over a uniform grid.
+def build_kernel_weights(beta, step: float, n: int) -> np.ndarray:
+    """Product-integration weights for a length-``n`` uniform grid, read-only.
 
-    ``weights[j]`` equals the integral of the kernel over [t_j, t_{j+1}]
-    with t_j = j * step and t_n = n * step, i.e.
+    ``weights[j]`` is the exact integral of (t_n - s)^(beta - 1) over the
+    cell [t_j, t_{j+1}], with t_j = j * step and t_n = n * step:
 
         weights[j] = ((t_n - t_j)^beta - (t_n - t_{j+1})^beta) / beta.
 
-    The weights are strictly positive, increase with j (the singularity
-    concentrates mass near s = t_n) and telescope: their sum is t_n^beta / beta.
-    The array is frozen after construction.
-    """
-
-    n: int
-    step: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    @property
-    def total(self) -> float:
-        """Sum of the weights, equal to t_n^beta / beta up to roundoff."""
-        return float(self.weights.sum())
-
-
-def build_kernel_weights(beta, step: float, n: int) -> KernelWeights:
-    """Build product-integration weights for a length-``n`` uniform grid.
-
-    The closed-form per-cell integrals remove all quadrature error from the
-    singular kernel.  Computing the remaining-time powers once and differencing
-    makes the telescoping identity hold to a few ulps regardless of ``n``.
+    The closed-form cell integrals remove all quadrature error from the
+    singular kernel.  The weights are strictly positive, increase with j (the
+    singularity concentrates mass near s = t_n) and telescope: their sum is
+    t_n^beta / beta.  Computing the remaining-time powers once and
+    differencing makes that identity hold to a few ulps regardless of ``n``.
     """
     order = as_order(beta)
     step = float(step)
@@ -208,8 +189,8 @@ def build_kernel_weights(beta, step: float, n: int) -> KernelWeights:
         raise ValueError(f"step must be positive; got {step!r}")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be an integer >= 1; got {n!r}")
-    n = int(n)
-    remaining = step * np.arange(n, -1, -1, dtype=float)  # t_n - t_j for j = 0..n
+    remaining = step * np.arange(int(n), -1, -1, dtype=float)  # t_n - t_j for j = 0..n
     powers = remaining**order.beta
     weights = (powers[:-1] - powers[1:]) / order.beta
-    return KernelWeights(n=n, step=step, weights=weights)
+    weights.setflags(write=False)
+    return weights

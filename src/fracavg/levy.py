@@ -42,18 +42,19 @@ class JumpMeasureSpec:
     Parameters
     ----------
     gamma : float
-        Intensity scale, > 0.
+        Intensity scale, > 0 and finite.
     alpha : float
         Stability index in (0, 2).
     cutoff : float
-        Outer truncation; marks live strictly below it.
+        Outer truncation, > 0 and finite; marks live strictly below it.
     delta : float
         Inner simulation cutoff in (0, cutoff).  Jumps below delta are not
         simulated.  Defaults to ``cutoff * 1e-3``.
 
     The measure is one-sided (marks are positive): the worked example's
     averaged drift only comes out right for the one-sided integral, so a
-    symmetric variant is deliberately not offered.
+    symmetric variant is deliberately not offered.  A parameter out of its
+    range, nan or inf included, is a ValueError at construction.
     """
 
     gamma: float
@@ -69,12 +70,12 @@ class JumpMeasureSpec:
         if delta is None:
             delta = cutoff * DEFAULT_DELTA_RATIO
         delta = float(delta)
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be positive; got {gamma!r}")
+        if not (math.isfinite(gamma) and gamma > 0.0):
+            raise ValueError(f"gamma must be positive and finite; got {gamma!r}")
         if not 0.0 < alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2); got {alpha!r}")
-        if cutoff <= 0.0:
-            raise ValueError(f"cutoff must be positive; got {cutoff!r}")
+        if not (math.isfinite(cutoff) and cutoff > 0.0):
+            raise ValueError(f"cutoff must be positive and finite; got {cutoff!r}")
         if not 0.0 < delta < cutoff:
             raise ValueError(
                 f"delta must lie in (0, cutoff)=(0, {cutoff!r}); got {delta!r}"
@@ -156,8 +157,9 @@ class NoiseRealization:
     """Grid-aligned Brownian increments plus simulated jump events.
 
     Shared between the original and averaged solves so the two paths are
-    driven by identical noise.  Immutable after construction; regenerating
-    with the same (seed, stream_key) reproduces it bit for bit.
+    driven by identical noise.  Immutable after construction.  It holds the
+    draws, not their seed and stream key: ``sample_noise`` with the same
+    arguments reproduces it bit for bit.
     """
 
     grid: TimeGrid
@@ -165,8 +167,6 @@ class NoiseRealization:
     jump_times: np.ndarray  # (n_events,), in [0, horizon)
     jump_marks: np.ndarray  # (n_events,), in [delta, cutoff)
     spec: JumpMeasureSpec | None
-    master_seed: int
-    stream_key: tuple[int, ...] = ()
 
     def __post_init__(self):
         for arr in (self.increments, self.jump_times, self.jump_marks):
@@ -287,8 +287,6 @@ def sample_noise(
         jump_times=times,
         jump_marks=marks,
         spec=spec,
-        master_seed=int(seed),
-        stream_key=key,
     )
 
 

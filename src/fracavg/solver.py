@@ -19,7 +19,9 @@ coefficients follow one broadcasting contract:
 ``drift(t, X) -> (P, dim)``, ``diffusion(t, X) -> (P, dim, brownian_dim)``,
 ``jump(t, X, z) -> (P, dim)`` and ``jump_drift(t, X) -> (P, dim)``, where
 the event times and marks handed to ``jump`` are scalars or (P,) arrays.  The
-averaged system's coefficients take the same arguments without t.
+averaged system's coefficients take the same arguments without t.  A solve
+returns read-only arrays: (N + 1, P, dim) states per system in a
+``CoupledBlock``, one path's (N + 1, dim) states in a ``CoupledPaths``.
 
 The three memory sums share one history array (the scaled terms of each
 step in a drift-kernel and a left-end-kernel slot), and every weight depends
@@ -325,35 +327,17 @@ def _write_csv(path, header: list[str], columns) -> None:
 
 
 @dataclass(frozen=True)
-class GridPath:
-    """Times and states of one cadlag solution approximation."""
-
-    times: np.ndarray   # (n_steps + 1,)
-    states: np.ndarray  # (n_steps + 1, dim)
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
-        self.states.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def to_csv(self, path) -> None:
-        """Write columns t, X_1..X_dim."""
-        _write_csv(path, ["t"] + [f"X_{i + 1}" for i in range(self.dim)], (self.times, self.states))
-
-
-@dataclass(frozen=True)
 class CoupledPaths:
-    """Original and averaged paths on shared noise plus their distance curve."""
+    """One path's grid times, original and averaged states, and distance curve."""
 
-    original: GridPath
-    averaged: GridPath
-    er: np.ndarray  # pointwise |X_n - Z_n|
+    times: np.ndarray     # (n_steps + 1,)
+    original: np.ndarray  # (n_steps + 1, dim)
+    averaged: np.ndarray  # (n_steps + 1, dim)
+    er: np.ndarray        # pointwise |X_n - Z_n|
 
     def __post_init__(self):
-        self.er.setflags(write=False)
+        for arr in (self.times, self.original, self.averaged, self.er):
+            arr.setflags(write=False)
 
     @property
     def sup_sq_error(self) -> float:
@@ -367,10 +351,9 @@ class CoupledPaths:
 
     def to_csv(self, path) -> None:
         """Write columns t, X_1.., Z_1.., Er."""
-        dim = self.original.dim
+        dim = self.original.shape[1]
         header = ["t", *(f"{v}_{i + 1}" for v in "XZ" for i in range(dim)), "Er"]
-        columns = (self.original.times, self.original.states, self.averaged.states, self.er)
-        _write_csv(path, header, columns)
+        _write_csv(path, header, (self.times, self.original, self.averaged, self.er))
 
 
 def norms(states):
@@ -412,9 +395,12 @@ class CoupledBlock:
         """Path p as CoupledPaths; raises its PathBlowupError if it failed."""
         if self.failures[p] is not None:
             raise self.failures[p]
-        original = GridPath(times=self.times, states=self.original[:, p].copy())
-        averaged = GridPath(times=self.times, states=self.averaged[:, p].copy())
-        return CoupledPaths(original=original, averaged=averaged, er=self.er[:, p].copy())
+        return CoupledPaths(
+            times=self.times,
+            original=self.original[:, p].copy(),
+            averaged=self.averaged[:, p].copy(),
+            er=self.er[:, p].copy(),
+        )
 
 
 def _event_table(noise: NoiseBlock):
@@ -447,7 +433,8 @@ def _event_table(noise: NoiseBlock):
 
 def _rows_integrand(jump, targs, X):
     """The jump coefficient of the state rows X as one integrand of marks:
-    every row at a 1-D array of k nodes in one call, (k, rows * dim) values out."""
+    every row at a 1-D array of k nodes in one call, (k, rows * dim) values out;
+    the hypothesis probes integrate their batch of one through it."""
     def integrand(z):
         values = jump(*targs, np.repeat(X, z.size, axis=0), np.tile(z, len(X)))
         return _as_float(values, (len(X), z.size, X.shape[1])).transpose(1, 0, 2).reshape(z.size, -1)
@@ -746,7 +733,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     # slot 0 of lag j holds c_drift * f (+ c_stoch * rate), slot 1 c_stoch times
     # the noise terms; weights[2 * (n_steps - n):] weigh lags 0..n-1 from t_n
     weights = np.empty(2 * n_steps)
-    weights[0::2] = build_kernel_weights(order, h, n_steps).weights
+    weights[0::2] = build_kernel_weights(order, h, n_steps)
     stoch_w = weights[1::2]  # left-endpoint kernel, built in place to keep peak memory down
     np.power(np.multiply(h, np.arange(n_steps, 0, -1, dtype=float), out=stoch_w), b - 1.0, out=stoch_w)
     history = np.zeros((s_count, n_steps, 2, p_count * dim))

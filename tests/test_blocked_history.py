@@ -42,7 +42,7 @@ def direct_solve_block(coeffs, noise, x0, epsilon, beta):
     c_stoch = math.sqrt(epsilon) / gamma_fn(b)
 
     weights = np.empty(2 * n_steps)
-    weights[0::2] = build_kernel_weights(as_order(beta), h, n_steps).weights
+    weights[0::2] = build_kernel_weights(as_order(beta), h, n_steps)
     weights[1::2] = (h * np.arange(n_steps, 0, -1, dtype=float)) ** (b - 1.0)
     history = np.zeros((n_steps, 2, p_count * dim))
     history_rows = history.reshape(2 * n_steps, -1)

@@ -54,6 +54,37 @@ class TestSimulate:
         assert err.startswith("config error: ") and "must be finite" in err
         assert not (tmp_path / "simulate").exists()
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            ["--jump-mode", "compensated_prm", "--gamma", "1", "--cutoff", "inf", "--delta", "0.1"],
+            ["--gamma", "nan"],
+            ["--gamma", "inf"],
+        ],
+        ids=["cutoff_inf_compensated", "gamma_nan", "gamma_inf"],
+    )
+    def test_non_finite_jump_measure_exits_2_without_a_run_directory(self, measure, tmp_path, capsys):
+        # an infinite cutoff made the shell cuts grow without end; a
+        # non-finite gamma failed every path in the solve
+        code = run_cli(
+            "simulate", "--problem", "expr", "--drift=-x", "--diffusion", "1", "--avg-drift=-x",
+            "--avg-diffusion", "1", "--jump", "z*x", "--alpha", "0.5", *measure, "--horizon", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid value: ") and "must be positive and finite" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "simulate").exists()
+
+    def test_eq10_refuses_the_compensated_jump_mode(self, tmp_path, capsys):
+        code = run_cli("simulate", "--case", "a", "--jump-mode", "compensated_prm", "--out", str(tmp_path), *FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: jump_mode compensated_prm is not available on eq10")
+        assert "deterministic_nu_drift" in err and err.count("\n") == 1
+        assert not (tmp_path / "simulate").exists()
+
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run_cli("simulate", "--bogus")
@@ -273,6 +304,16 @@ class TestConfigFile:
             load_config_file(config)
         assert "run.conf:1" in str(err.value)
 
+    def test_unknown_jump_mode_exits_2_without_a_run_directory(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("jump_mode = bogus\nhorizon = 0.5\nstep = 0.01\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "config error: jump_mode must be one of compensated_prm, deterministic_nu_drift; got 'bogus'\n"
+        )
+        assert not out.exists()
+
     def test_config_file_drives_simulation(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("case = b\nhorizon = 0.5\nstep = 0.01\nmaster_seed = 9\n")
@@ -397,6 +438,21 @@ class TestAverage:
         assert "(1 + gamma1) = 2.972915781" in captured
         report = json.loads((out / "average" / "hypothesis.json").read_text())
         assert report["envelope"]["decay_flags"]["alpha1"] == "decays"
+
+    def test_expr_problem_prints_no_eq10_folded_coefficient(self, tmp_path, capsys):
+        # (1 + gamma1) is eq10's averaged drift coefficient, whose averaged
+        # drift is x; this problem's averaged drift is -x
+        out = tmp_path / "avg"
+        code = run_cli(
+            "average", "--problem", "expr", "--drift=-x*(1+cos(t))", "--diffusion", "0.5",
+            "--avg-drift=-x", "--avg-diffusion", "0.5", "--jump", "z**2*x*sin(t)**2", "--gamma", "1",
+            "--alpha", "0.8", "--cutoff", "0.5", "--epsilon", "0.01", "--t1-grid", "10,100",
+            "--out", str(out),
+        )
+        assert code == 0
+        captured = capsys.readouterr().out
+        assert "gamma1 = 1.813647007\n" in captured
+        assert "(1 + gamma1)" not in captured
 
     def test_closed_form_jump_drift_is_averaged_without_nu_integrals(self, tmp_path, capsys, monkeypatch):
         # eq10's jump drift has a closed form: its time average needs no
@@ -737,8 +793,9 @@ class TestFlagsReachConfig:
             expected = action.type(text) if action.type else text
             assert expected != getattr(defaults, action.dest)
             argv = [command, *REQUIRED_FLAGS.get(command, []), action.option_strings[0], text]
-            if action.dest in ("beta", "alpha", "gamma"):
-                argv += ["--problem", "mlbench"]  # eq10 presets fix these three
+            if action.dest in ("beta", "alpha", "gamma", "jump_mode"):
+                # eq10 presets fix the first three, and eq10 refuses compensated_prm
+                argv += ["--problem", "mlbench"]
             for cfg in _configs(argv, tmp_path, monkeypatch):
                 assert getattr(cfg, action.dest) == expected, (command, action.dest)
 

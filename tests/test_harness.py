@@ -92,6 +92,8 @@ class TestConfig:
             dict(save_paths=-1),
             dict(step=0.0),
             dict(horizon=-1.0),
+            dict(jump_mode="bogus"),
+            dict(problem="eq10", jump_mode="compensated_prm"),
         ],
     )
     def test_validation(self, kwargs):
@@ -293,7 +295,7 @@ class TestRunEnsemble:
         assert report.per_path_sup_sq == [c.sup_sq_error for c in paths]
         assert report.per_path_sup_er == [c.sup_error for c in paths]
         assert report.er_mean_curve == np.stack([c.er for c in paths]).mean(axis=0).tolist()
-        z_sup_sq = [np.max(np.sum(c.averaged.states**2, axis=1)) for c in paths]
+        z_sup_sq = [np.max(np.sum(c.averaged**2, axis=1)) for c in paths]
         assert report.z_moment_estimate == 1.0 + float(np.mean(z_sup_sq))
 
     def test_sup_z_sq_is_the_square_of_the_largest_norm(self):
@@ -444,7 +446,7 @@ class TestFoldedAveragedForm:
             solve_coupled(system, system, noise, problem.x0, 1e-3, problem.beta).averaged
             for system in (problem.averaged, folded_set)
         )
-        np.testing.assert_allclose(slot.states, folded.states, atol=1e-14)
+        np.testing.assert_allclose(slot, folded, atol=1e-14)
 
 
 class TestConvergenceStudy:

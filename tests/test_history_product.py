@@ -16,7 +16,6 @@ from fracavg.problems import build_problem
 from fracavg.solver import (
     CoefficientSet,
     CoupledPaths,
-    GridPath,
     JumpMode,
     _event_table,
     _quadrature_rate,
@@ -40,7 +39,7 @@ def three_product_solve_block(coeffs, noise, x0, epsilon, beta):
     c_drift = epsilon / gamma_fn(b)
     c_stoch = math.sqrt(epsilon) / gamma_fn(b)
 
-    drift_w = build_kernel_weights(as_order(beta), h, n_steps).weights
+    drift_w = build_kernel_weights(as_order(beta), h, n_steps)
     stoch_w = (h * np.arange(n_steps, 0, -1, dtype=float)) ** (b - 1.0)
 
     events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
@@ -213,11 +212,11 @@ def csv_writer_bytes(path, header, rows):
 SPECIAL = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, 1.5e300, 0.1, 1 / 3])
 
 
-def grid_path(n_rows, dim, seed):
+def random_states(n_rows, dim, seed):
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((n_rows, dim)) * 10.0 ** rng.integers(-8, 8, (n_rows, dim))
     states.flat[: SPECIAL.size] = SPECIAL[: states.size]
-    return GridPath(times=np.arange(n_rows) * 0.01, states=states)
+    return states
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -225,26 +224,17 @@ def grid_path(n_rows, dim, seed):
 class TestCsvBytes:
     """Saved CSVs are byte for byte what csv.writer writes for the same values."""
 
-    def test_grid_path(self, tmp_path, dim, n_rows):
-        path = grid_path(n_rows, dim, seed=n_rows)
-        path.to_csv(tmp_path / "new.csv")
-        expected = csv_writer_bytes(
-            tmp_path / "ref.csv",
-            ["t"] + [f"X_{i + 1}" for i in range(dim)],
-            [[t, *x] for t, x in zip(path.times, path.states)],
-        )
-        assert (tmp_path / "new.csv").read_bytes() == expected
-
     def test_coupled_paths(self, tmp_path, dim, n_rows):
-        original = grid_path(n_rows, dim, seed=n_rows)
-        averaged = grid_path(n_rows, dim, seed=n_rows + 1)
+        times = np.arange(n_rows) * 0.01
+        original = random_states(n_rows, dim, seed=n_rows)
+        averaged = random_states(n_rows, dim, seed=n_rows + 1)
         with np.errstate(invalid="ignore"):  # inf - inf
-            er = np.linalg.norm(original.states - averaged.states, axis=1)
-        coupled = CoupledPaths(original=original, averaged=averaged, er=er)
+            er = np.linalg.norm(original - averaged, axis=1)
+        coupled = CoupledPaths(times=times, original=original, averaged=averaged, er=er)
         coupled.to_csv(tmp_path / "new.csv")
         expected = csv_writer_bytes(
             tmp_path / "ref.csv",
             ["t"] + [f"X_{i + 1}" for i in range(dim)] + [f"Z_{i + 1}" for i in range(dim)] + ["Er"],
-            [[t, *x, *z, e] for t, x, z, e in zip(original.times, original.states, averaged.states, er)],
+            [[t, *x, *z, e] for t, x, z, e in zip(times, original, averaged, er)],
         )
         assert (tmp_path / "new.csv").read_bytes() == expected

@@ -174,17 +174,17 @@ class TestKernelWeights:
     def test_closed_form_first_weight(self):
         kw = build_kernel_weights(0.75, step=0.5, n=2)
         expected = (1.0**0.75 - 0.5**0.75) / 0.75
-        assert kw.weights[0] == pytest.approx(expected, rel=1e-14)
-        assert kw.weights[0] == pytest.approx(0.5405285899981860, rel=1e-12)
+        assert kw[0] == pytest.approx(expected, rel=1e-14)
+        assert kw[0] == pytest.approx(0.5405285899981860, rel=1e-12)
 
     def test_single_interval(self):
         kw = build_kernel_weights(0.8, step=0.3, n=1)
-        assert kw.weights.shape == (1,)
-        assert kw.weights[0] == pytest.approx(0.3**0.8 / 0.8, rel=1e-14)
+        assert kw.shape == (1,)
+        assert kw[0] == pytest.approx(0.3**0.8 / 0.8, rel=1e-14)
 
     def test_telescoping_fixed(self):
         kw = build_kernel_weights(0.6, step=0.01, n=100)
-        assert kw.total == pytest.approx(1.0**0.6 / 0.6, rel=1e-12)
+        assert float(kw.sum()) == pytest.approx(1.0**0.6 / 0.6, rel=1e-12)
 
     @given(
         st.floats(min_value=0.51, max_value=0.99),
@@ -194,7 +194,7 @@ class TestKernelWeights:
     @settings(max_examples=60, deadline=None)
     def test_telescoping_property(self, beta, step, n):
         kw = build_kernel_weights(beta, step, n)
-        assert kw.total == pytest.approx((n * step) ** beta / beta, rel=1e-12)
+        assert float(kw.sum()) == pytest.approx((n * step) ** beta / beta, rel=1e-12)
 
     @given(
         st.floats(min_value=0.51, max_value=0.99),
@@ -203,13 +203,13 @@ class TestKernelWeights:
     @settings(max_examples=30, deadline=None)
     def test_positive_and_increasing(self, beta, n):
         kw = build_kernel_weights(beta, 0.05, n)
-        assert np.all(kw.weights > 0)
-        assert np.all(np.diff(kw.weights) > 0)
+        assert np.all(kw > 0)
+        assert np.all(np.diff(kw) > 0)
 
     def test_weights_frozen(self):
         kw = build_kernel_weights(0.75, 0.1, 10)
         with pytest.raises(ValueError):
-            kw.weights[0] = 0.0
+            kw[0] = 0.0
 
     @pytest.mark.parametrize("step,n", [(0.0, 5), (-0.1, 5), (0.1, 0), (0.1, -3)])
     def test_rejects_bad_grid(self, step, n):

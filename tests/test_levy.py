@@ -67,6 +67,21 @@ class TestJumpMeasureSpec:
         with pytest.raises(ValueError):
             JumpMeasureSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(gamma=math.nan, alpha=0.5, cutoff=0.5),
+            dict(gamma=math.inf, alpha=0.5, cutoff=0.5),
+            dict(gamma=1.0, alpha=0.5, cutoff=math.inf, delta=0.1),
+        ],
+        ids=["gamma_nan", "gamma_inf", "cutoff_inf"],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        # an infinite cutoff has no shells to cut, and a non-finite gamma
+        # makes every integral against the measure non-finite
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            JumpMeasureSpec(**kwargs)
+
     def test_mark_sampler_endpoints(self):
         marks = SPEC.sample_marks(np.array([0.0, 1.0 - 1e-12]))
         assert marks[0] == pytest.approx(SPEC.delta)
@@ -423,7 +438,6 @@ class TestRealizationInvariants:
                 jump_times=np.empty(0),
                 jump_marks=np.empty(0),
                 spec=None,
-                master_seed=0,
             )
 
     @pytest.mark.parametrize(
@@ -439,7 +453,7 @@ class TestRealizationInvariants:
         with pytest.raises(ValueError, match=message):
             NoiseRealization(
                 grid=grid, increments=increments, jump_times=times, jump_marks=marks,
-                spec=None, master_seed=0,
+                spec=None,
             )
 
     def test_block_holds_its_brownian_noise_once(self):
@@ -450,6 +464,6 @@ class TestRealizationInvariants:
             assert np.shares_memory(block.increments, r.increments)
             assert np.array_equal(r.increments, original.increments)
             assert np.array_equal(block.increments[:, p], original.increments)
-            assert r.jump_times is original.jump_times and r.stream_key == original.stream_key
+            assert r.jump_times is original.jump_times and r.jump_marks is original.jump_marks
             with pytest.raises(ValueError):
                 r.increments[0, 0] = 0.0

@@ -24,7 +24,6 @@ from fracavg.solver import (
     AveragedCoefficientSet,
     CoefficientSet,
     CoupledPaths,
-    GridPath,
     JumpMode,
     RATE_RTOL,
     _Constant,
@@ -44,7 +43,6 @@ def zero_noise(n_steps, step=0.01, dim=1, spec=None):
         jump_times=np.empty(0),
         jump_marks=np.empty(0),
         spec=spec,
-        master_seed=0,
     )
 
 
@@ -56,7 +54,7 @@ class TestDeterministicSolves:
         path = solve_coupled(
             coeffs, coeffs, zero_noise(50), x0=2.5, epsilon=0.7, beta=0.75
         ).original
-        assert np.all(path.states == 2.5)
+        assert np.all(path == 2.5)
 
     def test_linear_drift_matches_mittag_leffler(self):
         coeffs = CoefficientSet(
@@ -65,7 +63,7 @@ class TestDeterministicSolves:
         path = solve_coupled(
             coeffs, coeffs, zero_noise(1000, step=1e-3), x0=1.0, epsilon=1.0, beta=0.75
         ).original
-        assert path.states[-1, 0] == pytest.approx(ML_075_AT_1, rel=0.01)
+        assert path[-1, 0] == pytest.approx(ML_075_AT_1, rel=0.01)
 
     def test_refinement_order_at_least_09(self):
         errors = []
@@ -75,7 +73,7 @@ class TestDeterministicSolves:
             )
             noise = zero_noise(round(1.0 / step), step=step)
             path = solve_coupled(coeffs, coeffs, noise, x0=1.0, epsilon=1.0, beta=0.75).original
-            errors.append(abs(path.states[-1, 0] - ML_075_AT_1))
+            errors.append(abs(path[-1, 0] - ML_075_AT_1))
         slope = np.polyfit(np.log([1e-2, 5e-3, 2.5e-3]), np.log(errors), 1)[0]
         assert slope >= 0.9
 
@@ -92,7 +90,7 @@ class TestDeterministicSolves:
         euler[0] = 1.0
         for k in range(n):
             euler[k + 1] = euler[k] + step * euler[k]
-        assert np.max(np.abs(path.states[:, 0] - euler)) < 1e-2
+        assert np.max(np.abs(path[:, 0] - euler)) < 1e-2
 
 
 class TestStochasticSolves:
@@ -108,7 +106,7 @@ class TestStochasticSolves:
         em[0] = 1.0
         for k in range(1000):
             em[k + 1] = em[k] + step * math.cos(k * step) * em[k] + 0.2 * noise.increments[k, 0]
-        assert np.max(np.abs(path.states[:, 0] - em)) < 1e-2
+        assert np.max(np.abs(path[:, 0] - em)) < 1e-2
 
     def test_stochastic_convolution_variance_law(self):
         # additive unit diffusion, no drift: the terminal state is Gaussian
@@ -126,7 +124,7 @@ class TestStochasticSolves:
             noise = sample_noise(None, grid, dim=1, seed=23, stream_key=(i,))
             finals[i] = solve_coupled(
                 coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=beta
-            ).original.states[-1, 0]
+            ).original[-1, 0]
         lags = np.arange(1, n + 1, dtype=float)
         exact = h ** (2 * beta - 1) * np.sum(lags ** (2 * beta - 2)) / gamma_fn(beta) ** 2
         sample = finals.var(ddof=1)
@@ -156,7 +154,7 @@ class TestStochasticSolves:
         times_seen = [t for t, _ in seen]
         states_seen = [x for _, x in seen]
         np.testing.assert_allclose(times_seen, grid.times[:-1])
-        np.testing.assert_allclose(states_seen, path.states[:-1, 0])
+        np.testing.assert_allclose(states_seen, path[:-1, 0])
 
     def test_epsilon_zero_freezes_path(self):
         grid = TimeGrid(step=0.1, n_steps=10)
@@ -165,7 +163,7 @@ class TestStochasticSolves:
             drift=lambda t, x: x, diffusion=lambda t, x: np.ones((len(x), 1, 1))
         )
         path = solve_coupled(coeffs, coeffs, noise, x0=0.4, epsilon=0.0, beta=0.6).original
-        assert np.all(path.states == 0.4)
+        assert np.all(path == 0.4)
 
     def test_epsilon_continuity_near_zero(self):
         grid = TimeGrid(step=0.1, n_steps=10)
@@ -174,7 +172,7 @@ class TestStochasticSolves:
             drift=lambda t, x: x, diffusion=lambda t, x: np.ones((len(x), 1, 1))
         )
         path = solve_coupled(coeffs, coeffs, noise, x0=0.4, epsilon=1e-10, beta=0.6).original
-        assert np.max(np.abs(path.states - 0.4)) < 1e-4
+        assert np.max(np.abs(path - 0.4)) < 1e-4
 
     def test_epsilon_out_of_range(self):
         coeffs = CoefficientSet(
@@ -222,8 +220,8 @@ class TestJumpModes:
         noise = zero_noise(20, step=0.05, spec=self.SPEC)
         a = solve_coupled(with_closed, with_closed, noise, x0=1.0, epsilon=1.0, beta=0.75).original
         b = solve_coupled(with_quad, with_quad, noise, x0=1.0, epsilon=1.0, beta=0.75).original
-        np.testing.assert_allclose(a.states, b.states, rtol=1e-9)
-        assert a.states[-1, 0] > 1.0  # positive drift actually acted
+        np.testing.assert_allclose(a, b, rtol=1e-9)
+        assert a[-1, 0] > 1.0  # positive drift actually acted
 
     def test_compensated_two_step_hand_computation(self):
         # two steps, two known events, state-free jump coefficient H = z
@@ -236,7 +234,6 @@ class TestJumpModes:
             jump_times=np.array([0.3, 0.7]),
             jump_marks=np.array([0.2, 0.3]),
             spec=self.SPEC,
-            master_seed=0,
         )
         coeffs = CoefficientSet(
             drift=lambda t, x: np.zeros_like(x),
@@ -254,8 +251,8 @@ class TestJumpModes:
         gb = gamma_fn(beta)
         x1 = (h ** (beta - 1)) * j0 / gb
         x2 = ((2 * h) ** (beta - 1) * j0 + h ** (beta - 1) * j1) / gb
-        assert path.states[1, 0] == pytest.approx(x1, rel=1e-12)
-        assert path.states[2, 0] == pytest.approx(x2, rel=1e-12)
+        assert path[1, 0] == pytest.approx(x1, rel=1e-12)
+        assert path[2, 0] == pytest.approx(x2, rel=1e-12)
 
     def test_compensated_without_events_is_pure_compensator(self):
         coeffs = CoefficientSet(
@@ -266,7 +263,7 @@ class TestJumpModes:
         )
         noise = zero_noise(4, step=0.25, spec=self.SPEC)
         path = solve_coupled(coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=0.75).original
-        assert np.all(path.states[1:, 0] < 0.0)  # only the subtracted rate acts
+        assert np.all(path[1:, 0] < 0.0)  # only the subtracted rate acts
 
     def test_compensated_mode_requires_jump_coefficient(self):
         coeffs = CoefficientSet(
@@ -300,7 +297,7 @@ class TestJumpModes:
         path = solve_coupled(
             coeffs, coeffs, zero_noise(10, step=0.1, spec=None), x0=0.0, epsilon=1.0, beta=0.75
         ).original
-        assert path.states[-1, 0] > 0.0
+        assert path[-1, 0] > 0.0
 
     def test_compensated_term_is_centered(self):
         # state-free jump coefficient: the compensated contribution has mean
@@ -321,7 +318,7 @@ class TestJumpModes:
             noise = sample_noise(spec, grid, dim=1, seed=13, stream_key=(i,))
             finals[i] = solve_coupled(
                 coeffs, coeffs, noise, x0=0.0, epsilon=1.0, beta=0.75
-            ).original.states[-1, 0]
+            ).original[-1, 0]
         se = finals.std(ddof=1) / math.sqrt(n_rep)
         assert abs(finals.mean()) < 4.0 * se
 
@@ -348,7 +345,7 @@ class TestJumpModes:
         noise = sample_noise(spec, grid, dim=1, seed=19)
         path = solve_coupled(coeffs, coeffs, noise, x0=[0.0, 0.0], epsilon=1.0, beta=0.75).original
         # the second component sees exactly twice the jump input of the first
-        np.testing.assert_allclose(path.states[:, 1], 2.0 * path.states[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(path[:, 1], 2.0 * path[:, 0], rtol=1e-12)
 
 
 def _column(z):
@@ -620,7 +617,7 @@ class TestCoupling:
         noise = sample_noise(None, grid, dim=1, seed=99)
         a = solve_coupled(coeffs, coeffs, noise, x0=0.1, epsilon=0.4, beta=0.7).original
         b = solve_coupled(averaged, averaged, noise, x0=0.1, epsilon=0.4, beta=0.7).averaged
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_identical_coefficients_zero_error_many_seeds(self):
         coeffs = CoefficientSet(
@@ -654,7 +651,7 @@ class TestCoupling:
         path = solve_coupled(
             averaged, averaged, zero_noise(30), x0=0.7, epsilon=0.5, beta=0.75
         ).averaged
-        assert np.all(path.states == 0.7)
+        assert np.all(path == 0.7)
 
     def test_blowup_labels_failing_system(self):
         coeffs = CoefficientSet(
@@ -675,7 +672,7 @@ class TestCoupling:
             drift=lambda x: np.zeros_like(x), diffusion=lambda x: np.zeros((len(x), 1, 1))
         )
         res = solve_coupled(coeffs, averaged, zero_noise(10, step=0.1), x0=0.0, epsilon=1.0, beta=0.75)
-        np.testing.assert_allclose(res.er, np.abs(res.original.states[:, 0]))
+        np.testing.assert_allclose(res.er, np.abs(res.original[:, 0]))
         assert res.sup_sq_error == pytest.approx(res.er.max() ** 2)
         assert res.er[0] == 0.0
 
@@ -707,25 +704,12 @@ class TestCoupling:
     def test_sup_square_is_the_correctly_rounded_product(self):
         # glibc 2.36's pow rounds this square one ulp above x * x
         sup = 0.42672114373024106
-        grid = GridPath(times=np.array([0.0, 0.1]), states=np.zeros((2, 1)))
-        res = CoupledPaths(original=grid, averaged=grid, er=np.array([0.0, sup]))
+        states = np.zeros((2, 1))
+        res = CoupledPaths(times=np.array([0.0, 0.1]), original=states, averaged=states, er=np.array([0.0, sup]))
         assert res.sup_sq_error == 0.18209093450644503 == float(np.square(sup))
 
 
 class TestSerialization:
-    def test_grid_path_csv_columns(self, tmp_path):
-        coeffs = CoefficientSet(
-            drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
-        )
-        path = solve_coupled(
-            coeffs, coeffs, zero_noise(3, step=0.5), x0=1.0, epsilon=1.0, beta=0.75
-        ).original
-        target = tmp_path / "path.csv"
-        path.to_csv(target)
-        lines = target.read_text().splitlines()
-        assert lines[0] == "t,X_1"
-        assert len(lines) == 5
-
     def test_coupled_csv_columns(self, tmp_path):
         coeffs = CoefficientSet(
             drift=lambda t, x: x, diffusion=lambda t, x: np.zeros((len(x), 1, 1))
@@ -747,7 +731,7 @@ class TestSerialization:
         )
         path = solve_coupled(coeffs, coeffs, zero_noise(3), x0=1.0, epsilon=1.0, beta=0.75).original
         with pytest.raises(ValueError):
-            path.states[0, 0] = 5.0
+            path[0, 0] = 5.0
 
 
 class TestVectorStates:
@@ -762,9 +746,9 @@ class TestVectorStates:
         path = solve_coupled(
             coeffs, coeffs, zero_noise(200, step=5e-3), x0=[1.0, 0.0], epsilon=1.0, beta=0.9
         ).original
-        norms = np.linalg.norm(path.states, axis=1)
+        norms = np.linalg.norm(path, axis=1)
         assert norms[-1] == pytest.approx(1.0, abs=0.1)
-        assert path.states[-1, 1] > 0.0  # rotated counterclockwise
+        assert path[-1, 1] > 0.0  # rotated counterclockwise
 
     def test_x0_shape_checked(self):
         coeffs = CoefficientSet(
@@ -808,8 +792,8 @@ class TestBlocks:
             single = solve_coupled(
                 problem.coeffs, problem.averaged, noise, problem.x0, cfg.epsilon, problem.beta
             )
-            np.testing.assert_allclose(block.original[:, p], single.original.states, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(block.averaged[:, p], single.averaged.states, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(block.original[:, p], single.original, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(block.averaged[:, p], single.averaged, rtol=1e-12, atol=0)
 
     def test_callable_compensated_block_matches_single_solves(self):
         # plain callables, called at every step, reach the shell table
@@ -831,8 +815,8 @@ class TestBlocks:
         assert block.quadrature_fallbacks == 0
         for p, noise in enumerate(noises):
             single = solve_coupled(coeffs, averaged, noise, **kw)
-            np.testing.assert_allclose(block.original[:, p], single.original.states, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(block.averaged[:, p], single.averaged.states, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(block.original[:, p], single.original, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(block.averaged[:, p], single.averaged, rtol=1e-12, atol=0)
 
     def test_block_rejects_mismatched_realizations(self):
         with pytest.raises(ValueError):
@@ -916,7 +900,7 @@ class TestLockstep:
             assert np.array_equal(states, alone[:, 0])
             if noise.size == 1 and not failed.any():
                 twin = solve_coupled(system, system, noise.realizations[0], **kw)
-                assert np.array_equal(states[:, 0], getattr(twin, name).states)
+                assert np.array_equal(states[:, 0], getattr(twin, name))
         return coupled
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
