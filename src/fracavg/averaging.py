@@ -51,6 +51,14 @@ def write_json(data: dict, path) -> None:
         fh.write(text)
 
 
+def averaging_horizon(horizon) -> float:
+    """The horizon as a float; ValueError unless it is positive and finite."""
+    horizon = float(horizon)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"averaging horizon must be positive and finite; got {horizon!r}")
+    return horizon
+
+
 def time_average(
     coefficient,
     state,
@@ -67,9 +75,7 @@ def time_average(
     a batch of one.  Whether the average has settled is not tested here;
     ``h3_residuals`` reads the residuals over a grid of horizons.
     """
-    horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"averaging horizon must be positive and finite; got {horizon!r}")
+    horizon = averaging_horizon(horizon)
     state = np.asarray(state, dtype=float)
 
     def values(times):
@@ -172,8 +178,8 @@ def h3_residuals(
     lower bounds of the true constants; the probe set is echoed in the
     enclosing report.
     """
-    if not len(probe_states):
-        raise ValueError("probe_states must be nonempty")
+    if not (len(probe_states) and len(t1_grid)):
+        raise ValueError("probe_states and t1_grid must be nonempty")
     probes = _as_batches(probe_states)
     t1_grid = [float(t) for t in t1_grid]
 
@@ -426,6 +432,8 @@ def theorem_bound(
     lam = float(lam)
     big_l = float(big_l)
     epsilons = [float(e) for e in (np.atleast_1d(epsilon).tolist())]
+    if not epsilons:
+        raise ValueError("epsilon must hold at least one value")
     # nan passes every comparison below, and inf makes the bound nan or inf
     for name, values in (
         ("c1", [c1]), ("alpha_sups", [a1, a2, a3]), ("z_moment", [z_moment]),

@@ -27,13 +27,12 @@ import sys
 
 import numpy as np
 
-from .averaging import averaged_jump_drift, probe_hypotheses, theorem_bound, time_average
+from .averaging import averaged_jump_drift, averaging_horizon, probe_hypotheses, theorem_bound, time_average
 from .errors import ConfigError, FracavgError
 from .harness import ExperimentConfig, convergence_study, reproduce_fig1, run_ensemble
 from .problems import FIG1_CASES, build_problem
 from .solver import JumpMode
 
-WORKERS_ENV = "FRACAVG_WORKERS"
 DEFAULT_OUT = "fracavg_out"
 
 
@@ -98,16 +97,6 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}")
 
 
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer; got {env!r}")
-
-
 def _flag(command: str, dest: str) -> str:
     """The option string of a command's flag with this argparse destination."""
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -135,10 +124,6 @@ def _given_values(args, **forced) -> dict:
             )
         values[field.name] = value
     values.update(forced)
-    # the variable is a default of the commands that run a pool; simulate forces
-    # one worker and average runs no ensemble, so neither reads it
-    if "workers" not in values and args.command in ("study", "fig1"):
-        values["workers"] = _default_workers()
     case = values.get("case", ExperimentConfig.case)
     eq10 = values.get("problem", ExperimentConfig.problem) == "eq10"
     if eq10 and isinstance(case, str) and case in FIG1_CASES:
@@ -168,7 +153,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--seed", dest="master_seed", type=int, help="master seed for noise streams"
     )
     parser.add_argument("--out", help=f"output directory root (default {DEFAULT_OUT})")
-    parser.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    parser.add_argument("--workers", type=int, help="worker processes (default 1)")
     parser.add_argument("--step", type=float, help="grid step")
     parser.add_argument("--horizon", type=float, help="time horizon")
     parser.add_argument("--paths", dest="n_paths", type=int, help="ensemble size")
@@ -217,15 +202,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_average(args) -> int:
     cfg = _config_from_args(args, n_paths=1)
+    avg_horizon = args.avg_horizon if args.avg_horizon is not None else 100.0 * math.pi
     t1_grid = _float_list(args.t1_grid) if args.t1_grid else [10.0, 100.0, 1000.0]
     probes = _float_list(args.probes) if args.probes else [0.01, 0.1, 1.0, 10.0]
+    for horizon in (avg_horizon, *t1_grid):
+        averaging_horizon(horizon)
+    if not (t1_grid and probes):
+        raise ValueError("--t1-grid and --probes each need at least one value")
     if not all(map(math.isfinite, probes)):
         raise ValueError(f"probe states must be finite; got {', '.join(map(repr, probes))}")
     problem = build_problem(cfg)
     out = _out_dir(args, "average")
     os.makedirs(out, exist_ok=True)
 
-    avg_horizon = args.avg_horizon if args.avg_horizon is not None else 100.0 * math.pi
     coeffs = problem.coeffs
     state = problem.x0[None]  # a batch of one state, as coefficient sets expect
     drift_avg = time_average(coeffs.drift, state, avg_horizon)

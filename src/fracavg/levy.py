@@ -297,7 +297,10 @@ def _half_shell_cuts(hi: float, lo: float) -> np.ndarray:
     while edges[-1] / _SHELL_RATIO > lo:
         edges.append(edges[-1] / _SHELL_RATIO)
     edges.append(lo)
-    return np.array([x for a, b in zip(edges, edges[1:]) for x in (a, math.sqrt(a * b))] + [lo])
+    # the product of two cuts beyond ~1.3e154 overflows: its root is taken apart there
+    mids = [math.sqrt(a * b) if a * b < math.inf else math.sqrt(a) * math.sqrt(b)
+            for a, b in zip(edges, edges[1:])]
+    return np.array([x for a, mid in zip(edges, mids) for x in (a, mid)] + [lo])
 
 
 # Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK qk21; Piessens, de

@@ -199,6 +199,11 @@ class TestH3Residuals:
         with pytest.raises(ValueError):
             h3_residuals(coeffs, averaged, [10.0], [])
 
+    def test_requires_horizons(self):
+        coeffs, averaged = EnvelopeFixtures.oscillating_pair()
+        with pytest.raises(ValueError, match="t1_grid must be nonempty"):
+            h3_residuals(coeffs, averaged, [], [np.array([1.0])])
+
 
 class TestAveragedConstruction:
     def test_numeric_averaging_reproduces_published_coefficients(self):
@@ -402,6 +407,7 @@ class TestTheoremBound:
             dict(z_moment=0.5),
             dict(epsilon=0.0),
             dict(alpha_sups=(-0.1, 0.0, 0.0)),
+            dict(epsilon=[]),
         ],
     )
     def test_validation(self, kwargs):

@@ -1,5 +1,5 @@
 """The blocked history sum of the solver (direct near field, FFT far field)
-against one weights-by-history product over the whole history per step."""
+against the direct-sum oracle of ``oracles/direct_solve.py``."""
 
 import dataclasses
 import math
@@ -10,8 +10,7 @@ import pytest
 from fracavg import solver
 from fracavg.averaging import time_average
 from fracavg.harness import ExperimentConfig
-from fracavg.kernels import as_order, build_kernel_weights, gamma_fn
-from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, sample_noise, shell_table
+from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, nu_integral, sample_noise
 from fracavg.problems import build_problem, compile_expr, jump_drift_scale
 from fracavg.solver import (
     AveragedCoefficientSet,
@@ -20,102 +19,9 @@ from fracavg.solver import (
     _Constant,
     _Linear,
     _event_table,
-    _quadrature_rate,
     _solve_block,
 )
-
-
-def direct_solve_block(coeffs, noise, x0, epsilon, beta):
-    """The solver's step with the whole history in one product per step,
-    ``weights[2(N - n):] @ history[:2n]``: the reference for the blocked sum."""
-    b = as_order(beta).beta
-    dim = coeffs.dim
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
-    mode = coeffs.jump_mode
-    grid = noise.grid
-    h, n_steps, times = grid.step, grid.n_steps, grid.times
-    timed = coeffs.time_dependent
-    p_count = noise.size
-    shape = (p_count, dim)
-    c_drift = epsilon / gamma_fn(b)
-    c_stoch = math.sqrt(epsilon) / gamma_fn(b)
-
-    weights = np.empty(2 * n_steps)
-    weights[0::2] = build_kernel_weights(as_order(beta), h, n_steps)
-    weights[1::2] = (h * np.arange(n_steps, 0, -1, dtype=float)) ** (b - 1.0)
-    history = np.zeros((n_steps, 2, p_count * dim))
-    history_rows = history.reshape(2 * n_steps, -1)
-    by_path = history.reshape(n_steps, 2, p_count, dim)
-    scale = np.array([c_drift, c_stoch])[:, None, None]
-    increments = noise.increments[:, :, :, None]
-    nu_drift = has_jump and mode == JumpMode.NU_DRIFT
-
-    events = has_jump and mode == JumpMode.COMPENSATED and any(r.n_events for r in noise.realizations)
-    if events:
-        ev_path, ev_time, ev_mark, _, starts, ends = _event_table(noise)
-
-    states = np.empty((n_steps + 1,) + shape)
-    states[0] = x0
-    state_rows = states.reshape(n_steps + 1, -1)
-    x0_row = np.tile(x0, p_count)
-    failed = np.zeros(p_count, dtype=np.int64)
-    fallbacks = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(1, n_steps + 1):
-            j = n - 1
-            targs = (times[j],) if timed else ()
-            x_j = states[j]
-            slots = by_path[j]
-            slots[0] = np.asarray(coeffs.drift(*targs, x_j), dtype=float).reshape(shape)
-            g = np.asarray(coeffs.diffusion(*targs, x_j), dtype=float).reshape(
-                shape + (coeffs.brownian_dim,)
-            )
-            slots[1] = (g @ increments[j])[:, :, 0]
-            if has_jump:
-                if coeffs.jump_drift is not None:
-                    rate = np.asarray(coeffs.jump_drift(*targs, x_j), dtype=float).reshape(shape)
-                else:
-                    table = shell_table(noise.spec)
-                    rate, redone = _quadrature_rate(
-                        coeffs.jump, targs, x_j, noise.spec,
-                        None if nu_drift else (table, np.tile(table.nodes, p_count)),
-                    )
-                    fallbacks += redone
-                if not nu_drift:
-                    raw = np.zeros(shape)
-                    if events and starts[j] < ends[j]:
-                        sel = slice(starts[j], ends[j])
-                        ev_targs = (ev_time[sel],) if timed else ()
-                        hits = np.asarray(
-                            coeffs.jump(*ev_targs, x_j[ev_path[sel]], ev_mark[sel]), dtype=float
-                        ).reshape(-1, dim)
-                        np.add.at(raw, ev_path[sel], hits)
-                    slots[1] += raw - h * rate
-            slots *= scale
-            if nu_drift:
-                slots[0] += c_stoch * rate
-            x_n = state_rows[n]
-            np.matmul(weights[2 * (n_steps - n) :], history_rows[: 2 * n], out=x_n)
-            x_n += x0_row
-            bad = ~np.isfinite(states[n]).all(axis=1)
-            if bad.any():
-                failed[bad & (failed == 0)] = n
-                states[n][bad] = x0
-                by_path[:n, :, bad] = 0.0
-    return states, failed, fallbacks
-
-
-def assert_matches_direct(coeffs, noise, x0, epsilon, beta):
-    states, failed, fallbacks = _solve_block((coeffs,), noise, x0, epsilon, beta)
-    states, failed, fallbacks = states[:, 0], failed[0], fallbacks[0]
-    ref_states, ref_failed, ref_fallbacks = direct_solve_block(coeffs, noise, x0, epsilon, beta)
-    np.testing.assert_array_equal(failed, ref_failed)
-    assert fallbacks == ref_fallbacks
-    assert states.shape == ref_states.shape
-    assert np.all(np.isfinite(ref_states))
-    assert np.all(np.abs(states - ref_states) <= 1e-12 * (1.0 + np.abs(ref_states)))
-    return failed
+from oracles.direct_solve import assert_matches_direct
 
 
 def noise_block(spec, grid, paths, dim=1, seed=5, include_jumps=True):
@@ -181,6 +87,23 @@ class TestBlockedHistory:
         )
         grid = TimeGrid(step=1e-2, n_steps=1300)
         assert_matches_direct(coeffs, noise_block(None, grid, 3, dim=2), np.array([0.5, -0.2]), 0.2, 0.8)
+
+    def test_two_dimensional_system_with_compensated_jumps(self):
+        spec = JumpMeasureSpec(gamma=2.0, alpha=0.8, cutoff=0.5)
+        mean_mark = nu_integral(spec, lambda z: z)  # over [delta, cutoff)
+        rotation = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+        coeffs = CoefficientSet(
+            drift=lambda t, x: x @ rotation.T,
+            diffusion=lambda t, x: 0.2 * np.eye(2) + 0.1 * x[:, :, None] * np.cos(t),
+            jump=lambda t, x, z: np.asarray(z)[:, None] * x,
+            jump_drift=lambda t, x: mean_mark * x,
+            dim=2,
+            brownian_dim=2,
+        )
+        grid = TimeGrid(step=0.02, n_steps=100)
+        noise = NoiseBlock(tuple(sample_noise(spec, grid, dim=2, seed=4, stream_key=(i,)) for i in range(3)))
+        assert any(r.n_events for r in noise.realizations)
+        assert_matches_direct(coeffs, noise, np.array([0.5, -0.2]), 0.2, 0.8)
 
     @pytest.mark.parametrize("config, paths", PROBLEMS, ids=PROBLEM_IDS)
     def test_problem(self, config, paths):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import pytest
 
@@ -76,6 +77,23 @@ class TestSimulate:
         assert err.startswith("invalid value: ") and "must be positive and finite" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "simulate").exists()
+
+    def test_huge_finite_cutoff_solves_as_a_moderate_one(self, tmp_path, capsys):
+        # the product of two shell cuts beyond ~1.3e154 overflows; the measure
+        # above 1e100 holds too little mass to change a single bit
+        sup_er = {}
+        for cutoff in ("1e300", "1e100"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run_cli(
+                    "simulate", "--problem", "expr", "--jump-mode", "compensated_prm", "--drift=-x",
+                    "--diffusion", "1", "--avg-drift=-x", "--avg-diffusion", "1", "--jump", "z*x", "--gamma",
+                    "1", "--alpha", "1.5", "--cutoff", cutoff, "--delta", "0.1", "--horizon", "1",
+                    "--out", str(tmp_path / cutoff),
+                )
+            assert code == 0, capsys.readouterr().err
+            sup_er[cutoff] = json.loads((tmp_path / cutoff / "simulate" / "report.json").read_text())["per_path_sup_er"]
+        assert sup_er["1e300"] == sup_er["1e100"]
 
     def test_eq10_refuses_the_compensated_jump_mode(self, tmp_path, capsys):
         code = run_cli("simulate", "--case", "a", "--jump-mode", "compensated_prm", "--out", str(tmp_path), *FAST)
@@ -556,6 +574,16 @@ class TestAverage:
         assert err == f"config error: x0 must be finite; got {value}\n"
         assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--probes", ","), ("--t1-grid", ","), ("--t1-grid", "0"), ("--avg-horizon", "inf")]
+    )
+    def test_refused_input_prints_and_creates_nothing(self, flag, value, tmp_path, capsys):
+        code = run_cli("average", "--case", "a", flag, value, "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("invalid value: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "average").exists()
+
     def test_single_horizon_insufficient_data(self, tmp_path, capsys):
         out = tmp_path / "avg"
         code = run_cli(
@@ -595,6 +623,12 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid value: {name} must be finite")
         assert not (out / "bound" / "bound.json").exists()
+
+    def test_empty_epsilon_list_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        code = run_cli("bound", "--c1", "50", "--alphas", "0.1,0.1,0.1", "--epsilons", ",", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == "invalid value: epsilon must hold at least one value\n"
+        assert not (tmp_path / "bound").exists()
 
     def test_wrong_alpha_count(self, capsys):
         assert run_cli("bound", "--c1", "1.0", "--alphas", "0.1,0.2") == 2
@@ -783,7 +817,6 @@ class TestFlagsReachConfig:
 
     @pytest.mark.parametrize("command", ["simulate", "average", "study", "fig1"])
     def test_every_flag_is_a_config_field(self, command, tmp_path, monkeypatch):
-        monkeypatch.delenv("FRACAVG_WORKERS", raising=False)
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         actions = [a for a in _subparser(command)._actions if a.dest not in NON_CONFIG_DESTS]
         assert {a.dest for a in actions} <= fields
@@ -808,48 +841,3 @@ def _configs(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_ensemble", lambda cfg, **kwargs: seen.append(cfg.resolved()))
     assert main([*argv, "--out", str(tmp_path)]) == 0
     return seen
-
-
-class TestWorkersEnv:
-    def test_env_var_sets_default_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACAVG_WORKERS", "3")
-        out = tmp_path / "runs"
-        assert run_cli("simulate", "--case", "a", "--out", str(out), *FAST) == 0
-        manifest = json.loads((out / "simulate" / "manifest.json").read_text())
-        # simulate is single-path and forces one worker, but the env default
-        # must parse cleanly; study-style commands pick it up from the config
-        assert manifest["effective_config"]["workers"] == 1
-
-    def test_simulate_does_not_read_the_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACAVG_WORKERS", "x")  # simulate forces one worker
-        out = tmp_path / "runs"
-        assert run_cli("simulate", "--horizon", "1", "--step", "0.1", "--out", str(out)) == 0
-        manifest = json.loads((out / "simulate" / "manifest.json").read_text())
-        assert manifest["effective_config"]["workers"] == 1
-
-    def test_average_does_not_read_the_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACAVG_WORKERS", "x")  # average runs no ensemble
-        out = tmp_path / "runs"
-        assert run_cli("average", "--horizon", "1", "--step", "0.1", "--out", str(out)) == 0
-        assert (out / "average" / "hypothesis.json").is_file()
-        argv = ["average", "--workers", "3"]
-        assert cli._config_from_args(cli.build_parser().parse_args(argv)).workers == 3
-
-    def test_env_var_that_is_no_integer_exits_2_for_study(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACAVG_WORKERS", "x")
-        out = tmp_path / "study"
-        code = run_cli("study", "--epsilons", "1e-2,1e-3,1e-4", "--out", str(out), *FAST)
-        assert code == 2
-        assert capsys.readouterr().err == "config error: FRACAVG_WORKERS must be an integer; got 'x'\n"
-        assert not out.exists()
-
-    def test_env_var_flows_into_study_config(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACAVG_WORKERS", "2")
-        out = tmp_path / "study"
-        code = run_cli(
-            "study", "--case", "a", "--epsilons", "1e-2,1e-3,1e-4",
-            "--paths", "4", "--out", str(out), *FAST,
-        )
-        assert code == 0
-        manifest = json.loads((out / "study" / "manifest.json").read_text())
-        assert manifest["effective_config"]["workers"] == 2

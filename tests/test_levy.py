@@ -322,6 +322,18 @@ class TestShellTable:
         with pytest.raises(ValueError):
             table.weights[0] = 1.0
 
+    def test_cuts_of_a_huge_cutoff_are_finite_and_decreasing(self):
+        # the product of two cuts overflows once a cut passes ~1.3e154
+        cuts = levy._half_shell_cuts(1e300, 0.1)
+        assert np.all(np.isfinite(cuts)) and np.all(np.diff(cuts) < 0.0)
+
+    def test_cuts_of_moderate_ranges_are_the_geometric_midpoints_of_the_shells(self):
+        rng = np.random.default_rng(7)
+        for cutoff, ratio in zip(10.0 ** rng.uniform(-100, 150, 300), 10.0 ** rng.uniform(-8, -0.01, 300)):
+            cuts = levy._half_shell_cuts(cutoff, cutoff * ratio)
+            edges = cuts[0::2].tolist()  # hi, hi/4, ... and lo; a midpoint sits between each two
+            assert cuts[1::2].tolist() == [math.sqrt(a * b) for a, b in zip(edges, edges[1:])]
+
     def test_kinked_integrand_is_flagged(self):
         # |z - 0.1| has a kink inside a half-shell: the two estimates disagree
         table = shell_table(SPEC)

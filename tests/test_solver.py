@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import re
@@ -18,7 +19,7 @@ from fracavg.levy import (
     nu_integral,
     sample_noise,
 )
-from fracavg import levy
+from fracavg import levy, solver
 from fracavg.problems import build_problem, compile_expr
 from fracavg.solver import (
     AveragedCoefficientSet,
@@ -732,6 +733,46 @@ class TestSerialization:
         path = solve_coupled(coeffs, coeffs, zero_noise(3), x0=1.0, epsilon=1.0, beta=0.75).original
         with pytest.raises(ValueError):
             path[0, 0] = 5.0
+
+
+def csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+SPECIAL = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, 1.5e300, 0.1, 1 / 3])
+
+
+def random_states(n_rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n_rows, dim)) * 10.0 ** rng.integers(-8, 8, (n_rows, dim))
+    states.flat[: SPECIAL.size] = SPECIAL[: states.size]
+    return states
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_rows", [1, solver.CSV_CHUNK_ROWS, 2 * solver.CSV_CHUNK_ROWS + 37])
+class TestCsvBytes:
+    """Saved CSVs are byte for byte what csv.writer writes for the same values."""
+
+    def test_coupled_paths(self, tmp_path, dim, n_rows):
+        times = np.arange(n_rows) * 0.01
+        original = random_states(n_rows, dim, seed=n_rows)
+        averaged = random_states(n_rows, dim, seed=n_rows + 1)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            er = np.linalg.norm(original - averaged, axis=1)
+        coupled = CoupledPaths(times=times, original=original, averaged=averaged, er=er)
+        coupled.to_csv(tmp_path / "new.csv")
+        expected = csv_writer_bytes(
+            tmp_path / "ref.csv",
+            ["t"] + [f"X_{i + 1}" for i in range(dim)] + [f"Z_{i + 1}" for i in range(dim)] + ["Er"],
+            [[t, *x, *z, e] for t, x, z, e in zip(times, original, averaged, er)],
+        )
+        assert (tmp_path / "new.csv").read_bytes() == expected
 
 
 class TestVectorStates:
