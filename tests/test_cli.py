@@ -832,6 +832,13 @@ class TestFlagsReachConfig:
             for cfg in _configs(argv, tmp_path, monkeypatch):
                 assert getattr(cfg, action.dest) == expected, (command, action.dest)
 
+    @pytest.mark.parametrize("command", ["simulate", "average", "study", "fig1"])
+    def test_environment_sets_no_worker_count(self, command, tmp_path, monkeypatch):
+        # the worker count comes from --workers or the config file only
+        monkeypatch.setenv("FRACAVG_WORKERS", "3")
+        for cfg in _configs([command, *REQUIRED_FLAGS.get(command, [])], tmp_path, monkeypatch):
+            assert cfg.workers == 1, command
+
 
 def _configs(argv, tmp_path, monkeypatch):
     """The resolved configs a run command builds, without solving."""

@@ -322,9 +322,10 @@ class TestShellTable:
         with pytest.raises(ValueError):
             table.weights[0] = 1.0
 
-    def test_cuts_of_a_huge_cutoff_are_finite_and_decreasing(self):
+    @pytest.mark.parametrize("cutoff", [3e154, 1e300, float(np.finfo(float).max)])
+    def test_cuts_of_a_huge_cutoff_are_finite_and_decreasing(self, cutoff):
         # the product of two cuts overflows once a cut passes ~1.3e154
-        cuts = levy._half_shell_cuts(1e300, 0.1)
+        cuts = levy._half_shell_cuts(cutoff, 0.1)
         assert np.all(np.isfinite(cuts)) and np.all(np.diff(cuts) < 0.0)
 
     def test_cuts_of_moderate_ranges_are_the_geometric_midpoints_of_the_shells(self):
