@@ -29,18 +29,26 @@ on the lag n - j only.  Each step writes its terms already scaled: f times
 eps / Gamma(beta) in slot 0; G dB and each compensated jump term times
 sqrt(eps) / Gamma(beta) in slot 1.  For a constant diffusion (``_Constant``,
 additive noise) G dB does not depend on the state, so it is filled into
-slot 1 of every step before the time loop, a bounded chunk of steps at a
-time, and the diffusion is never called.  Every other coefficient is
+slot 1 of a block's rows right before the block is solved, by one product
+per system, and the diffusion is never called.  Every other coefficient is
 called at every step the loop takes.
 
-The sum over that history is blocked (Hairer, Lubich & Schlichte, SIAM J.
-Sci. Stat. Comput. 6, 1985).  Near field: step n sums the rows of its own
-BASE-step block, j >= n - n % BASE, as one weights-by-history product.  Far
-field: when n completes a block, the rows [n - s, n), s = n & -n, are
-convolved with the lag weights by one FFT of length 2s per square and
-added to the states of steps [n, n + s), which start at X_0.  A block of P
-paths costs O(N * BASE * P) for the near field plus O(N log^2 N * P) for
-the far field, in O(N) Python steps; for N < BASE it is the direct sum.
+The sum over that history is blocked by BASE-step blocks.  Near field: step
+n sums the rows of its own block, j >= n0 = n - n % BASE, as one
+weights-by-history product, and the rows of the previous block, at lags
+1 .. 2 BASE - 1, are added to the block's states at its start by one
+(BASE x 2 BASE) product per system.  Far field: the kernel t^(beta - 1) is
+completely monotone, so on [BASE h, N h] it is a sum of K decaying
+exponentials to within ~1.5e-14 relative (``_exponential_modes``; Lubich &
+Schaedle, SIAM J. Sci. Comput. 24, 2002; Jiang, Zhang, Zhang & Zhang,
+Commun. Comput. Phys. 21, 2017), and each mode integrates a cell exactly.
+The rows older than the previous block are K running sums per column (the
+modes): at each block start the block before the previous one enters them
+(modes = decay * modes + U @ rows), and the block's far-field sums are one
+(BASE x K) by (K x columns) product.  So the history array holds only the
+current and the previous block, and a block of P paths costs
+O(N * (BASE + K) * P) in O(N) Python steps; for N < BASE it is the direct
+sum.
 
 When every system is affine (a ``_Linear`` drift a(t) X, a ``_Constant``
 diffusion, and as its jump part none, a NU_DRIFT ``_Linear`` jump drift
@@ -55,46 +63,45 @@ settle are refined by one ``nu_integral``, and each counts one fallback
 per path); otherwise e = 0.  These tables are built once per solve, and the
 states of a near-field block [n0, n0 + BASE) are a unit lower triangular
 linear system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W
-and V hold the block's lag weights of the two slots and R the X_0 plus
-far-field sums.  How a system is solved is ruled once per solve, for each
-system on its own, so a system is solved as its solo solve solves it.  A
-steady system, with no compensated jump and one factor f for all steps
-(such as every affine averaged system without one), has the same matrix
-I - f W in every block: its own ``np.linalg.inv`` forms the inverse once
-per solve, and each block is one matmul by its leading corner.  Every
-other system, and a steady one whose inverse raises LinAlgError or is not
-finite, is LU-solved in each block: one ``np.linalg.solve`` of the
+and V hold the block's lag weights of the two slots and R the X_0 plus the
+previous block's and far-field sums.  How a system is solved is ruled once
+per solve, for each system on its own, so a system is solved as its solo
+solve solves it.  A steady system, with no compensated jump and one factor
+f for all steps (such as every affine averaged system without one), has the
+same matrix I - f W in every block: its own ``np.linalg.inv`` forms the
+inverse once per solve, and each block is one matmul by its leading corner.
+Every other system, and a steady one whose inverse raises LinAlgError or is
+not finite, is LU-solved in each block: one ``np.linalg.solve`` of the
 equation above, stacked over q, with e one zero row for a system without
 a compensated jump, and Q = P rows for a compensated one whose e differ by
 path because the noise has events (Q = 1 otherwise).  Either way a block
 is a few numpy calls per system, not BASE Python steps.
 A block whose solve raises LinAlgError or is not all finite is stepped
-instead, from the same far-field sums, with the drift and jumps called as
+instead, from the same sums, with the drift and jumps called as
 any callable is, so failures and masking are those of the step loop.
 
-Only the order of summation changes: states stay within 1e-12 * (1 + |X|)
-of one product over the whole history per step, whether a block is stepped
-or solved, and scaling the terms before summing keeps that tolerance
-against three separate sums.  A path
-whose state turns non-finite is masked (restarted from X_0 without memory:
-its history up to that step is zeroed, the noise terms filled for later
-steps stay, and the far-field sums already added to its later states are
-reset to X_0, so it cannot disturb the others) and its first failure step
-is recorded, per system.
+Only the order of summation and the far field's fit change: states stay
+within 1e-12 * (1 + |X|) of one product over the whole history per step,
+whether a block is stepped or solved, and scaling the terms before summing
+keeps that tolerance against three separate sums.  A path whose state
+turns non-finite is masked (restarted from X_0 without memory:
+its history rows up to that step and its modes are zeroed, the noise terms
+filled for the later steps of its block stay, and the sums already added to
+the later states of its block are reset to X_0, so it cannot disturb the
+others) and its first failure step is recorded, per system.
 
-Systems stepped together share the weights, the event table, the far-field
-kernels and transforms, one near-field product and one finiteness test per
-step (or per block solve).  The history is laid out system
-outermost, (systems, N, 2, P * dim), and the states (N + 1, systems, P,
-dim): the near field is then a stack of per-system products or solves, each
-of the shape a solve of that system alone makes.
-A far-field transform may take the columns of several systems, but each
-column is a lane of its own: numpy's FFT transforms every lane separately,
-and the kernel product and the sum of the two slots are elementwise.  So
-each system's states are bitwise those of its solo solve, and two systems
-with equal coefficients stay exactly equal (acceptance criterion 5).
-Putting both systems' columns into one 2-D near-field product would break
-that: BLAS may round a column differently by its position in the matrix.
+Systems stepped together share the weights, the modes' rates, the event
+table, one near-field product and one finiteness test per step (or per
+block solve).  The history is laid out system outermost, (systems,
+2 BASE, 2, P * dim) with block n0 in rows n0 % (2 BASE) onwards, the
+modes (systems, K, P * dim), and the states (N + 1, systems, P, dim).
+Every product, of the near field, the previous block, the modes' update
+and their read, and every block solve is a stack of per-system products
+or solves, each of the shape a solve of that system alone makes.  So each
+system's states are bitwise those of its solo solve, and two systems with
+equal coefficients stay exactly equal (acceptance criterion 5).  Putting
+both systems' columns into one 2-D product would break that: BLAS may
+round a column differently by its position in the matrix.
 One exception: an affine block in which only another system fails is
 stepped for every system, so there a system that stays finite is within
 1e-12 * (1 + |X|) of its solo solve, not bitwise.
@@ -119,14 +126,16 @@ from .kernels import as_order, build_kernel_weights, gamma_fn
 from .levy import NoiseBlock
 
 EPSILON_MAX = 1.0
-# Near-field block of the history sum (see above).  A far-field transform of
-# a square of s rows takes at most FFT_CELLS // s columns (whole systems when
-# one system's columns fit, else columns of one system), at least one: this
-# bounds its temporaries.
+# Near-field block of the history sum (see above).
 BASE = 64
-FFT_CELLS = 2048
-# Grid steps per pass over all steps outside the time loop (the noise terms of
-# a constant diffusion, the distance curve); bounds the temporaries.
+# The far field's exponential modes (``_exponential_modes``): trapezoid nodes
+# MODE_STEP apart in the log of the rate, from FAST_RATE / (BASE h) down to the
+# last whose rate times the horizon is at least SLOW_RATE, which with every
+# slower node is lumped into one mode.
+MODE_STEP = 0.3
+FAST_RATE = 45.0
+SLOW_RATE = 1e-6
+# Grid steps per pass over all steps of the distance curve; bounds its temporaries.
 STEP_CHUNK = 256
 # The relative tolerance of a compensator rate over [delta, cutoff): the shell
 # table's rate is kept when it passes the integrator's test at this tolerance,
@@ -499,61 +508,28 @@ def _quadrature_rate(jump, targs, X, spec, shells):
     return rate, redo.size
 
 
-def _fill_noise(slot, diffusion: _Constant, increments, scale: float) -> None:
-    """Write (G dB_j) * scale into slot[j] for every step j, STEP_CHUNK steps at a time.
+def _exponential_modes(beta: float, h: float, n_steps: int):
+    """Rates and weights of K exponentials that sum to t^(beta - 1) on [BASE h, n_steps h].
 
-    ``slot`` is (n_steps, P, dim), ``increments`` (n_steps, P, brownian_dim),
-    and G the constant diffusion's (dim, brownian_dim) matrix.
+    The trapezoid rule with step MODE_STEP in x = log s on
+    t^(beta - 1) = Gamma(1 - beta)^-1 int exp((1 - beta) x - e^x t) dx, from
+    e^x = FAST_RATE / (BASE h) down, gives modes c_k exp(-s_k t).  The last
+    node whose rate times the horizon n_steps h is at least SLOW_RATE and
+    every node below it are one mode of the same total weight and mean rate
+    (two moments of their geometric tail, in closed form).  Returns the (K,)
+    rates and the (2, K) weights of the two slots: each mode integrates a
+    cell exactly, so slot 0 (the cell integrals) weighs c expm1(s h) / s and
+    slot 1 (the left-end kernel) c.
     """
-    g_t = np.full(diffusion.shape, diffusion.value, dtype=float).reshape(slot.shape[2], -1).T
-    for s0 in range(0, slot.shape[0], STEP_CHUNK):
-        part = slot[s0 : s0 + STEP_CHUNK]
-        np.matmul(increments[s0 : s0 + STEP_CHUNK], g_t, out=part)
-        part *= scale
-
-
-def _add_far_field(state_rows, history, weights, m: int, size: int, kernels: dict) -> None:
-    """Add the memory sums over history rows [m - size, m) to state rows [m, m + size).
-
-    ``history`` is (systems, n_steps, 2, columns) and ``state_rows``
-    (n_steps + 1, systems, columns).  The square is one FFT convolution of
-    length 2 * size per group of at most FFT_CELLS // size columns: as many
-    whole systems as fit, or, when one system's columns do not fit, part of
-    one system's columns.  Each column is one lane of the transform, so its
-    sums do not depend on the group it is in.  Only the group is copied,
-    never the whole square.  Target n and source j meet at lag n - j in
-    1 .. 2 * size - 1 whatever m is, so ``kernels`` caches one transform of
-    lags 0 .. 2 * size - 1 per square size, until the last square of that
-    size (squares of one size start 2 * size rows apart).  The last square's
-    targets are clipped at n_steps, not its transform length.
-    """
-    n_steps = history.shape[1]
-    end = min(m + size, n_steps + 1)
-    kernel = kernels.get(size)
-    if kernel is None:
-        segment = np.zeros((2, 2 * size))  # lag 0 and lags past n_steps weigh nothing
-        hi = min(2 * size, n_steps + 1)
-        # row i of the weights holds lag n_steps - i of both slots
-        segment[:, 1:hi] = weights.reshape(n_steps, 2)[n_steps + 1 - hi :][::-1].T
-        kernel = kernels[size] = np.fft.rfft(segment)[:, None, None, :]
-        del segment  # not held through the transforms: lowers the peak memory
-    width = max(1, FFT_CELLS // size)
-    s_count, columns = history.shape[0], history.shape[3]
-    per = max(1, width // columns)  # whole systems per transform, or one system in parts
-    for s0 in range(0, s_count, per):
-        for c0 in range(0, columns, width):
-            systems, cols = slice(s0, s0 + per), slice(c0, c0 + width)
-            # (slot, system, column, row) with rows contiguous: faster transforms
-            rows = history[systems, m - size : m, :, cols]
-            lanes = np.ascontiguousarray(rows.transpose(2, 0, 3, 1))
-            spectra = np.fft.rfft(lanes, n=2 * size)
-            spectra *= kernel
-            spectra[0] += spectra[1]
-            sums = np.fft.irfft(spectra[0], n=2 * size)
-            targets = state_rows[m:end, systems, cols]
-            targets += sums[:, :, size : size + end - m].transpose(2, 0, 1)
-    if m + 2 * size > n_steps:  # no later square of this size: free its kernel
-        del kernels[size]
+    count = math.floor(math.log(FAST_RATE * n_steps / (BASE * SLOW_RATE)) / MODE_STEP)  # above the tail
+    x = math.log(FAST_RATE / (BASE * h)) - MODE_STEP * np.arange(count + 1)
+    scale = MODE_STEP / gamma_fn(1.0 - beta)
+    rate = np.exp(x)
+    weight = scale * np.exp((1.0 - beta) * x)
+    # the slow tail x[-1] - i MODE_STEP, i >= 0, as one mode
+    weight[-1] /= -math.expm1((beta - 1.0) * MODE_STEP)
+    rate[-1] *= math.expm1((beta - 1.0) * MODE_STEP) / math.expm1((beta - 2.0) * MODE_STEP)
+    return rate, np.stack((weight * np.expm1(rate * h) / rate, weight))
 
 
 def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, events, lags):
@@ -612,14 +588,17 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
     return factors, rules, fallbacks
 
 
-def _solve_affine_block(f, rules, n0: int, state_rows, history, lags) -> bool:
+def _solve_affine_block(f, rules, n0: int, state_rows, rows, lags) -> bool:
     """Solve the states [n0, n0 + m) of one near-field block of affine systems at once.
 
     ``f`` is the block's (systems, m) slice of the solve's factor table: slot
-    0 of row j is f_j X_j, and the factor of state n_steps is 0.  ``lags``
-    is (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
-    left-end kernels, and the identity; R is the rows' X_0 plus far-field
-    sums, and slot 1 holds the noise terms eta filled before the time loop.
+    0 of row j is f_j X_j, and the factor of state n_steps is 0.  ``rows``
+    is the block's own (systems, r, 2, columns) history rows, r = m but for
+    the block of state n_steps, which has no row; their slot 1 holds the
+    noise terms eta filled before the solve.  ``lags`` is (W, V, I): the
+    strictly lower lag-Toeplitz matrices of the drift and left-end kernels,
+    and the identity; R is the states' X_0 plus the previous block's and
+    far-field sums, already added.
     ``rules`` holds one (inverse, e) pair per system, and the systems are
     solved one after another.  A steady system's ``inverse`` is (I - f W)^-1,
     and X is its leading m x m corner times R + V eta: the corner of a lower
@@ -634,12 +613,12 @@ def _solve_affine_block(f, rules, n0: int, state_rows, history, lags) -> bool:
     """
     m = f.shape[1]
     stop = n0 + m
-    r = min(m, history.shape[1] - n0)  # history rows of the block: state n_steps has none
+    r = rows.shape[1]  # history rows of the block: state n_steps has none
     w, v, identity = lags
-    rhs = v[:m, :r] @ history[:, n0 : n0 + r, 1]
+    rhs = v[:m, :r] @ rows[:, :, 1]
     rhs += state_rows[n0:stop].transpose(1, 0, 2)
     x = rhs  # each system's solution replaces its right-hand sides
-    noise = history[:, n0 : n0 + r, 1].copy()
+    noise = rows[:, :, 1].copy()
     try:
         for s, (inverse, e) in enumerate(rules):
             if inverse is not None:
@@ -654,13 +633,13 @@ def _solve_affine_block(f, rules, n0: int, state_rows, history, lags) -> bool:
             noise[s] += (e[:, :r, None] * xq[:, :r]).transpose(1, 0, 2).reshape(noise.shape[1:])
     except np.linalg.LinAlgError:
         return False
-    rows = f[:, :r, None] * x[:, :r]
-    total = x.sum() + rows.sum() + noise.sum()
+    drift = f[:, :r, None] * x[:, :r]
+    total = x.sum() + drift.sum() + noise.sum()
     if not math.isfinite(total):  # also when a finite sum overflows: then the steps decide
         return False
     state_rows[n0:stop] = x.transpose(1, 0, 2)
-    history[:, n0 : n0 + r, 0] = rows
-    history[:, n0 : n0 + r, 1] = noise
+    rows[:, :, 0] = drift
+    rows[:, :, 1] = noise
     return True
 
 
@@ -673,18 +652,20 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     finite, and per system the number of compensator rates that fell back
     from the shell table to ``nu_integral``.
 
-    The systems share the grid, the weights, the event table and the far-field
-    kernels and transforms; each step makes one near-field product and one
-    finiteness test for all of them, and each affine block one matmul or
-    LU solve per system.  The history is (S, n_steps, 2, P * dim), system
-    outermost, so the near field is a stack of S products (or one solve
-    per system) of the shape a solo solve makes, and each column is a
-    far-field lane of its own: each system's sums are those of a solve of
-    that system alone, bit for bit.
+    The systems share the grid, the weights, the modes' rates and the event
+    table; each step makes one near-field product and one finiteness test
+    for all of them, and each affine block one matmul or LU solve per
+    system.  The history is (S, 2 BASE, 2, P * dim) and the modes (S, K,
+    P * dim), system outermost, so every product is a stack of S products
+    (or one solve per system) of the shape a solo solve makes: each
+    system's sums are those of a solve of that system alone, bit for bit.
 
-    The time loop runs a near-field block at a time: the far-field square
-    ending at the block's first step, then the block.  When every system is
-    affine the block is one matmul or LU solve per system
+    The time loop runs a near-field block at a time.  At its start the
+    block before the previous one enters the modes (from n0 = 2 BASE on),
+    whose rows the block's own then replace; the previous block's and the
+    far-field sums are added to the block's states; and a constant
+    diffusion's noise terms are filled into the block's rows.  When every
+    system is affine the block is one matmul or LU solve per system
     (``_solve_affine_block``), by its slice of the tables and the rule of
     each system that ``_affine_tables`` builds before the loop;
     otherwise, or when a solve fails, it is stepped: state n, its
@@ -730,22 +711,34 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     c_drift = epsilon / gamma_fn(b)
     c_stoch = math.sqrt(epsilon) / gamma_fn(b)
 
-    # slot 0 of lag j holds c_drift * f (+ c_stoch * rate), slot 1 c_stoch times
-    # the noise terms; weights[2 * (n_steps - n):] weigh lags 0..n-1 from t_n
-    weights = np.empty(2 * n_steps)
-    weights[0::2] = build_kernel_weights(order, h, n_steps)
-    stoch_w = weights[1::2]  # left-endpoint kernel, built in place to keep peak memory down
-    np.power(np.multiply(h, np.arange(n_steps, 0, -1, dtype=float), out=stoch_w), b - 1.0, out=stoch_w)
-    history = np.zeros((s_count, n_steps, 2, p_count * dim))
-    history_rows = history.reshape(s_count, 2 * n_steps, -1)
-    by_path = history.reshape(s_count, n_steps, 2, p_count, dim)
+    # lags 2 BASE .. 1 of both slots, interleaved: near[-2 * i:] weighs lags
+    # i .. 1, and row i of prev_w the previous block's rows at lags BASE + i .. i + 1
+    near = np.empty((2 * BASE, 2))
+    near[:, 0] = build_kernel_weights(order, h, 2 * BASE)
+    near[:, 1] = (h * np.arange(2 * BASE, 0, -1)) ** (b - 1.0)
+    prev_w = near.reshape(-1)[2 * (BASE - np.arange(BASE))[:, None] + np.arange(2 * BASE)]
+    near = near.reshape(-1)
+    # the far field: at block n0 the modes decay by BASE steps (decay), block
+    # n0 - 2 BASE enters them with row l at lag BASE - l from n0 - BASE
+    # (enter), and row i of block n0 reads them at lag BASE + i (read)
+    rate, mode_w = _exponential_modes(b, h, n_steps)
+    decay = np.exp(-BASE * h * rate)[:, None]
+    enter = np.exp(-h * np.outer(rate, np.arange(BASE, 0, -1)))[:, :, None] * mode_w.T[:, None]
+    enter = enter.reshape(len(rate), 2 * BASE)
+    read = np.exp(-h * np.outer(np.arange(BASE, 2 * BASE), rate))
+    # block n0's rows are rows n0 % (2 BASE) .. + BASE; the previous block's the others
+    history = np.zeros((s_count, 2 * BASE, 2, p_count * dim))
+    history_rows = history.reshape(s_count, 4 * BASE, -1)
+    by_path = history.reshape(s_count, 2 * BASE, 2, p_count, dim)
+    modes = np.zeros((s_count, len(rate), p_count * dim))
+    modes_by_path = modes.reshape(s_count, len(rate), p_count, dim)
     states = np.empty((n_steps + 1, s_count) + shape)
-    states[:] = x0  # the far field adds into rows ahead of the current step
+    states[:] = x0  # each block adds its far-field and previous-block sums
     state_rows = states.reshape(n_steps + 1, s_count, -1)
     state_flat = states.reshape(n_steps + 1, -1)
     increments = noise.increments[:, :, :, None]
 
-    plans = []
+    plans, fills = [], []
     any_compensated = table_rates = False
     affine = True  # so far, every system has a _Linear drift, a _Constant diffusion and no other part
     for s, coeffs in enumerate(systems):
@@ -755,8 +748,9 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         any_compensated |= compensated
         table_rates |= compensated and coeffs.jump_drift is None
         constant_g = isinstance(coeffs.diffusion, _Constant)
-        if constant_g:
-            _fill_noise(by_path[s, :, 1], coeffs.diffusion, noise.increments, c_stoch)
+        if constant_g:  # G transposed, (brownian_dim, dim)
+            g = np.full(coeffs.diffusion.shape, coeffs.diffusion.value, dtype=float)
+            fills.append((s, g.reshape(dim, -1).T))
         folded = nu_drift and isinstance(coeffs.jump_drift, _Linear)
         linear_jump = isinstance(coeffs.jump, _Linear) and coeffs.jump_drift is None
         affine &= isinstance(coeffs.drift, _Linear) and constant_g and (folded or linear_jump or not has_jump)
@@ -770,7 +764,6 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     if table_rates:  # the table and its nodes tiled once per path, built once per solve
         table = levy.shell_table(noise.spec)
         shells = (table, np.tile(table.nodes, p_count))
-    kernels = {}
     failed = np.zeros((s_count, p_count), dtype=np.int64)
     fallbacks = [0] * s_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -778,36 +771,52 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
             # W and V of one near-field block: lag i - l of each slot at (i, l)
             size = min(BASE, n_steps + 1)
             lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
-            lagged[:, 1:] = weights.reshape(n_steps, 2)[::-1][: size - 1].T
+            lagged[:, 1:] = near.reshape(-1, 2)[::-1][: size - 1].T
             lag = np.arange(size)
             lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
             factors, rules, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table, lags)
 
         event_table = _ = None  # the events' steps serve the tables only: not held through the loop
         for n0 in range(0, n_steps + 1, BASE):
-            if n0:
-                _add_far_field(state_rows, history, weights, n0, n0 & -n0, kernels)
             stop = min(n0 + BASE, n_steps + 1)
-            if affine and _solve_affine_block(factors[:, n0:stop], rules, n0, state_rows, history, lags):
+            m = stop - n0
+            cur = n0 % (2 * BASE)
+            prev = BASE - cur
+            if n0:
+                sums = prev_w[:m] @ history_rows[:, 2 * prev : 2 * prev + 2 * BASE]
+                if n0 >= 2 * BASE:  # the block's rows still hold block n0 - 2 BASE: it enters the modes
+                    modes *= decay
+                    modes += enter @ history_rows[:, 2 * cur : 2 * cur + 2 * BASE]
+                    sums += read[:m] @ modes
+                state_rows[n0:stop] += sums.transpose(1, 0, 2)
+            r = min(m, n_steps - n0)  # history rows of the block: state n_steps has none
+            for s, g_t in fills:
+                part = by_path[s, cur : cur + r, 1]
+                np.matmul(noise.increments[n0 : n0 + r], g_t, out=part)
+                part *= c_stoch
+            rows = history[:, cur : cur + r]
+            if affine and _solve_affine_block(factors[:, n0:stop], rules, n0, state_rows, rows, lags):
                 continue
             # step by step: state n, its finiteness, then history row n
             for n in range(n0, stop):
-                if n > n0:
-                    rows = state_rows[n]
-                    rows += weights[2 * (n_steps - n + n0) :] @ history_rows[:, 2 * n0 : 2 * n]
+                i = n - n0
+                if i:
+                    state_rows[n] += near[-2 * i :] @ history_rows[:, 2 * cur : 2 * (cur + i)]
                 x_n = state_flat[n]
                 if n and not math.isfinite(x_n.dot(x_n)):  # a finite sum of squares proves every state finite
                     for s in range(s_count):
                         bad = ~np.isfinite(states[n, s]).all(axis=1)
                         failed[s, bad & (failed[s] == 0)] = n
-                        states[n:, s, bad] = x0  # drops the far-field sums already added ahead
-                        by_path[s, :n, :, bad] = 0.0
+                        states[n:stop, s, bad] = x0  # drops the sums already added to the block
+                        by_path[s, prev : prev + BASE, :, bad] = 0.0
+                        by_path[s, cur : cur + i, :, bad] = 0.0
+                        modes_by_path[s, :, bad] = 0.0
                 if n == n_steps:
                     break
                 for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, constant_g in plans:
                     targs = (times[n],) if coeffs.time_dependent else ()
                     x_j = sys_states[n]
-                    slots = sys_slots[n]
+                    slots = sys_slots[cur + i]
                     np.multiply(_as_float(coeffs.drift(*targs, x_j), shape), c_drift, out=slots[0])
                     if not constant_g:
                         g = _as_float(coeffs.diffusion(*targs, x_j), g_shape)

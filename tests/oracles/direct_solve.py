@@ -3,9 +3,9 @@ history as three separate, unscaled weights-by-history products (drift,
 noise and nu-drift), each scaled after its sum.
 
 It shares neither the solver's one-array history nor its pre-scaling nor its
-blocked near and far fields, so the fast paths (the blocked FFT history sum,
-the one-array history, the affine block solve) are each checked against an
-independent transcription of the step.  It does share with the package
+blocked near and far fields, so the fast paths (the blocked history sum and
+its exponential modes, the two-block history, the affine block solve) are
+each checked against an independent transcription of the step.  It does share with the package
 ``build_kernel_weights`` (the drift weights), ``_event_table`` (the jump
 events by step), ``_quadrature_rate`` (a jump rate with no closed form) and
 ``shell_table`` (its first-level panels), so failure steps and quadrature

@@ -1,5 +1,6 @@
-"""The blocked history sum of the solver (direct near field, FFT far field)
-against the direct-sum oracle of ``oracles/direct_solve.py``."""
+"""The blocked history sum of the solver (direct near field, exponential-mode
+far field) against the direct-sum oracle of ``oracles/direct_solve.py``, and
+the modes against the kernel they replace."""
 
 import dataclasses
 import math
@@ -10,6 +11,7 @@ import pytest
 from fracavg import solver
 from fracavg.averaging import time_average
 from fracavg.harness import ExperimentConfig
+from fracavg.kernels import build_kernel_weights
 from fracavg.levy import JumpMeasureSpec, NoiseBlock, TimeGrid, nu_integral, sample_noise
 from fracavg.problems import build_problem, compile_expr, jump_drift_scale
 from fracavg.solver import (
@@ -63,8 +65,8 @@ class TestBlockedHistory:
 
     @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 1000, 2049, 5000, 16400])
     def test_step_counts(self, n_steps):
-        # the base block is crossed, whole squares reach 8192 rows, and a last
-        # square is clipped to its first targets (17 of 16384 at N = 16400)
+        # the base block is crossed, the modes take their first block at step
+        # 2 BASE, and at N = 16400 they carry 255 blocks
         grid = TimeGrid(step=2e-3, n_steps=n_steps)
         assert_matches_direct(OU, noise_block(None, grid, 3), np.array([0.7]), 0.5, 0.6)
 
@@ -72,8 +74,8 @@ class TestBlockedHistory:
         "paths, n_steps", [(1, 1100), (64, 1100), (64, 4100)], ids=["1", "64", "64-4100"]
     )
     def test_block_widths(self, paths, n_steps):
-        # 64 paths take several transforms of FFT_CELLS // s columns each; the
-        # squares of 2048 and 4096 rows at N = 4100 transform one column at a time
+        # every product is stacked per system over all P columns: 1 and 64
+        # columns, and at N = 4100 modes that carry 63 blocks
         grid = TimeGrid(step=1e-2, n_steps=n_steps)
         assert_matches_direct(OU, noise_block(None, grid, paths), np.array([0.3]), 0.1, 0.75)
 
@@ -119,7 +121,7 @@ class TestBlockedHistory:
 
     @pytest.mark.parametrize("config, paths", PROBLEMS, ids=PROBLEM_IDS)
     def test_constant_diffusion_matches_a_plain_callable(self, config, paths):
-        # noise terms filled before the time loop against the per-step product;
+        # noise terms filled before each block against the per-step product;
         # a plain drift keeps both in the step loop, where the two are bitwise equal
         cfg = config.resolved()
         problem = build_problem(cfg)
@@ -149,7 +151,9 @@ class TestBlockedHistory:
         assert_matches_direct(coeffs, noise, np.array([0.4]), 0.3, 0.7)
 
     @pytest.mark.parametrize(
-        "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["square_boundary", "mid_block"]
+        "fail_step",
+        [2 * solver.BASE, 2 * solver.BASE - 28, 5 * solver.BASE + 17],
+        ids=["square_boundary", "mid_block", "after_modes"],
     )
     def test_one_path_blows_up(self, fail_step):
         called = CoefficientSet(
@@ -165,6 +169,34 @@ class TestBlockedHistory:
         for coeffs in (called, dataclasses.replace(called, diffusion=_Constant(1.0))):
             failed = assert_matches_direct(coeffs, NoiseBlock(tuple(noises)), 0.1, 0.5, 0.7)
             assert failed.tolist() == [0, 0, fail_step, 0]
+
+
+class TestExponentialModes:
+    """The far field's sum of exponentials fits the kernel t^(beta - 1) on
+    the lags it serves, with at most 100 modes."""
+
+    @pytest.mark.parametrize("beta", [0.51, 0.6, 0.75, 0.85, 0.99])
+    @pytest.mark.parametrize(
+        "h, n_steps", [(0.1, 100), (0.01, 1000), (1e-3, 10**4), (0.01, 4 * 10**5)], ids=["100", "1e3", "1e4", "4e5"]
+    )
+    def test_fit(self, beta, h, n_steps):
+        rate, weights = solver._exponential_modes(beta, h, n_steps)
+        assert len(rate) <= 100
+        t = np.geomspace(solver.BASE * h, n_steps * h, 2000)
+        fit = np.exp(-np.outer(t, rate)) @ weights[1]
+        assert np.max(np.abs(fit / t ** (beta - 1.0) - 1.0)) <= 1e-13
+        # the slot-0 weights the modes imply at lags BASE + 1 .. N, in chunks
+        # of lags, against the cell integrals: in a form without cancellation
+        # to 1e-13, and against build_kernel_weights, whose difference of
+        # powers loses up to ~4 eps (L h)^beta / beta at lag L
+        cells = build_kernel_weights(beta, h, n_steps)[::-1]  # lags 1 .. N
+        for l0 in range(solver.BASE + 1, n_steps + 1, 10**4):
+            lags = np.arange(l0, min(l0 + 10**4, n_steps + 1))
+            implied = np.exp(-h * np.outer(lags, rate)) @ weights[0]
+            exact = (h * lags) ** beta * -np.expm1(beta * np.log1p(-1.0 / lags)) / beta
+            assert np.all(np.abs(implied - exact) <= 1e-13 * exact)
+            rounding = 4.0 * np.finfo(float).eps * (h * lags) ** beta / beta
+            assert np.all(np.abs(implied - cells[lags - 1]) <= 1e-13 * cells[lags - 1] + rounding)
 
 
 class TestLinearDrift:
@@ -346,11 +378,14 @@ class TestAffineBlock:
     failures are those of the step loop."""
 
     @pytest.mark.parametrize(
-        "n_steps", [40, 2 * solver.BASE, 2 * solver.BASE + 1], ids=["short", "k_base", "k_base_plus_1"]
+        "n_steps",
+        [40, 2 * solver.BASE, 2 * solver.BASE + 1, 3 * solver.BASE - 1, 3 * solver.BASE, 3 * solver.BASE + 1],
+        ids=["short", "k_base", "k_base_plus_1", "modes_minus_1", "modes_k_base", "modes_plus_1"],
     )
     def test_block_boundaries(self, n_steps, block_solves, linalg_calls):
         # N < BASE is one block holding state N; at N = k BASE the last block
-        # holds state N alone, and at k BASE + 1 state N and one history row.
+        # holds state N alone, and at k BASE + 1 state N and one history row;
+        # around 3 BASE the first mode update meets a short last block.
         # The factor is constant, so this runs the steady path: one inverse
         # per steady system (here one), no LU, and every block is a leading
         # corner of that inverse, whose size is N + 1 when N < BASE
@@ -410,10 +445,12 @@ class TestAffineBlock:
         assert np.all(np.abs(states - column) <= 1e-12 * (1.0 + np.abs(column)))
 
     @pytest.mark.parametrize(
-        "fail_step", [2 * solver.BASE, 2 * solver.BASE - 28], ids=["block_boundary", "mid_block"]
+        "fail_step, n_steps",
+        [(2 * solver.BASE, 300), (2 * solver.BASE - 28, 300), (5 * solver.BASE + 17, 400)],
+        ids=["block_boundary", "mid_block", "after_modes"],
     )
-    def test_a_failure_is_that_of_the_step_loop(self, fail_step, block_solves):
-        grid = TimeGrid(step=0.02, n_steps=300)
+    def test_a_failure_is_that_of_the_step_loop(self, fail_step, n_steps, block_solves):
+        grid = TimeGrid(step=0.02, n_steps=n_steps)
         spec = JumpMeasureSpec(gamma=1.0, alpha=0.8, cutoff=0.5)
         clean = noise_block(spec, grid, 3, seed=2, include_jumps=False)
         noise = kicked(clean, 1, fail_step - 1)  # the state after the kick overflows
@@ -423,7 +460,8 @@ class TestAffineBlock:
         )
         args = (noise, np.array([0.1]), 1.0, 0.7)
         solved = solver.solve_coupled(AFFINE, averaged, *args)
-        assert False in block_solves and block_solves.count(True) == 4  # the failing block is stepped
+        # the failing block is stepped
+        assert False in block_solves and block_solves.count(True) == n_steps // solver.BASE
         stepped = solver.solve_coupled(
             dataclasses.replace(AFFINE, drift=plain(AFFINE.drift)),
             dataclasses.replace(averaged, drift=plain(averaged.drift)),

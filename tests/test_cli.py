@@ -1,9 +1,11 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import os
 import re
+import sys
 import warnings
 
 import pytest
@@ -130,17 +132,21 @@ class TestSimulate:
         report = json.loads((tmp_path / "simulate" / "report.json").read_text())
         assert math.isfinite(printed) and printed == float(f"{report['per_path_sup_er'][0]:.6g}")
 
-    def test_overflow_after_a_block_is_a_failure_at_its_first_step(self, tmp_path, capsys):
-        # mlbench from x0 = 1e307: the first far-field sum overflows, so the
-        # block after it is stepped and its first step fails
-        code = run_cli(
-            "simulate", "--problem", "mlbench", "--beta", "0.6", "--epsilon", "1",
-            "--x0", "1e307", "--horizon", "10", "--step", "1e-2", "--out", str(tmp_path),
-        )
+    def test_overflow_fails_at_the_step_whose_state_passes_the_float_maximum(self, tmp_path, capsys):
+        # mlbench is deterministic and linear, so its states from x0 = 1e307
+        # are 1e307 times those from x0 = 1: the run fails at the first step
+        # where that product passes the largest float, not before
+        args = ("--problem", "mlbench", "--beta", "0.6", "--epsilon", "1", "--horizon", "10", "--step", "1e-2")
+        assert run_cli("simulate", *args, "--x0", "1", "--out", str(tmp_path / "unit")) == 0
+        capsys.readouterr()
+        with open(tmp_path / "unit" / "simulate" / "paths" / "path_000000.csv", newline="") as fh:
+            unit = [(float(row["t"]), float(row["X_1"])) for row in csv.DictReader(fh)]
+        step = next(n for n, (_, x) in enumerate(unit) if 1e307 * x > sys.float_info.max)
+        code = run_cli("simulate", *args, "--x0", "1e307", "--out", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err.startswith("run failed: ")
         manifest = json.loads((tmp_path / "simulate" / "manifest.json").read_text())
-        assert manifest["failures"] == [{"path": 0, "step": 64, "time": 0.64, "system": "original"}]
+        assert manifest["failures"] == [{"path": 0, "step": step, "time": unit[step][0], "system": "original"}]
 
     def test_too_many_expected_events_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_draws(*key):

@@ -1,12 +1,14 @@
-"""Start-up imports: fracavg never imports scipy, and the process pool loads
-only where it is used.
+"""Start-up imports: fracavg never imports scipy or ``numpy.fft``, and the
+process pool loads only where it is used.
 
 numpy is the only runtime dependency: every integral is numpy quadrature, so
 fracavg runs with scipy blocked (``sys.modules["scipy"] = None`` makes any
 import of it fail).  ``import fracavg`` must not load ``concurrent.futures``,
 while ``numpy.random``, which numpy loads lazily, is loaded up front so that
-its load never lands inside a timed solve.  The checks run in a fresh
-interpreter, whose imports this one's do not hide, and report back as JSON.
+its load never lands inside a timed solve.  The solver's far field is a sum
+of exponentials, so no run, command or integral loads ``numpy.fft``.  The
+checks run in a fresh interpreter, whose imports this one's do not hide,
+and report back as JSON.
 """
 
 import dataclasses
@@ -22,7 +24,8 @@ from fracavg.harness import ExperimentConfig, run_ensemble
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 LAZY = ("concurrent.futures",)
-WATCHED = ("numpy.random", "concurrent.futures")
+NEVER = ("numpy.fft",)
+WATCHED = ("numpy.random", "concurrent.futures", *NEVER)
 
 EQ10 = ExperimentConfig(case="a", n_paths=4, horizon=1.0, step=0.02, master_seed=7, save_paths=0)
 MLBENCH = ExperimentConfig(
@@ -91,6 +94,7 @@ spec = levy.JumpMeasureSpec(**job["spec"])
 out["nu_open"] = levy.nu_integral(spec, lambda x: x, use_delta=False)
 out["time_average"] = averaging.time_average(lambda t, x: 2.0 * x * math.cos(t) ** 2, 0.5, 10.0)
 out["pooled"] = run_ensemble(ExperimentConfig.from_dict(job["pooled"])).per_path_sup_sq
+out["at_exit"] = sorted(loaded())
 print(json.dumps(out))
 """
 
@@ -114,6 +118,7 @@ def test_fresh_interpreter_runs_without_scipy_and_imports_the_pool_only_where_us
     after_import = child["after_import"]
     assert not [name for name in after_import if name.startswith(LAZY)]
     assert "numpy.random" in after_import
+    assert not [name for name in child["at_exit"] if name.startswith(NEVER)]
 
     for name, run in child["runs"].items():
         assert run["new"] == [], name
