@@ -50,7 +50,7 @@ current and the previous block, and a block of P paths costs
 O(N * (BASE + K) * P) in O(N) Python steps; for N < BASE it is the direct
 sum.
 
-When every system is affine (a ``_Linear`` drift a(t) X, a ``_Constant``
+For an affine system (a ``_Linear`` drift a(t) X, a ``_Constant``
 diffusion, and as its jump part none, a NU_DRIFT ``_Linear`` jump drift
 b(t) X, or a ``_Linear`` jump phi(t, z) X without a closed-form rate), slot
 0 of step j is f_j X_j with f_j = c_drift a(t_j) + c_stoch b(t_j), where b
@@ -64,21 +64,23 @@ per path); otherwise e = 0.  These tables are built once per solve, and the
 states of a near-field block [n0, n0 + BASE) are a unit lower triangular
 linear system (I - W diag(f) - V diag(e_q)) X_q = R_q + V eta_q, where W
 and V hold the block's lag weights of the two slots and R the X_0 plus the
-previous block's and far-field sums.  How a system is solved is ruled once
-per solve, for each system on its own, so a system is solved as its solo
-solve solves it.  A steady system, with no compensated jump and one factor
-f for all steps (such as every affine averaged system without one), has the
-same matrix I - f W in every block: its own ``np.linalg.inv`` forms the
-inverse once per solve, and each block is one matmul by its leading corner.
-Every other system, and a steady one whose inverse raises LinAlgError or is
-not finite, is LU-solved in each block: one ``np.linalg.solve`` of the
-equation above, stacked over q, with e one zero row for a system without
-a compensated jump, and Q = P rows for a compensated one whose e differ by
-path because the noise has events (Q = 1 otherwise).  Either way a block
-is a few numpy calls per system, not BASE Python steps.
-A block whose solve raises LinAlgError or is not all finite is stepped
-instead, from the same sums, with the drift and jumps called as
-any callable is, so failures and masking are those of the step loop.
+previous block's and far-field sums.  ``_affine_tables`` rules each system
+once per solve, on its own: it is block-solved, or stepped in every block.
+A steady affine system, with no compensated jump and one factor f for all
+steps (such as every affine averaged system without one), has the same
+matrix I - f W in every block: its own ``np.linalg.inv`` forms the inverse
+once per solve, and each block is one matmul by its leading corner.  Every
+other affine system is LU-solved in each block: one ``np.linalg.solve`` of
+the equation above, stacked over q, with e one zero row for a system
+without a compensated jump, and Q = P rows for a compensated one whose e
+differ by path because the noise has events (Q = 1 otherwise).  Either way
+a block is a few numpy calls per system, not BASE Python steps.  A system
+that is not affine, or a steady one whose inverse raises LinAlgError or is
+not finite, is stepped in every block.  A system whose block solve raises
+LinAlgError or is not all finite has that block stepped instead, from the
+same sums, with the drift and jumps called as any callable is, so failures
+and masking are those of the step loop.  Each block steps only the systems
+whose block was not solved.
 
 Only the order of summation and the far field's fit change: states stay
 within 1e-12 * (1 + |X|) of one product over the whole history per step,
@@ -97,14 +99,13 @@ block solve).  The history is laid out system outermost, (systems,
 modes (systems, K, P * dim), and the states (N + 1, systems, P, dim).
 Every product, of the near field, the previous block, the modes' update
 and their read, and every block solve is a stack of per-system products
-or solves, each of the shape a solve of that system alone makes.  So each
-system's states are bitwise those of its solo solve, and two systems with
-equal coefficients stay exactly equal (acceptance criterion 5).  Putting
-both systems' columns into one 2-D product would break that: BLAS may
-round a column differently by its position in the matrix.
-One exception: an affine block in which only another system fails is
-stepped for every system, so there a system that stays finite is within
-1e-12 * (1 + |X|) of its solo solve, not bitwise.
+or solves, each of the shape a solve of that system alone makes, and
+whether a system's block is solved or stepped depends on that system
+alone.  So each system's states are bitwise those of its solo solve, and
+two systems with equal coefficients stay exactly equal (acceptance
+criterion 5).  Putting both systems' columns into one 2-D product would
+break that: BLAS may round a column differently by its position in the
+matrix.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -274,12 +275,12 @@ class CoefficientSet:
     jump part if any, a NU_DRIFT ``_Linear`` jump_drift or a ``_Linear`` jump
     with no jump_drift is affine (eq10, mlbench, and an ``expr`` problem
     whose drift and jump are state-linear expressions and whose diffusion
-    is a constant, such as the benchmark's compensated jumps_quad): when
-    every system of a solve is, the solver solves each near-field block at
-    once from tables of the factors, each factor (a float or a numpy
-    function of time columns) read by one call per solve.  Any other
-    callable is called at every step, even if it returns the same value
-    each time.
+    is a constant, such as the benchmark's compensated jumps_quad): the
+    solver solves each near-field block of an affine system at once from
+    tables of its factors, each factor (a float or a numpy function of
+    time columns) read by one call per solve, whatever the other system
+    of the solve is.  Any other callable is called at every step, even if
+    it returns the same value each time.
 
     jump_drift, when provided, is the closed-form integral of H against the
     jump measure as a function of (t, X): over (0, cutoff) in NU_DRIFT mode,
@@ -533,8 +534,12 @@ def _exponential_modes(beta: float, h: float, n_steps: int):
 
 
 def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, events, lags):
-    """Factor tables, block rules and fallback counts of an affine solve, built before its loop.
+    """Factor tables, one solve rule per system and fallback counts, built before the loop.
 
+    This is where each system's blocks are ruled, once per solve and for each
+    system on its own.  A system is affine when its drift is a ``_Linear``,
+    its diffusion a ``_Constant`` and its jump part none, a NU_DRIFT
+    ``_Linear`` jump drift or a ``_Linear`` jump with no jump_drift.
     factors[s, j] is c_drift a(t_j) + c_stoch b(t_j), b a NU_DRIFT jump drift
     or a NU_DRIFT ``_Linear`` jump's rate, and 0 for state n_steps, which has
     no history row; each factor is read by one call on the column of step
@@ -545,20 +550,26 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
     has one zero row.  A rate the shell table cannot settle counts one
     fallback per path of each step it serves, as the step loop counts.
 
-    Each system's rule is an (inverse, e) pair (see ``_solve_affine_block``).
-    A steady system, with no compensated jump and one factor f for all
-    steps, has the same block matrix I - f W in every block (``lags`` is
-    (W, V, I)), and its inverse is formed here, by its own
-    ``np.linalg.inv``.  Every other system, and a steady one whose inverse
-    raises LinAlgError or is not finite, has inverse None: it is LU-solved
-    in every block.
+    A system's rule is None when it is stepped in every block: when it is
+    not affine, or when it is steady and its inverse raises LinAlgError or
+    is not finite.  Any other rule is an (inverse, e) pair (see
+    ``_solve_affine_block``).  A steady system, with no compensated jump and
+    one factor f for all steps, has the same block matrix I - f W in every
+    block (``lags`` is (W, V, I)), and its inverse is formed here, by its own
+    ``np.linalg.inv``.  Every other affine system has inverse None: it is
+    LU-solved in every block.
     """
     grid = noise.grid
     n_steps, p_count = grid.n_steps, noise.size
     w, _, identity = lags
     factors = np.zeros((len(systems), n_steps + 1))
-    rules, fallbacks = [], []
+    rules, fallbacks = [], [0] * len(systems)
     for s, coeffs in enumerate(systems):
+        folded = coeffs.jump_mode == JumpMode.NU_DRIFT and isinstance(coeffs.jump_drift, _Linear)
+        jump = folded or (coeffs.jump_drift is None and (coeffs.jump is None or isinstance(coeffs.jump, _Linear)))
+        if not (isinstance(coeffs.drift, _Linear) and isinstance(coeffs.diffusion, _Constant) and jump):
+            rules.append(None)
+            continue
         targs = (grid.times[:n_steps],) if coeffs.time_dependent else ()
         factors[s, :n_steps] += c_drift * coeffs.drift.at(*targs)
         redone, steady = 0, True  # steady until a compensated jump or a varying factor shows
@@ -576,101 +587,104 @@ def _affine_tables(systems, noise: NoiseBlock, c_drift: float, c_stoch: float, e
                 np.add.at(e, (ev_path, ev_step), np.broadcast_to(phi, ev_path.shape))
             e[:, :n_steps] -= grid.step * rate
             e *= c_stoch
-        fallbacks.append(redone * p_count * (1 if targs else n_steps))
-        inverse = None
+        fallbacks[s] = redone * p_count * (1 if targs else n_steps)
+        rule = (None, e)
         if steady and (factors[s, :n_steps] == factors[s, 0]).all():
             try:
                 inverse = np.linalg.inv(identity - w * factors[s, 0])
-            except np.linalg.LinAlgError:  # singular: LU-solved, as a varying factor is
-                pass
-        finite = inverse is not None and np.isfinite(inverse).all()
-        rules.append((inverse if finite else None, e))
+                rule = (inverse, e) if np.isfinite(inverse).all() else None
+            except np.linalg.LinAlgError:  # singular: stepped, as a non-finite inverse is
+                rule = None
+        rules.append(rule)
     return factors, rules, fallbacks
 
 
-def _solve_affine_block(f, rules, n0: int, state_rows, rows, lags) -> bool:
-    """Solve the states [n0, n0 + m) of one near-field block of affine systems at once.
+def _solve_affine_block(f, rule, n0: int, states, rows, lags) -> bool:
+    """Solve the states [n0, n0 + m) of one near-field block of one affine system at once.
 
-    ``f`` is the block's (systems, m) slice of the solve's factor table: slot
-    0 of row j is f_j X_j, and the factor of state n_steps is 0.  ``rows``
-    is the block's own (systems, r, 2, columns) history rows, r = m but for
-    the block of state n_steps, which has no row; their slot 1 holds the
-    noise terms eta filled before the solve.  ``lags`` is (W, V, I): the
-    strictly lower lag-Toeplitz matrices of the drift and left-end kernels,
-    and the identity; R is the states' X_0 plus the previous block's and
-    far-field sums, already added.
-    ``rules`` holds one (inverse, e) pair per system, and the systems are
-    solved one after another.  A steady system's ``inverse`` is (I - f W)^-1,
-    and X is its leading m x m corner times R + V eta: the corner of a lower
-    triangular matrix's inverse is the inverse of its corner, so a short
-    last block needs no other.  Any other system has inverse None and its
+    ``f`` is the block's (m,) slice of the system's row of the factor
+    table: slot 0 of row j is f_j X_j, and the factor of state n_steps is
+    0.  ``states`` is the system's (n_steps + 1, columns) states, and
+    ``rows`` the block's own (r, 2, columns) history rows of the system,
+    r = m but for the block of state n_steps, which has no row; their slot
+    1 holds the noise terms eta filled before the solve.  ``lags`` is
+    (W, V, I): the strictly lower lag-Toeplitz matrices of the drift and
+    left-end kernels, and the identity; R is the states' X_0 plus the
+    previous block's and far-field sums, already added.
+    ``rule`` is the system's (inverse, e) pair from ``_affine_tables``.  A
+    steady system's ``inverse`` is (I - f W)^-1, and X is its leading m x m
+    corner times R + V eta: the corner of a lower triangular matrix's
+    inverse is the inverse of its corner, so a short last block needs no
+    other.  Any other affine system has inverse None and its
     (Q, n_steps + 1) table e of jump factors (Q = P when they vary by path,
     else 1; one zero row without a compensated jump): slot 1 of row j is
     eta_j + e_j X_j, and X_q solves (I - W diag(f) - V diag(e_q)) X_q = R_q
     + V eta_q, one ``np.linalg.solve`` stacked over q.  Writes the states
-    and both slots and returns True; returns False and writes nothing when a
-    solve raises LinAlgError or a term is not finite.
+    and both slots and returns True; returns False and writes nothing when
+    the solve raises LinAlgError or the sum of the states and terms is not
+    finite (also when finite terms overflow it): then the step loop steps
+    the system's block.  Only the system's own arrays are read, so its
+    blocks are solved as its solo solve solves them.
     """
-    m = f.shape[1]
+    m = len(f)
     stop = n0 + m
-    r = rows.shape[1]  # history rows of the block: state n_steps has none
+    r = len(rows)  # history rows of the block: state n_steps has none
     w, v, identity = lags
-    rhs = v[:m, :r] @ rows[:, :, 1]
-    rhs += state_rows[n0:stop].transpose(1, 0, 2)
-    x = rhs  # each system's solution replaces its right-hand sides
-    noise = rows[:, :, 1].copy()
-    try:
-        for s, (inverse, e) in enumerate(rules):
-            if inverse is not None:
-                x[s] = inverse[:m, :m] @ rhs[s]
-                continue
-            e = e[:, n0:stop]
-            q = len(e)
-            # (Q, m, columns per Q): path q's columns, or all columns when Q = 1
-            b = rhs[s].reshape(m, q, -1).transpose(1, 0, 2)
-            xq = np.linalg.solve(identity[:m, :m] - w[:m, :m] * f[s] - v[:m, :m] * e[:, None, :], b)
-            x[s] = xq.transpose(1, 0, 2).reshape(m, -1)
-            noise[s] += (e[:, :r, None] * xq[:, :r]).transpose(1, 0, 2).reshape(noise.shape[1:])
-    except np.linalg.LinAlgError:
+    inverse, e = rule
+    x = v[:m, :r] @ rows[:, 1]
+    x += states[n0:stop]
+    noise = rows[:, 1]
+    if inverse is not None:
+        x = inverse[:m, :m] @ x
+    else:
+        e = e[:, n0:stop]
+        q = len(e)
+        # (Q, m, columns per Q): path q's columns, or all columns when Q = 1
+        b = x.reshape(m, q, -1).transpose(1, 0, 2)
+        try:
+            xq = np.linalg.solve(identity[:m, :m] - w[:m, :m] * f - v[:m, :m] * e[:, None, :], b)
+        except np.linalg.LinAlgError:
+            return False
+        x = xq.transpose(1, 0, 2).reshape(m, -1)
+        noise = noise + (e[:, :r, None] * xq[:, :r]).transpose(1, 0, 2).reshape(noise.shape)
+    drift = f[:r, None] * x[:r]
+    if not math.isfinite(x.sum() + drift.sum() + noise.sum()):
         return False
-    drift = f[:, :r, None] * x[:, :r]
-    total = x.sum() + drift.sum() + noise.sum()
-    if not math.isfinite(total):  # also when a finite sum overflows: then the steps decide
-        return False
-    state_rows[n0:stop] = x.transpose(1, 0, 2)
-    rows[:, :, 0] = drift
-    rows[:, :, 1] = noise
+    states[n0:stop] = x
+    rows[:, 0] = drift
+    rows[:, 1] = noise
     return True
 
 
 def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     """States (n_steps + 1, S, P, dim) of S systems for every path of the block.
 
-    ``systems`` is a tuple of S coefficient sets, stepped together on the
-    block's shared noise.  Also returns each (system, path)'s first grid step
-    with a non-finite state, an (S, P) array with 0 where the path stayed
-    finite, and per system the number of compensator rates that fell back
-    from the shell table to ``nu_integral``.
+    ``systems`` is a tuple of S = 1 or 2 coefficient sets, stepped together
+    on the block's shared noise.  Also returns each (system, path)'s first
+    grid step with a non-finite state, an (S, P) array with 0 where the path
+    stayed finite, and per system the number of compensator rates that fell
+    back from the shell table to ``nu_integral``.
 
     The systems share the grid, the weights, the modes' rates and the event
     table; each step makes one near-field product and one finiteness test
-    for all of them, and each affine block one matmul or LU solve per
-    system.  The history is (S, 2 BASE, 2, P * dim) and the modes (S, K,
-    P * dim), system outermost, so every product is a stack of S products
-    (or one solve per system) of the shape a solo solve makes: each
-    system's sums are those of a solve of that system alone, bit for bit.
+    for all the systems it steps, and each block one matmul or LU solve per
+    block-solved system.  The history is (S, 2 BASE, 2, P * dim) and the
+    modes (S, K, P * dim), system outermost, so every product is a stack of
+    products (or one solve per system) of the shape a solo solve makes:
+    each system's sums are those of a solve of that system alone, bit for
+    bit.
 
     The time loop runs a near-field block at a time.  At its start the
     block before the previous one enters the modes (from n0 = 2 BASE on),
     whose rows the block's own then replace; the previous block's and the
     far-field sums are added to the block's states; and a constant
-    diffusion's noise terms are filled into the block's rows.  When every
-    system is affine the block is one matmul or LU solve per system
-    (``_solve_affine_block``), by its slice of the tables and the rule of
-    each system that ``_affine_tables`` builds before the loop;
-    otherwise, or when a solve fails, it is stepped: state n, its
-    finiteness test, then history row n, with every coefficient that is not
-    a filled ``_Constant`` diffusion called.
+    diffusion's noise terms are filled into the block's rows.  Then
+    ``_solve_affine_block`` solves the block of each system that
+    ``_affine_tables`` rules block-solved, by its slice of the tables, with
+    one matmul or LU solve, and reports per system whether it did.  The
+    other systems of the block, contiguous as S <= 2, are stepped together:
+    state n, its finiteness test, then history row n, with every
+    coefficient that is not a filled ``_Constant`` diffusion called.
 
     A drift, diffusion or ``jump_drift`` result that is a float64 array of the
     target shape is used as it is; any other is converted and reshaped
@@ -735,12 +749,10 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     states = np.empty((n_steps + 1, s_count) + shape)
     states[:] = x0  # each block adds its far-field and previous-block sums
     state_rows = states.reshape(n_steps + 1, s_count, -1)
-    state_flat = states.reshape(n_steps + 1, -1)
     increments = noise.increments[:, :, :, None]
 
     plans, fills = [], []
     any_compensated = table_rates = False
-    affine = True  # so far, every system has a _Linear drift, a _Constant diffusion and no other part
     for s, coeffs in enumerate(systems):
         has_jump = coeffs.jump is not None or coeffs.jump_drift is not None
         nu_drift = has_jump and coeffs.jump_mode == JumpMode.NU_DRIFT
@@ -751,9 +763,6 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         if constant_g:  # G transposed, (brownian_dim, dim)
             g = np.full(coeffs.diffusion.shape, coeffs.diffusion.value, dtype=float)
             fills.append((s, g.reshape(dim, -1).T))
-        folded = nu_drift and isinstance(coeffs.jump_drift, _Linear)
-        linear_jump = isinstance(coeffs.jump, _Linear) and coeffs.jump_drift is None
-        affine &= isinstance(coeffs.drift, _Linear) and constant_g and (folded or linear_jump or not has_jump)
         plans.append((s, coeffs, states[:, s], by_path[s], has_jump, nu_drift, constant_g))
 
     events = any_compensated and any(r.n_events for r in noise.realizations)
@@ -765,16 +774,14 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
         table = levy.shell_table(noise.spec)
         shells = (table, np.tile(table.nodes, p_count))
     failed = np.zeros((s_count, p_count), dtype=np.int64)
-    fallbacks = [0] * s_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if affine:
-            # W and V of one near-field block: lag i - l of each slot at (i, l)
-            size = min(BASE, n_steps + 1)
-            lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
-            lagged[:, 1:] = near.reshape(-1, 2)[::-1][: size - 1].T
-            lag = np.arange(size)
-            lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
-            factors, rules, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table, lags)
+        # W and V of one near-field block: lag i - l of each slot at (i, l)
+        size = min(BASE, n_steps + 1)
+        lagged = np.zeros((2, size))  # column L holds lag L; lag 0 weighs nothing
+        lagged[:, 1:] = near.reshape(-1, 2)[::-1][: size - 1].T
+        lag = np.arange(size)
+        lags = (*lagged.take(np.maximum(lag[:, None] - lag, 0), axis=1), np.eye(size))
+        factors, rules, fallbacks = _affine_tables(systems, noise, c_drift, c_stoch, event_table, lags)
 
         event_table = _ = None  # the events' steps serve the tables only: not held through the loop
         for n0 in range(0, n_steps + 1, BASE):
@@ -794,17 +801,22 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                 part = by_path[s, cur : cur + r, 1]
                 np.matmul(noise.increments[n0 : n0 + r], g_t, out=part)
                 part *= c_stoch
-            rows = history[:, cur : cur + r]
-            if affine and _solve_affine_block(factors[:, n0:stop], rules, n0, state_rows, rows, lags):
-                continue
+            # each block-solved system's block at once, then the others (contiguous, as S <= 2)
             # step by step: state n, its finiteness, then history row n
+            live = [s for s, rule in enumerate(rules) if rule is None or not _solve_affine_block(
+                factors[s, n0:stop], rule, n0, state_rows[:, s], history[s, cur : cur + r], lags)]
+            if not live:
+                continue
+            lo, hi = live[0], live[-1] + 1
+            live_states, live_rows = state_rows[:, lo:hi], history_rows[lo:hi]
+            live_flat = live_states.reshape(n_steps + 1, -1)
             for n in range(n0, stop):
                 i = n - n0
                 if i:
-                    state_rows[n] += near[-2 * i :] @ history_rows[:, 2 * cur : 2 * (cur + i)]
-                x_n = state_flat[n]
+                    live_states[n] += near[-2 * i :] @ live_rows[:, 2 * cur : 2 * (cur + i)]
+                x_n = live_flat[n]
                 if n and not math.isfinite(x_n.dot(x_n)):  # a finite sum of squares proves every state finite
-                    for s in range(s_count):
+                    for s in live:
                         bad = ~np.isfinite(states[n, s]).all(axis=1)
                         failed[s, bad & (failed[s] == 0)] = n
                         states[n:stop, s, bad] = x0  # drops the sums already added to the block
@@ -813,7 +825,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                         modes_by_path[s, :, bad] = 0.0
                 if n == n_steps:
                     break
-                for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, constant_g in plans:
+                for s, coeffs, sys_states, sys_slots, has_jump, nu_drift, constant_g in plans[lo:hi]:
                     targs = (times[n],) if coeffs.time_dependent else ()
                     x_j = sys_states[n]
                     slots = sys_slots[cur + i]
@@ -829,7 +841,7 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
                             rate, redone = _quadrature_rate(
                                 coeffs.jump, targs, x_j, noise.spec, None if nu_drift else shells
                             )
-                            if not affine:  # an affine solve counts them once, in its tables
+                            if rules[s] is None:  # a block-solved system counts them once, in its tables
                                 fallbacks[s] += redone
                         if nu_drift:
                             slots[0] += c_stoch * rate
@@ -861,7 +873,8 @@ def solve_coupled(
     README's quick start, and a check that re-solves one path), returns its
     CoupledPaths and raises the PathBlowupError of the original system if it
     fails, else that of the averaged one.  To solve one system, pass it as
-    both: each system's states are bitwise those of a solve of it alone.
+    both: each system's states are bitwise those of a solve of it alone,
+    whatever the other system is.
     """
     block = noise if isinstance(noise, NoiseBlock) else NoiseBlock((noise,))
     states, failed, fallbacks = _solve_block((coeffs, avg_coeffs), block, x0, epsilon, beta)

@@ -917,8 +917,18 @@ LOCKSTEP_PROBLEMS = [
         drift_expr="-x*(1+cos(t))", diffusion_expr="0.5*x",
         avg_drift_expr="-x", avg_diffusion_expr="0.5*x", horizon=3.0, step=1e-2,
     ),
+    # mixed pairs: a stepped original beside a block-solved averaged system,
+    # and an LU-solved original beside a stepped one (ROADMAP item 20's control)
+    ExperimentConfig(
+        problem="expr", case=None, beta=0.6, x0=0.1, drift_expr="-x*(1+cos(t)) + 0.1*sin(x)",
+        diffusion_expr="0.5", avg_drift_expr="-x", avg_diffusion_expr="0.5", horizon=3.0, step=1e-2,
+    ),
+    ExperimentConfig(
+        problem="expr", case=None, beta=0.6, x0=0.1, drift_expr="-x*(1+cos(t))",
+        diffusion_expr="0.5", avg_drift_expr="-x - 0.05", avg_diffusion_expr="0.5", horizon=3.0, step=1e-2,
+    ),
 ]
-LOCKSTEP_IDS = ["mlbench", "eq10_a", "expr_compensated", "expr_multiplicative"]
+LOCKSTEP_IDS = ["mlbench", "eq10_a", "expr_compensated", "expr_multiplicative", "mixed_nonlinear", "mixed_control"]
 
 
 class TestLockstep:
