@@ -42,14 +42,11 @@ def _parse_scalar(text: str):
         return None
     if lowered.lower() in ("true", "false"):
         return lowered.lower() == "true"
-    try:
-        return int(lowered)
-    except ValueError:
-        pass
-    try:
-        return float(lowered)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(lowered)
+        except ValueError:
+            pass
     return lowered
 
 
@@ -69,7 +66,10 @@ def load_config_file(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        return data.get("effective_config", data)
+        data = data.get("effective_config", data)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: effective_config must be an object of config keys; got {data!r}")
+        return data
     field_types = {f.name: str(f.type) for f in dataclasses.fields(ExperimentConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -338,6 +338,17 @@ class TestConfigFile:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["5", "null"])
+    def test_a_json_config_that_is_no_object_of_keys_exits_2(self, value, tmp_path, capsys):
+        config = tmp_path / "manifest.json"
+        config.write_text(f'{{"effective_config": {value}}}\n')
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(config), "--horizon", "1", "--step", "0.1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {config}: effective_config must be an object of config keys; got {json.loads(value)!r}\n"
+        )
+        assert not out.exists()
+
     def test_config_file_drives_simulation(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("case = b\nhorizon = 0.5\nstep = 0.01\nmaster_seed = 9\n")
