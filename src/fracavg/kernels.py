@@ -4,7 +4,8 @@ Everything fractional in this package reduces to three primitives: the gamma
 function, the one-parameter Mittag-Leffler series, and the exact product
 integrals of the power-law kernel (t - s)^(beta - 1) over uniform grid cells.
 All three are pure functions; values returned here are immutable, and the
-weights come back as one read-only array.
+weights, each in a form that does not cancel at long lags, come back as one
+read-only array.
 """
 
 from __future__ import annotations
@@ -175,22 +176,26 @@ def build_kernel_weights(beta, step: float, n: int) -> np.ndarray:
     ``weights[j]`` is the exact integral of (t_n - s)^(beta - 1) over the
     cell [t_j, t_{j+1}], with t_j = j * step and t_n = n * step:
 
-        weights[j] = ((t_n - t_j)^beta - (t_n - t_{j+1})^beta) / beta.
+        weights[j] = ((t_n - t_j)^beta - (t_n - t_{j+1})^beta) / beta
+                   = L^beta (1 - (1 - 1/L)^beta) step^beta / beta,  L = n - j.
 
     The closed-form cell integrals remove all quadrature error from the
-    singular kernel.  The weights are strictly positive, increase with j (the
-    singularity concentrates mass near s = t_n) and telescope: their sum is
-    t_n^beta / beta.  Computing the remaining-time powers once and
-    differencing makes that identity hold to a few ulps regardless of ``n``.
+    singular kernel.  Each weight is computed in the second form, as
+    L^beta (-expm1(beta log1p(-1/L))) step^beta / beta, which does not
+    cancel: it is within a few ulps of the exact cell integral at every lag
+    L, where the difference of powers loses ~L ulps.  The weights are
+    strictly positive, increase with j (the singularity concentrates mass
+    near s = t_n) and telescope: their sum is t_n^beta / beta to a few ulps
+    regardless of ``n``.
     """
-    order = as_order(beta)
+    b = as_order(beta).beta
     step = float(step)
     if step <= 0.0:
         raise ValueError(f"step must be positive; got {step!r}")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be an integer >= 1; got {n!r}")
-    remaining = step * np.arange(int(n), -1, -1, dtype=float)  # t_n - t_j for j = 0..n
-    powers = remaining**order.beta
-    weights = (powers[:-1] - powers[1:]) / order.beta
+    lags = np.arange(int(n), 0, -1, dtype=float)  # (t_n - t_j) / step for j = 0..n-1
+    with np.errstate(divide="ignore"):  # at lag 1, log1p(-1) = -inf: the cell is step^beta / beta
+        weights = lags**b * -np.expm1(b * np.log1p(-1.0 / lags)) * step**b / b
     weights.setflags(write=False)
     return weights
