@@ -93,19 +93,18 @@ the later states of its block are reset to X_0, so it cannot disturb the
 others) and its first failure step is recorded, per system.
 
 Systems stepped together share the weights, the modes' rates, the event
-table, one near-field product and one finiteness test per step (or per
-block solve).  The history is laid out system outermost, (systems,
-2 BASE, 2, P * dim) with block n0 in rows n0 % (2 BASE) onwards, the
-modes (systems, K, P * dim), and the states (N + 1, systems, P, dim).
-Every product, of the near field, the previous block, the modes' update
-and their read, and every block solve is a stack of per-system products
-or solves, each of the shape a solve of that system alone makes, and
-whether a system's block is solved or stepped depends on that system
-alone.  So each system's states are bitwise those of its solo solve, and
-two systems with equal coefficients stay exactly equal (acceptance
-criterion 5).  Putting both systems' columns into one 2-D product would
-break that: BLAS may round a column differently by its position in the
-matrix.
+table, and one near-field product and one finiteness test per step.  The
+history is laid out system outermost, (systems, 2 BASE, 2, P * dim) with
+block n0 in rows n0 % (2 BASE) onwards, the modes (systems, K, P * dim),
+and the states (N + 1, systems, P, dim).  Every product, of the near
+field, the previous block, the modes' update and their read, is a stack of
+per-system products, each of the shape a solve of that system alone makes;
+a block solve reads and writes one system's arrays alone; and whether a
+system's block is solved or stepped depends on that system alone.  So each
+system's states are bitwise those of its solo solve, and two systems with
+equal coefficients stay exactly equal (acceptance criterion 5).  Putting
+both systems' columns into one 2-D product would break that: BLAS may
+round a column differently by its position in the matrix.
 
 Floating-point sums may round differently for different block widths, so
 the ensemble harness cuts paths into blocks of a fixed size that does not
@@ -678,13 +677,13 @@ def _solve_block(systems, noise: NoiseBlock, x0, epsilon: float, beta):
     block before the previous one enters the modes (from n0 = 2 BASE on),
     whose rows the block's own then replace; the previous block's and the
     far-field sums are added to the block's states; and a constant
-    diffusion's noise terms are filled into the block's rows.  Then
-    ``_solve_affine_block`` solves the block of each system that
-    ``_affine_tables`` rules block-solved, by its slice of the tables, with
-    one matmul or LU solve, and reports per system whether it did.  The
-    other systems of the block, contiguous as S <= 2, are stepped together:
-    state n, its finiteness test, then history row n, with every
-    coefficient that is not a filled ``_Constant`` diffusion called.
+    diffusion's noise terms are filled into the block's rows.  Then one
+    ``_solve_affine_block`` call per system that ``_affine_tables`` rules
+    block-solved solves its block, by its slice of the tables, with one
+    matmul or LU solve, and reports whether it did.  The other systems of
+    the block, contiguous as S <= 2, are stepped together: state n, its
+    finiteness test, then history row n, with every coefficient that is not
+    a filled ``_Constant`` diffusion called.
 
     A drift, diffusion or ``jump_drift`` result that is a float64 array of the
     target shape is used as it is; any other is converted and reshaped
