@@ -373,9 +373,9 @@ def kicked(noise, path, step, size=1e308):
 
 
 class TestAffineBlock:
-    """Affine systems solve one near-field block per call: states within
-    1e-12 * (1 + |X|) of the direct sum; a block that fails is stepped, so
-    failures are those of the step loop."""
+    """An affine system solves one near-field block per call: states within
+    1e-12 * (1 + |X|) of the direct sum; a block that fails is stepped for
+    that system alone, so failures are those of the step loop."""
 
     @pytest.mark.parametrize(
         "n_steps",
