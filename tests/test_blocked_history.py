@@ -687,6 +687,24 @@ class TestCompensatedBlock:
         assert len(calls) == 1 + 50  # one for all steps here, one per step (all paths) for the twin
         assert block_solves == [True]
 
+    def test_a_mixed_pair_is_each_solo_solve(self, block_solves):
+        # a stepped original (its jump is not linear) beside a block-solved
+        # averaged system, both with unsettled rates: each system's states,
+        # failures and fallback counts are those of its solo solve
+        original = twin(compensated("abs(z-0.1)*x"), "abs(z-0.1)*x")
+        averaged = solver.AveragedCoefficientSet(
+            drift=compile_expr("-x", ("x",)), diffusion=_Constant(0.5), jump=compile_expr("abs(z-0.1)*x", ("x", "z")),
+        )
+        noise = noise_block(self.SPEC, TimeGrid(step=0.02, n_steps=300), 3)
+        args = (noise, np.array([0.4]), 0.3, 0.7)
+        states, failed, fallbacks = _solve_block((original, averaged), *args)
+        assert block_solves == [True] * 5  # the averaged system's blocks; the original records nothing
+        for s, system in enumerate((original, averaged)):
+            alone, alone_failed, alone_fallbacks = _solve_block((system,), *args)
+            assert np.array_equal(states[:, s], alone[:, 0])
+            np.testing.assert_array_equal(failed[s], alone_failed[0])
+            assert fallbacks[s] == alone_fallbacks[0] == 3 * 300
+
     def test_a_time_independent_jump(self, block_solves):
         averaged = solver.AveragedCoefficientSet(
             drift=compile_expr("-x", ("x",)), diffusion=_Constant(0.5),
